@@ -231,6 +231,8 @@ class FGAbelianGroup:
     rank: int
 
     def __post_init__(self):
+        if self.rank < 0:
+            raise InputError("free rank must be >= 0")
         for d in self.torsion:
             if d < 2:
                 raise InputError("invariant factors must be >= 2")

@@ -34,7 +34,6 @@ WARN_NONSMOOTH = ("WARN diagonal scheme has infinitesimal points in this "
 class Report:
     def __init__(self):
         self.lines = []
-        self.code = 0
 
     def add(self, line):
         self.lines.append(line)
@@ -300,12 +299,19 @@ def main(argv=None):
         print(USAGE.rstrip())
         return 2
     try:
+        cap = int(flags["cap"])
+    except ValueError:
+        print("error=input: --cap needs an integer, got %r" % flags["cap"])
+        return 2
+    if flags["mode"] not in (None, "closure", "rational"):
+        print("error=input: --mode must be closure or rational")
+        return 2
+    try:
         if flags["deck"] is None:
             raise InputError("missing --deck FILE")
         with open(flags["deck"], "r", encoding="utf-8") as fh:
             deck = parse_deck(fh.read())
-        report = run_command(deck, tokens, cap=int(flags["cap"]),
-                             mode=flags["mode"])
+        report = run_command(deck, tokens, cap=cap, mode=flags["mode"])
     except MathIdentityError as exc:
         print("error=identity: %s" % exc)
         return 1
@@ -319,7 +325,7 @@ def main(argv=None):
         print("error=input: %s" % exc)
         return 2
     sys.stdout.write(report.text())
-    return report.code
+    return 0
 
 
 if __name__ == "__main__":

@@ -37,7 +37,10 @@ class TestRing:
         self.field = field
         self.dim = len(table)
         self.table = tuple(tuple(tuple(v) for v in row) for row in table)
+        self.terms = sparse_terms(field, self.table)
         self.one = tuple(one)
+        self._fzero = field.zero()
+        self._zero = (self._fzero,) * self.dim
         self.label = label or "ring"
         self._hint = idempotent_hint
         self._idempotents = None
@@ -50,7 +53,7 @@ class TestRing:
     # -- element helpers ----------------------------------------------------
 
     def zero(self):
-        return (self.field.zero(),) * self.dim
+        return self._zero
 
     def from_field(self, c):
         return self.scal(c, self.one)
@@ -59,7 +62,7 @@ class TestRing:
         return self.from_field(self.field.from_int(n))
 
     def is_zero(self, x):
-        return all(self.field.is_zero(c) for c in x)
+        return x == self._zero
 
     def add(self, x, y):
         F = self.field
@@ -78,20 +81,7 @@ class TestRing:
 
     def mul(self, x, y):
         F = self.field
-        out = [F.zero()] * self.dim
-        for i, a in enumerate(x):
-            if F.is_zero(a):
-                continue
-            row = self.table[i]
-            for j, b in enumerate(y):
-                if F.is_zero(b):
-                    continue
-                ab = F.mul(a, b)
-                cell = row[j]
-                for k in range(self.dim):
-                    if not F.is_zero(cell[k]):
-                        out[k] = F.add(out[k], F.mul(ab, cell[k]))
-        return tuple(out)
+        return structure_mul(self.terms, x, y, self._fzero, F.is_zero, F.add, F.mul, F.mul)
 
     def pow_element(self, x, n):
         out = self.one
@@ -161,7 +151,8 @@ class TestRing:
     def _check_axioms(self):
         F = self.field
         n = self.dim
-        if len(self.one) != n or any(len(row) != n for row in self.table):
+        shapes_ok = all(len(row) == n and all(len(v) == n for v in row) for row in self.table)
+        if len(self.one) != n or not shapes_ok:
             raise RingAxiomError("structure constant dimensions inconsistent")
         for i in range(n):
             for j in range(i, n):
@@ -201,9 +192,6 @@ class TestRing:
             self._idempotents = tuple(sorted(idems, key=self.sort_key))
         return self._idempotents
 
-    def is_connected(self):
-        return len(self.idempotents()) == 1
-
     def block(self, e):
         """The block ring eR with unit e; returns (ring, project, inject)."""
         e = tuple(e)
@@ -240,6 +228,34 @@ class TestRing:
         if self._unit_group is None:
             self._unit_group = enumerate_units(self, cap)
         return self._unit_group
+
+
+def sparse_terms(F, table):
+    """Compile structure constants: terms[i][j] lists the (k, c) with
+    table[i][j][k] = c nonzero, so products never visit a zero constant."""
+    return tuple(tuple(tuple((k, c) for k, c in enumerate(cell) if not F.is_zero(c))
+                       for cell in row) for row in table)
+
+
+def structure_mul(terms, x, y, zero, is_zero, add, mul, scal):
+    """The product sum_{i,j,k} x_i y_j c_ijk e_k from compiled terms.
+
+    Coordinates live in any commutative ring given by zero/is_zero/add/mul,
+    and scal(c, r) multiplies r by a structure constant c.  Zero coordinates
+    and empty cells are skipped, so each x_i y_j is formed only when needed."""
+    out = [zero] * len(terms)
+    for i, a in enumerate(x):
+        if is_zero(a):
+            continue
+        row = terms[i]
+        for j, b in enumerate(y):
+            cell = row[j]
+            if not cell or is_zero(b):
+                continue
+            ab = mul(a, b)
+            for k, c in cell:
+                out[k] = add(out[k], scal(c, ab))
+    return tuple(out)
 
 
 def _columns(F, rows):
@@ -717,15 +733,11 @@ def _abelian_basis(R, units, orders):
     for coeffs, order in zip(lift, factors):
         elem = R.one
         for c, g in zip(coeffs, gens):
-            elem = R.mul(elem, _pow_signed(R, g, c, orders[g]))
+            elem = R.mul(elem, R.pow_element(g, c % orders[g]))
         if R.pow_element(elem, order) != R.one:
             raise MathIdentityError("basis element order mismatch")
         basis.append((elem, order))
     return basis
-
-
-def _pow_signed(R, g, c, order):
-    return R.pow_element(g, c % order)
 
 
 def _extend_subgroup(R, subgroup, x, quotient_order):

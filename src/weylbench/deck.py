@@ -77,6 +77,9 @@ def parse_deck(text):
             raise
         except WorkbenchError as exc:
             raise DeckError(line_no, str(exc))
+        except (ValueError, ZeroDivisionError) as exc:
+            # int() or Fraction() on a malformed literal such as x or 1/0
+            raise DeckError(line_no, "bad number literal: %s" % exc)
     _flush_algebra(deck, pending_algebra)
     return deck
 

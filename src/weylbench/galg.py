@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .abgroups import FGAbelianGroup, Presentation, group_from_presentation
-from .comrings import GroupAlgebra, base_field_ring
+from .comrings import GroupAlgebra, base_field_ring, sparse_terms, structure_mul
 from .errors import GradingAxiomError, InputError
 
 
@@ -26,30 +26,14 @@ class Algebra:
         for row in self.table:
             if len(row) != self.dim or any(len(v) != self.dim for v in row):
                 raise InputError("structure constant dimensions inconsistent")
+        self.terms = sparse_terms(fld, self.table)
         self.basis_names = tuple(basis_names) if basis_names else tuple(
             "b%d" % i for i in range(self.dim))
         self.label = label or "algebra"
 
     def mul(self, x, y):
         F = self.field
-        out = [F.zero()] * self.dim
-        for i, a in enumerate(x):
-            if F.is_zero(a):
-                continue
-            row = self.table[i]
-            for j, b in enumerate(y):
-                if F.is_zero(b):
-                    continue
-                ab = F.mul(a, b)
-                cell = row[j]
-                for k in range(self.dim):
-                    if not F.is_zero(cell[k]):
-                        out[k] = F.add(out[k], F.mul(ab, cell[k]))
-        return tuple(out)
-
-    def basis_vec(self, i):
-        F = self.field
-        return tuple(F.one() if k == i else F.zero() for k in range(self.dim))
+        return structure_mul(self.terms, x, y, F.zero(), F.is_zero, F.add, F.mul, F.mul)
 
     def __repr__(self):
         return "Algebra(%s, dim=%d)" % (self.label, self.dim)
@@ -84,9 +68,6 @@ class Grading:
 
     def is_thin(self):
         return all(len(ix) == 1 for ix in self.components.values())
-
-    def degree_of_index(self, i):
-        return self.degrees[i]
 
 
 def _nonzero_pairs(gr):

@@ -15,7 +15,7 @@ import itertools
 from dataclasses import dataclass
 
 from . import abgroups, galg
-from .comrings import GroupAlgebra
+from .comrings import GroupAlgebra, structure_mul
 from .errors import (
     CapExceededError,
     InputError,
@@ -119,21 +119,7 @@ def ring_mat_inv(R, M):
 
 def algebra_mul_over_ring(A, R, x, y):
     """Product in A tensor R of coordinate vectors x, y over R."""
-    F = A.field
-    n = A.dim
-    out = [R.zero()] * n
-    for i in range(n):
-        if R.is_zero(x[i]):
-            continue
-        for j in range(n):
-            if R.is_zero(y[j]):
-                continue
-            xy = R.mul(x[i], y[j])
-            cell = A.table[i][j]
-            for k in range(n):
-                if not F.is_zero(cell[k]):
-                    out[k] = R.add(out[k], R.mul(xy, R.from_field(cell[k])))
-    return out
+    return structure_mul(A.terms, x, y, R.zero(), R.is_zero, R.add, R.mul, R.scal)
 
 
 def apply_point(phi, vec):
@@ -144,12 +130,11 @@ def apply_point(phi, vec):
     for j, c in enumerate(vec):
         if phi.algebra.field.is_zero(c):
             continue
-        rc = R.from_field(c)
         for k in range(n):
             e = phi.entries[k][j]
             if not R.is_zero(e):
-                out[k] = R.add(out[k], R.mul(e, rc))
-    return out
+                out[k] = R.add(out[k], R.scal(c, e))
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

@@ -212,7 +212,7 @@ class ExactField:
         return self.mul(a, self.inv(b))
 
     def is_zero(self, a):
-        return a == self.zero()
+        raise NotImplementedError
 
     def eq(self, a, b):
         return a == b
@@ -280,6 +280,9 @@ class RationalField(ExactField):
             raise DivisionByZeroError("division by zero in Q")
         return 1 / a
 
+    def is_zero(self, a):
+        return not a
+
     def characteristic(self):
         return 0
 
@@ -338,6 +341,9 @@ class PrimeField(ExactField):
         if a % self.p == 0:
             raise DivisionByZeroError("division by zero in F_%d" % self.p)
         return pow(a, self.p - 2, self.p)
+
+    def is_zero(self, a):
+        return a == 0
 
     def characteristic(self):
         return self.p
@@ -398,6 +404,7 @@ class ExtensionField(ExactField):
                 lead = cur.pop()
                 cur = [base.add(cur[i], base.mul(lead, self._tpow[d][i])) for i in range(d)]
             self._tpow[k] = list(cur)
+        self._zero = self._vec([])
 
     def _vec(self, coeffs):
         d = self.degree
@@ -405,7 +412,7 @@ class ExtensionField(ExactField):
         return tuple(coeffs[:d])
 
     def zero(self):
-        return self._vec([])
+        return self._zero
 
     def one(self):
         return self._vec([self.base.one()])
@@ -426,21 +433,24 @@ class ExtensionField(ExactField):
         return tuple(self.base.neg(x) for x in a)
 
     def mul(self, a, b):
-        base, d = self.base, self.degree
-        conv = [base.zero()] * (2 * d - 1)
+        d = self.degree
+        zero, is_zero = self.base.zero(), self.base.is_zero
+        add, mul = self.base.add, self.base.mul
+        nz_b = [(j, y) for j, y in enumerate(b) if not is_zero(y)]
+        conv = [zero] * (2 * d - 1)
         for i, x in enumerate(a):
-            if base.is_zero(x):
+            if is_zero(x):
                 continue
-            for j, y in enumerate(b):
-                conv[i + j] = base.add(conv[i + j], base.mul(x, y))
-        out = list(conv[:d])
+            for j, y in nz_b:
+                conv[i + j] = add(conv[i + j], mul(x, y))
+        out = conv[:d]
         for k in range(d, 2 * d - 1):
             c = conv[k]
-            if base.is_zero(c):
+            if is_zero(c):
                 continue
             red = self._tpow[k]
             for i in range(d):
-                out[i] = base.add(out[i], base.mul(c, red[i]))
+                out[i] = add(out[i], mul(c, red[i]))
         return tuple(out)
 
     def inv(self, a):
@@ -452,7 +462,7 @@ class ExtensionField(ExactField):
         return self._vec(poly_scal(self.base, self.base.inv(g[0]), s))
 
     def is_zero(self, a):
-        return all(self.base.is_zero(x) for x in a)
+        return a == self._zero
 
     def characteristic(self):
         return self.base.characteristic()

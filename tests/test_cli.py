@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from weylbench.cli import run_command
+from weylbench.cli import main, run_command
 from weylbench.deck import parse_deck
 from weylbench.errors import DeckError
 
@@ -200,3 +200,25 @@ def test_cap_flag_limits_enumeration():
     with pytest.raises(CapExceededError):
         run(load("ex26.deck"), ["points", "Gamma", "over", "F3eps", "set=aut"],
             cap=2)
+
+
+@pytest.mark.parametrize("text, line", [
+    ("field F = prime x\n", 1),
+    ("group G = Z/q\n", 1),
+    ("field F3 = prime 3\nalgebra A over F3 dim 2 basis e1,e2\nmul e1 e1 = 1/0 e2\n", 3),
+    ("field Q = rationals\nalgebra A over Q dim 1 basis e\nmul e e = 1/0 e\n", 3),
+    ("field Q = rationals\ngroup G = Z^-2\n", 2),
+], ids=["prime-x", "group-Zq", "F3-one-over-zero", "Q-one-over-zero", "negative-rank"])
+def test_bad_deck_literal_exits_2_with_line(tmp_path, capsys, text, line):
+    deck = tmp_path / "bad.deck"
+    deck.write_text(text)
+    assert main(["--deck", str(deck), "check"]) == 2
+    assert capsys.readouterr().out.startswith("error=input: line %d: " % line)
+
+
+@pytest.mark.parametrize("flag, value", [("--cap", "abc"), ("--mode", "bogus")])
+def test_bad_flag_value_exits_2(tmp_path, capsys, flag, value):
+    deck = tmp_path / "t.deck"
+    deck.write_text(load("ex34.deck"))
+    assert main(["--deck", str(deck), flag, value, "weyl", "Gamma"]) == 2
+    assert capsys.readouterr().out.startswith("error=input: " + flag)

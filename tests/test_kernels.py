@@ -1,0 +1,155 @@
+"""Oracle tests for the arithmetic core: the compiled structure-constant
+kernel against the dense n^3 loop it replaced, and the O(1) zero tests
+against comparison with the field's zero."""
+
+import random
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import weylbench as wb
+from weylbench import abgroups, comrings, galg, points
+
+KERNEL = settings(derandomize=True, max_examples=40, deadline=None, database=None)
+
+Q = wb.rationals()
+F3 = wb.prime_field(3)
+F5 = wb.prime_field(5)
+F9 = wb.extension_field(F3, [1, 0, 1])
+F81 = wb.extension_field(F9, [(2, 2), (0, 0), (1, 0)])
+QSQRT2 = wb.extension_field(Q, [Fraction(-2), Fraction(0), Fraction(1)])
+
+KERNEL_FIELDS = {"Q": Q, "F5": F5, "F9": F9}
+ALL_FIELDS = {"Q": Q, "F3": F3, "F5": F5, "F9": F9, "F81": F81, "Q(sqrt2)": QSQRT2}
+
+
+def dense_mul(F, table, x, y, zero, is_zero, add, mul, lift):
+    """The dense n^3 product loop the kernel replaced, kept as the reference:
+    it visits every coordinate of every cell and multiplies x_i*y_j by the
+    constant lifted into the coefficient ring."""
+    n = len(table)
+    out = [zero] * n
+    for i in range(n):
+        if is_zero(x[i]):
+            continue
+        for j in range(n):
+            if is_zero(y[j]):
+                continue
+            xy = mul(x[i], y[j])
+            cell = table[i][j]
+            for k in range(n):
+                if cell[k] != F.zero():
+                    out[k] = add(out[k], mul(xy, lift(cell[k])))
+    return tuple(out)
+
+
+def elements(F):
+    if F.kind == "rationals":
+        return st.fractions(min_value=-4, max_value=4, max_denominator=5)
+    if F.kind == "prime":
+        return st.integers(0, F.p - 1)
+    return st.tuples(*[elements(F.base)] * F.degree)
+
+
+def sparse_elements(F):
+    """Elements that are zero about half of the time, so the kernel's skips
+    of zero coordinates and empty cells are exercised."""
+    return st.one_of(st.just(F.zero()), elements(F))
+
+
+def vectors(F, n):
+    return st.tuples(*[sparse_elements(F)] * n)
+
+
+def tables(F, n):
+    cell = st.one_of(st.just((F.zero(),) * n), vectors(F, n))
+    return st.lists(st.lists(cell, min_size=n, max_size=n), min_size=n, max_size=n)
+
+
+def coefficient_rings(F):
+    base = comrings.base_field_ring(F)
+    return [base, comrings.dual_numbers(F, 2), comrings.product_ring(base, base),
+            comrings.group_algebra_finite(F, abgroups.cyclic_group(2))]
+
+
+RINGS = {name: coefficient_rings(F) for name, F in KERNEL_FIELDS.items()}
+
+
+@KERNEL
+@given(st.sampled_from(sorted(KERNEL_FIELDS)), st.integers(1, 3), st.data())
+def test_field_products_match_dense_loop(name, n, data):
+    F = KERNEL_FIELDS[name]
+    table = data.draw(tables(F, n))
+    x, y = data.draw(vectors(F, n)), data.draw(vectors(F, n))
+    expected = dense_mul(F, table, x, y, F.zero(), lambda a: a == F.zero(),
+                         F.add, F.mul, lambda c: c)
+    ring = comrings.TestRing(F, table, (F.one(),) * n, _skip_checks=True)
+    assert ring.mul(x, y) == expected
+    assert galg.Algebra(F, table).mul(x, y) == expected
+
+
+@KERNEL
+@given(st.sampled_from(sorted(KERNEL_FIELDS)), st.integers(1, 3), st.data())
+def test_products_over_a_ring_match_dense_loop(name, n, data):
+    F = KERNEL_FIELDS[name]
+    R = data.draw(st.sampled_from(RINGS[name]))
+    A = galg.Algebra(F, data.draw(tables(F, n)))
+    ring_vectors = st.tuples(*[st.one_of(st.just(R.zero()), vectors(F, R.dim))] * n)
+    x, y = data.draw(ring_vectors), data.draw(ring_vectors)
+    expected = dense_mul(F, A.table, x, y, R.zero(),
+                         lambda r: all(c == F.zero() for c in r),
+                         R.add, R.mul, R.from_field)
+    assert points.algebra_mul_over_ring(A, R, x, y) == expected
+    # apply_point scales matrix entries by the same field constants
+    phi = points.point_matrix(A, R, [data.draw(ring_vectors) for _ in range(n)])
+    vec = data.draw(vectors(F, n))
+    image = [R.zero()] * n
+    for j, c in enumerate(vec):
+        for k in range(n):
+            image[k] = R.add(image[k], R.mul(phi.entries[k][j], R.from_field(c)))
+    assert points.apply_point(phi, vec) == tuple(image)
+
+
+@KERNEL
+@given(st.sampled_from(sorted(ALL_FIELDS)), st.data())
+def test_fast_is_zero_agrees_with_comparison(name, data):
+    F = ALL_FIELDS[name]
+    for a in (F.zero(), F.sub(F.one(), F.one()), data.draw(elements(F))):
+        assert F.is_zero(a) == (a == F.zero())
+    assert not F.is_zero(F.one())
+
+
+@KERNEL
+@given(st.sampled_from(sorted(KERNEL_FIELDS)), st.data())
+def test_ring_is_zero_agrees_with_coordinates(name, data):
+    F = KERNEL_FIELDS[name]
+    R = data.draw(st.sampled_from(RINGS[name]))
+    x = data.draw(vectors(F, R.dim))
+    assert R.is_zero(x) == all(c == F.zero() for c in x)
+    assert R.is_zero(R.sub(x, x))
+    assert R.is_zero(R.zero())
+
+
+def _is_element(F, a):
+    """Extension elements are tuples of the degree's length, recursively."""
+    if F.kind != "extension":
+        return True
+    return (type(a) is tuple and len(a) == F.degree
+            and all(_is_element(F.base, c) for c in a))
+
+
+@KERNEL
+@given(st.sampled_from(["F9", "F81", "Q(sqrt2)"]), st.data())
+def test_extension_ops_return_tuples(name, data):
+    F = ALL_FIELDS[name]
+    a, b = data.draw(elements(F)), data.draw(elements(F))
+    results = [F.zero(), F.one(), F.gen(), F.from_int(7), F.from_base(F.base.one()),
+               F.add(a, b), F.neg(a), F.sub(a, b), F.mul(a, b), F.pow(a, 3),
+               F.parse(F.to_str(a)), F.parse("1"), F.random_element(random.Random(0))]
+    if not F.is_zero(b):
+        results += [F.inv(b), F.div(a, b), F.pow(b, -2)]
+    for r in results:
+        assert _is_element(F, r), r
+    if F.cardinality() is not None:
+        assert all(_is_element(F, e) for e in F.elements())
