@@ -285,17 +285,6 @@ class FGAbelianGroup:
             n *= d
         return n
 
-    def element_order(self, a):
-        a = self.reduce(a)
-        if any(a[len(self.torsion):]):
-            return None
-        n = 1
-        cur = a
-        while cur != self.identity():
-            cur = self.add(cur, a)
-            n += 1
-        return n
-
     def elements(self):
         if not self.is_finite():
             raise InputError("cannot enumerate an infinite group")
@@ -348,10 +337,6 @@ def cyclic_group(n):
     if n <= 1:
         return trivial_group()
     return FGAbelianGroup((n,), 0)
-
-
-def free_group(rank):
-    return FGAbelianGroup((), rank)
 
 
 @dataclass(frozen=True)

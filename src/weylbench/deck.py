@@ -9,7 +9,8 @@ from dataclasses import dataclass, field as dc_field
 
 from . import comrings, galg, scalars
 from .abgroups import FGAbelianGroup
-from .errors import DeckError, GradingAxiomError, InputError, WorkbenchError
+from .errors import (DeckError, GradingAxiomError, InputError, MathIdentityError,
+                     WorkbenchError)
 from .points import PointMatrix, point_matrix
 from .scalars import split_bracketed
 
@@ -73,7 +74,7 @@ def parse_deck(text):
                 _parse_map(deck, line, line_no)
             else:
                 raise DeckError(line_no, "unknown declaration %r" % head)
-        except DeckError:
+        except (DeckError, MathIdentityError):
             raise
         except WorkbenchError as exc:
             raise DeckError(line_no, str(exc))

@@ -18,11 +18,12 @@ class DivisionByZeroError(WorkbenchError):
     pass
 
 
-class ReducibleModulusError(WorkbenchError):
-    """An extension modulus turned out to be reducible (found during inversion)."""
+class ReducibleModulusError(InputError):
+    """An extension modulus is reducible: refused at construction over a
+    finite base, found during inversion over Q."""
 
     def __init__(self, factor):
-        super().__init__("extension modulus is reducible, common factor %r" % (factor,))
+        super().__init__("extension modulus is reducible, it has the factor %s" % factor)
         self.factor = factor
 
 

@@ -16,8 +16,6 @@ from .scalars import (
     RationalField,
     poly_divmod,
     poly_eval,
-    poly_gcd,
-    poly_deriv,
     poly_monic,
     poly_mul,
     poly_pow_mod,
@@ -26,19 +24,6 @@ from .scalars import (
 
 _CYCLO_CACHE = {}
 _MAX_CYCLOTOMIC_PROBE = 64
-
-
-def squarefree_part(F, p):
-    """p / gcd(p, p') for char-0 fields (monic output)."""
-    p = poly_monic(F, p)
-    d = poly_deriv(F, p)
-    if not d:
-        return p
-    g = poly_gcd(F, p, d)
-    q, r = poly_divmod(F, p, g)
-    if r:
-        raise MathIdentityError("squarefree division left a remainder")
-    return poly_monic(F, q)
 
 
 def _int_divisors(n):

@@ -54,6 +54,7 @@ class Grading:
     support: tuple = field(init=False)     # sorted support elements
     pattern: tuple = field(init=False)     # sorted (g, h) with A_g A_h != 0
     label: str = "grading"
+    universal: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         comp = {}
@@ -149,7 +150,14 @@ class UniversalGroup:
 
 def universal_group(gr):
     """Free abelian group on the support modulo one relation per product pair,
-    with the relabeling and the fold map back to G."""
+    with the relabeling and the fold map back to G.  Computed and checked
+    once per grading, then kept on it."""
+    if gr.universal is None:
+        gr.universal = _universal_group(gr)
+    return gr.universal
+
+
+def _universal_group(gr):
     supp = list(gr.support)
     index = {g: i for i, g in enumerate(supp)}
     G = gr.group

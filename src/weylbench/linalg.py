@@ -47,18 +47,6 @@ def _dot(F, row, v):
     return acc
 
 
-def mat_eq(F, A, B):
-    if len(A) != len(B):
-        return False
-    for ra, rb in zip(A, B):
-        if len(ra) != len(rb):
-            return False
-        for a, b in zip(ra, rb):
-            if not F.eq(a, b):
-                return False
-    return True
-
-
 def rref(F, A):
     """Reduced row echelon form; returns (R, pivot column list)."""
     R = [row[:] for row in A]
@@ -158,18 +146,6 @@ def nullspace(F, A):
             v[pc] = F.neg(R[r][fc])
         basis.append(v)
     return basis
-
-
-def mat_pow(F, A, k):
-    n = len(A)
-    out = identity(F, n)
-    B = [row[:] for row in A]
-    while k > 0:
-        if k & 1:
-            out = mat_mul(F, out, B)
-        B = mat_mul(F, B, B)
-        k >>= 1
-    return out
 
 
 def first_dependence(F, vectors):

@@ -23,6 +23,7 @@ from .errors import (
     NotEnumerableError,
     OrderViolationError,
 )
+from .scalars import TABLE_MAX_ELEMENTS
 
 
 @dataclass(frozen=True)
@@ -532,7 +533,7 @@ def dgroup_norm_membership(gr, phi):
 class RingTable:
     """Integer-indexed add/mul tables for a small finite ring."""
 
-    MAX_ELEMENTS = 512
+    MAX_ELEMENTS = TABLE_MAX_ELEMENTS
 
     def __init__(self, R):
         count = R.element_count()

@@ -2,10 +2,13 @@
 simple extensions F[t]/(f) of an already-built field.
 
 Field elements are plain immutable values (Fraction, int, or tuple of base
-elements); all operations live on the field object.  Irreducibility of an
-extension modulus is enforced lazily: inverting a nonzero element runs the
-extended Euclidean algorithm against the modulus, and a proper common factor
-raises ReducibleModulusError.
+elements); all operations live on the field object.  An extension of a finite
+field is certified irreducible when it is built (Rabin's test), and a
+reducible modulus is refused with a nontrivial factor.  Finite extensions
+with at most TABLE_MAX_ELEMENTS elements run on log/Zech tables built once;
+the rest, and all extensions of Q, run on polynomial arithmetic.  Over Q a
+reducible modulus is detected lazily, when an inversion meets a proper
+common factor.
 """
 
 from __future__ import annotations
@@ -18,9 +21,14 @@ from .errors import (
     DivisionByZeroError,
     FieldConstructionError,
     InfiniteFieldError,
+    MathIdentityError,
     ReducibleModulusError,
     UnknownSolvabilityError,
 )
+
+# Finite fields and rings with at most this many elements are tabulated:
+# extension fields on log/Zech tables here, rings in points.RingTable.
+TABLE_MAX_ELEMENTS = 512
 
 
 def is_prime(n):
@@ -32,6 +40,20 @@ def is_prime(n):
             return False
         d += 1
     return True
+
+
+def prime_factors(n):
+    """Distinct prime divisors of n >= 1, ascending."""
+    out, d = [], 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    if n > 1:
+        out.append(n)
+    return out
 
 
 def integer_kth_root(n, k):
@@ -173,6 +195,78 @@ def poly_pow_mod(F, base, n, modulus):
         base = poly_mod(F, poly_mul(F, base, base), modulus)
         n >>= 1
     return result
+
+
+def is_irreducible(F, f):
+    """Rabin's test over a finite field F with q elements: monic f of degree
+    d >= 1 is irreducible iff f divides t^(q^d) - t and
+    gcd(t^(q^(d/r)) - t, f) = 1 for each prime r dividing d."""
+    q, d = F.cardinality(), poly_deg(f)
+    t = poly_mod(F, [F.zero(), F.one()], f)
+    frob = [t]                      # frob[k] = t^(q^k) mod f
+    for _ in range(d):
+        frob.append(poly_pow_mod(F, frob[-1], q, f))
+    if poly_sub(F, frob[d], t):
+        return False
+    return all(poly_deg(poly_gcd(F, poly_sub(F, frob[d // r], t), f)) == 0
+               for r in prime_factors(d))
+
+
+def nontrivial_factor(F, f):
+    """A monic factor of degree strictly between 0 and deg f, for a reducible
+    monic f over a finite field F: a p-th root or gcd(f, f') when f has a
+    repeated factor, else the product of its irreducible factors of the least
+    degree k, split further when that product is all of f."""
+    q, p, d = F.cardinality(), F.characteristic(), poly_deg(f)
+    df = poly_deriv(F, f)
+    if not df:                      # f(t) = h(t)^p, h = sum c_(ip)^(q/p) t^i
+        return poly_monic(F, [F.pow(c, q // p) for c in f[::p]])
+    g = poly_gcd(F, f, df)
+    if poly_deg(g) > 0:
+        return g
+    t = [F.zero(), F.one()]
+    h = t
+    for k in range(1, d):
+        h = poly_pow_mod(F, h, q, f)
+        g = poly_gcd(F, poly_sub(F, h, t), f)
+        if 0 < poly_deg(g) < d:
+            return g
+        if poly_deg(g) == d:
+            return _equal_degree_factor(F, f, k)
+    raise MathIdentityError("no proper factor of a modulus Rabin's test refused")
+
+
+def _equal_degree_factor(F, f, k):
+    """Split a squarefree f whose irreducible factors all have degree k
+    (Cantor-Zassenhaus).  Some a of degree < deg f always splits f; the
+    candidates are tried with coefficients among the first m elements of F
+    for m = 1, 2, ..., so the search is deterministic and reaches every a
+    without listing a large F."""
+    q, d = F.cardinality(), poly_deg(f)
+    alphabet = []
+    for x in F.elements():
+        alphabet.append(x)
+        for coeffs in itertools.product(alphabet, repeat=d):
+            a = poly_trim(F, coeffs)
+            if x in coeffs and poly_deg(a) >= 1:
+                g = _split_by(F, f, k, q, a)
+                if g is not None:
+                    return g
+    raise MathIdentityError("equal-degree splitting found no factor")
+
+
+def _split_by(F, f, k, q, a):
+    """gcd(f, a^((q^k - 1)/2) - 1) for odd q, gcd(f, trace of a to F_2) for
+    even q, when it is a proper factor of f; else None."""
+    if q % 2:
+        b = poly_sub(F, poly_pow_mod(F, a, (q**k - 1) // 2, f), [F.one()])
+    else:
+        b, c = [], a
+        for _ in range(k * (q.bit_length() - 1)):
+            b = poly_add(F, b, c)
+            c = poly_mod(F, poly_mul(F, c, c), f)
+    g = poly_gcd(F, b, f)
+    return g if 0 < poly_deg(g) < poly_deg(f) else None
 
 
 # ---------------------------------------------------------------------------
@@ -380,6 +474,9 @@ class ExtensionField(ExactField):
     """F[t]/(modulus) for monic modulus of degree >= 2 over a built field F.
 
     Elements are coefficient tuples of length deg(modulus), low degree first.
+    Over a finite F the modulus is certified irreducible here, and a field of
+    at most TABLE_MAX_ELEMENTS elements replaces the polynomial methods below
+    by table lookups on the instance (see _tabulate).
     """
 
     kind = "extension"
@@ -405,6 +502,110 @@ class ExtensionField(ExactField):
                 cur = [base.add(cur[i], base.mul(lead, self._tpow[d][i])) for i in range(d)]
             self._tpow[k] = list(cur)
         self._zero = self._vec([])
+        self.exp = self.log = None
+        q = self.cardinality()
+        if q is not None:
+            self._certify(q)
+
+    def _certify(self, q):
+        """Rabin's test; on a tabulated field the generator search is a
+        second certificate and the two must agree."""
+        F, f = self.base, list(self.modulus)
+        irreducible = is_irreducible(F, f)
+        if q <= TABLE_MAX_ELEMENTS:
+            g = self._find_generator(q)
+            if (g is not None) != irreducible:
+                raise MathIdentityError(
+                    "Rabin's test and the generator search disagree on modulus %s"
+                    % self._poly_str(f))
+            if g is not None:
+                self._tabulate(g, q)
+        if not irreducible:
+            raise ReducibleModulusError(self._poly_str(nontrivial_factor(F, f)))
+
+    def _poly_str(self, coeffs):
+        return "[" + ",".join(self.base.to_str(c) for c in coeffs) + "]"
+
+    def _find_generator(self, q):
+        """First element of multiplicative order q - 1, by the polynomial
+        methods; None when there is none, i.e. the modulus is reducible."""
+        n, one = q - 1, self.one()
+        cofactors = [n // r for r in prime_factors(n)]
+        for x in self.elements():
+            if (not self.is_zero(x) and self.pow(x, n) == one
+                    and all(self.pow(x, e) != one for e in cofactors)):
+                return x
+        return None
+
+    def _tabulate(self, g, q):
+        """Build exp/log for the generator g and a Zech table, then bind
+        table versions of mul, add, sub, neg, inv and pow, and an elements
+        that yields the table's own tuples, on the instance.
+
+        With n = q - 1 and Z = 2n: log sends g^k to k < n and zero to Z; exp
+        holds g^(k mod n) below Z and zero from Z to 2Z, so mul and neg need
+        no branch.  a + b = exp[i + zech[j - i]] for i = log a, j = log b,
+        also when a or b is zero: zech[d] is log(1 + g^d) for |d| < n, d for
+        d = j - Z (a = 0, giving exp[j]) and 0 for d = Z - i (b = 0)."""
+        n = q - 1
+        Z = 2 * n
+        zero, one = self._zero, self.one()
+        exp, cur = [], one
+        for _ in range(n):
+            exp.append(cur)
+            cur = self.mul(cur, g)
+        log = {x: k for k, x in enumerate(exp)}
+        if cur != one or len(log) != n:
+            raise MathIdentityError("powers of the generator are not q - 1 distinct units")
+        log[zero] = Z
+        exp = exp + exp + [zero] * (Z + 1)
+        zech = [0] * (2 * Z + 1)
+        for d in range(1 - n, n):
+            zech[d] = log[self.add(one, exp[d % n])]
+        for k in range(n):
+            zech[k - Z] = k - Z
+        half = n // 2 if self.characteristic() != 2 else 0   # -1 = g^half
+        nlog = {x: log[exp[k + half]] for x, k in log.items()}   # log(-x)
+        # enumerate the key objects themselves: a dict lookup of the very
+        # key object skips the tuple comparison
+        keys = {x: x for x in log}
+        listed = [keys[x] for x in self.elements()]
+        self.exp, self.log = exp, log
+
+        def elements():
+            return iter(listed)
+
+        def mul(a, b):
+            return exp[log[a] + log[b]]
+
+        def add(a, b):
+            i = log[a]
+            return exp[i + zech[log[b] - i]]
+
+        def sub(a, b):
+            i = log[a]
+            return exp[i + zech[nlog[b] - i]]
+
+        def neg(a):
+            return exp[log[a] + half]
+
+        def inv(a):
+            i = log[a]
+            if i == Z:
+                raise DivisionByZeroError("division by zero in extension field")
+            return exp[n - i]
+
+        def power(a, e):
+            i = log[a]
+            if i == Z:
+                if e < 0:
+                    raise DivisionByZeroError("division by zero in extension field")
+                return zero if e else one
+            return exp[i * e % n]
+
+        self.mul, self.add, self.sub = mul, add, sub
+        self.neg, self.inv, self.pow = neg, inv, power
+        self.elements = elements
 
     def _vec(self, coeffs):
         d = self.degree
@@ -458,7 +659,7 @@ class ExtensionField(ExactField):
             raise DivisionByZeroError("division by zero in extension field")
         g, s, _ = poly_ext_gcd(self.base, list(a), list(self.modulus))
         if poly_deg(g) != 0:
-            raise ReducibleModulusError(tuple(g))
+            raise ReducibleModulusError(self._poly_str(g))
         return self._vec(poly_scal(self.base, self.base.inv(g[0]), s))
 
     def is_zero(self, a):
@@ -569,6 +770,9 @@ def unit_order(F, x):
         raise InfiniteFieldError("unit_order needs a finite field")
     if F.is_zero(x):
         raise DivisionByZeroError("unit_order of zero")
+    if getattr(F, "log", None) is not None:
+        n = F.cardinality() - 1
+        return n // math.gcd(F.log[x], n)
     n, acc = 1, x
     one = F.one()
     q = F.cardinality()
@@ -576,7 +780,7 @@ def unit_order(F, x):
         acc = F.mul(acc, x)
         n += 1
         if n > q:
-            raise ReducibleModulusError((x,))
+            raise MathIdentityError("no power of a unit of %r reaches 1" % F)
     return n
 
 

@@ -222,3 +222,13 @@ def test_bad_flag_value_exits_2(tmp_path, capsys, flag, value):
     deck.write_text(load("ex34.deck"))
     assert main(["--deck", str(deck), flag, value, "weyl", "Gamma"]) == 2
     assert capsys.readouterr().out.startswith("error=input: " + flag)
+
+
+@pytest.mark.parametrize("modulus", ["[2,0,1]", "[2,0,1,0,1,0,1]"],
+                         ids=["t2-minus-1", "two-cubics-above-bound"])
+def test_reducible_modulus_exits_2_with_line(tmp_path, capsys, modulus):
+    deck = tmp_path / "bad.deck"
+    deck.write_text("field F3 = prime 3\nfield K = extend F3 %s\n" % modulus)
+    assert main(["--deck", str(deck), "check"]) == 2
+    assert capsys.readouterr().out.startswith(
+        "error=input: line 2: extension modulus is reducible, it has the factor [")

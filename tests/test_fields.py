@@ -1,0 +1,154 @@
+"""Oracle tests for finite extension fields: every log/Zech table op against
+the polynomial arithmetic it replaced, kept here as the reference, and
+Rabin's irreducibility certificate against sympy."""
+
+import itertools
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import weylbench as wb
+from weylbench import scalars
+from weylbench.errors import DivisionByZeroError, MathIdentityError, ReducibleModulusError
+
+ORACLE = settings(derandomize=True, max_examples=100, deadline=None, database=None)
+
+F2, F3, F5, F7 = (wb.prime_field(p) for p in (2, 3, 5, 7))
+F9 = wb.extension_field(F3, [1, 0, 1])
+TABLE_FIELDS = {
+    "F4": wb.extension_field(F2, [1, 1, 1]),
+    "F8": wb.extension_field(F2, [1, 1, 0, 1]),
+    "F9": F9,
+    "F25": wb.extension_field(F5, [2, 0, 1]),
+    "F27": wb.extension_field(F3, [1, 2, 0, 1]),
+    "F49": wb.extension_field(F7, [1, 0, 1]),
+    "F81": wb.extension_field(F9, [(2, 2), (0, 0), (1, 0)]),   # tower over F9
+    "F343": wb.extension_field(F7, [4, 0, 0, 1]),              # 3 is no cube mod 7
+}
+
+
+# -- the polynomial reference ------------------------------------------------
+
+def ref_vec(F, coeffs):
+    coeffs = list(coeffs) + [F.base.zero()] * F.degree
+    return tuple(coeffs[:F.degree])
+
+
+def ref_mul(F, a, b):
+    B = F.base
+    return ref_vec(F, scalars.poly_mod(B, scalars.poly_mul(B, list(a), list(b)),
+                                       list(F.modulus)))
+
+
+def ref_add(F, a, b):
+    return tuple(F.base.add(x, y) for x, y in zip(a, b))
+
+
+def ref_neg(F, a):
+    return tuple(F.base.neg(x) for x in a)
+
+
+def ref_inv(F, a):
+    B = F.base
+    g, s, _ = scalars.poly_ext_gcd(B, list(a), list(F.modulus))
+    assert scalars.poly_deg(g) == 0
+    return ref_vec(F, scalars.poly_scal(B, B.inv(g[0]), s))
+
+
+def ref_pow(F, a, e):
+    if e < 0:
+        a, e = ref_inv(F, a), -e
+    out = F.one()
+    for _ in range(e):
+        out = ref_mul(F, out, a)
+    return out
+
+
+def ref_unit_order(F, a):
+    k, acc = 1, a
+    while acc != F.one():
+        acc, k = ref_mul(F, acc, a), k + 1
+    return k
+
+
+@pytest.mark.parametrize("name", sorted(TABLE_FIELDS))
+def test_table_ops_equal_polynomial_ops(name):
+    F = TABLE_FIELDS[name]
+    elems = list(F.elements())
+    assert F.log is not None
+
+    @ORACLE
+    @given(st.sampled_from(elems), st.sampled_from(elems), st.integers(-40, 40))
+    def check(a, b, e):
+        assert F.mul(a, b) == ref_mul(F, a, b)
+        assert F.add(a, b) == ref_add(F, a, b)
+        assert F.sub(a, b) == ref_add(F, a, ref_neg(F, b))
+        assert F.neg(a) == ref_neg(F, a)
+        if F.is_zero(a):
+            with pytest.raises(DivisionByZeroError):
+                F.inv(a)
+            assert F.pow(a, abs(e)) == (F.one() if e == 0 else F.zero())
+        else:
+            assert F.inv(a) == ref_inv(F, a)
+            assert F.pow(a, e) == ref_pow(F, a, e)
+            assert scalars.unit_order(F, a) == ref_unit_order(F, a)
+
+    check()
+
+
+@pytest.mark.parametrize("name", sorted(TABLE_FIELDS))
+def test_exp_covers_the_units_once(name):
+    F = TABLE_FIELDS[name]
+    q = F.cardinality()
+    units = F.exp[:q - 1]
+    assert len(set(units)) == q - 1
+    assert set(units) == set(F.elements()) - {F.zero()}
+    assert all(type(x) is tuple and len(x) == F.degree for x in units)
+
+
+def test_fields_above_the_bound_keep_the_polynomial_path():
+    F729 = wb.extension_field(F3, [2, 1, 0, 0, 0, 0, 1])
+    assert F729.cardinality() > scalars.TABLE_MAX_ELEMENTS
+    assert F729.log is None
+    x = F729.gen()
+    assert F729.mul(x, F729.inv(x)) == F729.one()
+    assert wb.extension_field(wb.rationals(), [-2, 0, 1]).log is None
+
+
+def test_reducible_moduli_are_refused_with_a_proper_factor():
+    for base, f in [(F3, [2, 0, 1]),                  # (t - 1)(t + 1), tabulated size
+                    (F3, [1, 0, 0, 2, 0, 0, 1]),      # (t + 1)^6, a cube
+                    (F3, [2, 0, 1, 0, 1, 0, 1]),      # two irreducible cubics
+                    (F2, [0, 1, 1])]:                 # t(t + 1)
+        with pytest.raises(ReducibleModulusError) as err:
+            wb.extension_field(base, f)
+        g = scalars.nontrivial_factor(base, f)
+        assert 0 < scalars.poly_deg(g) < scalars.poly_deg(f)
+        assert scalars.poly_mod(base, f, g) == []
+        assert err.value.factor == "[" + ",".join(map(str, g)) + "]"
+
+
+def test_rabin_and_generator_search_must_agree(monkeypatch):
+    monkeypatch.setattr(scalars, "is_irreducible", lambda F, f: False)
+    with pytest.raises(MathIdentityError):
+        wb.extension_field(F3, [1, 0, 1])
+    monkeypatch.setattr(scalars, "is_irreducible", lambda F, f: True)
+    with pytest.raises(MathIdentityError):
+        wb.extension_field(F3, [2, 0, 1])
+
+
+def test_rabin_matches_sympy_on_small_moduli():
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    for p in (2, 3, 5):
+        F = wb.prime_field(p)
+        for d in (2, 3, 4):
+            for low in itertools.product(range(p), repeat=d):
+                f = list(low) + [1]
+                verdict = scalars.is_irreducible(F, f)
+                assert verdict == sympy.Poly(f[::-1], x, modulus=p).is_irreducible, (p, f)
+                if not verdict:
+                    g = scalars.nontrivial_factor(F, f)
+                    assert 0 < scalars.poly_deg(g) < d
+                    assert scalars.poly_mod(F, f, g) == []

@@ -57,6 +57,14 @@ def test_universal_groups(Q, F3):
     assert galg.universal_group(trivial_grading(F3)).group.group_str() == "1"
 
 
+def test_universal_group_is_computed_once_per_grading(F3):
+    gr = para_hurwitz_grading(F3)
+    first = wb.universal_group(gr)
+    assert wb.universal_group(gr) is first
+    assert gr == galg.Grading(gr.algebra, gr.group, gr.degrees, label=gr.label)
+    assert "universal" not in repr(gr)
+
+
 def test_universal_regrading_preserves_structure(Q, F3):
     for gr in (zero_mult_grading(Q), para_hurwitz_grading(F3), cubic_grading(Q)):
         uni = galg.universal_group(gr)
