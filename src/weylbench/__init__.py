@@ -19,10 +19,8 @@ from .comrings import (
     dual_numbers,
     enumerate_units,
     group_algebra_finite,
-    idempotent_decomposition,
     product_ring,
     truncated_poly,
-    unit_and_nilpotent_tests,
 )
 from .galg import (
     Algebra,
@@ -55,7 +53,6 @@ from .scalars import (
     build_field,
     dth_root,
     extension_field,
-    invert,
     prime_field,
     rationals,
     unit_order,

@@ -9,33 +9,24 @@ invariant factor), free coordinates last.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 from .errors import InputError, MathIdentityError
+from .linalg import mat_mul
 
 
 # ---------------------------------------------------------------------------
 # integer matrices (lists of row lists)
 
+# the integers as a ring for linalg.mat_mul
+INTEGERS = SimpleNamespace(zero=int, is_zero=operator.not_, add=operator.add,
+                           mul=operator.mul)
+
 
 def int_identity(n):
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
-def int_mat_mul(A, B):
-    n, k = len(A), len(B)
-    m = len(B[0]) if k else 0
-    out = [[0] * m for _ in range(n)]
-    for i in range(n):
-        for t in range(k):
-            a = A[i][t]
-            if a == 0:
-                continue
-            Bt = B[t]
-            Oi = out[i]
-            for j in range(m):
-                Oi[j] += a * Bt[j]
-    return out
 
 
 def int_det(A):
@@ -142,7 +133,7 @@ def smith_normal_form(M):
 
 
 def _verify_snf(M, D, U, V, rows, cols):
-    if int_mat_mul(int_mat_mul(U, [list(r) for r in M]), V) != D:
+    if mat_mul(INTEGERS, mat_mul(INTEGERS, U, M), V) != D:
         raise MathIdentityError("SNF postcondition U*M*V ≠ D")
     if abs(int_det(U)) != 1 or abs(int_det(V)) != 1:
         raise MathIdentityError("SNF transform is not unimodular")
@@ -164,7 +155,7 @@ def int_mat_inv(A):
     for i in range(n):
         if D[i][i] != 1:
             raise InputError("matrix is not unimodular")
-    return int_mat_mul(V, U)
+    return mat_mul(INTEGERS, V, U)
 
 
 def hermite_rows(M):

@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from . import galg, points as pts, weyl
+from . import galg, linalg, points as pts, weyl
 from .errors import (
     CapExceededError,
     FactorizationIncompleteError,
@@ -49,11 +49,11 @@ def theorem_battery(gr, R, enum_budget=200_000, sample_target=110, seed=0x5EED):
     nonsmooth = None
     cent = norm = 0
     for p in points:
-        pts.cent_membership_generic(gr, p)
+        in_stab = pts.cent_membership_generic(gr, p)  # asserted == stab_membership
         cent += 1
         res = pts.norm_membership_generic(gr, p)
         norm += 1
-        if res.member and not pts.stab_membership(gr, p):
+        if res.member and not in_stab:
             if nonsmooth is None:
                 nonsmooth = diag_scheme_nonsmooth(gr)
             if nonsmooth:
@@ -103,8 +103,7 @@ def _sampled_points(gr, R, target, seed):
     products = 0
     while len(seen) < target and products < 4 * target and len(base) > 1:
         a, b = rng.choice(base), rng.choice(base)
-        prod = pts.ring_mat_mul(R, [list(r) for r in a.entries],
-                                [list(r) for r in b.entries])
+        prod = linalg.mat_mul(R, a.entries, b.entries)
         ent = tuple(tuple(r) for r in prod)
         products += 1
         if ent not in seen:
@@ -151,20 +150,7 @@ def _diagonal_sample(gr, R, rng, full_cap=1500, keep=64):
             assigns = assigns[:64]
     out = []
     for assign in assigns:
-        values = {}
-        for g in gr.support:
-            u = uni.deg_u[g]
-            acc = R.one
-            for c, v in zip(u, assign):
-                if c:
-                    acc = R.mul(acc, R.pow_element(v, c) if c > 0
-                                else R.pow_element(R.inv(v), -c))
-            values[g] = acc
-        n = gr.algebra.dim
-        rows = [[R.zero()] * n for _ in range(n)]
-        for i in range(n):
-            rows[i][i] = values[gr.degrees[i]]
-        p = pts.point_matrix(gr.algebra, R, rows)
+        p = pts.character_point(gr, R, uni.deg_u, assign)
         if pts.automorphism_membership(p):
             out.append(p)
     return out

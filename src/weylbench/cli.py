@@ -274,7 +274,7 @@ def _cmd_verify(deck, args, report, cap, mode):
 
 def main(argv=None):
     argv = list(sys.argv[1:] if argv is None else argv)
-    flags = {"cap": 10**8, "mode": None, "deck": None, "report": "plain"}
+    flags = {"cap": 10**8, "mode": None, "deck": None}
     tokens = []
     i = 0
     while i < len(argv):
@@ -292,9 +292,6 @@ def main(argv=None):
         else:
             tokens.append(tok)
             i += 1
-    if flags["report"] != "plain":
-        print("error=input: only the plain report format exists")
-        return 2
     if not tokens:
         print(USAGE.rstrip())
         return 2

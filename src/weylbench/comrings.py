@@ -370,14 +370,6 @@ def build_ring(spec):
     raise InputError("unknown ring spec %r" % (tag,))
 
 
-def unit_and_nilpotent_tests(R, x):
-    return {"unit": R.is_unit(x), "nilpotent": R.is_nilpotent(x)}
-
-
-def idempotent_decomposition(R):
-    return list(R.idempotents())
-
-
 # ---------------------------------------------------------------------------
 # nilradical
 
@@ -478,13 +470,9 @@ def _unit_vec(F, n, i):
 # idempotent decomposition
 
 
-def decompose_ring(R, use_hints=False):
+def decompose_ring(R):
     """Primitive orthogonal idempotents of R via nilradical + semisimple split
     + Newton lifting (e -> 3e^2 - 2e^3, valid in every characteristic)."""
-    if use_hints and R._hint is not None:
-        idems = [tuple(e) for e in R._hint]
-        _verify_idempotent_family(R, idems)
-        return sorted(idems, key=R.sort_key)
     nil = R.nilradical()
     if nil:
         quot = _quotient_ring(R, [list(v) for v in nil])

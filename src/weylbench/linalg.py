@@ -1,4 +1,5 @@
-"""Dense exact linear algebra over an ExactField (desk-scale matrices).
+"""Dense exact linear algebra over an ExactField (desk-scale matrices);
+`mat_mul` alone works over any ring.
 
 Matrices are lists of row lists; vectors are lists.  Everything is pure.
 """
@@ -12,23 +13,22 @@ def identity(F, n):
     return [[F.one() if i == j else F.zero() for j in range(n)] for i in range(n)]
 
 
-def zeros(F, r, c):
-    return [[F.zero() for _ in range(c)] for _ in range(r)]
-
-
-def mat_mul(F, A, B):
-    n, k, m = len(A), len(B), len(B[0]) if B else 0
-    out = zeros(F, n, m)
-    for i in range(n):
-        Ai = A[i]
-        for t in range(k):
-            a = Ai[t]
-            if F.is_zero(a):
+def mat_mul(R, A, B):
+    """A B over any ring with zero(), is_zero, add and mul: an ExactField, a
+    TestRing, a GroupAlgebra or abgroups.INTEGERS.  Zero entries of A and of
+    B are skipped."""
+    is_zero, add, mul = R.is_zero, R.add, R.mul
+    m = len(B[0]) if B else 0
+    out = []
+    for Ai in A:
+        Oi = [R.zero() for _ in range(m)]
+        for a, Bt in zip(Ai, B):
+            if is_zero(a):
                 continue
-            Bt = B[t]
-            Oi = out[i]
-            for j in range(m):
-                Oi[j] = F.add(Oi[j], F.mul(a, Bt[j]))
+            for j, b in enumerate(Bt):
+                if not is_zero(b):
+                    Oi[j] = add(Oi[j], mul(a, b))
+        out.append(Oi)
     return out
 
 
@@ -81,6 +81,7 @@ def rank(F, A):
 
 
 def det(F, A):
+    # elimination, O(n^3): divides by pivots, so it needs a field
     n = len(A)
     M = [row[:] for row in A]
     sign = False

@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from . import abgroups, galg
+from . import abgroups, galg, linalg
 from .comrings import GroupAlgebra, structure_mul
 from .errors import (
     CapExceededError,
@@ -62,21 +62,9 @@ def identity_point(A, R):
 # matrices over a commutative ring
 
 
-def ring_mat_mul(R, A, B):
-    n = len(A)
-    out = [[R.zero()] * n for _ in range(n)]
-    for i in range(n):
-        for t in range(n):
-            a = A[i][t]
-            if R.is_zero(a):
-                continue
-            for j in range(n):
-                if not R.is_zero(B[t][j]):
-                    out[i][j] = R.add(out[i][j], R.mul(a, B[t][j]))
-    return out
-
-
 def ring_det(R, M):
+    # cofactor expansion with memoized minors: no division, so it stays
+    # exact over rings with zero divisors, where elimination cannot pivot
     n = len(M)
     memo = {}
 
@@ -183,21 +171,9 @@ def diag_membership(gr, phi):
     """Each component block a unit scalar multiple of the identity."""
     _require_automorphism(phi)
     R = phi.ring
-    scalars = {}
-    for g, idx in gr.components.items():
-        mu = phi.entries[idx[0]][idx[0]]
-        for j in range(gr.algebra.dim):
-            for k in range(gr.algebra.dim):
-                e = phi.entries[k][j]
-                if j in idx and k == j:
-                    if e != mu:
-                        return DiagResult(False, {})
-                elif j in idx or k in idx:
-                    if not R.is_zero(e):
-                        return DiagResult(False, {})
-        if not R.is_unit(mu):
-            return DiagResult(False, {})
-        scalars[g] = mu
+    scalars = _scalar_blocks_of(gr, R, phi.entries)
+    if scalars is None or not all(R.is_unit(s) for s in scalars.values()):
+        return DiagResult(False, {})
     return DiagResult(True, scalars)
 
 
@@ -258,20 +234,24 @@ def tau_from_character(gr, R, values):
             raise OrderViolationError("character value is not a unit")
         if d and R.pow_element(v, d) != R.one:
             raise OrderViolationError("character value violates generator order %d" % d)
+    return character_point(gr, R, {g: g for g in gr.support}, values)
 
-    def chi(g):
+
+def character_point(gr, R, coords, values):
+    """Diagonal point scaling component A_g by prod_i values[i]^coords[g][i];
+    one scalar per support element."""
+    chi = {}
+    for g in gr.support:
         acc = R.one
-        for c, v in zip(g, values):
-            if c == 0:
-                continue
-            acc = R.mul(acc, R.pow_element(v, c) if c > 0 else
-                        R.pow_element(R.inv(v), -c))
-        return acc
-
+        for c, v in zip(coords[g], values):
+            if c:
+                acc = R.mul(acc, R.pow_element(v, c) if c > 0 else
+                            R.pow_element(R.inv(v), -c))
+        chi[g] = acc
     n = gr.algebra.dim
     rows = [[R.zero()] * n for _ in range(n)]
     for i in range(n):
-        rows[i][i] = chi(gr.degrees[i])
+        rows[i][i] = chi[gr.degrees[i]]
     return point_matrix(gr.algebra, R, rows)
 
 
@@ -283,21 +263,7 @@ def diag_points(gr, R, cap=10**6, cross_check=True):
     chars = abgroups.enumerate_characters(U, units)
     points = []
     for assign in chars:
-        values = {}
-        for g in gr.support:
-            u = uni.deg_u[g]
-            acc = R.one
-            for c, v in zip(u, assign):
-                if c == 0:
-                    continue
-                acc = R.mul(acc, R.pow_element(v, c) if c > 0 else
-                            R.pow_element(R.inv(v), -c))
-            values[g] = acc
-        n = gr.algebra.dim
-        rows = [[R.zero()] * n for _ in range(n)]
-        for i in range(n):
-            rows[i][i] = values[gr.degrees[i]]
-        pt = point_matrix(gr.algebra, R, rows)
+        pt = character_point(gr, R, uni.deg_u, assign)
         if not automorphism_membership(pt):
             raise MathIdentityError("character point is not an automorphism")
         points.append(pt)
@@ -364,20 +330,6 @@ def generic_psi(gr, R):
     return M
 
 
-def _ga_mat_mul(GA, A, B):
-    n = len(A)
-    out = [[GA.zero() for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        for t in range(n):
-            a = A[i][t]
-            if GA.is_zero(a):
-                continue
-            for j in range(n):
-                if not GA.is_zero(B[t][j]):
-                    out[i][j] = GA.add(out[i][j], GA.mul(a, B[t][j]))
-    return out
-
-
 def _ga_from_ring_matrix(GA, M):
     return [[GA.scalar(x) for x in row] for row in M]
 
@@ -385,13 +337,12 @@ def _ga_from_ring_matrix(GA, M):
 def cent_membership_generic(gr, phi):
     """Commutation with the generic diagonal over RG; must agree with the
     direct stabilizer test (cross-asserted)."""
-    _require_automorphism(phi)
+    direct = stab_membership(gr, phi)  # raises unless phi is an automorphism
     R = phi.ring
     GA = GroupAlgebra(R, gr.group)
-    Phi = _ga_from_ring_matrix(GA, [list(r) for r in phi.entries])
+    Phi = _ga_from_ring_matrix(GA, phi.entries)
     Psi = generic_psi(gr, R)
-    commute = _ga_mat_mul(GA, Phi, Psi) == _ga_mat_mul(GA, Psi, Phi)
-    direct = stab_membership(gr, phi)
+    commute = linalg.mat_mul(GA, Phi, Psi) == linalg.mat_mul(GA, Psi, Phi)
     if commute != direct:
         raise MathIdentityError(
             "generic centralizer test disagrees with the stabilizer test")
@@ -405,8 +356,9 @@ class NormResult:
     witness: object = None
 
 
-def _scalar_blocks_of(gr, GA, M):
-    """{g: s_g} if M is block-diagonal with scalar blocks, else None."""
+def _scalar_blocks_of(gr, R, M):
+    """{g: s_g} if M is block-diagonal with scalar blocks, else None.  R is
+    any ring with is_zero: the test ring of a point or a GroupAlgebra."""
     n = gr.algebra.dim
     scalars = {}
     for g, idx in gr.components.items():
@@ -418,7 +370,7 @@ def _scalar_blocks_of(gr, GA, M):
                     if e != s:
                         return None
                 elif j in idx or k in idx:
-                    if not GA.is_zero(e):
+                    if not R.is_zero(e):
                         return None
         scalars[g] = s
     return scalars
@@ -441,7 +393,7 @@ def norm_membership_generic(gr, phi):
         Phi = _ga_from_ring_matrix(GA, phi_e)
         PhiInv = _ga_from_ring_matrix(GA, phi_inv)
         Psi = generic_psi(gr, S)
-        M = _ga_mat_mul(GA, PhiInv, _ga_mat_mul(GA, Psi, Phi))
+        M = linalg.mat_mul(GA, PhiInv, linalg.mat_mul(GA, Psi, Phi))
         scalars = _scalar_blocks_of(gr, GA, M)
         if scalars is None:
             member = False
@@ -450,7 +402,7 @@ def norm_membership_generic(gr, phi):
         PsiInv = [[GA.zero() for _ in range(len(Psi))] for _ in range(len(Psi))]
         for i in range(len(Psi)):
             PsiInv[i][i] = GA.monomial(S.one, gr.group.neg(gr.degrees[i]))
-        Minv = _ga_mat_mul(GA, PhiInv, _ga_mat_mul(GA, PsiInv, Phi))
+        Minv = linalg.mat_mul(GA, PhiInv, linalg.mat_mul(GA, PsiInv, Phi))
         inv_scalars = _scalar_blocks_of(gr, GA, Minv)
         if inv_scalars is None:
             member = False
@@ -470,7 +422,7 @@ def norm_membership_generic(gr, phi):
         if not member:
             break
         shifts.append((e, shift))
-    direct = autgamma_membership(gr, phi)
+    direct = block_permutations(gr, phi).ok  # phi verified above
     if member != direct:
         raise MathIdentityError(
             "generic normalizer test disagrees with the intersection definition")
@@ -505,7 +457,7 @@ def dgroup_norm_membership(gr, phi):
     Phi = _ga_from_ring_matrix(GA, entries)
     PhiInv = _ga_from_ring_matrix(GA, ring_mat_inv(R, entries))
     Psi = generic_psi(gr, R)
-    M = _ga_mat_mul(GA, Phi, _ga_mat_mul(GA, Psi, PhiInv))
+    M = linalg.mat_mul(GA, Phi, linalg.mat_mul(GA, Psi, PhiInv))
     scalars = _scalar_blocks_of(gr, GA, M)
     if scalars is None:
         raise MathIdentityError("conjugate of a diagonal point is not diagonal")
@@ -661,6 +613,7 @@ def enumerate_points(gr, R, which="aut", cap=10**8):
     survivors = []
 
     def det_unit(cols):
+        # Leibniz sum on table indices: no element objects inside the search
         acc = zero_i
         for perm in itertools.permutations(range(n)):
             parity = _perm_parity(perm)
@@ -748,7 +701,7 @@ def pointwise_normalizer(points, dpoints):
         Minv = ring_mat_inv(R, M)
         ok = True
         for d in dpoints:
-            conj = ring_mat_mul(R, ring_mat_mul(R, M, [list(r) for r in d.entries]), Minv)
+            conj = linalg.mat_mul(R, linalg.mat_mul(R, M, d.entries), Minv)
             if tuple(tuple(r) for r in conj) not in dset:
                 ok = False
                 break

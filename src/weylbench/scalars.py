@@ -125,17 +125,22 @@ def poly_divmod(F, a, b):
     b = poly_trim(F, b)
     if not b:
         raise DivisionByZeroError("polynomial division by zero")
-    a = list(a)
+    a = poly_trim(F, a)
     q = [F.zero()] * max(0, len(a) - len(b) + 1)
     inv_lead = F.inv(b[-1])
-    while len(poly_trim(F, a)) >= len(b):
-        a = poly_trim(F, a)
-        shift = len(a) - len(b)
-        c = F.mul(a[-1], inv_lead)
+    for shift in range(len(a) - len(b), -1, -1):
+        c = F.mul(a[shift + len(b) - 1], inv_lead)
+        if F.is_zero(c):
+            continue
         q[shift] = c
         for i, bc in enumerate(b):
             a[shift + i] = F.sub(a[shift + i], F.mul(c, bc))
-    return poly_trim(F, q), poly_trim(F, a)
+    r = poly_trim(F, a)
+    if len(r) >= len(b):
+        # each step cancels a leading coefficient in a field, so this is a
+        # faulty field operation, not an input
+        raise MathIdentityError("long division left a remainder of degree >= the divisor's")
+    return poly_trim(F, q), r
 
 
 def poly_mod(F, a, b):
@@ -756,12 +761,6 @@ def build_field(spec):
 
 # ---------------------------------------------------------------------------
 # multiplicative structure helpers
-
-
-def invert(F, x):
-    """Multiplicative inverse in F; raises on zero, and on a reducible
-    extension modulus discovered by the extended Euclidean algorithm."""
-    return F.inv(x)
 
 
 def unit_order(F, x):

@@ -161,6 +161,4 @@ def test_presentation_invariant_under_unimodular_row_ops():
 
 
 def test_invert_helper_matches_field_inverse(F7):
-    from weylbench.scalars import invert
-
-    assert invert(F7, 3) == 5
+    assert F7.inv(3) == 5

@@ -13,10 +13,8 @@ from weylbench.comrings import (
     dual_numbers,
     enumerate_units,
     group_algebra_finite,
-    idempotent_decomposition,
     product_ring,
     truncated_poly,
-    unit_and_nilpotent_tests,
 )
 from weylbench.errors import RingAxiomError
 
@@ -44,12 +42,12 @@ def test_axiom_check_rejects_nonassociative(F3):
 def test_unit_and_nilpotent_examples(F3):
     R = dual_numbers(F3, 2)
     one_eps = (F3.one(), F3.one())
-    assert unit_and_nilpotent_tests(R, one_eps) == {"unit": True, "nilpotent": False}
+    assert (R.is_unit(one_eps), R.is_nilpotent(one_eps)) == (True, False)
     eps = (F3.zero(), F3.one())
-    assert unit_and_nilpotent_tests(R, eps) == {"unit": False, "nilpotent": True}
+    assert (R.is_unit(eps), R.is_nilpotent(eps)) == (False, True)
     P = product_ring(base_field_ring(F3), base_field_ring(F3))
     e = (F3.one(), F3.zero())
-    assert unit_and_nilpotent_tests(P, e) == {"unit": False, "nilpotent": False}
+    assert (P.is_unit(e), P.is_nilpotent(e)) == (False, False)
     assert R.mul(one_eps, R.inv(one_eps)) == R.one
 
 
@@ -77,7 +75,7 @@ def test_idempotent_family_postconditions(Q, F3, F7, F9):
         truncated_poly(Q, [Q.from_int(-1), Q.zero(), Q.zero(), Q.zero(), Q.one()]),
     ]
     for R in rings:
-        idems = idempotent_decomposition(R)
+        idems = list(R.idempotents())
         acc = R.zero()
         for i, e in enumerate(idems):
             assert R.mul(e, e) == e and not R.is_zero(e)
@@ -204,12 +202,13 @@ def test_parse_print_roundtrip(F3):
 
 
 def test_product_decomposition_without_hints(F3, F5):
-    # forcing the general algorithm must reproduce the structural block count
+    # decompose_ring ignores the product's idempotent hint; the general
+    # algorithm must reproduce the structural block count
     P = product_ring(dual_numbers(F3, 2), base_field_ring(F3))
-    assert len(decompose_ring(P, use_hints=False)) == 2
+    assert len(decompose_ring(P)) == 2
     P2 = product_ring(base_field_ring(F5), base_field_ring(F5))
-    assert len(decompose_ring(P2, use_hints=False)) == 2
-    assert set(decompose_ring(P2, use_hints=False)) == set(P2.idempotents())
+    assert len(decompose_ring(P2)) == 2
+    assert set(decompose_ring(P2)) == set(P2.idempotents())
 
 
 def test_build_ring_dispatcher(F3, Q):

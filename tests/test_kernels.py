@@ -1,6 +1,7 @@
 """Oracle tests for the arithmetic core: the compiled structure-constant
-kernel against the dense n^3 loop it replaced, and the O(1) zero tests
-against comparison with the field's zero."""
+kernel against the dense n^3 loop it replaced, the one matrix product
+against the points-layer loop it replaced, and the O(1) zero tests against
+comparison with the field's zero."""
 
 import random
 from fractions import Fraction
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import weylbench as wb
-from weylbench import abgroups, comrings, galg, points
+from weylbench import abgroups, comrings, galg, linalg, points
 
 KERNEL = settings(derandomize=True, max_examples=40, deadline=None, database=None)
 
@@ -153,3 +154,58 @@ def test_extension_ops_return_tuples(name, data):
         assert _is_element(F, r), r
     if F.cardinality() is not None:
         assert all(_is_element(F, e) for e in F.elements())
+
+
+def loop_mat_mul(R, A, B):
+    """The points-layer square matrix product linalg.mat_mul replaced, kept
+    as the reference."""
+    n = len(A)
+    out = [[R.zero()] * n for _ in range(n)]
+    for i in range(n):
+        for t in range(n):
+            a = A[i][t]
+            if R.is_zero(a):
+                continue
+            for j in range(n):
+                if not R.is_zero(B[t][j]):
+                    out[i][j] = R.add(out[i][j], R.mul(a, B[t][j]))
+    return out
+
+
+F3EPS = comrings.dual_numbers(F3, 2)
+MATRIX_RINGS = {
+    "Q": Q, "F5": F5, "F9": F9,
+    "dual3/F5": comrings.dual_numbers(F5, 3),
+    "F5C3": comrings.group_algebra_finite(F5, abgroups.cyclic_group(3)),
+    "F3[eps]C3": comrings.GroupAlgebra(F3EPS, abgroups.cyclic_group(3)),
+    "Z": abgroups.INTEGERS,
+}
+
+
+def matrix_entries(R):
+    """Entries of R, zero about half of the time."""
+    if R is abgroups.INTEGERS:
+        return st.one_of(st.just(0), st.integers(-4, 4))
+    if isinstance(R, comrings.GroupAlgebra):
+        terms = st.lists(st.tuples(st.integers(0, 2), vectors(F3, F3EPS.dim)), max_size=3)
+
+        def build(pairs):
+            acc = R.zero()
+            for g, r in pairs:
+                acc = R.add(acc, R.monomial(r, (g,)))
+            return acc
+
+        return st.one_of(st.just(R.zero()), terms.map(build))
+    if isinstance(R, comrings.TestRing):
+        return st.one_of(st.just(R.zero()), vectors(R.field, R.dim))
+    return sparse_elements(R)
+
+
+@KERNEL
+@given(st.sampled_from(sorted(MATRIX_RINGS)), st.integers(1, 3), st.data())
+def test_mat_mul_matches_points_loop(name, n, data):
+    R = MATRIX_RINGS[name]
+    square = st.lists(st.lists(matrix_entries(R), min_size=n, max_size=n),
+                      min_size=n, max_size=n)
+    A, B = data.draw(square), data.draw(square)
+    assert linalg.mat_mul(R, A, B) == loop_mat_mul(R, A, B)

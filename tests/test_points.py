@@ -1,10 +1,11 @@
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
 import weylbench as wb
-from weylbench import comrings, galg, points as pts
+from weylbench import battery, comrings, galg, linalg, points as pts
 from weylbench.abgroups import cyclic_group
 from weylbench.comrings import base_field_ring, dual_numbers, product_ring
 from weylbench.errors import InputError, OrderViolationError
@@ -65,6 +66,23 @@ def test_tau_from_character(Q, F3, F7):
     D = dual_numbers(F3, 2)
     tau = pts.tau_from_character(g26, D, [(F3.one(), F3.one())])
     assert pts.diag_membership(g26, tau).member
+    # a negative degree takes a power of the inverse value
+    z = (Q.zero(), Q.zero())
+    A = wb.build_algebra(Q, 2, [[z, z], [z, z]], ["x", "y"], label="zeromult")
+    gZ = wb.build_grading(A, wb.FGAbelianGroup((), 1), [(2,), (-1,)])
+    tau = pts.tau_from_character(gZ, base_field_ring(Q), [(Q.from_int(3),)])
+    assert tau.entries == (((9,), (0,)), ((0,), (Fraction(1, 3),)))
+
+
+def test_battery_warns_only_for_normalizer_points_outside_stab(F2):
+    # F2[Z/2] graded by Z/2: U = Z/2, so Diag is not smooth in characteristic
+    # 2, but the unit spans a fixed component, so no point permutes components
+    one, u = (F2.one(), F2.zero()), (F2.zero(), F2.one())
+    A = wb.build_algebra(F2, 2, [[one, u], [u, one]], ["one", "u"], label="F2C2")
+    gr = wb.build_grading(A, cyclic_group(2), [(0,), (1,)])
+    assert battery.diag_scheme_nonsmooth(gr)
+    res = wb.theorem_battery(gr, dual_numbers(F2, 2))
+    assert res.distinct_points > 1 and not res.warn_nonsmooth
 
 
 def test_block_permutations_connected(F3):
@@ -169,8 +187,8 @@ def test_enumerated_point_sets_are_groups(F3):
             Minv = pts.ring_mat_inv(R, [list(r) for r in a.entries])
             assert tuple(tuple(r) for r in Minv) in entries
             for b in plist:
-                prod = pts.ring_mat_mul(R, [list(r) for r in a.entries],
-                                        [list(r) for r in b.entries])
+                prod = linalg.mat_mul(R, [list(r) for r in a.entries],
+                                      [list(r) for r in b.entries])
                 assert tuple(tuple(r) for r in prod) in entries
 
 

@@ -8,6 +8,7 @@ from weylbench import scalars
 from weylbench.errors import (
     DivisionByZeroError,
     FieldConstructionError,
+    MathIdentityError,
     ReducibleModulusError,
 )
 from weylbench.scalars import RootResult, count_dth_roots, dth_root, unit_order
@@ -180,3 +181,17 @@ def test_parse_and_print_roundtrip():
         for _ in range(20):
             x = F.random_element(rng)
             assert F.parse(F.to_str(x)) == x
+
+
+def test_poly_divmod_raises_when_subtraction_does_not_cancel():
+    class NonCancelling(scalars.PrimeField):
+        """F_5 whose sub returns a instead of zero for a - a."""
+
+        def sub(self, a, b):
+            return a if a == b else super().sub(a, b)
+
+    F = NonCancelling(5)
+    with pytest.raises(MathIdentityError):
+        scalars.poly_divmod(F, [1, 2, 3], [1, 1])
+    q, r = scalars.poly_divmod(wb.prime_field(5), [1, 2, 3], [1, 1])
+    assert (q, r) == ([4, 3], [2])
