@@ -169,10 +169,10 @@ def _cmd_member(deck, args, report, cap, mode):
     if not args or args[0] not in deck.maps:
         raise InputError("unknown map name")
     phi = deck.maps[args[0]]
-    gr_name = args[args.index("in") + 1] if "in" in args else None
-    if gr_name is None or gr_name not in deck.gradings:
+    rest = args[args.index("in") + 1:] if "in" in args else []
+    if not rest or rest[0] not in deck.gradings:
         raise InputError("missing in GRADING")
-    gr = deck.gradings[gr_name]
+    gr = deck.gradings[rest[0]]
     gr = _aligned(deck, gr, phi.ring)
     if gr.algebra.table != phi.algebra.table:
         raise InputError("map and grading algebras differ")

@@ -23,8 +23,9 @@ from .errors import (
     RingAxiomError,
     SingularMatrixError,
 )
-from .factorization import crt_idempotent_polys, partial_factor
-from .scalars import poly_divmod, poly_eval, poly_trim, split_bracketed
+from .factorization import crt_idempotent_polys, int_divisors, partial_factor
+from .scalars import (TABLE_MAX_ELEMENTS, poly_divmod, poly_eval, poly_trim,
+                      split_bracketed)
 
 
 class TestRing:
@@ -46,6 +47,7 @@ class TestRing:
         self._idempotents = None
         self._nilradical = None
         self._unit_group = None
+        self._ring_table = None
         self._block_cache = {}
         if not _skip_checks:
             self._check_axioms()
@@ -228,6 +230,54 @@ class TestRing:
         if self._unit_group is None:
             self._unit_group = enumerate_units(self, cap)
         return self._unit_group
+
+    def ring_table(self):
+        if self._ring_table is None:
+            self._ring_table = RingTable(self)
+        return self._ring_table
+
+
+class RingTable:
+    """Index view of a finite TestRing: its elements, sorted, are numbered
+    0..|R|-1 and the ring operations are integer table lookups.  It speaks
+    the ring protocol on those indices (zero(), one, is_zero, add, mul, neg,
+    is_unit), so structure_mul, linalg.mat_mul and points.ring_det run on it
+    unchanged.  Build it through R.ring_table(), which keeps it."""
+
+    MAX_ELEMENTS = TABLE_MAX_ELEMENTS
+
+    def __init__(self, R):
+        count = R.element_count()
+        if count is None:
+            raise NotEnumerableError("ring over an infinite field")
+        if count > self.MAX_ELEMENTS:
+            raise CapExceededError("ring too large for table form (%d)" % count)
+        self.elems = sorted(R.elements(), key=R.sort_key)
+        self.index = {e: i for i, e in enumerate(self.elems)}
+        self.add_t = [[self.index[R.add(a, b)] for b in self.elems] for a in self.elems]
+        self.mul_t = [[self.index[R.mul(a, b)] for b in self.elems] for a in self.elems]
+        self.neg_t = [self.index[R.neg(a)] for a in self.elems]
+        self.unit = [R.is_unit(a) for a in self.elems]
+        self._zero = self.index[R.zero()]
+        self.one = self.index[R.one]
+
+    def zero(self):
+        return self._zero
+
+    def is_zero(self, a):
+        return a == self._zero
+
+    def add(self, a, b):
+        return self.add_t[a][b]
+
+    def mul(self, a, b):
+        return self.mul_t[a][b]
+
+    def neg(self, a):
+        return self.neg_t[a]
+
+    def is_unit(self, a):
+        return self.unit[a]
 
 
 def sparse_terms(F, table):
@@ -649,7 +699,7 @@ def enumerate_units(R, cap=10**6):
         raise CapExceededError("|R| = %d exceeds cap %d" % (count, cap))
     units = sorted((v for v in R.elements() if R.is_unit(v)), key=R.sort_key)
     n_units = len(units)
-    divisors = _sorted_divisors(n_units)
+    divisors = int_divisors(n_units)
     orders = {}
     for u in units:
         for d in divisors:
@@ -657,17 +707,6 @@ def enumerate_units(R, cap=10**6):
                 orders[u] = d
                 break
     return UnitGroup(R, units, orders)
-
-
-def _sorted_divisors(n):
-    out = set()
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.add(d)
-            out.add(n // d)
-        d += 1
-    return sorted(out)
 
 
 def _abelian_basis(R, units, orders):
@@ -687,7 +726,7 @@ def _abelian_basis(R, units, orders):
             if u in subgroup:
                 continue
             # quotient growth when adding u
-            s = next(d for d in _sorted_divisors(orders[u])
+            s = next(d for d in int_divisors(orders[u])
                      if R.pow_element(u, d) in subgroup)
             key = (-s, orders[u], R.sort_key(u))
             if best is None or key < best[0]:

@@ -8,7 +8,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 
 from . import comrings, galg, scalars
-from .abgroups import FGAbelianGroup
+from .abgroups import FGAbelianGroup, trivial_group
 from .errors import (DeckError, GradingAxiomError, InputError, MathIdentityError,
                      WorkbenchError)
 from .points import PointMatrix, point_matrix
@@ -142,7 +142,7 @@ def _parse_group(deck, line, line_no):
     _check_fresh(deck, name, line_no)
     torsion, rank = [], 0
     if rhs.strip() in ("1", "Z/1"):
-        deck.groups[name] = FGAbelianGroup((), 0)
+        deck.groups[name] = trivial_group()
         deck.decls.append(line_canonical(line))
         return
     for term in rhs.split("+"):
@@ -346,20 +346,9 @@ def _algebra_over_ring_field(deck, algebra, ring, line_no):
     if algebra.field == ring.field:
         return algebra
     # move the algebra to the ring's base field when a canonical map exists
-    probe = galg.Grading(algebra, _trivial_group_cache(), ((),) * algebra.dim)
+    probe = galg.Grading(algebra, trivial_group(), ((),) * algebra.dim)
     try:
         moved = galg.grading_over(probe, ring.field)
     except InputError:
         raise DeckError(line_no, "map ring field does not match the algebra field")
     return moved.algebra
-
-
-_TRIV = None
-
-
-def _trivial_group_cache():
-    global _TRIV
-    if _TRIV is None:
-        _TRIV = FGAbelianGroup((), 0)
-    return _TRIV
-

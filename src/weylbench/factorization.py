@@ -8,6 +8,7 @@ uncertified factor; callers decide whether that blocks them.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from . import scalars
@@ -26,7 +27,8 @@ _CYCLO_CACHE = {}
 _MAX_CYCLOTOMIC_PROBE = 64
 
 
-def _int_divisors(n):
+def int_divisors(n):
+    """The positive divisors of |n|, ascending."""
     n = abs(n)
     out = set()
     d = 1
@@ -51,28 +53,20 @@ def rational_roots(p):
             p = p[1:]
     if len(p) <= 1:
         return roots
-    denom_lcm = 1
-    for c in p:
-        denom_lcm = denom_lcm * c.denominator // _gcd(denom_lcm, c.denominator)
+    denom_lcm = math.lcm(*(c.denominator for c in p))
     ip = [c * denom_lcm for c in p]  # integer coefficients
     lead = int(ip[-1])
     const = int(ip[0])
     if const == 0:
         return roots  # handled above; defensive
-    for a in _int_divisors(const):
-        for b in _int_divisors(lead):
+    for a in int_divisors(const):
+        for b in int_divisors(lead):
             for sign in (1, -1):
                 cand = Fraction(sign * a, b)
                 if cand not in roots and Q.is_zero(poly_eval(Q, p, cand)):
                     roots.append(cand)
     roots.sort()
     return roots
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def cyclotomic_poly(n):
@@ -103,10 +97,7 @@ class Factor:
 def _to_integer_monic(p):
     """Substitute t -> s/lam so a monic rational polynomial becomes a monic
     integer one; returns (integer coefficients, lam)."""
-    lam = 1
-    for c in p:
-        d = c.denominator
-        lam = lam * d // _gcd(lam, d)
+    lam = math.lcm(*(c.denominator for c in p))
     n = len(p) - 1
     out = []
     for i, c in enumerate(p):
@@ -137,7 +128,7 @@ def _quadratic_factor(g):
         return None
     B = _root_bound(g)
     q_candidates = []
-    for q in _int_divisors(g[0]):
+    for q in int_divisors(g[0]):
         if q <= B * B + 1:
             q_candidates.extend((q, -q))
     for p in range(-2 * B, 2 * B + 1):
@@ -198,7 +189,7 @@ def partial_factor(F, p):
     n = _roots_of_unity_order(Q, rest)
     if n is not None:
         remaining = rest
-        for d in _int_divisors(n):
+        for d in int_divisors(n):
             phi = cyclotomic_poly(d)
             q, rem = poly_divmod(Q, remaining, phi)
             if not rem:

@@ -15,7 +15,7 @@ import itertools
 from dataclasses import dataclass
 
 from . import abgroups, galg, linalg
-from .comrings import GroupAlgebra, structure_mul
+from .comrings import GroupAlgebra, RingTable, structure_mul
 from .errors import (
     CapExceededError,
     InputError,
@@ -23,7 +23,6 @@ from .errors import (
     NotEnumerableError,
     OrderViolationError,
 )
-from .scalars import TABLE_MAX_ELEMENTS
 
 
 @dataclass(frozen=True)
@@ -64,7 +63,8 @@ def identity_point(A, R):
 
 def ring_det(R, M):
     # cofactor expansion with memoized minors: no division, so it stays
-    # exact over rings with zero divisors, where elimination cannot pivot
+    # exact over rings with zero divisors, where elimination cannot pivot;
+    # R is a TestRing on elements or its RingTable on indices
     n = len(M)
     memo = {}
 
@@ -482,29 +482,6 @@ def dgroup_norm_membership(gr, phi):
 # brute-force enumeration over finite rings
 
 
-class RingTable:
-    """Integer-indexed add/mul tables for a small finite ring."""
-
-    MAX_ELEMENTS = TABLE_MAX_ELEMENTS
-
-    def __init__(self, R):
-        count = R.element_count()
-        if count is None:
-            raise NotEnumerableError("ring over an infinite field")
-        if count > self.MAX_ELEMENTS:
-            raise CapExceededError("ring too large for table form (%d)" % count)
-        self.ring = R
-        self.elems = sorted(R.elements(), key=R.sort_key)
-        self.index = {e: i for i, e in enumerate(self.elems)}
-        n = len(self.elems)
-        self.add_t = [[self.index[R.add(a, b)] for b in self.elems] for a in self.elems]
-        self.mul_t = [[self.index[R.mul(a, b)] for b in self.elems] for a in self.elems]
-        self.neg_t = [self.index[R.neg(a)] for a in self.elems]
-        self.unit = [R.is_unit(a) for a in self.elems]
-        self.zero_i = self.index[R.zero()]
-        self.one_i = self.index[R.one]
-
-
 def _enumeration_plan(A):
     """Column ordering with derivations: returns (steps, checks) where steps
     are ('enum', j) or ('derive', j, i, jj, inv_coeff) and checks[s] lists the
@@ -572,67 +549,33 @@ def enumerate_points(gr, R, which="aut", cap=10**8):
     if nodes > cap:
         raise CapExceededError("estimated enumeration size %d exceeds cap %d"
                                % (nodes, cap))
-    table = RingTable(R)
+    table = R.ring_table()
     steps, checks = _enumeration_plan(A)
-    F = A.field
     n = A.dim
-    nz = {}
-    for i in range(n):
-        for j in range(n):
-            nz[(i, j)] = [(k, table.index[R.from_field(A.table[i][j][k])])
-                          for k in range(n) if not F.is_zero(A.table[i][j][k])]
-    mul_t, add_t = table.mul_t, table.add_t
-    zero_i = table.zero_i
+    terms = tuple(tuple(tuple((k, table.index[R.from_field(c)]) for k, c in cell)
+                        for cell in row) for row in A.terms)
+    zero, add, mul, is_zero = table.zero(), table.add, table.mul, table.is_zero
 
-    def col_product(x, y):
-        out = [zero_i] * n
-        for i in range(n):
-            xi = x[i]
-            if xi == zero_i:
-                continue
-            for j in range(n):
-                yj = y[j]
-                if yj == zero_i:
-                    continue
-                xy = mul_t[xi][yj]
-                for (k, c_idx) in nz[(i, j)]:
-                    out[k] = add_t[out[k]][mul_t[xy][c_idx]]
-        return out
+    def product(x, y):
+        return structure_mul(terms, x, y, zero, is_zero, add, mul, mul)
 
     def check_ok(cols, i, j):
-        rhs = col_product(cols[i], cols[j])
-        lhs = [zero_i] * n
-        for (k, c_idx) in nz[(i, j)]:
-            ck = cols[k]
-            for t in range(n):
-                if ck[t] != zero_i:
-                    lhs[t] = add_t[lhs[t]][mul_t[ck[t]][c_idx]]
-        return lhs == rhs
+        # phi(e_i e_j) == phi(e_i) phi(e_j) on table indices
+        lhs = [zero] * n
+        for k, c in terms[i][j]:
+            for t, x in enumerate(cols[k]):
+                if not is_zero(x):
+                    lhs[t] = add(lhs[t], mul(x, c))
+        return tuple(lhs) == product(cols[i], cols[j])
 
     count = len(table.elems)
     survivors = []
 
-    def det_unit(cols):
-        # Leibniz sum on table indices: no element objects inside the search
-        acc = zero_i
-        for perm in itertools.permutations(range(n)):
-            parity = _perm_parity(perm)
-            term = table.one_i
-            for r, c in zip(perm, range(n)):
-                term = mul_t[term][cols[c][r]]
-                if term == zero_i:
-                    break
-            if term == zero_i:
-                continue
-            if parity < 0:
-                term = table.neg_t[term]
-            acc = add_t[acc][term]
-        return table.unit[acc]
-
     def dfs(stage, cols):
         if stage == len(steps):
-            if det_unit(cols):
-                survivors.append([list(c) for c in cols])
+            rows = [[cols[j][k] for j in range(n)] for k in range(n)]
+            if table.is_unit(ring_det(table, rows)):
+                survivors.append(rows)
             return
         step = steps[stage]
         if step[0] == "enum":
@@ -644,9 +587,8 @@ def enumerate_points(gr, R, which="aut", cap=10**8):
             cols[j] = None
         else:
             _, k, i, jj, inv_c = step
-            prod = col_product(cols[i], cols[jj])
             ic = table.index[R.from_field(inv_c)]
-            cols[k] = tuple(mul_t[ic][x] for x in prod)
+            cols[k] = tuple(mul(ic, x) for x in product(cols[i], cols[jj]))
             if all(check_ok(cols, a, b) for (a, b) in checks[stage]):
                 dfs(stage + 1, cols)
             cols[k] = None
@@ -654,9 +596,8 @@ def enumerate_points(gr, R, which="aut", cap=10**8):
     dfs(0, [None] * n)
 
     points = []
-    for cols in survivors:
-        rows = [[table.elems[cols[j][k]] for j in range(n)] for k in range(n)]
-        pt = point_matrix(A, R, rows)
+    for rows in survivors:
+        pt = point_matrix(A, R, [[table.elems[x] for x in row] for row in rows])
         if not automorphism_membership(pt):
             raise MathIdentityError("fast enumeration produced a non-automorphism")
         points.append(pt)
@@ -668,23 +609,6 @@ def enumerate_points(gr, R, which="aut", cap=10**8):
         raise InputError("unknown point set %r" % which)
     points.sort(key=lambda p: p.sort_key())
     return points
-
-
-def _perm_parity(perm):
-    seen = [False] * len(perm)
-    parity = 1
-    for i in range(len(perm)):
-        if seen[i]:
-            continue
-        j = i
-        length = 0
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            length += 1
-        if length % 2 == 0:
-            parity = -parity
-    return parity
 
 
 # ---------------------------------------------------------------------------

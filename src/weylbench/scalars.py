@@ -27,7 +27,7 @@ from .errors import (
 )
 
 # Finite fields and rings with at most this many elements are tabulated:
-# extension fields on log/Zech tables here, rings in points.RingTable.
+# extension fields on log/Zech tables here, rings in comrings.RingTable.
 TABLE_MAX_ELEMENTS = 512
 
 

@@ -102,16 +102,15 @@ def cycles_str(p, labels, label_str):
     return "".join(out) if out else "()"
 
 
-def perm_group_from(element_set, support, check_group=True):
+def perm_group_from(element_set, support):
     n = len(support)
     elements = sorted(set(element_set))
-    if check_group:
-        for p in elements:
-            if perm_inverse(p) not in element_set:
-                raise MathIdentityError("permutation set is not closed under inverse")
-            for q in elements:
-                if perm_compose(p, q) not in element_set:
-                    raise MathIdentityError("permutation set is not closed under product")
+    for p in elements:
+        if perm_inverse(p) not in element_set:
+            raise MathIdentityError("permutation set is not closed under inverse")
+        for q in elements:
+            if perm_compose(p, q) not in element_set:
+                raise MathIdentityError("permutation set is not closed under product")
     gens = []
     have = {perm_identity(n)}
     for p in elements:

@@ -224,6 +224,16 @@ def test_bad_flag_value_exits_2(tmp_path, capsys, flag, value):
     assert capsys.readouterr().out.startswith("error=input: " + flag)
 
 
+@pytest.mark.parametrize("argv", [
+    ["member", "swap", "in"],
+    ["member", "swap", "set=aut"],
+    ["member", "swap", "in", "Nope"],
+], ids=["member-in-without-grading", "member-without-in", "member-unknown-grading"])
+def test_bad_command_args_exits_2(capsys, argv):
+    assert main(["--deck", os.path.join(DECKS, "ex24.deck")] + argv) == 2
+    assert capsys.readouterr().out == "error=input: missing in GRADING\n"
+
+
 @pytest.mark.parametrize("modulus", ["[2,0,1]", "[2,0,1,0,1,0,1]"],
                          ids=["t2-minus-1", "two-cubics-above-bound"])
 def test_reducible_modulus_exits_2_with_line(tmp_path, capsys, modulus):

@@ -1,8 +1,10 @@
 """Oracle tests for the arithmetic core: the compiled structure-constant
 kernel against the dense n^3 loop it replaced, the one matrix product
-against the points-layer loop it replaced, and the O(1) zero tests against
-comparison with the field's zero."""
+against the points-layer loop it replaced, the O(1) zero tests against
+comparison with the field's zero, and the index view of a finite ring
+against its element operations."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -11,6 +13,7 @@ from hypothesis import strategies as st
 
 import weylbench as wb
 from weylbench import abgroups, comrings, galg, linalg, points
+from conftest import para_hurwitz_grading
 
 KERNEL = settings(derandomize=True, max_examples=40, deadline=None, database=None)
 
@@ -209,3 +212,102 @@ def test_mat_mul_matches_points_loop(name, n, data):
                       min_size=n, max_size=n)
     A, B = data.draw(square), data.draw(square)
     assert linalg.mat_mul(R, A, B) == loop_mat_mul(R, A, B)
+
+
+def table_rings():
+    out = {}
+    for name, F in (("F2", wb.prime_field(2)), ("F3", F3)):
+        base = comrings.base_field_ring(F)
+        out["dual2/" + name] = comrings.dual_numbers(F, 2)
+        out["dual3/" + name] = comrings.dual_numbers(F, 3)
+        out["FxF/" + name] = comrings.product_ring(base, base)
+        out["FC2/" + name] = comrings.group_algebra_finite(F, abgroups.cyclic_group(2))
+    return out
+
+
+TABLE_RINGS = table_rings()
+
+
+def indices(table):
+    """Table indices, the zero index about half of the time."""
+    return st.one_of(st.just(table.zero()), st.integers(0, len(table.elems) - 1))
+
+
+@KERNEL
+@given(st.sampled_from(sorted(TABLE_RINGS)), st.data())
+def test_ring_table_ops_match_element_ops(name, data):
+    R = TABLE_RINGS[name]
+    T = R.ring_table()
+    a, b = data.draw(indices(T)), data.draw(indices(T))
+    x, y = T.elems[a], T.elems[b]
+    assert T.index[x] == a
+    assert T.elems[T.zero()] == R.zero() and T.elems[T.one] == R.one
+    assert T.is_zero(a) == R.is_zero(x)
+    assert T.elems[T.add(a, b)] == R.add(x, y)
+    assert T.elems[T.mul(a, b)] == R.mul(x, y)
+    assert T.elems[T.neg(a)] == R.neg(x)
+    assert T.is_unit(a) == R.is_unit(x)
+
+
+def perm_parity(perm):
+    seen = [False] * len(perm)
+    parity = 1
+    for i in range(len(perm)):
+        if seen[i]:
+            continue
+        j = i
+        length = 0
+        while not seen[j]:
+            seen[j] = True
+            j = perm[j]
+            length += 1
+        if length % 2 == 0:
+            parity = -parity
+    return parity
+
+
+def leibniz_det(table, cols):
+    """The Leibniz sum on table indices that enumerate_points used before
+    ring_det, kept as the reference; it tested table.unit[] of this sum."""
+    n = len(cols)
+    acc = table.zero()
+    for perm in itertools.permutations(range(n)):
+        term = table.one
+        for r, c in zip(perm, range(n)):
+            term = table.mul_t[term][cols[c][r]]
+        if perm_parity(perm) < 0:
+            term = table.neg_t[term]
+        acc = table.add_t[acc][term]
+    return acc
+
+
+@KERNEL
+@given(st.sampled_from(sorted(TABLE_RINGS)), st.integers(1, 3), st.data())
+def test_ring_det_over_table_matches_elements_and_leibniz(name, n, data):
+    R = TABLE_RINGS[name]
+    T = R.ring_table()
+    rows = data.draw(st.lists(st.lists(indices(T), min_size=n, max_size=n),
+                              min_size=n, max_size=n))
+    d = points.ring_det(T, rows)
+    assert T.elems[d] == points.ring_det(R, [[T.elems[a] for a in row] for row in rows])
+    cols = [[rows[k][j] for k in range(n)] for j in range(n)]
+    assert d == leibniz_det(T, cols)
+    assert T.is_unit(d) == T.unit[leibniz_det(T, cols)]
+
+
+def test_ring_table_is_built_once_per_ring(monkeypatch):
+    builds = []
+    init = comrings.RingTable.__init__
+
+    def counting_init(table, R):
+        builds.append(R)
+        init(table, R)
+
+    monkeypatch.setattr(comrings.RingTable, "__init__", counting_init)
+    R = comrings.dual_numbers(F3, 2)
+    assert points.RingTable is comrings.RingTable
+    assert R.ring_table() is R.ring_table()
+    gr = para_hurwitz_grading(F3)
+    first = points.enumerate_points(gr, R, "aut")
+    assert points.enumerate_points(gr, R, "aut") == first
+    assert builds == [R]
