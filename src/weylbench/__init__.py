@@ -50,7 +50,6 @@ from .points import (
     tau_from_character,
 )
 from .scalars import (
-    build_field,
     dth_root,
     extension_field,
     prime_field,

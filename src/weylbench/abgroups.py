@@ -449,29 +449,10 @@ def subgroup_generated(G, S):
 # characters
 
 
-@dataclass(frozen=True)
-class UnitData:
-    """A finite abelian unit group given by its full element list with orders
-    plus an independent generating basis (element, order) pairs."""
-
-    elements_with_orders: tuple   # ((element, order), ...)
-    basis: tuple                  # ((element, order), ...), direct-sum basis
-
-    @property
-    def order(self):
-        return len(self.elements_with_orders)
-
-
 def enumerate_characters(U, units):
     """All homomorphisms U -> units, as value tuples on canonical generators.
 
-    units: UnitData for the finite unit group R^x."""
-    orders = U.generator_orders()
-    pools = []
-    for d in orders:
-        if d == 0:
-            pools.append([e for e, _ in units.elements_with_orders])
-        else:
-            pools.append([e for e, o in units.elements_with_orders if d % o == 0])
-    out = [tuple(assign) for assign in itertools.product(*pools)]
-    return out
+    units: the unit map {unit: order} of a finite group of units R^x."""
+    pools = [[e for e, o in units.items() if d % o == 0]
+             for d in U.generator_orders()]
+    return [tuple(assign) for assign in itertools.product(*pools)]

@@ -1,5 +1,5 @@
 """Finite-dimensional commutative unital test rings by structure constants,
-idempotent decomposition, unit/nilpotent predicates, unit-group enumeration,
+idempotent decomposition, unit/nilpotent predicates, the unit map {unit: order},
 and sparse group-algebra arithmetic RG.
 
 Ring elements are tuples of field elements (coordinates in the canonical
@@ -13,7 +13,7 @@ import itertools
 from dataclasses import dataclass
 
 from . import linalg
-from .abgroups import FGAbelianGroup, Presentation, group_from_presentation
+from .abgroups import FGAbelianGroup
 from .errors import (
     CapExceededError,
     FactorizationIncompleteError,
@@ -226,9 +226,10 @@ class TestRing:
         self._block_cache[e] = (ring, project, inject)
         return self._block_cache[e]
 
-    def unit_group(self, cap=10**6):
+    def unit_group(self):
+        """{unit: order} for a finite ring, computed once and kept."""
         if self._unit_group is None:
-            self._unit_group = enumerate_units(self, cap)
+            self._unit_group = enumerate_units(self)
         return self._unit_group
 
     def ring_table(self):
@@ -257,7 +258,8 @@ class RingTable:
         self.add_t = [[self.index[R.add(a, b)] for b in self.elems] for a in self.elems]
         self.mul_t = [[self.index[R.mul(a, b)] for b in self.elems] for a in self.elems]
         self.neg_t = [self.index[R.neg(a)] for a in self.elems]
-        self.unit = [R.is_unit(a) for a in self.elems]
+        units = R.unit_group()
+        self.unit = [a in units for a in self.elems]
         self._zero = self.index[R.zero()]
         self.one = self.index[R.one]
 
@@ -569,12 +571,13 @@ def _split_semisimple(R):
 
 
 def _min_poly_of_element(R, x):
-    powers = []
-    acc = R.one
-    for _ in range(R.dim + 1):
-        powers.append(list(acc))
-        acc = R.mul(acc, x)
-    return linalg.min_poly_of_sequence(R.field, powers)
+    """Monic minimal polynomial of x, low first: the first kernel vector of
+    the columns 1, x, ..., x^dim (its free column is the least dependent power)."""
+    powers = [R.one]
+    for _ in range(R.dim):
+        powers.append(R.mul(powers[-1], x))
+    cols = [[p[k] for p in powers] for k in range(R.dim)]
+    return poly_trim(R.field, linalg.nullspace(R.field, cols)[0])
 
 
 def _split_semisimple_finite(R):
@@ -661,120 +664,21 @@ def _eval_poly_at_element(R, poly, x):
 
 
 # ---------------------------------------------------------------------------
-# unit groups
-
-
-class UnitGroup:
-    """Unit group of a finite ring: full element list with orders; an
-    independent generating basis is computed lazily on first access."""
-
-    def __init__(self, ring, elements, orders):
-        self.ring = ring
-        self.elements = tuple(elements)
-        self.orders = orders
-        self.order = len(self.elements)
-        self._basis = None
-
-    @property
-    def basis(self):
-        if self._basis is None:
-            self._basis = tuple(_abelian_basis(self.ring, list(self.elements),
-                                               self.orders))
-        return self._basis
-
-    def unit_data(self, include_basis=False):
-        from .abgroups import UnitData
-
-        return UnitData(
-            tuple((e, self.orders[e]) for e in self.elements),
-            tuple(self.basis) if include_basis else (),
-        )
+# unit maps
 
 
 def enumerate_units(R, cap=10**6):
+    """The unit map of a finite ring: {unit: multiplicative order}, keyed in
+    R.sort_key order.  One R.is_unit test per element."""
     count = R.element_count()
     if count is None:
         raise NotEnumerableError("unit enumeration needs a finite base field")
     if count > cap:
         raise CapExceededError("|R| = %d exceeds cap %d" % (count, cap))
     units = sorted((v for v in R.elements() if R.is_unit(v)), key=R.sort_key)
-    n_units = len(units)
-    divisors = int_divisors(n_units)
-    orders = {}
-    for u in units:
-        for d in divisors:
-            if R.pow_element(u, d) == R.one:
-                orders[u] = d
-                break
-    return UnitGroup(R, units, orders)
-
-
-def _abelian_basis(R, units, orders):
-    """Independent generators with orders for the finite abelian group R^x.
-
-    Greedy generating set, then all multiplicative relations among the
-    generators are enumerated and Smith-reduced; the canonical quotient
-    generators map back to an independent basis."""
-    n_units = len(units)
-    if n_units == 1:
-        return []
-    gens = []
-    subgroup = {R.one}
-    while len(subgroup) < n_units:
-        best = None
-        for u in units:
-            if u in subgroup:
-                continue
-            # quotient growth when adding u
-            s = next(d for d in int_divisors(orders[u])
-                     if R.pow_element(u, d) in subgroup)
-            key = (-s, orders[u], R.sort_key(u))
-            if best is None or key < best[0]:
-                best = (key, u, s)
-        gens.append(best[1])
-        subgroup = _extend_subgroup(R, subgroup, best[1], best[2])
-    # relations: tuples (a_1..a_k) mod orders with prod g_i^{a_i} = 1
-    gen_orders = [orders[g] for g in gens]
-    rel_rows = []
-    total = 1
-    for o in gen_orders:
-        total *= o
-    if total > 4 * 10**6:
-        raise CapExceededError("unit group relation search too large")
-    for assign in itertools.product(*[range(o) for o in gen_orders]):
-        acc = R.one
-        for g, a in zip(gens, assign):
-            acc = R.mul(acc, R.pow_element(g, a))
-        if acc == R.one:
-            rel_rows.append(list(assign))
-    for i, o in enumerate(gen_orders):
-        row = [0] * len(gens)
-        row[i] = o
-        rel_rows.append(row)
-    group, _, lift = group_from_presentation(
-        Presentation(len(gens), tuple(tuple(r) for r in rel_rows)))
-    if group.order() != n_units:
-        raise MathIdentityError("unit group basis does not have the right order")
-    basis = []
-    factors = list(group.torsion)
-    for coeffs, order in zip(lift, factors):
-        elem = R.one
-        for c, g in zip(coeffs, gens):
-            elem = R.mul(elem, R.pow_element(g, c % orders[g]))
-        if R.pow_element(elem, order) != R.one:
-            raise MathIdentityError("basis element order mismatch")
-        basis.append((elem, order))
-    return basis
-
-
-def _extend_subgroup(R, subgroup, x, quotient_order):
-    """<subgroup, x> for abelian groups: cosets subgroup * x^k, k < s."""
-    out = set(subgroup)
-    power = R.one
-    for _ in range(quotient_order - 1):
-        power = R.mul(power, x)
-        out.update(R.mul(h, power) for h in subgroup)
-    return out
+    divisors = int_divisors(len(units))
+    return {u: next(d for d in divisors if R.pow_element(u, d) == R.one)
+            for u in units}
 
 
 # ---------------------------------------------------------------------------
@@ -843,20 +747,9 @@ class GroupAlgebra:
     def is_zero(self, x):
         return not x
 
-    def counit(self, x):
-        """RG -> R sending every group element to 1."""
-        acc = self.ring.zero()
-        for r in x.values():
-            acc = self.ring.add(acc, r)
-        return acc
-
     def as_monomial(self, x):
         """(r, g) if x = r*g with a single term, else None."""
         if len(x) != 1:
             return None
         (g, r), = x.items()
         return r, g
-
-    def monomial_is_unit(self, x):
-        m = self.as_monomial(x)
-        return m is not None and self.ring.is_unit(m[0])

@@ -17,9 +17,9 @@ from .scalars import (
     RationalField,
     poly_divmod,
     poly_eval,
+    poly_mod,
     poly_monic,
     poly_mul,
-    poly_pow_mod,
     poly_trim,
 )
 
@@ -94,11 +94,31 @@ class Factor:
         return "Factor(deg=%d, certified=%r)" % (len(self.poly) - 1, self.certified)
 
 
+def _prime_powers(n):
+    """{prime: exponent} of a positive integer, by trial division."""
+    out = {}
+    d = 2
+    while d * d <= n:
+        while n % d == 0:
+            out[d] = out.get(d, 0) + 1
+            n //= d
+        d += 1
+    if n > 1:
+        out[n] = out.get(n, 0) + 1
+    return out
+
+
 def _to_integer_monic(p):
     """Substitute t -> s/lam so a monic rational polynomial becomes a monic
-    integer one; returns (integer coefficients, lam)."""
-    lam = math.lcm(*(c.denominator for c in p))
+    integer one; returns (integer coefficients, lam).  lam is the least such
+    scale: c_i is multiplied by lam^(n-i), so each prime of its denominator
+    with exponent v enters lam with exponent ceil(v / (n - i))."""
     n = len(p) - 1
+    need = {}
+    for i, c in enumerate(p[:-1]):
+        for q, v in _prime_powers(c.denominator).items():
+            need[q] = max(need.get(q, 0), -(-v // (n - i)))
+    lam = math.prod(q**e for q, e in need.items())
     out = []
     for i, c in enumerate(p):
         scaled = c * lam ** (n - i)
@@ -146,9 +166,11 @@ def _quadratic_factor(g):
 
 
 def _roots_of_unity_order(Q, p):
-    """Smallest N <= probe bound with p | t^N - 1, or None."""
+    """Smallest N <= probe bound with p | t^N - 1, or None; t^N mod p is
+    stepped from t^(N-1) mod p by one multiplication by t."""
+    t_n = [Q.one()]
     for n in range(1, _MAX_CYCLOTOMIC_PROBE + 1):
-        t_n = poly_pow_mod(Q, [Q.zero(), Q.one()], n, p)
+        t_n = poly_mod(Q, [Q.zero()] + t_n, p)
         if t_n == [Q.one()]:
             return n
     return None

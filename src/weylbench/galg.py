@@ -30,6 +30,7 @@ class Algebra:
         self.basis_names = tuple(basis_names) if basis_names else tuple(
             "b%d" % i for i in range(self.dim))
         self.label = label or "algebra"
+        self.enumeration_plan = None  # points._enumeration_plan, built on first use
 
     def mul(self, x, y):
         F = self.field

@@ -147,47 +147,3 @@ def nullspace(F, A):
             v[pc] = F.neg(R[r][fc])
         basis.append(v)
     return basis
-
-
-def first_dependence(F, vectors):
-    """Smallest k with v_k in span(v_0..v_{k-1}), plus combination coeffs.
-
-    Returns (k, coeffs) with v_k = sum coeffs[i] * v_i, or (None, None) if the
-    whole list is independent.
-    """
-    basis = []   # echelon rows
-    ops = []     # ops[idx]: basis[idx] as a combination of inputs v_0..v_?
-    leads = []
-    for k, v in enumerate(vectors):
-        cur = list(v)
-        expr = [F.zero()] * k   # running combination subtracted from v_k
-        for idx in range(len(basis)):
-            c = cur[leads[idx]]
-            if F.is_zero(c):
-                continue
-            row, op = basis[idx], ops[idx]
-            cur = [F.sub(x, F.mul(c, y)) for x, y in zip(cur, row)]
-            for i in range(len(op)):
-                expr[i] = F.add(expr[i], F.mul(c, op[i]))
-        lead = next((i for i, x in enumerate(cur) if not F.is_zero(x)), None)
-        if lead is None:
-            return k, expr
-        invc = F.inv(cur[lead])
-        basis.append([F.mul(invc, x) for x in cur])
-        ops.append([F.neg(F.mul(invc, e)) for e in expr] + [invc])
-        leads.append(lead)
-    return None, None
-
-
-def min_poly_of_sequence(F, seq):
-    """Monic minimal polynomial coefficients (low first) of a power sequence.
-
-    seq yields 1, x, x^2, ... as coordinate vectors; stops at first dependence.
-    """
-    vectors = []
-    for v in seq:
-        vectors.append(list(v))
-        k, coeffs = first_dependence(F, vectors)
-        if k is not None:
-            return [F.neg(c) for c in coeffs] + [F.one()]
-    raise SingularMatrixError("sequence terminated without dependence")

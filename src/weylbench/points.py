@@ -259,7 +259,7 @@ def diag_points(gr, R, cap=10**6, cross_check=True):
     """Diag(R) as explicit matrices via characters of the universal group."""
     uni = galg.universal_group(gr)
     U = uni.group
-    units = _unit_data_for(R, U)
+    units = _unit_map_for(R, U)
     chars = abgroups.enumerate_characters(U, units)
     points = []
     for assign in chars:
@@ -277,15 +277,13 @@ def diag_points(gr, R, cap=10**6, cross_check=True):
     return points
 
 
-def _unit_data_for(R, U):
+def _unit_map_for(R, U):
+    """{unit: order}: all of R^x for a finite ring; over Q, where a finite U
+    only meets the torsion units, {1: 1, -1: 2}."""
     if R.element_count() is not None:
-        return R.unit_group().unit_data()
-    F = R.field
-    if F.kind == "rationals" and R.dim == 1 and U.rank == 0:
-        one = R.one
-        minus = R.neg(one)
-        elems = [(one, 1)] if minus == one else [(one, 1), (minus, 2)]
-        return abgroups.UnitData(tuple(elems), tuple(e for e in elems if e[1] > 1))
+        return R.unit_group()
+    if R.field.kind == "rationals" and R.dim == 1 and U.rank == 0:
+        return {R.one: 1, R.neg(R.one): 2}
     raise NotEnumerableError("unit group is not enumerable for this ring")
 
 
@@ -296,7 +294,7 @@ def _brute_diag_count(gr, R, cap):
     count = R.element_count()
     if count is None or count ** len(supp) > cap:
         return None
-    units = [u for u in R.elements() if R.is_unit(u)]
+    units = list(R.unit_group())
     G = gr.group
     A = gr.algebra
     F = A.field
@@ -485,7 +483,10 @@ def dgroup_norm_membership(gr, phi):
 def _enumeration_plan(A):
     """Column ordering with derivations: returns (steps, checks) where steps
     are ('enum', j) or ('derive', j, i, jj, inv_coeff) and checks[s] lists the
-    multiplicativity constraints first fully determined after step s."""
+    multiplicativity constraints first fully determined after step s.
+    Built once per algebra and kept on A.enumeration_plan."""
+    if A.enumeration_plan is not None:
+        return A.enumeration_plan
     F = A.field
     n = A.dim
     supp = {}
@@ -520,7 +521,8 @@ def _enumeration_plan(A):
         need = {i, j} | set(s)
         stage = max(stage_of[c] for c in need)
         checks[stage].append((i, j))
-    return steps, checks
+    A.enumeration_plan = (steps, checks)
+    return A.enumeration_plan
 
 
 def _estimated_nodes(A, R):

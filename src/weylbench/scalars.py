@@ -747,18 +747,6 @@ def extension_field(base, modulus_coeffs):
     return ExtensionField(base, modulus_coeffs)
 
 
-def build_field(spec):
-    """spec: ('rationals',) | ('prime', p) | ('extension', base, coeff list)."""
-    tag = spec[0]
-    if tag == "rationals":
-        return rationals()
-    if tag == "prime":
-        return prime_field(spec[1])
-    if tag == "extension":
-        return extension_field(spec[1], spec[2])
-    raise FieldConstructionError("unknown field spec %r" % (tag,))
-
-
 # ---------------------------------------------------------------------------
 # multiplicative structure helpers
 

@@ -26,6 +26,21 @@ def test_snf_examples():
     assert [D[i][i] for i in range(3)] == [1, 1, 1]
 
 
+def test_snf_invariant_factors_match_sympy():
+    pytest.importorskip("sympy")
+    from sympy import Matrix, ZZ
+    from sympy.matrices.normalforms import invariant_factors
+
+    rng = random.Random(4242)
+    for _ in range(60):
+        r, c = rng.randint(1, 5), rng.randint(1, 5)
+        M = [[rng.randint(-12, 12) for _ in range(c)] for _ in range(r)]
+        D, _, _ = smith_normal_form(M)
+        ours = [abs(D[i][i]) for i in range(min(r, c))]
+        theirs = [abs(int(d)) for d in invariant_factors(Matrix(M), domain=ZZ)]
+        assert ours == theirs, M
+
+
 def test_snf_random_matrices():
     # postconditions are verified inside smith_normal_form on every call
     rng = random.Random(12345)
@@ -120,16 +135,15 @@ def test_kernel_and_hermite():
 def test_enumerate_characters_counts(F3, F7, Q):
     C3 = cyclic_group(3)
     R7 = comrings.base_field_ring(F7)
-    chars = abgroups.enumerate_characters(C3, R7.unit_group().unit_data())
+    chars = abgroups.enumerate_characters(C3, R7.unit_group())
     assert len(chars) == 3
     Z2 = FGAbelianGroup((), 2)
     R3 = comrings.base_field_ring(F3)
-    chars = abgroups.enumerate_characters(Z2, R3.unit_group().unit_data())
+    chars = abgroups.enumerate_characters(Z2, R3.unit_group())
     assert len(chars) == 4
     # torsion-free shortcut over the rationals: only +-1 are torsion units
     one = R3.one
-    data = abgroups.UnitData(((one, 1),), ())
-    assert len(abgroups.enumerate_characters(C3, data)) == 1
+    assert len(abgroups.enumerate_characters(C3, {one: 1})) == 1
 
 
 def test_element_arithmetic_and_parse():
