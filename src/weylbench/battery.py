@@ -22,6 +22,13 @@ from .errors import (
     UnknownSolvabilityError,
 )
 
+# Enumerate a point group when its search visits at most ENUM_BUDGET nodes;
+# keep it whole up to POINT_CAP points, else stride-sample it.  Groups that
+# are not enumerated are sampled towards SAMPLE_TARGET points.
+ENUM_BUDGET = 200_000
+POINT_CAP = 384
+SAMPLE_TARGET = 110
+
 
 @dataclass
 class BatteryResult:
@@ -43,8 +50,8 @@ def diag_scheme_nonsmooth(gr):
     return any(d % p == 0 for d in U.torsion)
 
 
-def theorem_battery(gr, R, enum_budget=200_000, sample_target=110, seed=0x5EED):
-    points, mode, evaluations = battery_points(gr, R, enum_budget, sample_target, seed)
+def theorem_battery(gr, R, seed=0x5EED):
+    points, mode, evaluations = battery_points(gr, R, seed)
     warn = False
     nonsmooth = None
     cent = norm = 0
@@ -61,8 +68,7 @@ def theorem_battery(gr, R, enum_budget=200_000, sample_target=110, seed=0x5EED):
     return BatteryResult(mode, evaluations, len(points), cent, norm, warn)
 
 
-def battery_points(gr, R, enum_budget=200_000, sample_target=110, seed=0x5EED,
-                   point_cap=384):
+def battery_points(gr, R, seed=0x5EED):
     """(distinct automorphism points, mode, evaluation count).
 
     Full enumeration when both the search and the resulting point group are
@@ -71,15 +77,15 @@ def battery_points(gr, R, enum_budget=200_000, sample_target=110, seed=0x5EED,
     count = R.element_count()
     if count is not None and count <= pts.RingTable.MAX_ELEMENTS:
         nodes = pts._estimated_nodes(A, R)
-        if nodes is not None and nodes <= enum_budget:
-            enumerated = pts.enumerate_points(gr, R, "aut", cap=enum_budget)
-            if len(enumerated) <= point_cap:
+        if nodes is not None and nodes <= ENUM_BUDGET:
+            enumerated = pts.enumerate_points(gr, R, "aut", cap=ENUM_BUDGET)
+            if len(enumerated) <= POINT_CAP:
                 return enumerated, "enumerated", len(enumerated)
-            stride = max(1, len(enumerated) // max(sample_target, 128))
+            stride = max(1, len(enumerated) // max(SAMPLE_TARGET, 128))
             sampled = enumerated[::stride]
             return sampled, "sampled", len(sampled)
-    sampled = _sampled_points(gr, R, sample_target, seed)
-    return sampled, "sampled", max(sample_target, len(sampled))
+    sampled = _sampled_points(gr, R, SAMPLE_TARGET, seed)
+    return sampled, "sampled", max(SAMPLE_TARGET, len(sampled))
 
 
 def _sampled_points(gr, R, target, seed):

@@ -34,7 +34,7 @@ class TestRing:
 
     __test__ = False  # "Test" prefix is domain vocabulary, not a pytest class
 
-    def __init__(self, field, table, one, label=None, idempotent_hint=None, _skip_checks=False):
+    def __init__(self, field, table, one, label=None, idempotent_hint=None):
         self.field = field
         self.dim = len(table)
         self.table = tuple(tuple(tuple(v) for v in row) for row in table)
@@ -49,8 +49,7 @@ class TestRing:
         self._unit_group = None
         self._ring_table = None
         self._block_cache = {}
-        if not _skip_checks:
-            self._check_axioms()
+        self._check_axioms()
 
     # -- element helpers ----------------------------------------------------
 
@@ -667,14 +666,17 @@ def _eval_poly_at_element(R, poly, x):
 # unit maps
 
 
-def enumerate_units(R, cap=10**6):
+UNIT_ENUMERATION_CAP = 10**6
+
+
+def enumerate_units(R):
     """The unit map of a finite ring: {unit: multiplicative order}, keyed in
     R.sort_key order.  One R.is_unit test per element."""
     count = R.element_count()
     if count is None:
         raise NotEnumerableError("unit enumeration needs a finite base field")
-    if count > cap:
-        raise CapExceededError("|R| = %d exceeds cap %d" % (count, cap))
+    if count > UNIT_ENUMERATION_CAP:
+        raise CapExceededError("|R| = %d exceeds cap %d" % (count, UNIT_ENUMERATION_CAP))
     units = sorted((v for v in R.elements() if R.is_unit(v)), key=R.sort_key)
     divisors = int_divisors(len(units))
     return {u: next(d for d in divisors if R.pow_element(u, d) == R.one)

@@ -1,30 +1,36 @@
-"""Partial factorization of squarefree monic polynomials over exact fields.
+"""Factorization of squarefree monic polynomials over exact fields.
 
-Complete enough for the rings this workbench builds: rational roots and
-quadratic/cubic certificates over Q, plus the factorization of divisors of
-t^N - 1 into cyclotomic polynomials.  Anything deeper stays a single
-uncertified factor; callers decide whether that blocks them.
+Over Q the factorization is complete and every factor is certified
+irreducible, by Zassenhaus's method (Zassenhaus 1969, "On Hensel
+factorization I"): the polynomial is scaled to a monic integer polynomial g,
+g is split into irreducibles modulo the least odd prime p for which it stays
+squarefree, the split is Hensel-lifted to a power of p above twice the
+Mignotte bound on the coefficients of a factor of g, and subsets of the
+lifted factors are recombined in increasing size, each candidate accepted
+only when it divides g exactly over Z.  Over other fields only degree <= 1
+is certified; callers decide whether an uncertified factor blocks them.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 
 from . import scalars
+from .abgroups import INTEGERS
 from .errors import MathIdentityError
 from .scalars import (
+    PrimeField,
     RationalField,
+    poly_add,
+    poly_deriv,
     poly_divmod,
-    poly_eval,
-    poly_mod,
+    poly_gcd,
     poly_monic,
     poly_mul,
     poly_trim,
 )
-
-_CYCLO_CACHE = {}
-_MAX_CYCLOTOMIC_PROBE = 64
 
 
 def int_divisors(n):
@@ -40,51 +46,6 @@ def int_divisors(n):
     return sorted(out)
 
 
-def rational_roots(p):
-    """All rational roots of a monic polynomial over Q (exhaustive)."""
-    Q = scalars.rationals()
-    p = poly_monic(Q, p)
-    if not p:
-        return []
-    roots = []
-    if Q.is_zero(p[0]):
-        roots.append(Fraction(0))
-        while Q.is_zero(p[0]):
-            p = p[1:]
-    if len(p) <= 1:
-        return roots
-    denom_lcm = math.lcm(*(c.denominator for c in p))
-    ip = [c * denom_lcm for c in p]  # integer coefficients
-    lead = int(ip[-1])
-    const = int(ip[0])
-    if const == 0:
-        return roots  # handled above; defensive
-    for a in int_divisors(const):
-        for b in int_divisors(lead):
-            for sign in (1, -1):
-                cand = Fraction(sign * a, b)
-                if cand not in roots and Q.is_zero(poly_eval(Q, p, cand)):
-                    roots.append(cand)
-    roots.sort()
-    return roots
-
-
-def cyclotomic_poly(n):
-    """Coefficients of the n-th cyclotomic polynomial over Q, low first."""
-    if n in _CYCLO_CACHE:
-        return _CYCLO_CACHE[n]
-    Q = scalars.rationals()
-    num = [Q.from_int(-1)] + [Q.zero()] * (n - 1) + [Q.one()]  # t^n - 1
-    for d in range(1, n):
-        if n % d == 0:
-            q, r = poly_divmod(Q, num, cyclotomic_poly(d))
-            if r:
-                raise MathIdentityError("cyclotomic division left a remainder")
-            num = q
-    _CYCLO_CACHE[n] = num
-    return num
-
-
 class Factor:
     def __init__(self, poly, certified):
         self.poly = poly
@@ -92,20 +53,6 @@ class Factor:
 
     def __repr__(self):
         return "Factor(deg=%d, certified=%r)" % (len(self.poly) - 1, self.certified)
-
-
-def _prime_powers(n):
-    """{prime: exponent} of a positive integer, by trial division."""
-    out = {}
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            out[d] = out.get(d, 0) + 1
-            n //= d
-        d += 1
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
 
 
 def _to_integer_monic(p):
@@ -116,7 +63,7 @@ def _to_integer_monic(p):
     n = len(p) - 1
     need = {}
     for i, c in enumerate(p[:-1]):
-        for q, v in _prime_powers(c.denominator).items():
+        for q, v in scalars.prime_powers(c.denominator).items():
             need[q] = max(need.get(q, 0), -(-v // (n - i)))
     lam = math.prod(q**e for q, e in need.items())
     out = []
@@ -128,60 +75,90 @@ def _to_integer_monic(p):
     return out, lam
 
 
-def _root_bound(g):
-    """Integer bound on |roots| of a monic integer polynomial (Fujiwara)."""
+def _squarefree(F, f):
+    return len(poly_gcd(F, f, poly_deriv(F, f))) == 1
+
+
+def _irreducibles_mod(Fp, f):
+    """The monic irreducible factors of a squarefree monic f over F_p."""
+    if scalars.is_irreducible(Fp, f):
+        return [f]
+    h = scalars.nontrivial_factor(Fp, f)
+    return _irreducibles_mod(Fp, h) + _irreducibles_mod(Fp, poly_divmod(Fp, f, h)[0])
+
+
+def _hensel_lift(Fp, g, a, b, m):
+    """Monic integer A = a, B = b (mod p) with g = A*B (mod m), for a monic
+    integer g = a*b (mod p) with a, b coprime over Fp = F_p and m a power of
+    p.  Linear lifting: with s*a + t*b = 1 over F_p, each step corrects A*B
+    by the next p-adic digit e of g - A*B."""
+    p = Fp.p
+    _, s, t = scalars.poly_ext_gcd(Fp, a, b)
+    A, B, pj = a, b, p
+    while pj < m:
+        AB = poly_mul(INTEGERS, A, B)
+        e = poly_trim(Fp, [(gi - ci) // pj % p for gi, ci in zip(g, AB)])
+        q, da = poly_divmod(Fp, poly_mul(Fp, t, e), a)
+        db = poly_add(Fp, poly_mul(Fp, s, e), poly_mul(Fp, q, b))
+        A = [x + pj * y for x, y in itertools.zip_longest(A, da, fillvalue=0)]
+        B = [x + pj * y for x, y in itertools.zip_longest(B, db, fillvalue=0)]
+        pj *= p
+    return A, B
+
+
+def _exact_quotient(g, h):
+    """g / h over Z for monic integer h, or None when h does not divide g."""
+    r, dh = list(g), len(h) - 1
+    q = [0] * (len(g) - dh)
+    for k in range(len(q) - 1, -1, -1):
+        c = q[k] = r[k + dh]
+        for i, hc in enumerate(h):
+            r[k + i] -= c * hc
+    return None if any(r) else q
+
+
+def _zassenhaus(g):
+    """The monic irreducible factors over Z of a squarefree monic integer g
+    of degree >= 2."""
     n = len(g) - 1
-    best = 0.0
-    for k in range(1, n + 1):
-        a = abs(g[n - k])
-        if a:
-            best = max(best, a ** (1.0 / k))
-    return int(2 * best) + 2
-
-
-def _quadratic_factor(g):
-    """A monic integer quadratic factor of a monic integer polynomial with no
-    rational roots, or None.  Complete: the search ranges cover every monic
-    integer quadratic divisor (Gauss lemma plus root bounds)."""
-    n = len(g) - 1
-    if n < 4 or g[0] == 0:
-        return None
-    B = _root_bound(g)
-    q_candidates = []
-    for q in int_divisors(g[0]):
-        if q <= B * B + 1:
-            q_candidates.extend((q, -q))
-    for p in range(-2 * B, 2 * B + 1):
-        for q in q_candidates:
-            rem = list(g)
-            for k in range(n - 2, -1, -1):
-                c = rem[k + 2]
-                if c:
-                    rem[k + 2] = 0
-                    rem[k + 1] -= c * p
-                    rem[k] -= c * q
-            if rem[0] == 0 and rem[1] == 0:
-                return [q, p, 1]
-    return None
-
-
-def _roots_of_unity_order(Q, p):
-    """Smallest N <= probe bound with p | t^N - 1, or None; t^N mod p is
-    stepped from t^(N-1) mod p by one multiplication by t."""
-    t_n = [Q.one()]
-    for n in range(1, _MAX_CYCLOTOMIC_PROBE + 1):
-        t_n = poly_mod(Q, [Q.zero()] + t_n, p)
-        if t_n == [Q.one()]:
-            return n
-    return None
+    p = next(q for q in itertools.count(3, 2)
+             if scalars.is_prime(q) and _squarefree(PrimeField(q), [c % q for c in g]))
+    Fp = PrimeField(p)
+    m = p
+    while m * m <= 4 ** (n + 1) * sum(c * c for c in g):  # m > 2 * 2^n * |g|_2
+        m *= p
+    lifted, cofactor = [], g
+    *heads, _ = _irreducibles_mod(Fp, [c % p for c in g])
+    for a in heads:
+        b = poly_divmod(Fp, [c % p for c in cofactor], a)[0]
+        A, cofactor = _hensel_lift(Fp, cofactor, a, b, m)
+        lifted.append(A)
+    lifted.append([c % m for c in cofactor])
+    found, rest, size = [], g, 1
+    while 2 * size <= len(lifted):
+        for subset in itertools.combinations(range(len(lifted)), size):
+            h = [1]
+            for i in subset:
+                h = [c % m for c in poly_mul(INTEGERS, h, lifted[i])]
+            h = [c - m if 2 * c > m else c for c in h]
+            q = _exact_quotient(rest, h)
+            if q is not None:
+                found.append(h)
+                rest = q
+                lifted = [f for i, f in enumerate(lifted) if i not in subset]
+                break
+        else:
+            size += 1
+    return found + [rest]  # no subset of at most half the lifted factors divides
 
 
 def partial_factor(F, p):
-    """Pairwise-coprime monic factors of a squarefree monic polynomial.
+    """Pairwise-coprime monic factors of a squarefree monic polynomial; their
+    product is p.
 
-    Over Q: splits off all rational roots, certifies remainders of degree <= 3
-    and cyclotomic products.  Over other fields only degree <= 1 is certified.
-    Product of the returned factors always equals p.
+    Over Q these are the irreducible factors, all certified, sorted by
+    (degree, coefficients); a polynomial with a repeated factor raises
+    MathIdentityError.  Over other fields only degree <= 1 is certified.
     """
     p = poly_monic(F, p)
     if len(p) <= 1:
@@ -190,57 +167,12 @@ def partial_factor(F, p):
         return [Factor(p, True)]
     if not isinstance(F, RationalField):
         return [Factor(p, False)]
-
-    Q = F
-    factors = []
-    rest = p
-    for r in rational_roots(p):
-        lin = [Q.neg(r), Q.one()]
-        q, rem = poly_divmod(Q, rest, lin)
-        if rem:
-            raise MathIdentityError("claimed rational root does not divide")
-        factors.append(Factor(lin, True))
-        rest = q
-    deg = len(rest) - 1
-    if deg == 0:
-        return factors
-    if deg <= 3:
-        # no rational roots remain, so quadratics and cubics are irreducible
-        factors.append(Factor(rest, True))
-        return factors
-    n = _roots_of_unity_order(Q, rest)
-    if n is not None:
-        remaining = rest
-        for d in int_divisors(n):
-            phi = cyclotomic_poly(d)
-            q, rem = poly_divmod(Q, remaining, phi)
-            if not rem:
-                factors.append(Factor(phi, True))
-                remaining = q
-            if len(remaining) <= 1:
-                break
-        if len(remaining) > 1:
-            raise MathIdentityError("divisor of t^N-1 did not split into cyclotomics")
-        return factors
-    # split off monic quadratic factors (complete search after integer scaling)
-    remaining = rest
-    while len(remaining) - 1 >= 4:
-        g, lam = _to_integer_monic(remaining)
-        quad = _quadratic_factor(g)
-        if quad is None:
-            break
-        back = [Fraction(quad[0], lam**2), Fraction(quad[1], lam), Fraction(1)]
-        factors.append(Factor(back, True))  # no rational roots, so irreducible
-        quot, rem = poly_divmod(Q, remaining, back)
-        if rem:
-            raise MathIdentityError("claimed quadratic factor does not divide")
-        remaining = quot
-    deg = len(remaining) - 1
-    if deg == 0:
-        return factors
-    # no roots and no quadratic factor: degrees up to 5 are irreducible
-    factors.append(Factor(remaining, deg <= 5))
-    return factors
+    if not _squarefree(F, p):
+        raise MathIdentityError("polynomial to factor has a repeated factor")
+    g, lam = _to_integer_monic(p)
+    factors = [Factor([Fraction(c, lam ** (len(h) - 1 - i)) for i, c in enumerate(h)], True)
+               for h in _zassenhaus(g)]
+    return sorted(factors, key=lambda f: (len(f.poly), f.poly))
 
 
 def crt_idempotent_polys(F, modulus, factors):

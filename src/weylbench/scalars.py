@@ -31,29 +31,22 @@ from .errors import (
 TABLE_MAX_ELEMENTS = 512
 
 
-def is_prime(n):
-    if n < 2:
-        return False
+def prime_powers(n):
+    """{prime: exponent} of an integer n >= 1, ascending, by trial division."""
+    out = {}
     d = 2
     while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
-
-
-def prime_factors(n):
-    """Distinct prime divisors of n >= 1, ascending."""
-    out, d = [], 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
+        while n % d == 0:
+            out[d] = out.get(d, 0) + 1
+            n //= d
         d += 1
     if n > 1:
-        out.append(n)
+        out[n] = out.get(n, 0) + 1
     return out
+
+
+def is_prime(n):
+    return prime_powers(n) == {n: 1}
 
 
 def integer_kth_root(n, k):
@@ -214,7 +207,7 @@ def is_irreducible(F, f):
     if poly_sub(F, frob[d], t):
         return False
     return all(poly_deg(poly_gcd(F, poly_sub(F, frob[d // r], t), f)) == 0
-               for r in prime_factors(d))
+               for r in prime_powers(d))
 
 
 def nontrivial_factor(F, f):
@@ -535,7 +528,7 @@ class ExtensionField(ExactField):
         """First element of multiplicative order q - 1, by the polynomial
         methods; None when there is none, i.e. the modulus is reducible."""
         n, one = q - 1, self.one()
-        cofactors = [n // r for r in prime_factors(n)]
+        cofactors = [n // r for r in prime_powers(n)]
         for x in self.elements():
             if (not self.is_zero(x) and self.pow(x, n) == one
                     and all(self.pow(x, e) != one for e in cofactors)):

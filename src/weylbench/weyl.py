@@ -229,14 +229,14 @@ class SolveResult:
     obstruction: tuple = None   # (d, c) of the failing power equation
 
 
-def thin_solve(system, mode="closure", field=None):
+def thin_solve(system, mode="closure"):
     """closure: solvability over an algebraic closure (after reduction, only
     zero-exponent equations with constant != 1 obstruct).  field: decided via
-    d-th root extraction over the given field (default: the grading's own)."""
-    F = system.field if field is None else field
+    d-th root extraction over the grading's own field."""
+    F = system.field
     if mode == "closure":
         for d, c in system.reduced:
-            if d == 0 and not system.field.eq(c, system.field.one()):
+            if d == 0 and not F.eq(c, F.one()):
                 return SolveResult("unsolvable", obstruction=(d, c))
         return SolveResult("solvable")
     if mode != "field":

@@ -124,6 +124,22 @@ def test_decomposition_unique_under_basis_change(Q, F7):
             assert mapped == reference
 
 
+def test_two_cubic_blocks_under_basis_change(Q):
+    # Q[t]/((t^3 - 2)(t^3 - 3)): every minimal polynomial that splits it has
+    # degree 6 and two irreducible cubic factors
+    R = truncated_poly(Q, [Q.from_int(c) for c in (6, 0, 0, -5, 0, 0, 1)])
+    reference = set(R.idempotents())
+    assert len(reference) == 2
+    rng = random.Random(7)
+    for _ in range(5):
+        while True:
+            P = [[Q.from_int(rng.randint(-2, 2)) for _ in range(6)] for _ in range(6)]
+            if not Q.is_zero(linalg.det(Q, P)):
+                break
+        R2, to_old = _basis_change(R, P, linalg.inv(Q, P))
+        assert {to_old(e) for e in decompose_ring(R2)} == reference
+
+
 def test_nilradical_properties(F3, Q):
     R = dual_numbers(F3, 3)
     nil = R.nilradical()

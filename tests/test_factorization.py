@@ -1,7 +1,11 @@
+import random
 import time
 from fractions import Fraction as Fr
 
+import pytest
+
 from weylbench import factorization, scalars
+from weylbench.errors import MathIdentityError
 
 
 def test_quartic_with_power_of_two_denominators_splits_fast():
@@ -28,3 +32,44 @@ def test_integer_scale_is_least():
                   enumerate([Fr(1, 18), Fr(1, 12), Fr(1)])]
         assert any(c.denominator != 1 for c in scaled)
     assert factorization._to_integer_monic([Q.from_int(3), Q.zero(), Q.one()]) == ([3, 0, 1], 1)
+
+
+def test_repeated_factor_is_refused():
+    Q = scalars.rationals()
+    t2_plus_1 = [Fr(1), Fr(0), Fr(1)]
+    start = time.perf_counter()
+    for square in (scalars.poly_mul(Q, t2_plus_1, t2_plus_1),
+                   [Fr(4), Fr(-4), Fr(-3), Fr(2), Fr(1)]):  # (t - 1)^2 (t + 2)^2
+        with pytest.raises(MathIdentityError):
+            factorization.partial_factor(Q, square)
+    assert time.perf_counter() - start < 1.0
+
+
+def _random_monic(rng, degree):
+    return [Fr(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(degree)] + [Fr(1)]
+
+
+def test_factors_match_sympy():
+    sympy = pytest.importorskip("sympy")
+    t = sympy.symbols("t")
+    Q = scalars.rationals()
+    rng = random.Random(20261018)
+    inputs = [_random_monic(rng, rng.randint(1, 8)) for _ in range(100)]
+    for _ in range(40):
+        p = [Fr(1)]
+        for _ in range(rng.randint(2, 4)):
+            p = scalars.poly_mul(Q, p, _random_monic(rng, rng.randint(1, 3)))
+        inputs.append(p)
+    checked = 0
+    for p in inputs:
+        if len(scalars.poly_gcd(Q, p, scalars.poly_deriv(Q, p))) != 1:
+            continue
+        factors = factorization.partial_factor(Q, p)
+        assert all(f.certified for f in factors)
+        expected = sympy.Poly([sympy.Rational(c.numerator, c.denominator) for c in reversed(p)],
+                              t, domain=sympy.QQ).factor_list()[1]
+        expected = sorted([Fr(int(c.p), int(c.q)) for c in reversed(f.monic().all_coeffs())]
+                          for f, mult in expected for _ in range(mult))
+        assert sorted(f.poly for f in factors) == expected
+        checked += 1
+    assert checked >= 130

@@ -88,8 +88,10 @@ def test_field_products_match_dense_loop(name, n, data):
     x, y = data.draw(vectors(F, n)), data.draw(vectors(F, n))
     expected = dense_mul(F, table, x, y, F.zero(), lambda a: a == F.zero(),
                          F.add, F.mul, lambda c: c)
-    ring = comrings.TestRing(F, table, (F.one(),) * n, _skip_checks=True)
-    assert ring.mul(x, y) == expected
+    R = data.draw(st.sampled_from(RINGS[name]))
+    u, v = data.draw(vectors(F, R.dim)), data.draw(vectors(F, R.dim))
+    assert R.mul(u, v) == dense_mul(F, R.table, u, v, F.zero(), lambda a: a == F.zero(),
+                                    F.add, F.mul, lambda c: c)
     assert galg.Algebra(F, table).mul(x, y) == expected
 
 
