@@ -10,6 +10,8 @@ the nilradical are computed on demand and cached.
 from __future__ import annotations
 
 import itertools
+import weakref
+from array import array
 from dataclasses import dataclass
 
 from . import linalg
@@ -49,7 +51,11 @@ class TestRing:
         self._unit_group = None
         self._ring_table = None
         self._block_cache = {}
+        self._to_table = -1   # products left before moving onto the table
         self._check_axioms()
+        count = self.element_count()
+        if count is not None and count <= RingTable.MAX_ELEMENTS:
+            self._to_table = RingTable.PAYS_AFTER * count
 
     # -- element helpers ----------------------------------------------------
 
@@ -81,6 +87,9 @@ class TestRing:
         return tuple(F.mul(c, a) for a in x)
 
     def mul(self, x, y):
+        self._to_table -= 1
+        if not self._to_table:
+            self.ring_table()
         F = self.field
         return structure_mul(self.terms, x, y, self._fzero, F.is_zero, F.add, F.mul, F.mul)
 
@@ -95,13 +104,8 @@ class TestRing:
 
     def mul_matrix(self, x):
         """Matrix of multiplication-by-x on the canonical basis (columns)."""
-        F = self.field
-        M = [[F.zero()] * self.dim for _ in range(self.dim)]
-        for j in range(self.dim):
-            col = self.mul(x, self._basis_vec(j))
-            for k in range(self.dim):
-                M[k][j] = col[k]
-        return M
+        cols = [self.mul(x, self._basis_vec(j)) for j in range(self.dim)]
+        return [list(row) for row in zip(*cols)]
 
     def _basis_vec(self, i):
         F = self.field
@@ -199,16 +203,13 @@ class TestRing:
         if e in self._block_cache:
             return self._block_cache[e]
         F = self.field
-        span = []
-        for i in range(self.dim):
-            span.append(list(self.mul(e, self._basis_vec(i))))
+        span = [list(self.mul(e, self._basis_vec(i))) for i in range(self.dim)]
         R, pivots = linalg.rref(F, span)
         basis = [tuple(R[r]) for r in range(len(pivots))]
+        columns = [list(c) for c in zip(*basis)]
 
         def project(x):
-            xe = self.mul(e, x)
-            coords = linalg.solve(F, _columns(F, basis), list(xe))
-            return tuple(coords)
+            return tuple(linalg.solve(F, columns, list(self.mul(e, x))))
 
         def inject(bx):
             acc = self.zero()
@@ -216,11 +217,7 @@ class TestRing:
                 acc = self.add(acc, self.scal(c, b))
             return acc
 
-        k = len(basis)
-        table = [[None] * k for _ in range(k)]
-        for i in range(k):
-            for j in range(k):
-                table[i][j] = project(self.mul(basis[i], basis[j]))
+        table = [[project(self.mul(bi, bj)) for bj in basis] for bi in basis]
         ring = TestRing(F, table, project(e), label="%s|block" % self.label)
         self._block_cache[e] = (ring, project, inject)
         return self._block_cache[e]
@@ -228,23 +225,37 @@ class TestRing:
     def unit_group(self):
         """{unit: order} for a finite ring, computed once and kept."""
         if self._unit_group is None:
+            if self._to_table > 0:   # keep every flag the scan computes
+                self.ring_table()
             self._unit_group = enumerate_units(self)
         return self._unit_group
 
     def ring_table(self):
+        """The index table of a finite ring, built on first call and kept;
+        from then on mul, add and is_unit of this ring are table lookups."""
         if self._ring_table is None:
-            self._ring_table = RingTable(self)
+            self._ring_table = table = RingTable(self)
+            self.mul, self.add, self.is_unit = table.element_ops()
         return self._ring_table
 
 
+_EMPTY = 0xFFFF   # an unfilled RingTable cell; indices stay below 512
+
+
 class RingTable:
-    """Index view of a finite TestRing: its elements, sorted, are numbered
-    0..|R|-1 and the ring operations are integer table lookups.  It speaks
-    the ring protocol on those indices (zero(), one, is_zero, add, mul, neg,
-    is_unit), so structure_mul, linalg.mat_mul and points.ring_det run on it
-    unchanged.  Build it through R.ring_table(), which keeps it."""
+    """Index view of a finite TestRing: its elements, in R.elements() order,
+    are numbered 0..|R|-1, and it speaks the ring protocol on those indices
+    (zero(), one, is_zero, add, mul, neg, is_unit), so structure_mul,
+    linalg.mat_mul and points.ring_det run on it unchanged.  Cells are filled
+    on first use by the coordinate kernel (TestRing.mul, TestRing.add, the
+    determinant test of TestRing.is_unit); a row is allocated when first
+    written.  It holds its ring weakly: the two form no reference cycle."""
 
     MAX_ELEMENTS = TABLE_MAX_ELEMENTS
+    # A ring moves onto its table after PAYS_AFTER * |R| coordinate products:
+    # a lookup that misses costs more than the product, so little-used rings
+    # (blocks and quotients in decompose_ring) are faster without one.
+    PAYS_AFTER = 4
 
     def __init__(self, R):
         count = R.element_count()
@@ -252,15 +263,32 @@ class RingTable:
             raise NotEnumerableError("ring over an infinite field")
         if count > self.MAX_ELEMENTS:
             raise CapExceededError("ring too large for table form (%d)" % count)
-        self.elems = sorted(R.elements(), key=R.sort_key)
+        self.elems = list(R.elements())
         self.index = {e: i for i, e in enumerate(self.elems)}
-        self.add_t = [[self.index[R.add(a, b)] for b in self.elems] for a in self.elems]
-        self.mul_t = [[self.index[R.mul(a, b)] for b in self.elems] for a in self.elems]
-        self.neg_t = [self.index[R.neg(a)] for a in self.elems]
-        units = R.unit_group()
-        self.unit = [a in units for a in self.elems]
+        self._ring = weakref.ref(R)
+        self._blank = array("H", [_EMPTY]) * count   # shared until written
+        self._mul = [self._blank] * count
+        self._add = [self._blank] * count
+        self._unit = bytearray(count)    # 0 unknown, 1 not a unit, 2 unit
         self._zero = self.index[R.zero()]
         self.one = self.index[R.one]
+
+    def element_ops(self):
+        """mul, add and is_unit on ring elements, through the indices."""
+        elems, index, mul, add, unit = (self.elems, self.index, self.mul,
+                                        self.add, self.is_unit)
+        return ((lambda x, y: elems[mul(index[x], index[y])]),
+                (lambda x, y: elems[add(index[x], index[y])]),
+                (lambda x: unit(index[x])))
+
+    def _fill(self, rows, kernel, a, b):
+        """Fill cell (a, b) from the kernel, and (b, a) if row b is written."""
+        if rows[a] is self._blank:
+            rows[a] = array("H", self._blank)
+        c = rows[a][b] = self.index[kernel(self._ring(), self.elems[a], self.elems[b])]
+        if rows[b] is not self._blank:
+            rows[b][a] = c
+        return c
 
     def zero(self):
         return self._zero
@@ -269,16 +297,20 @@ class RingTable:
         return a == self._zero
 
     def add(self, a, b):
-        return self.add_t[a][b]
+        c = self._add[a][b]
+        return c if c != _EMPTY else self._fill(self._add, TestRing.add, a, b)
 
     def mul(self, a, b):
-        return self.mul_t[a][b]
+        c = self._mul[a][b]
+        return c if c != _EMPTY else self._fill(self._mul, TestRing.mul, a, b)
 
     def neg(self, a):
-        return self.neg_t[a]
+        return self.index[TestRing.neg(self._ring(), self.elems[a])]
 
     def is_unit(self, a):
-        return self.unit[a]
+        if not self._unit[a]:
+            self._unit[a] = 1 + TestRing.is_unit(self._ring(), self.elems[a])
+        return self._unit[a] == 2
 
 
 def sparse_terms(F, table):
@@ -307,12 +339,6 @@ def structure_mul(terms, x, y, zero, is_zero, add, mul, scal):
             for k, c in cell:
                 out[k] = add(out[k], scal(c, ab))
     return tuple(out)
-
-
-def _columns(F, rows):
-    """Transpose a list of row vectors into a column matrix."""
-    n = len(rows[0])
-    return [[rows[r][c] for r in range(len(rows))] for c in range(n)]
 
 
 # ---------------------------------------------------------------------------
@@ -497,24 +523,16 @@ def _quotient_ring(R, ideal_basis):
             x[c] = coord
         return tuple(x)
 
-    k = len(free)
     # ideal check: basis * ideal stays in the ideal (reduces to zero)
     for i in range(R.dim):
         for v in ideal_basis:
             prod = R.mul(R._basis_vec(i), tuple(v))
             if any(not F.is_zero(c) for c in reduce_vec(prod)):
                 raise MathIdentityError("subspace is not an ideal")
-    table = [[None] * k for _ in range(k)]
-    for a in range(k):
-        for b in range(k):
-            prod = R.mul(lift_vec(_unit_vec(F, k, a)), lift_vec(_unit_vec(F, k, b)))
-            table[a][b] = reduce_vec(prod)
+    table = [[reduce_vec(R.mul(R._basis_vec(a), R._basis_vec(b))) for b in free]
+             for a in free]
     ring = TestRing(F, table, reduce_vec(R.one), label="%s/nil" % R.label)
     return _Quotient(ring, reduce_vec, lift_vec)
-
-
-def _unit_vec(F, n, i):
-    return tuple(F.one() if k == i else F.zero() for k in range(n))
 
 
 # ---------------------------------------------------------------------------

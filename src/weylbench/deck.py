@@ -114,6 +114,8 @@ def _split_decl(line, kind, line_no):
     name = name.strip()
     if not name.isidentifier():
         raise DeckError(line_no, "bad name %r" % name)
+    if not rhs.strip():
+        raise DeckError(line_no, "empty right-hand side in %s declaration" % kind)
     return name, rhs.strip()
 
 

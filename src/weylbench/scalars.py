@@ -6,9 +6,9 @@ elements); all operations live on the field object.  An extension of a finite
 field is certified irreducible when it is built (Rabin's test), and a
 reducible modulus is refused with a nontrivial factor.  Finite extensions
 with at most TABLE_MAX_ELEMENTS elements run on log/Zech tables built once;
-the rest, and all extensions of Q, run on polynomial arithmetic.  Over Q a
-reducible modulus is detected lazily, when an inversion meets a proper
-common factor.
+the rest, and all extensions of Q, run on polynomial arithmetic.  A modulus
+over Q is certified by factoring it (factorization.partial_factor); over an
+extension of Q it is not certified.
 """
 
 from __future__ import annotations
@@ -504,6 +504,8 @@ class ExtensionField(ExactField):
         q = self.cardinality()
         if q is not None:
             self._certify(q)
+        elif isinstance(base, RationalField):
+            self._certify_rational()
 
     def _certify(self, q):
         """Rabin's test; on a tabulated field the generator search is a
@@ -520,6 +522,17 @@ class ExtensionField(ExactField):
                 self._tabulate(g, q)
         if not irreducible:
             raise ReducibleModulusError(self._poly_str(nontrivial_factor(F, f)))
+
+    def _certify_rational(self):
+        """Over Q: a repeated factor shows as gcd(f, f'); else the least of
+        the certified irreducible factors of f (Zassenhaus) must be f."""
+        from .factorization import partial_factor  # it imports this module
+        F, f = self.base, [Fraction(c) for c in self.modulus]
+        g = poly_gcd(F, f, poly_deriv(F, f))
+        if poly_deg(g) == 0:
+            g = partial_factor(F, f)[0].poly
+        if poly_deg(g) < self.degree:
+            raise ReducibleModulusError(self._poly_str(g))
 
     def _poly_str(self, coeffs):
         return "[" + ",".join(self.base.to_str(c) for c in coeffs) + "]"

@@ -1,8 +1,13 @@
+import contextlib
+import io
 import os
+import re
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from weylbench.cli import main, run_command
 from weylbench.deck import parse_deck
@@ -208,7 +213,10 @@ def test_cap_flag_limits_enumeration():
     ("field F3 = prime 3\nalgebra A over F3 dim 2 basis e1,e2\nmul e1 e1 = 1/0 e2\n", 3),
     ("field Q = rationals\nalgebra A over Q dim 1 basis e\nmul e e = 1/0 e\n", 3),
     ("field Q = rationals\ngroup G = Z^-2\n", 2),
-], ids=["prime-x", "group-Zq", "F3-one-over-zero", "Q-one-over-zero", "negative-rank"])
+    ("field Q =\n", 1),
+    ("field Q = rationals\nring R =\n", 2),
+], ids=["prime-x", "group-Zq", "F3-one-over-zero", "Q-one-over-zero", "negative-rank",
+        "field-empty-rhs", "ring-empty-rhs"])
 def test_bad_deck_literal_exits_2_with_line(tmp_path, capsys, text, line):
     deck = tmp_path / "bad.deck"
     deck.write_text(text)
@@ -242,3 +250,64 @@ def test_reducible_modulus_exits_2_with_line(tmp_path, capsys, modulus):
     assert main(["--deck", str(deck), "check"]) == 2
     assert capsys.readouterr().out.startswith(
         "error=input: line 2: extension modulus is reducible, it has the factor [")
+
+
+@pytest.mark.parametrize("modulus, factor", [("[4,0,0,0,1]", "[2,-2,1]"),
+                                             ("[1,0,2,0,1]", "[1,0,1]")],
+                         ids=["t4-plus-4", "t2-plus-1-squared"])
+def test_reducible_modulus_over_q_exits_2_with_line(tmp_path, capsys, modulus, factor):
+    # t^4 + 4 = (t^2 - 2t + 2)(t^2 + 2t + 2); (t^2 + 1)^2 shows as gcd(f, f')
+    deck = tmp_path / "bad.deck"
+    deck.write_text("field Q = rationals\nfield K = extend Q %s\n" % modulus)
+    assert main(["--deck", str(deck), "check"]) == 2
+    assert capsys.readouterr().out == (
+        "error=input: line 2: extension modulus is reducible, it has the factor %s\n"
+        % factor)
+
+
+def test_irreducible_modulus_over_q_is_accepted(tmp_path):
+    deck = tmp_path / "quartic.deck"
+    deck.write_text("field Q = rationals\nfield K = extend Q [-2,0,0,0,1]\n")
+    assert main(["--deck", str(deck), "check"]) == 0
+
+
+BUNDLED = {name: load(name) for name in ("ex24.deck", "ex26.deck", "ex34.deck", "triv.deck")}
+MUTANT_COMMANDS = (["check"], ["support", "Gamma"], ["universal", "Gamma"], ["weyl", "Gamma"])
+
+
+@st.composite
+def mutated_decks(draw):
+    """A bundled deck with one line mutated: a token dropped or duplicated,
+    or one integer replaced by a small one."""
+    lines = BUNDLED[draw(st.sampled_from(sorted(BUNDLED)))].splitlines()
+    i = draw(st.integers(0, len(lines) - 1))
+    numbers = list(re.finditer(r"-?\d+", lines[i]))
+    op = draw(st.sampled_from(["drop", "duplicate", "integer"]))
+    if op == "integer" and numbers:
+        m = draw(st.sampled_from(numbers))
+        lines[i] = lines[i][:m.start()] + str(draw(st.integers(-3, 12))) + lines[i][m.end():]
+    elif lines[i].split():
+        toks = lines[i].split()
+        k = draw(st.integers(0, len(toks) - 1))
+        toks[k:k + 1] = [] if op == "drop" else [toks[k]] * 2
+        lines[i] = " ".join(toks)
+    return "\n".join(lines) + "\n"
+
+
+@pytest.fixture(scope="module")
+def mutant_path(tmp_path_factory):
+    return str(tmp_path_factory.mktemp("mutants") / "mutant.deck")
+
+
+@settings(derandomize=True, max_examples=120, deadline=None, database=None)
+@given(mutated_decks())
+def test_mutated_decks_exit_0_or_2(mutant_path, text):
+    # in-process, so an uncaught exception (a traceback) fails the test itself
+    with open(mutant_path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+    for argv in MUTANT_COMMANDS:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(["--deck", mutant_path] + argv)
+        assert code in (0, 2), (text, argv, out.getvalue())
+        assert "error=identity" not in out.getvalue(), (text, argv)

@@ -4,8 +4,10 @@ against the points-layer loop it replaced, the O(1) zero tests against
 comparison with the field's zero, and the index view of a finite ring
 against its element operations."""
 
+import gc
 import itertools
 import random
+import weakref
 from fractions import Fraction
 
 from hypothesis import given, settings
@@ -13,13 +15,14 @@ from hypothesis import strategies as st
 
 import weylbench as wb
 from weylbench import abgroups, comrings, galg, linalg, points
-from conftest import para_hurwitz_grading
+from conftest import battery_rings, para_hurwitz_grading
 
 KERNEL = settings(derandomize=True, max_examples=40, deadline=None, database=None)
 
 Q = wb.rationals()
 F3 = wb.prime_field(3)
 F5 = wb.prime_field(5)
+F7 = wb.prime_field(7)
 F9 = wb.extension_field(F3, [1, 0, 1])
 F81 = wb.extension_field(F9, [(2, 2), (0, 0), (1, 0)])
 QSQRT2 = wb.extension_field(Q, [Fraction(-2), Fraction(0), Fraction(1)])
@@ -270,16 +273,16 @@ def perm_parity(perm):
 
 def leibniz_det(table, cols):
     """The Leibniz sum on table indices that enumerate_points used before
-    ring_det, kept as the reference; it tested table.unit[] of this sum."""
+    ring_det, kept as the reference; it tested the unit flag of this sum."""
     n = len(cols)
     acc = table.zero()
     for perm in itertools.permutations(range(n)):
         term = table.one
         for r, c in zip(perm, range(n)):
-            term = table.mul_t[term][cols[c][r]]
+            term = table.mul(term, cols[c][r])
         if perm_parity(perm) < 0:
-            term = table.neg_t[term]
-        acc = table.add_t[acc][term]
+            term = table.neg(term)
+        acc = table.add(acc, term)
     return acc
 
 
@@ -294,7 +297,7 @@ def test_ring_det_over_table_matches_elements_and_leibniz(name, n, data):
     assert T.elems[d] == points.ring_det(R, [[T.elems[a] for a in row] for row in rows])
     cols = [[rows[k][j] for k in range(n)] for j in range(n)]
     assert d == leibniz_det(T, cols)
-    assert T.is_unit(d) == T.unit[leibniz_det(T, cols)]
+    assert T.is_unit(d) == T.is_unit(leibniz_det(T, cols))
 
 
 def test_ring_table_is_built_once_per_ring(monkeypatch):
@@ -313,3 +316,87 @@ def test_ring_table_is_built_once_per_ring(monkeypatch):
     first = points.enumerate_points(gr, R, "aut")
     assert points.enumerate_points(gr, R, "aut") == first
     assert builds == [R]
+
+
+BATTERY_RING_NAMES = ("base", "dual2", "dual3", "FxF", "FC2", "FC3")
+
+
+def bound_rings():
+    """Every battery ring with at most RingTable.MAX_ELEMENTS elements over
+    F3, F5, F7 and F9, moved onto its table."""
+    out = {}
+    for fname, F in (("F3", F3), ("F5", F5), ("F7", F7), ("F9", F9)):
+        for rname, R in zip(BATTERY_RING_NAMES, battery_rings(F)):
+            if R.element_count() <= comrings.RingTable.MAX_ELEMENTS:
+                R.ring_table()
+                out["%s/%s" % (rname, fname)] = R
+    return out
+
+
+BOUND_RINGS = bound_rings()
+
+
+def coordinate_is_unit(R, x):
+    """The determinant test on coordinates only."""
+    cols = [comrings.TestRing.mul(R, x, R._basis_vec(j)) for j in range(R.dim)]
+    M = [[col[k] for col in cols] for k in range(R.dim)]
+    return not R.field.is_zero(linalg.det(R.field, M))
+
+
+@KERNEL
+@given(st.sampled_from(sorted(BOUND_RINGS)), st.integers(0, 9), st.data())
+def test_bound_table_ops_match_coordinate_path(name, n, data):
+    R = BOUND_RINGS[name]
+    TR = comrings.TestRing
+    assert {"mul", "add", "is_unit"} <= set(vars(R))
+    x, y = data.draw(vectors(R.field, R.dim)), data.draw(vectors(R.field, R.dim))
+    assert R.mul(x, y) == TR.mul(R, x, y) and type(R.mul(x, y)) is tuple
+    assert R.add(x, y) == TR.add(R, x, y) and type(R.add(x, y)) is tuple
+    assert R.is_unit(x) == coordinate_is_unit(R, x)
+    power = R.one
+    for _ in range(n):
+        power = TR.mul(R, power, x)
+    assert R.pow_element(x, n) == power
+
+
+def test_ring_moves_onto_its_table_after_its_products_pay():
+    R = comrings.dual_numbers(F5, 2)   # 25 elements
+    x = (F5.one(), F5.from_int(2))
+    for _ in range(comrings.RingTable.PAYS_AFTER * 25 - 1):
+        R.mul(x, x)
+    assert not {"mul", "add", "is_unit"} & set(vars(R))
+    R.mul(x, x)
+    assert {"mul", "add", "is_unit"} <= set(vars(R))
+    assert R.mul(x, x) == comrings.TestRing.mul(R, x, x)
+
+
+def test_q_and_large_rings_never_bind_table_ops():
+    for R in (comrings.dual_numbers(Q, 2), comrings.dual_numbers(F9, 3)):
+        x = tuple(R.field.one() for _ in range(R.dim))
+        # more products than would move a ring of 729 elements (F9[eps]/eps^3)
+        for _ in range(comrings.RingTable.PAYS_AFTER * 729 + 1):
+            R.mul(x, x)
+        assert not {"mul", "add", "is_unit"} & set(vars(R)), R.label
+
+
+def test_tabulated_ring_is_freed_without_the_cycle_collector():
+    R = comrings.dual_numbers(F3, 2)
+    R.unit_group()
+    assert {"mul", "add", "is_unit"} <= set(vars(R))
+    ref = weakref.ref(R)
+    gc.disable()
+    try:
+        del R
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
+def test_unit_group_makes_one_determinant_test_per_element(monkeypatch):
+    R = comrings.dual_numbers(F5, 3)
+    det, calls = linalg.det, []
+    monkeypatch.setattr(linalg, "det", lambda F, M: calls.append(M) or det(F, M))
+    units = R.unit_group()
+    assert len(calls) == R.element_count() == 125 and len(units) == 100
+    assert sum(map(R.is_unit, R.elements())) == 100
+    assert len(calls) == 125
