@@ -24,6 +24,7 @@ from .errors import (
     NotEnumerableError,
     RingAxiomError,
     SingularMatrixError,
+    WorkbenchError,
 )
 from .factorization import crt_idempotent_polys, int_divisors, partial_factor
 from .scalars import (TABLE_MAX_ELEMENTS, poly_divmod, poly_eval, poly_trim,
@@ -104,8 +105,13 @@ class TestRing:
 
     def mul_matrix(self, x):
         """Matrix of multiplication-by-x on the canonical basis (columns)."""
-        cols = [self.mul(x, self._basis_vec(j)) for j in range(self.dim)]
-        return [list(row) for row in zip(*cols)]
+        F = self.field
+        M = [[F.zero()] * self.dim for _ in range(self.dim)]
+        for j in range(self.dim):
+            col = self.mul(x, self._basis_vec(j))
+            for k in range(self.dim):
+                M[k][j] = col[k]
+        return M
 
     def _basis_vec(self, i):
         F = self.field
@@ -203,13 +209,16 @@ class TestRing:
         if e in self._block_cache:
             return self._block_cache[e]
         F = self.field
-        span = [list(self.mul(e, self._basis_vec(i))) for i in range(self.dim)]
+        span = []
+        for i in range(self.dim):
+            span.append(list(self.mul(e, self._basis_vec(i))))
         R, pivots = linalg.rref(F, span)
         basis = [tuple(R[r]) for r in range(len(pivots))]
-        columns = [list(c) for c in zip(*basis)]
 
         def project(x):
-            return tuple(linalg.solve(F, columns, list(self.mul(e, x))))
+            xe = self.mul(e, x)
+            coords = linalg.solve(F, _columns(F, basis), list(xe))
+            return tuple(coords)
 
         def inject(bx):
             acc = self.zero()
@@ -217,7 +226,11 @@ class TestRing:
                 acc = self.add(acc, self.scal(c, b))
             return acc
 
-        table = [[project(self.mul(bi, bj)) for bj in basis] for bi in basis]
+        k = len(basis)
+        table = [[None] * k for _ in range(k)]
+        for i in range(k):
+            for j in range(k):
+                table[i][j] = project(self.mul(basis[i], basis[j]))
         ring = TestRing(F, table, project(e), label="%s|block" % self.label)
         self._block_cache[e] = (ring, project, inject)
         return self._block_cache[e]
@@ -232,7 +245,8 @@ class TestRing:
 
     def ring_table(self):
         """The index table of a finite ring, built on first call and kept;
-        from then on mul, add and is_unit of this ring are table lookups."""
+        from then on mul, add and is_unit of this ring are table lookups.
+        The table holds the ring weakly and is valid only while it is alive."""
         if self._ring_table is None:
             self._ring_table = table = RingTable(self)
             self.mul, self.add, self.is_unit = table.element_ops()
@@ -265,7 +279,7 @@ class RingTable:
             raise CapExceededError("ring too large for table form (%d)" % count)
         self.elems = list(R.elements())
         self.index = {e: i for i, e in enumerate(self.elems)}
-        self._ring = weakref.ref(R)
+        self._ring_ref = weakref.ref(R)
         self._blank = array("H", [_EMPTY]) * count   # shared until written
         self._mul = [self._blank] * count
         self._add = [self._blank] * count
@@ -280,6 +294,13 @@ class RingTable:
         return ((lambda x, y: elems[mul(index[x], index[y])]),
                 (lambda x, y: elems[add(index[x], index[y])]),
                 (lambda x: unit(index[x])))
+
+    def _ring(self):
+        R = self._ring_ref()
+        if R is None:
+            raise WorkbenchError("the ring of this RingTable is gone; a table is "
+                                 "valid only while its ring is alive")
+        return R
 
     def _fill(self, rows, kernel, a, b):
         """Fill cell (a, b) from the kernel, and (b, a) if row b is written."""
@@ -339,6 +360,12 @@ def structure_mul(terms, x, y, zero, is_zero, add, mul, scal):
             for k, c in cell:
                 out[k] = add(out[k], scal(c, ab))
     return tuple(out)
+
+
+def _columns(F, rows):
+    """Transpose a list of row vectors into a column matrix."""
+    n = len(rows[0])
+    return [[rows[r][c] for r in range(len(rows))] for c in range(n)]
 
 
 # ---------------------------------------------------------------------------
@@ -523,16 +550,24 @@ def _quotient_ring(R, ideal_basis):
             x[c] = coord
         return tuple(x)
 
+    k = len(free)
     # ideal check: basis * ideal stays in the ideal (reduces to zero)
     for i in range(R.dim):
         for v in ideal_basis:
             prod = R.mul(R._basis_vec(i), tuple(v))
             if any(not F.is_zero(c) for c in reduce_vec(prod)):
                 raise MathIdentityError("subspace is not an ideal")
-    table = [[reduce_vec(R.mul(R._basis_vec(a), R._basis_vec(b))) for b in free]
-             for a in free]
+    table = [[None] * k for _ in range(k)]
+    for a in range(k):
+        for b in range(k):
+            prod = R.mul(lift_vec(_unit_vec(F, k, a)), lift_vec(_unit_vec(F, k, b)))
+            table[a][b] = reduce_vec(prod)
     ring = TestRing(F, table, reduce_vec(R.one), label="%s/nil" % R.label)
     return _Quotient(ring, reduce_vec, lift_vec)
+
+
+def _unit_vec(F, n, i):
+    return tuple(F.one() if k == i else F.zero() for k in range(n))
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ class DivisionByZeroError(WorkbenchError):
 
 class ReducibleModulusError(InputError):
     """An extension modulus is reducible: refused at construction over a
-    finite base, found during inversion over Q."""
+    finite base or Q, found during inversion over an extension of Q."""
 
     def __init__(self, factor):
         super().__init__("extension modulus is reducible, it has the factor %s" % factor)

@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from . import scalars
 from .abgroups import INTEGERS
-from .errors import MathIdentityError
+from .errors import CapExceededError, MathIdentityError
 from .scalars import (
     PrimeField,
     RationalField,
@@ -117,9 +117,12 @@ def _exact_quotient(g, h):
     return None if any(r) else q
 
 
+RECOMBINATION_CAP = 4096  # subsets of lifted factors tried by _zassenhaus
+
+
 def _zassenhaus(g):
     """The monic irreducible factors over Z of a squarefree monic integer g
-    of degree >= 2."""
+    of degree >= 2; CapExceededError after RECOMBINATION_CAP subset tries."""
     n = len(g) - 1
     p = next(q for q in itertools.count(3, 2)
              if scalars.is_prime(q) and _squarefree(PrimeField(q), [c % q for c in g]))
@@ -134,9 +137,12 @@ def _zassenhaus(g):
         A, cofactor = _hensel_lift(Fp, cofactor, a, b, m)
         lifted.append(A)
     lifted.append([c % m for c in cofactor])
-    found, rest, size = [], g, 1
+    found, rest, size, tries = [], g, 1, itertools.count(1)
     while 2 * size <= len(lifted):
         for subset in itertools.combinations(range(len(lifted)), size):
+            if next(tries) > RECOMBINATION_CAP:
+                raise CapExceededError("factor recombination over %d modular factors "
+                                       "exceeds %d subsets" % (len(lifted), RECOMBINATION_CAP))
             h = [1]
             for i in subset:
                 h = [c % m for c in poly_mul(INTEGERS, h, lifted[i])]

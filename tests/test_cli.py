@@ -271,7 +271,28 @@ def test_irreducible_modulus_over_q_is_accepted(tmp_path):
     assert main(["--deck", str(deck), "check"]) == 0
 
 
-BUNDLED = {name: load(name) for name in ("ex24.deck", "ex26.deck", "ex34.deck", "triv.deck")}
+# The Swinnerton-Dyer polynomial of sqrt 2, 3, 5, 7, 11 (degree 32, low first):
+# irreducible, yet 16 quadratic factors mod every prime, so certifying it
+# would try about 39,000 subsets of lifted factors.
+SWINNERTON_DYER_5 = [
+    2000989041197056, 0, -44660812492570624, 0, 183876928237731840, 0,
+    -255690851718529024, 0, 172580952324702208, 0, -65892492886671360, 0,
+    15459151516270592, 0, -2349014746136576, 0, 239210760462336, 0,
+    -16665641517056, 0, 801918722048, 0, -26625650688, 0, 602397952, 0,
+    -9028096, 0, 84864, 0, -448, 0, 1]
+
+
+def test_modulus_over_q_past_the_recombination_cap_exits_2_with_line(tmp_path, capsys):
+    deck = tmp_path / "sd5.deck"
+    deck.write_text("field Q = rationals\nfield K = extend Q [%s]\n"
+                    % ",".join(map(str, SWINNERTON_DYER_5)))
+    assert main(["--deck", str(deck), "check"]) == 2
+    assert capsys.readouterr().out == (
+        "error=input: line 2: factor recombination over 16 modular factors "
+        "exceeds 4096 subsets\n")
+
+
+BUNDLED ={name: load(name) for name in ("ex24.deck", "ex26.deck", "ex34.deck", "triv.deck")}
 MUTANT_COMMANDS = (["check"], ["support", "Gamma"], ["universal", "Gamma"], ["weyl", "Gamma"])
 
 

@@ -10,16 +10,19 @@ import random
 import weakref
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import weylbench as wb
 from weylbench import abgroups, comrings, galg, linalg, points
+from weylbench.errors import WorkbenchError
 from conftest import battery_rings, para_hurwitz_grading
 
 KERNEL = settings(derandomize=True, max_examples=40, deadline=None, database=None)
 
 Q = wb.rationals()
+F2 = wb.prime_field(2)
 F3 = wb.prime_field(3)
 F5 = wb.prime_field(5)
 F7 = wb.prime_field(7)
@@ -221,7 +224,7 @@ def test_mat_mul_matches_points_loop(name, n, data):
 
 def table_rings():
     out = {}
-    for name, F in (("F2", wb.prime_field(2)), ("F3", F3)):
+    for name, F in (("F2", F2), ("F3", F3)):
         base = comrings.base_field_ring(F)
         out["dual2/" + name] = comrings.dual_numbers(F, 2)
         out["dual3/" + name] = comrings.dual_numbers(F, 3)
@@ -233,6 +236,40 @@ def table_rings():
 TABLE_RINGS = table_rings()
 
 
+def coordinate_is_unit(R, x):
+    """The determinant test on coordinates only."""
+    cols = [comrings.TestRing.mul(R, x, R._basis_vec(j)) for j in range(R.dim)]
+    M = [[col[k] for col in cols] for k in range(R.dim)]
+    return not R.field.is_zero(linalg.det(R.field, M))
+
+
+class Coordinates:
+    """The ring protocol of R on elements through the class-level coordinate
+    kernels, also after R has moved onto its table: the oracle for the table
+    and for the ops it binds on R."""
+
+    def __init__(self, R):
+        self.R, self.one = R, R.one
+
+    def zero(self):
+        return self.R.zero()
+
+    def is_zero(self, x):
+        return self.R.is_zero(x)
+
+    def add(self, x, y):
+        return comrings.TestRing.add(self.R, x, y)
+
+    def mul(self, x, y):
+        return comrings.TestRing.mul(self.R, x, y)
+
+    def neg(self, x):
+        return comrings.TestRing.neg(self.R, x)
+
+    def is_unit(self, x):
+        return coordinate_is_unit(self.R, x)
+
+
 def indices(table):
     """Table indices, the zero index about half of the time."""
     return st.one_of(st.just(table.zero()), st.integers(0, len(table.elems) - 1))
@@ -242,16 +279,16 @@ def indices(table):
 @given(st.sampled_from(sorted(TABLE_RINGS)), st.data())
 def test_ring_table_ops_match_element_ops(name, data):
     R = TABLE_RINGS[name]
-    T = R.ring_table()
+    T, C = R.ring_table(), Coordinates(R)
     a, b = data.draw(indices(T)), data.draw(indices(T))
     x, y = T.elems[a], T.elems[b]
     assert T.index[x] == a
-    assert T.elems[T.zero()] == R.zero() and T.elems[T.one] == R.one
-    assert T.is_zero(a) == R.is_zero(x)
-    assert T.elems[T.add(a, b)] == R.add(x, y)
-    assert T.elems[T.mul(a, b)] == R.mul(x, y)
-    assert T.elems[T.neg(a)] == R.neg(x)
-    assert T.is_unit(a) == R.is_unit(x)
+    assert T.elems[T.zero()] == C.zero() and T.elems[T.one] == C.one
+    assert T.is_zero(a) == C.is_zero(x)
+    assert T.elems[T.add(a, b)] == C.add(x, y)
+    assert T.elems[T.mul(a, b)] == C.mul(x, y)
+    assert T.elems[T.neg(a)] == C.neg(x)
+    assert T.is_unit(a) == C.is_unit(x)
 
 
 def perm_parity(perm):
@@ -294,7 +331,8 @@ def test_ring_det_over_table_matches_elements_and_leibniz(name, n, data):
     rows = data.draw(st.lists(st.lists(indices(T), min_size=n, max_size=n),
                               min_size=n, max_size=n))
     d = points.ring_det(T, rows)
-    assert T.elems[d] == points.ring_det(R, [[T.elems[a] for a in row] for row in rows])
+    assert T.elems[d] == points.ring_det(Coordinates(R),
+                                         [[T.elems[a] for a in row] for row in rows])
     cols = [[rows[k][j] for k in range(n)] for j in range(n)]
     assert d == leibniz_det(T, cols)
     assert T.is_unit(d) == T.is_unit(leibniz_det(T, cols))
@@ -323,9 +361,9 @@ BATTERY_RING_NAMES = ("base", "dual2", "dual3", "FxF", "FC2", "FC3")
 
 def bound_rings():
     """Every battery ring with at most RingTable.MAX_ELEMENTS elements over
-    F3, F5, F7 and F9, moved onto its table."""
+    F2, F3, F5, F7 and F9, moved onto its table."""
     out = {}
-    for fname, F in (("F3", F3), ("F5", F5), ("F7", F7), ("F9", F9)):
+    for fname, F in (("F2", F2), ("F3", F3), ("F5", F5), ("F7", F7), ("F9", F9)):
         for rname, R in zip(BATTERY_RING_NAMES, battery_rings(F)):
             if R.element_count() <= comrings.RingTable.MAX_ELEMENTS:
                 R.ring_table()
@@ -334,13 +372,6 @@ def bound_rings():
 
 
 BOUND_RINGS = bound_rings()
-
-
-def coordinate_is_unit(R, x):
-    """The determinant test on coordinates only."""
-    cols = [comrings.TestRing.mul(R, x, R._basis_vec(j)) for j in range(R.dim)]
-    M = [[col[k] for col in cols] for k in range(R.dim)]
-    return not R.field.is_zero(linalg.det(R.field, M))
 
 
 @KERNEL
@@ -390,6 +421,15 @@ def test_tabulated_ring_is_freed_without_the_cycle_collector():
         assert ref() is None
     finally:
         gc.enable()
+
+
+def test_table_kept_past_its_ring_raises_a_clear_error():
+    T = comrings.dual_numbers(F3, 2).ring_table()
+    gc.collect()
+    for op in (lambda: T.mul(1, 2), lambda: T.add(1, 2), lambda: T.neg(1),
+               lambda: T.is_unit(1)):
+        with pytest.raises(WorkbenchError, match="valid only while its ring is alive"):
+            op()
 
 
 def test_unit_group_makes_one_determinant_test_per_element(monkeypatch):
