@@ -12,7 +12,6 @@ from __future__ import annotations
 import itertools
 import weakref
 from array import array
-from dataclasses import dataclass
 
 from . import linalg
 from .abgroups import FGAbelianGroup
@@ -49,6 +48,7 @@ class TestRing:
         self._hint = idempotent_hint
         self._idempotents = None
         self._nilradical = None
+        self._nil_quotient = None   # R/nil, kept from the reducedness check
         self._unit_group = None
         self._ring_table = None
         self._block_cache = {}
@@ -189,7 +189,7 @@ class TestRing:
     def nilradical(self):
         if self._nilradical is None:
             self._nilradical = tuple(tuple(v) for v in _nilradical_basis(self))
-            _verify_nilradical(self, self._nilradical)
+            self._nil_quotient = _verify_nilradical(self, self._nilradical)
         return self._nilradical
 
     def idempotents(self):
@@ -204,35 +204,16 @@ class TestRing:
         return self._idempotents
 
     def block(self, e):
-        """The block ring eR with unit e; returns (ring, project, inject)."""
+        """The block ring eR with unit e, built as R/(1-e)R; returns (ring,
+        project, inject): project(x) is the class of x, which is that of ex,
+        and inject(b) = e * lift(b) lies in eR."""
         e = tuple(e)
-        if e in self._block_cache:
-            return self._block_cache[e]
-        F = self.field
-        span = []
-        for i in range(self.dim):
-            span.append(list(self.mul(e, self._basis_vec(i))))
-        R, pivots = linalg.rref(F, span)
-        basis = [tuple(R[r]) for r in range(len(pivots))]
-
-        def project(x):
-            xe = self.mul(e, x)
-            coords = linalg.solve(F, _columns(F, basis), list(xe))
-            return tuple(coords)
-
-        def inject(bx):
-            acc = self.zero()
-            for c, b in zip(bx, basis):
-                acc = self.add(acc, self.scal(c, b))
-            return acc
-
-        k = len(basis)
-        table = [[None] * k for _ in range(k)]
-        for i in range(k):
-            for j in range(k):
-                table[i][j] = project(self.mul(basis[i], basis[j]))
-        ring = TestRing(F, table, project(e), label="%s|block" % self.label)
-        self._block_cache[e] = (ring, project, inject)
+        if e not in self._block_cache:
+            f = self.sub(self.one, e)
+            ring, project, lift = _quotient_ring(
+                self, [self.mul(f, self._basis_vec(i)) for i in range(self.dim)],
+                "%s|block" % self.label)
+            self._block_cache[e] = (ring, project, lambda b: self.mul(e, lift(b)))
         return self._block_cache[e]
 
     def unit_group(self):
@@ -362,33 +343,20 @@ def structure_mul(terms, x, y, zero, is_zero, add, mul, scal):
     return tuple(out)
 
 
-def _columns(F, rows):
-    """Transpose a list of row vectors into a column matrix."""
-    n = len(rows[0])
-    return [[rows[r][c] for r in range(len(rows))] for c in range(n)]
-
-
 # ---------------------------------------------------------------------------
 # constructors
 
 
 def base_field_ring(F, label=None):
-    return TestRing(F, [[(F.one(),)]], (F.one(),), label=label or "base")
+    """F itself, as F[t]/(t)."""
+    return truncated_poly(F, [F.zero(), F.one()], label=label or "base")
 
 
 def dual_numbers(F, n, label=None):
     """F[eps]/(eps^n); n = 1 degenerates to the base field."""
     if n < 1:
         raise InputError("dual number order must be >= 1")
-    table = [[None] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            v = [F.zero()] * n
-            if i + j < n:
-                v[i + j] = F.one()
-            table[i][j] = tuple(v)
-    one = tuple(F.one() if k == 0 else F.zero() for k in range(n))
-    return TestRing(F, table, one, label=label or "dual%d" % n)
+    return truncated_poly(F, [F.zero()] * n + [F.one()], label=label or "dual%d" % n)
 
 
 def product_ring(R1, R2, label=None):
@@ -508,41 +476,47 @@ def _nilradical_basis(R):
 
 
 def _verify_nilradical(R, basis):
+    """Check that basis spans a nil ideal with a reduced quotient, and return
+    that quotient R/nil (None when R is reduced)."""
     for v in basis:
         if not R.is_nilpotent(v):
             raise MathIdentityError("claimed nilradical vector is not nilpotent")
-    # the quotient must be reduced
-    if basis:
-        qr = _quotient_ring(R, [list(v) for v in basis])
-        sub = _nilradical_basis(qr.ring)
-        if sub:
-            raise MathIdentityError("quotient by nilradical is not reduced")
+    if not basis:
+        return None
+    quot = _quotient_ring(R, basis, "%s/nil" % R.label)
+    if _nilradical_basis(quot[0]):
+        raise MathIdentityError("quotient by nilradical is not reduced")
+    return quot
 
 
 # ---------------------------------------------------------------------------
 # quotients by an ideal subspace
 
 
-@dataclass
-class _Quotient:
-    ring: TestRing
-    project: object   # vec in R -> vec in quotient
-    lift: object      # vec in quotient -> representative in R
-
-
-def _quotient_ring(R, ideal_basis):
+def _quotient_ring(R, ideal_basis, label):
+    """R/I for the span I of ideal_basis, checked to be an ideal; returns
+    (ring, project, lift).  The quotient's basis is the classes of the
+    canonical basis vectors off the pivot columns of I in row echelon form:
+    project reduces a vector of R modulo I onto those coordinates, and lift
+    puts them back with zeros on the pivot columns."""
     F = R.field
     red, pivots = linalg.rref(F, [list(v) for v in ideal_basis])
     red = red[: len(pivots)]
     free = [c for c in range(R.dim) if c not in pivots]
 
+    # each echelon row off the pivot columns, as (free position, nonzero entry);
+    # a row is zero on the other rows' pivots, so x[pivot] is its multiplier
+    rows = [[(j, row[c]) for j, c in enumerate(free) if not F.is_zero(row[c])]
+            for row in red]
+
     def reduce_vec(x):
-        x = list(x)
-        for r, pc in enumerate(pivots):
+        out = [x[c] for c in free]
+        for pc, row in zip(pivots, rows):
             c = x[pc]
             if not F.is_zero(c):
-                x = [F.sub(a, F.mul(c, b)) for a, b in zip(x, red[r])]
-        return tuple(x[c] for c in free)
+                for j, b in row:
+                    out[j] = F.sub(out[j], F.mul(c, b))
+        return tuple(out)
 
     def lift_vec(qx):
         x = [F.zero()] * R.dim
@@ -550,24 +524,16 @@ def _quotient_ring(R, ideal_basis):
             x[c] = coord
         return tuple(x)
 
-    k = len(free)
     # ideal check: basis * ideal stays in the ideal (reduces to zero)
     for i in range(R.dim):
-        for v in ideal_basis:
+        for v in red:
             prod = R.mul(R._basis_vec(i), tuple(v))
             if any(not F.is_zero(c) for c in reduce_vec(prod)):
                 raise MathIdentityError("subspace is not an ideal")
-    table = [[None] * k for _ in range(k)]
-    for a in range(k):
-        for b in range(k):
-            prod = R.mul(lift_vec(_unit_vec(F, k, a)), lift_vec(_unit_vec(F, k, b)))
-            table[a][b] = reduce_vec(prod)
-    ring = TestRing(F, table, reduce_vec(R.one), label="%s/nil" % R.label)
-    return _Quotient(ring, reduce_vec, lift_vec)
-
-
-def _unit_vec(F, n, i):
-    return tuple(F.one() if k == i else F.zero() for k in range(n))
+    basis = [R._basis_vec(c) for c in free]
+    table = [[reduce_vec(R.mul(a, b)) for b in basis] for a in basis]
+    ring = TestRing(F, table, reduce_vec(R.one), label=label)
+    return ring, reduce_vec, lift_vec
 
 
 # ---------------------------------------------------------------------------
@@ -577,11 +543,9 @@ def _unit_vec(F, n, i):
 def decompose_ring(R):
     """Primitive orthogonal idempotents of R via nilradical + semisimple split
     + Newton lifting (e -> 3e^2 - 2e^3, valid in every characteristic)."""
-    nil = R.nilradical()
-    if nil:
-        quot = _quotient_ring(R, [list(v) for v in nil])
-        bar_idems = _split_semisimple(quot.ring)
-        idems = [_newton_lift(R, quot.lift(e)) for e in bar_idems]
+    if R.nilradical():
+        ring, _, lift = R._nil_quotient
+        idems = [_newton_lift(R, lift(e)) for e in _split_semisimple(ring)]
     else:
         idems = [tuple(e) for e in _split_semisimple(R)]
     _verify_idempotent_family(R, idems)
@@ -656,17 +620,7 @@ def _split_semisimple_finite(R):
     if len(roots) != len(mu) - 1:
         raise MathIdentityError("fixed element minimal polynomial did not split")
     roots.sort(key=F.sort_key)
-    out = []
-    for lam in roots:
-        e = R.one
-        for other in roots:
-            if other == lam:
-                continue
-            scale = F.inv(F.sub(lam, other))
-            factor = R.scal(scale, R.sub(a, R.from_field(other)))
-            e = R.mul(e, factor)
-        out.extend(_recurse_block(R, e))
-    return out
+    return _split_along(R, a, mu, [[F.neg(lam), F.one()] for lam in roots])
 
 
 def _split_semisimple_char0(R):
@@ -678,12 +632,7 @@ def _split_semisimple_char0(R):
             continue
         factors = partial_factor(F, mu)
         if len(factors) >= 2:
-            idem_polys = crt_idempotent_polys(F, mu, [f.poly for f in factors])
-            out = []
-            for ep in idem_polys:
-                e = _eval_poly_at_element(R, ep, b)
-                out.extend(_recurse_block(R, e))
-            return out
+            return _split_along(R, b, mu, [f.poly for f in factors])
     # no split found: certify that R is a field or give up
     for i in range(R.dim):
         mu = _min_poly_of_element(R, R._basis_vec(i))
@@ -694,6 +643,15 @@ def _split_semisimple_char0(R):
     raise FactorizationIncompleteError(
         "cannot certify connectedness of a %d-dimensional block over %r"
         % (R.dim, F))
+
+
+def _split_along(R, x, mu, factors):
+    """Split R along coprime factors of the minimal polynomial mu of x: the
+    CRT idempotents of F[t]/(mu) evaluated at x, each split further."""
+    out = []
+    for ep in crt_idempotent_polys(R.field, mu, factors):
+        out.extend(_recurse_block(R, _eval_poly_at_element(R, ep, x)))
+    return out
 
 
 def _recurse_block(R, e):

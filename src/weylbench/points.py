@@ -256,7 +256,12 @@ def character_point(gr, R, coords, values):
 
 
 def diag_points(gr, R, cap=10**6, cross_check=True):
-    """Diag(R) as explicit matrices via characters of the universal group."""
+    """Diag(R) as explicit matrices via characters of the universal group.
+    A finite R with more than cap elements is refused before its units are
+    scanned; cap also bounds the brute-force cross-check."""
+    count = R.element_count()
+    if count is not None and count > cap:
+        raise CapExceededError("|R| = %d exceeds cap %d" % (count, cap))
     uni = galg.universal_group(gr)
     U = uni.group
     units = _unit_map_for(R, U)

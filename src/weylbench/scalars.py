@@ -370,7 +370,7 @@ class RationalField(ExactField):
     def inv(self, a):
         if a == 0:
             raise DivisionByZeroError("division by zero in Q")
-        return 1 / a
+        return Fraction(a.denominator, a.numerator)
 
     def is_zero(self, a):
         return not a

@@ -11,6 +11,7 @@ component scalars, solved by Smith reduction of the exponent lattice.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 
 from . import points as pts
@@ -339,16 +340,23 @@ def weyl_over_field(gr, cap=10**8):
     if not F.is_finite():
         raise NonThinError(
             "non-thin Weyl groups need a finite base field for enumeration")
-    R = base_field_ring(F)
+    return _weyl_from_field_points(gr, cap)[2]
+
+
+def _weyl_from_field_points(gr, cap):
+    """(points, perms, W(F)): the points of Aut Gamma over the base field, the
+    support permutation of each, read from its one block certificate (a
+    field has one block), and the group W(F) of those permutations."""
+    points = pts.enumerate_points(gr, base_field_ring(gr.algebra.field), "autgamma", cap=cap)
     index = {g: i for i, g in enumerate(gr.support)}
-    image = set()
-    for p in pts.enumerate_points(gr, R, "autgamma", cap=cap):
+    perms = []
+    for p in points:
         cert = pts.block_permutations(gr, p)
         if not cert.ok or len(cert.certificates) != 1:
             raise MathIdentityError("field point without a unique permutation")
         sigma = cert.certificates[0][1]
-        image.add(tuple(index[sigma[g]] for g in gr.support))
-    return perm_group_from(image, gr.support)
+        perms.append(tuple(index[sigma[g]] for g in gr.support))
+    return points, perms, perm_group_from(set(perms), gr.support)
 
 
 def monomial_point(gr, system, witness, R):
@@ -394,10 +402,12 @@ def ses_check(gr, cap=10**8):
     else:
         if not F.is_finite():
             raise CapExceededError("non-thin exact-sequence check needs a finite field")
-        R = base_field_ring(F)
-        aut = len(pts.enumerate_points(gr, R, "autgamma", cap=cap))
-        stab = len(pts.enumerate_points(gr, R, "stab", cap=cap))
-        w = weyl_over_field(gr, cap=cap)
+        points, perms, w = _weyl_from_field_points(gr, cap)
+        aut = len(points)
+        stab = sum(1 for p in points if pts.stab_membership(gr, p))
+        # exactness: every sigma in W(F) has exactly |Stab(F)| preimages
+        if set(Counter(perms).values()) != {stab}:
+            raise MathIdentityError("a Weyl group element has other than |Stab| preimages")
     closure = weyl_closure(gr) if gr.is_thin() else None
     in_closure = True
     if closure is not None:

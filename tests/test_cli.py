@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -205,6 +206,18 @@ def test_cap_flag_limits_enumeration():
     with pytest.raises(CapExceededError):
         run(load("ex26.deck"), ["points", "Gamma", "over", "F3eps", "set=aut"],
             cap=2)
+
+
+def test_diag_points_over_a_ring_past_the_cap_exits_2(tmp_path, capsys):
+    # |R| = 3^12 > cap: refused before the 531,441-element unit scan
+    deck = tmp_path / "big.deck"
+    deck.write_text(load("triv.deck") + "ring F3eps12 = dual F3 12\n")
+    start = time.perf_counter()
+    code = main(["--deck", str(deck), "--cap", "20000",
+                 "points", "Gamma", "over", "F3eps12", "set=diag"])
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert capsys.readouterr().out == "error=input: |R| = 531441 exceeds cap 20000\n"
 
 
 @pytest.mark.parametrize("text, line", [

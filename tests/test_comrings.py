@@ -16,7 +16,7 @@ from weylbench.comrings import (
     product_ring,
     truncated_poly,
 )
-from weylbench.errors import RingAxiomError
+from weylbench.errors import MathIdentityError, RingAxiomError
 
 from conftest import battery_rings, zero_mult_grading
 
@@ -281,15 +281,64 @@ def test_group_algebra_ops(F3):
     assert list(GAZ.mul(a, b)) == [(1, -1)]
 
 
-def test_block_ring_roundtrip(Q):
-    R = group_algebra_finite(Q, cyclic_group(6))
-    for e in R.idempotents():
-        S, project, inject = R.block(e)
-        assert inject(S.one) == e
-        assert project(e) == S.one
-        # project is a ring map on the block
-        x = R.mul(e, R._basis_vec(1))
-        assert project(R.mul(x, x)) == S.mul(project(x), project(x))
+def test_block_ring_roundtrip(Q, F3, F7, F9):
+    eps_x_f3 = product_ring(dual_numbers(F3, 2), base_field_ring(F3))
+    rings = [group_algebra_finite(Q, cyclic_group(6)),
+             group_algebra_finite(F7, cyclic_group(6)),
+             group_algebra_finite(F3, cyclic_group(3)),
+             TestRing(F3, eps_x_f3.table, eps_x_f3.one),   # no idempotent hint
+             product_ring(base_field_ring(F9), base_field_ring(F9))]
+    for R in rings:
+        basis = [R._basis_vec(i) for i in range(R.dim)]
+        dims = 0
+        for e in R.idempotents():
+            S, project, inject = R.block(e)
+            dims += S.dim
+            assert project(e) == S.one
+            assert inject(S.one) == e
+            for x in basis:
+                assert inject(project(x)) == R.mul(e, x)
+                # project is a ring map
+                for y in basis:
+                    assert project(R.mul(x, y)) == S.mul(project(x), project(y))
+        assert dims == R.dim, R.label
+
+
+def test_decompose_ring_builds_the_reduced_quotient_once(F3, monkeypatch):
+    built = []
+    quotient_ring = comrings._quotient_ring
+
+    def counting(R, ideal_basis, *args):
+        built.append((R, [tuple(v) for v in ideal_basis]))
+        return quotient_ring(R, ideal_basis, *args)
+
+    monkeypatch.setattr(comrings, "_quotient_ring", counting)
+    R = product_ring(dual_numbers(F3, 3), base_field_ring(F3))
+    decompose_ring(R)
+    nil = list(R.nilradical())
+    assert len(nil) == 2
+    assert sum(1 for S, ideal in built if S is R and ideal == nil) == 1
+
+
+def test_quotient_ring_refuses_a_subspace_that_is_not_an_ideal(F3):
+    R = dual_numbers(F3, 3)
+    eps = (F3.zero(), F3.one(), F3.zero())
+    assert comrings._quotient_ring(R, [R.mul(eps, eps)], "ok")[0].dim == 2
+    with pytest.raises(MathIdentityError):
+        comrings._quotient_ring(R, [eps], "not an ideal")   # eps * eps is outside
+
+
+def test_polynomial_constructors_keep_their_tables(F2, F3, F9):
+    # the tables dual_numbers and base_field_ring were built from by hand
+    for F in (F2, F3, F9):
+        for n in range(1, 5):
+            table = tuple(tuple(tuple(F.one() if k == i + j else F.zero() for k in range(n))
+                                for j in range(n)) for i in range(n))
+            one = tuple(F.one() if k == 0 else F.zero() for k in range(n))
+            R = dual_numbers(F, n)
+            assert (R.table, R.one, R.label) == (table, one, "dual%d" % n)
+        B = base_field_ring(F)
+        assert (B.table, B.one, B.label) == ((((F.one(),),),), (F.one(),), "base")
 
 
 def test_parse_print_roundtrip(F3):

@@ -66,6 +66,16 @@ def test_inversion_examples():
         F9.inv(F9.zero())
 
 
+def test_rational_inverse_is_a_fraction():
+    # an int argument must not fall back to float division
+    Q = wb.rationals()
+    assert Q.inv(1) == Fraction(1) and type(Q.inv(1)) is Fraction
+    K = wb.extension_field(Q, [-2, 0, 1])
+    inv = K.inv(K.gen())
+    assert inv == (0, Fraction(1, 2))
+    assert all(type(c) is Fraction for c in inv)
+
+
 def test_reducible_modulus_refused_at_construction():
     F3 = wb.prime_field(3)
     # t^2 - 1 = (t-1)(t+1) is reducible; building the field must fail loudly
