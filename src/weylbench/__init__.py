@@ -25,6 +25,7 @@ from .comrings import (
 from .galg import (
     Algebra,
     Grading,
+    algebra_over,
     build_algebra,
     build_grading,
     extend_scalars,

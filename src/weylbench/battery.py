@@ -28,6 +28,14 @@ from .errors import (
 ENUM_BUDGET = 200_000
 POINT_CAP = 384
 SAMPLE_TARGET = 110
+# Sizes of the sample's sources, read by the helpers of _sampled_points.
+DIAG_FULL_CAP = 1500
+DIAG_KEEP = 64
+TORSION_CAP = 96
+RANDOM_UNITS = 4
+RANDOM_INVERTIBLES = 40
+BASE_FIELD_BUDGET = 20_000
+BLOCKWISE_COMBINATIONS = 48
 
 
 @dataclass
@@ -84,11 +92,11 @@ def battery_points(gr, R, seed=0x5EED):
             stride = max(1, len(enumerated) // max(SAMPLE_TARGET, 128))
             sampled = enumerated[::stride]
             return sampled, "sampled", len(sampled)
-    sampled = _sampled_points(gr, R, SAMPLE_TARGET, seed)
+    sampled = _sampled_points(gr, R, seed)
     return sampled, "sampled", max(SAMPLE_TARGET, len(sampled))
 
 
-def _sampled_points(gr, R, target, seed):
+def _sampled_points(gr, R, seed):
     rng = random.Random(seed)
     A = gr.algebra
     pool = {pts.identity_point(A, R).entries}
@@ -100,14 +108,14 @@ def _sampled_points(gr, R, target, seed):
     for p in _base_field_sample(gr, R):
         pool.add(p.entries)
     if _all_products_zero(A):
-        for p in _random_invertibles(gr, R, rng, 40):
+        for p in _random_invertibles(gr, R, rng):
             pool.add(p.entries)
     pool = _blockwise_combinations(gr, R, pool, rng)
 
     base = [pts.PointMatrix(A, R, e) for e in sorted(pool)]
     seen = set(pool)
     products = 0
-    while len(seen) < target and products < 4 * target and len(base) > 1:
+    while len(seen) < SAMPLE_TARGET and products < 4 * SAMPLE_TARGET and len(base) > 1:
         a, b = rng.choice(base), rng.choice(base)
         prod = linalg.mat_mul(R, a.entries, b.entries)
         ent = tuple(tuple(r) for r in prod)
@@ -127,15 +135,15 @@ def _all_products_zero(A):
     return all(F.is_zero(c) for row in A.table for cell in row for c in cell)
 
 
-def _diagonal_sample(gr, R, rng, full_cap=1500, keep=64):
+def _diagonal_sample(gr, R, rng):
     count = R.element_count()
-    if count is not None and count <= full_cap:
+    if count is not None and count <= DIAG_FULL_CAP:
         try:
             dp = pts.diag_points(gr, R, cross_check=False)
         except (NotEnumerableError, CapExceededError, FactorizationIncompleteError):
             return []
-        if len(dp) > keep:
-            dp = dp[::max(1, len(dp) // keep)][:keep]
+        if len(dp) > DIAG_KEEP:
+            dp = dp[::max(1, len(dp) // DIAG_KEEP)][:DIAG_KEEP]
         return dp
     # large or infinite ring: torsion units cover torsion generators of the
     # universal group; free generators get a few random units
@@ -148,7 +156,7 @@ def _diagonal_sample(gr, R, rng, full_cap=1500, keep=64):
             pools.append([u for u in torsion_units
                           if R.pow_element(u, d) == R.one])
         else:
-            pools.append(_random_units(R, rng, 4))
+            pools.append(_random_units(R, rng))
     assigns = [[]]
     for pool in pools:
         assigns = [a + [v] for a in assigns for v in pool]
@@ -162,7 +170,7 @@ def _diagonal_sample(gr, R, rng, full_cap=1500, keep=64):
     return out
 
 
-def _torsion_units(R, cap=96):
+def _torsion_units(R):
     """Finite-order units found structurally: +-1, group-algebra monomials,
     and products thereof."""
     seeds = {R.one, R.neg(R.one)}
@@ -174,7 +182,7 @@ def _torsion_units(R, cap=96):
             seeds.add(tuple(vec))
     closed = set(seeds)
     frontier = list(seeds)
-    while frontier and len(closed) < cap:
+    while frontier and len(closed) < TORSION_CAP:
         x = frontier.pop()
         for y in list(closed):
             z = R.mul(x, y)
@@ -186,7 +194,7 @@ def _torsion_units(R, cap=96):
         acc = u
         order = 1
         finite = False
-        for _ in range(cap):
+        for _ in range(TORSION_CAP):
             if acc == R.one:
                 finite = True
                 break
@@ -197,10 +205,10 @@ def _torsion_units(R, cap=96):
     return out
 
 
-def _random_units(R, rng, k):
+def _random_units(R, rng):
     out = []
     tries = 0
-    while len(out) < k and tries < 60:
+    while len(out) < RANDOM_UNITS and tries < 60:
         tries += 1
         vec = tuple(R.field.random_element(rng, 5) for _ in range(R.dim))
         if R.is_unit(vec) and vec not in out:
@@ -226,7 +234,7 @@ def _monomial_sample(gr, R):
     return out
 
 
-def _base_field_sample(gr, R, budget=20_000):
+def _base_field_sample(gr, R):
     """Automorphism points over the base field embedded into R."""
     from .comrings import base_field_ring
 
@@ -235,10 +243,10 @@ def _base_field_sample(gr, R, budget=20_000):
         return []
     base = base_field_ring(F)
     nodes = pts._estimated_nodes(gr.algebra, base)
-    if nodes is None or nodes > budget:
+    if nodes is None or nodes > BASE_FIELD_BUDGET:
         return []
     try:
-        field_points = pts.enumerate_points(gr, base, "aut", cap=budget)
+        field_points = pts.enumerate_points(gr, base, "aut", cap=BASE_FIELD_BUDGET)
     except (CapExceededError, NotEnumerableError):
         return []
     out = []
@@ -248,12 +256,12 @@ def _base_field_sample(gr, R, budget=20_000):
     return out
 
 
-def _random_invertibles(gr, R, rng, k):
+def _random_invertibles(gr, R, rng):
     A = gr.algebra
     n = A.dim
     out = []
     tries = 0
-    while len(out) < k and tries < 10 * k:
+    while len(out) < RANDOM_INVERTIBLES and tries < 10 * RANDOM_INVERTIBLES:
         tries += 1
         rows = [[tuple(R.field.random_element(rng, 5) for _ in range(R.dim))
                  for _ in range(n)] for _ in range(n)]
@@ -263,7 +271,7 @@ def _random_invertibles(gr, R, rng, k):
     return out
 
 
-def _blockwise_combinations(gr, R, pool, rng, limit=48):
+def _blockwise_combinations(gr, R, pool, rng):
     """For disconnected R, mix pool points blockwise: sum of e_i * p_i."""
     idems = R.idempotents()
     if len(idems) < 2 or len(pool) < 2:
@@ -272,7 +280,7 @@ def _blockwise_combinations(gr, R, pool, rng, limit=48):
     out = set(pool)
     combos = 0
     n = gr.algebra.dim
-    while combos < limit:
+    while combos < BLOCKWISE_COMBINATIONS:
         combos += 1
         acc = [[R.zero()] * n for _ in range(n)]
         for e in idems:

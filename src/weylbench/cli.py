@@ -10,7 +10,7 @@ import sys
 from . import battery as battery_mod
 from . import comrings, galg, points as pts, weyl
 from .deck import parse_deck
-from .errors import InputError, MathIdentityError, WorkbenchError
+from .errors import DeckError, InputError, MathIdentityError, WorkbenchError
 
 USAGE = """usage: weylbench --deck FILE [--cap N] [--mode closure|rational] COMMAND ...
 
@@ -67,10 +67,10 @@ def run_command(deck, tokens, cap=10**8, mode=None):
     return report
 
 
-def _grading_arg(deck, args, report_idx=0):
+def _grading_arg(deck, args):
     if not args:
         raise InputError("missing grading name")
-    name = args[report_idx]
+    name = args[0]
     if name not in deck.gradings:
         raise InputError("unknown grading %r" % name)
     return deck.gradings[name]
@@ -125,12 +125,6 @@ def _cmd_weyl(deck, args, report, cap, mode):
     report.kv("weyl.generators", group.generators_str())
 
 
-def _aligned(deck, gr, ring):
-    if gr.algebra.field == ring.field:
-        return gr
-    return galg.grading_over(gr, ring.field)
-
-
 def _ring_arg(deck, args):
     if "over" not in args:
         raise InputError("missing over RING")
@@ -155,7 +149,7 @@ def _cmd_points(deck, args, report, cap, mode):
     gr = _grading_arg(deck, args)
     ring = _ring_arg(deck, args)
     which = _set_arg(args, {"aut", "stab", "autgamma", "diag"})
-    gr = _aligned(deck, gr, ring)
+    gr = galg.grading_over(gr, ring.field)
     if which == "diag":
         plist = pts.diag_points(gr, ring, cap=cap)
     else:
@@ -173,7 +167,7 @@ def _cmd_member(deck, args, report, cap, mode):
     if not rest or rest[0] not in deck.gradings:
         raise InputError("missing in GRADING")
     gr = deck.gradings[rest[0]]
-    gr = _aligned(deck, gr, phi.ring)
+    gr = galg.grading_over(gr, phi.ring.field)
     if gr.algebra.table != phi.algebra.table:
         raise InputError("map and grading algebras differ")
     gr = galg.Grading(phi.algebra, gr.group, gr.degrees, label=gr.label)
@@ -262,7 +256,7 @@ def _cmd_ses(deck, args, report, cap, mode):
 def _cmd_verify(deck, args, report, cap, mode):
     gr = _grading_arg(deck, args)
     ring = _ring_arg(deck, args)
-    gr = _aligned(deck, gr, ring)
+    gr = galg.grading_over(gr, ring.field)
     res = battery_mod.theorem_battery(gr, ring)
     report.kv("points.mode", res.mode)
     report.kv("points.count", res.distinct_points)
@@ -270,6 +264,15 @@ def _cmd_verify(deck, args, report, cap, mode):
     report.add("norm==autGamma: ok (%d/%d)" % (res.norm_checked, res.distinct_points))
     if res.warn_nonsmooth:
         report.add(WARN_NONSMOOTH)
+
+
+def _decode_deck(data):
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # the bytes before the bad one decode; count lines as parse_deck does
+        line_no = len((data[:exc.start].decode("utf-8") + "x").splitlines())
+        raise DeckError(line_no, "deck is not valid UTF-8")
 
 
 def main(argv=None):
@@ -306,8 +309,8 @@ def main(argv=None):
     try:
         if flags["deck"] is None:
             raise InputError("missing --deck FILE")
-        with open(flags["deck"], "r", encoding="utf-8") as fh:
-            deck = parse_deck(fh.read())
+        with open(flags["deck"], "rb") as fh:
+            deck = parse_deck(_decode_deck(fh.read()))
         report = run_command(deck, tokens, cap=cap, mode=flags["mode"])
     except MathIdentityError as exc:
         print("error=identity: %s" % exc)

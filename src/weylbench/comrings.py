@@ -26,7 +26,8 @@ from .errors import (
     WorkbenchError,
 )
 from .factorization import crt_idempotent_polys, int_divisors, partial_factor
-from .scalars import (TABLE_MAX_ELEMENTS, poly_divmod, poly_eval, poly_trim,
+from .linalg import sparse_terms, structure_mul
+from .scalars import (TABLE_MAX_ELEMENTS, poly_eval, poly_trim, power_table,
                       split_bracketed)
 
 
@@ -315,34 +316,6 @@ class RingTable:
         return self._unit[a] == 2
 
 
-def sparse_terms(F, table):
-    """Compile structure constants: terms[i][j] lists the (k, c) with
-    table[i][j][k] = c nonzero, so products never visit a zero constant."""
-    return tuple(tuple(tuple((k, c) for k, c in enumerate(cell) if not F.is_zero(c))
-                       for cell in row) for row in table)
-
-
-def structure_mul(terms, x, y, zero, is_zero, add, mul, scal):
-    """The product sum_{i,j,k} x_i y_j c_ijk e_k from compiled terms.
-
-    Coordinates live in any commutative ring given by zero/is_zero/add/mul,
-    and scal(c, r) multiplies r by a structure constant c.  Zero coordinates
-    and empty cells are skipped, so each x_i y_j is formed only when needed."""
-    out = [zero] * len(terms)
-    for i, a in enumerate(x):
-        if is_zero(a):
-            continue
-        row = terms[i]
-        for j, b in enumerate(y):
-            cell = row[j]
-            if not cell or is_zero(b):
-                continue
-            ab = mul(a, b)
-            for k, c in cell:
-                out[k] = add(out[k], scal(c, ab))
-    return tuple(out)
-
-
 # ---------------------------------------------------------------------------
 # constructors
 
@@ -413,16 +386,8 @@ def truncated_poly(F, modulus, label=None):
         raise InputError("modulus must have degree >= 1")
     if not F.eq(modulus[-1], F.one()):
         raise InputError("modulus must be monic")
-    d = len(modulus) - 1
-    table = [[None] * d for _ in range(d)]
-    for i in range(d):
-        for j in range(d):
-            prod = [F.zero()] * (i + j) + [F.one()]
-            rem = poly_divmod(F, prod, modulus)[1]
-            rem = rem + [F.zero()] * (d - len(rem))
-            table[i][j] = tuple(rem[:d])
-    one = tuple(F.one() if k == 0 else F.zero() for k in range(d))
-    return TestRing(F, table, one, label=label or "trunc")
+    table = power_table(F, modulus)
+    return TestRing(F, table, table[0][0], label=label or "trunc")   # t^0 is the unit
 
 
 def build_ring(spec):

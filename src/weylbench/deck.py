@@ -339,18 +339,9 @@ def _parse_map(deck, line, line_no):
         if len(cells) != algebra.dim:
             raise DeckError(line_no, "matrix rows need %d entries" % algebra.dim)
         rows.append([ring.parse(c) for c in cells])
-    target_algebra = _algebra_over_ring_field(deck, algebra, ring, line_no)
-    deck.maps[name] = point_matrix(target_algebra, ring, rows)
-    deck.decls.append(line_canonical(line))
-
-
-def _algebra_over_ring_field(deck, algebra, ring, line_no):
-    if algebra.field == ring.field:
-        return algebra
-    # move the algebra to the ring's base field when a canonical map exists
-    probe = galg.Grading(algebra, trivial_group(), ((),) * algebra.dim)
     try:
-        moved = galg.grading_over(probe, ring.field)
+        algebra = galg.algebra_over(algebra, ring.field)
     except InputError:
         raise DeckError(line_no, "map ring field does not match the algebra field")
-    return moved.algebra
+    deck.maps[name] = point_matrix(algebra, ring, rows)
+    deck.decls.append(line_canonical(line))

@@ -4,7 +4,8 @@ gradings given as degree labelings of a homogeneous basis.
 No axioms are imposed on the multiplication (not even associativity); the
 grading axiom A_g * A_h inside A_{g+h} is verified directly on basis pairs,
 and independently through the generic character (multiplicativity of the
-degree-twist operator on A tensor FG).
+degree-twist operator on A tensor FG); the two must agree.  algebra_over is
+the one map of structure constants into another field.
 """
 
 from __future__ import annotations
@@ -12,8 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .abgroups import FGAbelianGroup, Presentation, group_from_presentation
-from .comrings import GroupAlgebra, base_field_ring, sparse_terms, structure_mul
-from .errors import GradingAxiomError, InputError
+from .comrings import GroupAlgebra, base_field_ring
+from .errors import GradingAxiomError, InputError, MathIdentityError
+from .linalg import sparse_terms, structure_mul
 
 
 class Algebra:
@@ -73,33 +75,19 @@ class Grading:
 
 
 def _nonzero_pairs(gr):
-    A, G = gr.algebra, gr.group
-    F = A.field
-    pairs = set()
-    for g, gi in gr.components.items():
-        for h, hi in gr.components.items():
-            hit = False
-            for i in gi:
-                for j in hi:
-                    if any(not F.is_zero(c) for c in A.table[i][j]):
-                        hit = True
-                        break
-                if hit:
-                    break
-            if hit:
-                pairs.add((g, h))
-    return pairs
+    terms, comps = gr.algebra.terms, gr.components.items()
+    return {(g, h) for g, gi in comps for h, hi in comps
+            if any(terms[i][j] for i in gi for j in hi)}
 
 
 def grading_axiom_witness(A, G, labels):
     """None if labels define a grading; else a witness (i, j, k)."""
-    F = A.field
     labels = [G.reduce(l) for l in labels]
     for i in range(A.dim):
         for j in range(A.dim):
             target = G.add(labels[i], labels[j])
-            for k in range(A.dim):
-                if not F.is_zero(A.table[i][j][k]) and labels[k] != target:
+            for k, _ in A.terms[i][j]:
+                if labels[k] != target:
                     return (i, j, k)
     return None
 
@@ -114,6 +102,9 @@ def build_grading(A, G, labels, label=None):
             witness,
             "product %s*%s hits %s outside the expected component"
             % (A.basis_names[i], A.basis_names[j], A.basis_names[k]))
+    if not verify_grading_generic(A, G, labels):
+        raise MathIdentityError("the generic character refutes a grading the "
+                                "basis-pair check accepts")
     return Grading(A, G, tuple(G.reduce(l) for l in labels), label=label or "grading")
 
 
@@ -195,44 +186,36 @@ def _universal_group(gr):
     return UniversalGroup(U, deg_u, fold, regraded)
 
 
-def extend_scalars(gr, K, label=None):
-    """Read the same structure constants in a field K built over the base."""
-    A = gr.algebra
+def algebra_over(A, K):
+    """The structure constants of A read in the field K: A itself when K is
+    A's field, embedded by K.from_base when K is built over it, and reduced
+    from Q when every denominator stays invertible in K."""
     F = A.field
-    emb = _embedding(F, K)
-    table = [[tuple(emb(c) for c in cell) for cell in row] for row in A.table]
-    AK = Algebra(K, table, A.basis_names, label="%s@%r" % (A.label, K))
-    return build_grading(AK, gr.group, gr.degrees, label=label or gr.label)
-
-
-def grading_over(gr, K):
-    """Move a grading to another field: identity, scalar extension, or (from
-    the rationals) reduction of the structure constants when denominators
-    stay invertible."""
-    A = gr.algebra
-    if K == A.field:
-        return gr
-    if getattr(K, "base", None) == A.field:
-        return extend_scalars(gr, K)
-    if A.field.characteristic() == 0 and A.field.kind == "rationals":
-        def reduce_c(c):
-            num = K.from_int(c.numerator)
+    if K == F:
+        return A
+    if getattr(K, "base", None) == F:
+        move, label = K.from_base, "%s@%r" % (A.label, K)
+    elif F.kind == "rationals":
+        def move(c):
             den = K.from_int(c.denominator)
             if K.is_zero(den):
                 raise InputError("denominator is not invertible in the target field")
-            return K.mul(num, K.inv(den))
-        table = [[tuple(reduce_c(c) for c in cell) for cell in row] for row in A.table]
-        AK = Algebra(K, table, A.basis_names, label="%s mod %r" % (A.label, K))
-        return build_grading(AK, gr.group, gr.degrees, label=gr.label)
-    raise InputError("no canonical map between the two base fields")
+            return K.mul(K.from_int(c.numerator), K.inv(den))
+        label = "%s mod %r" % (A.label, K)
+    else:
+        raise InputError("no canonical map between the two base fields")
+    table = [[tuple(move(c) for c in cell) for cell in row] for row in A.table]
+    return Algebra(K, table, A.basis_names, label=label)
 
 
-def _embedding(F, K):
-    if K == F:
-        return lambda c: c
-    if getattr(K, "base", None) is not None and K.base == F:
-        return lambda c: K.from_base(c)
-    raise InputError("target field is not built over the base field")
+def grading_over(gr, K):
+    """gr with its algebra moved into K by algebra_over; gr itself when K is
+    already its field."""
+    A = algebra_over(gr.algebra, K)
+    return gr if A is gr.algebra else build_grading(A, gr.group, gr.degrees, label=gr.label)
+
+
+extend_scalars = grading_over   # scalar extension is the from_base case
 
 
 def product_pattern(gr):

@@ -1,5 +1,6 @@
-"""Dense exact linear algebra over an ExactField (desk-scale matrices);
-`mat_mul` alone works over any ring.
+"""Dense exact linear algebra over an ExactField (desk-scale matrices), and
+the two products that work over any ring: `mat_mul` and the
+structure-constant kernel `structure_mul`.
 
 Matrices are lists of row lists; vectors are lists.  Everything is pure.
 """
@@ -30,6 +31,34 @@ def mat_mul(R, A, B):
                     Oi[j] = add(Oi[j], mul(a, b))
         out.append(Oi)
     return out
+
+
+def sparse_terms(F, table):
+    """Compile structure constants: terms[i][j] lists the (k, c) with
+    table[i][j][k] = c nonzero, so products never visit a zero constant."""
+    return tuple(tuple(tuple((k, c) for k, c in enumerate(cell) if not F.is_zero(c))
+                       for cell in row) for row in table)
+
+
+def structure_mul(terms, x, y, zero, is_zero, add, mul, scal):
+    """The product sum_{i,j,k} x_i y_j c_ijk e_k from compiled terms.
+
+    Coordinates live in any commutative ring given by zero/is_zero/add/mul,
+    and scal(c, r) multiplies r by a structure constant c.  Zero coordinates
+    and empty cells are skipped, so each x_i y_j is formed only when needed."""
+    out = [zero] * len(terms)
+    for i, a in enumerate(x):
+        if is_zero(a):
+            continue
+        row = terms[i]
+        for j, b in enumerate(y):
+            cell = row[j]
+            if not cell or is_zero(b):
+                continue
+            ab = mul(a, b)
+            for k, c in cell:
+                out[k] = add(out[k], scal(c, ab))
+    return tuple(out)
 
 
 def mat_vec(F, A, v):

@@ -15,7 +15,7 @@ import itertools
 from dataclasses import dataclass
 
 from . import abgroups, galg, linalg
-from .comrings import GroupAlgebra, RingTable, structure_mul
+from .comrings import GroupAlgebra, RingTable
 from .errors import (
     CapExceededError,
     InputError,
@@ -23,6 +23,7 @@ from .errors import (
     NotEnumerableError,
     OrderViolationError,
 )
+from .linalg import structure_mul
 
 
 @dataclass(frozen=True)

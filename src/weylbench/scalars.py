@@ -6,9 +6,10 @@ elements); all operations live on the field object.  An extension of a finite
 field is certified irreducible when it is built (Rabin's test), and a
 reducible modulus is refused with a nontrivial factor.  Finite extensions
 with at most TABLE_MAX_ELEMENTS elements run on log/Zech tables built once;
-the rest, and all extensions of Q, run on polynomial arithmetic.  A modulus
-over Q is certified by factoring it (factorization.partial_factor); over an
-extension of Q it is not certified.
+the rest, and all extensions of Q, multiply with linalg.structure_mul over
+the table t^(i+j) mod f of power_table, the same table that builds the test
+ring comrings.truncated_poly.  A modulus over Q is certified by factoring it
+(factorization.partial_factor); over an extension of Q it is not certified.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from .errors import (
     ReducibleModulusError,
     UnknownSolvabilityError,
 )
+from .linalg import sparse_terms, structure_mul
 
 # Finite fields and rings with at most this many elements are tabulated:
 # extension fields on log/Zech tables here, rings in comrings.RingTable.
@@ -182,6 +184,19 @@ def poly_deriv(F, p):
     for i in range(1, len(p)):
         out.append(F.mul(F.from_int(i), p[i]))
     return poly_trim(F, out)
+
+
+def power_table(F, f):
+    """The multiplication table of F[t]/(f) for monic f of degree d >= 1:
+    table[i][j] is t^(i+j) mod f as a tuple of d coefficients."""
+    d, zero = poly_deg(f), F.zero()
+    powers, cur = [], (F.one(),) + (zero,) * (d - 1)
+    for _ in range(2 * d - 1):
+        powers.append(cur)
+        lead, cur = cur[-1], (zero,) + cur[:-1]
+        if not F.is_zero(lead):     # t^d = -(f_0 + f_1 t + ... + f_(d-1) t^(d-1))
+            cur = tuple(F.sub(c, F.mul(lead, m)) for c, m in zip(cur, f))
+    return tuple(tuple(powers[i + j] for j in range(d)) for i in range(d))
 
 
 def poly_pow_mod(F, base, n, modulus):
@@ -488,17 +503,7 @@ class ExtensionField(ExactField):
         self.base = base
         self.modulus = tuple(modulus)
         self.degree = len(modulus) - 1
-        # reduction table for t^k, deg <= k <= 2*deg-2
-        self._tpow = {}
-        d = self.degree
-        cur = [base.neg(c) for c in modulus[:-1]]
-        self._tpow[d] = list(cur)
-        for k in range(d + 1, 2 * d - 1):
-            cur = [base.zero()] + cur[:]
-            if len(cur) > d:
-                lead = cur.pop()
-                cur = [base.add(cur[i], base.mul(lead, self._tpow[d][i])) for i in range(d)]
-            self._tpow[k] = list(cur)
+        self.terms = sparse_terms(base, power_table(base, modulus))
         self._zero = self._vec([])
         self.exp = self.log = None
         q = self.cardinality()
@@ -645,25 +650,8 @@ class ExtensionField(ExactField):
         return tuple(self.base.neg(x) for x in a)
 
     def mul(self, a, b):
-        d = self.degree
-        zero, is_zero = self.base.zero(), self.base.is_zero
-        add, mul = self.base.add, self.base.mul
-        nz_b = [(j, y) for j, y in enumerate(b) if not is_zero(y)]
-        conv = [zero] * (2 * d - 1)
-        for i, x in enumerate(a):
-            if is_zero(x):
-                continue
-            for j, y in nz_b:
-                conv[i + j] = add(conv[i + j], mul(x, y))
-        out = conv[:d]
-        for k in range(d, 2 * d - 1):
-            c = conv[k]
-            if is_zero(c):
-                continue
-            red = self._tpow[k]
-            for i in range(d):
-                out[i] = add(out[i], mul(c, red[i]))
-        return tuple(out)
+        B = self.base
+        return structure_mul(self.terms, a, b, B.zero(), B.is_zero, B.add, B.mul, B.mul)
 
     def inv(self, a):
         if self.is_zero(a):
@@ -806,12 +794,38 @@ def _rational_dth_root(c, d):
     return RootResult(RootResult.WITNESS, root)
 
 
+def _root_poly(F, c, d):
+    """h = gcd(t^d - c, t^q - t) over a finite F with q elements: its roots
+    are the x in F with x^d = c, each once.  Its degree is cross-asserted
+    against Euler's criterion: g = gcd(d, q - 1) when c^((q-1)/g) = 1, else 0."""
+    q, t = F.cardinality(), [F.zero(), F.one()]
+    f = [F.neg(c)] + [F.zero()] * (d - 1) + [F.one()]
+    h = poly_gcd(F, f, poly_sub(F, poly_pow_mod(F, t, q, f), t))
+    g = math.gcd(d, q - 1)
+    euler = g if F.eq(F.pow(c, (q - 1) // g), F.one()) else 0
+    if poly_deg(h) != euler:
+        raise MathIdentityError(
+            "gcd(t^%d - %s, t^q - t) has degree %d over %r, Euler's criterion says %d"
+            % (d, F.to_str(c), poly_deg(h), F, euler))
+    return h
+
+
+def _linear_roots(F, h):
+    """The roots of a monic squarefree h over a finite field F that is a
+    product of linear factors, split by nontrivial_factor."""
+    if poly_deg(h) < 2:
+        return [F.neg(c) for c in h[:-1]]
+    g = nontrivial_factor(F, h)
+    return _linear_roots(F, g) + _linear_roots(F, poly_divmod(F, h, g)[0])
+
+
 def dth_root(F, c, d):
     """Decide solvability of x^d = c and produce a witness when possible.
 
-    Complete over Q (perfect-power test) and over finite fields (criterion
-    c^((q-1)/gcd(d,q-1)) = 1, witness by exhaustion).  Over extensions of Q
-    the answer may be Unknown.
+    Complete over Q (perfect-power test) and over finite fields (the roots
+    of gcd(t^d - c, t^q - t); the witness is the least in F.sort_key order,
+    which is F.elements() order).  Over extensions of Q the answer may be
+    Unknown.
     """
     if F.is_zero(c):
         raise DivisionByZeroError("dth_root of zero")
@@ -821,17 +835,14 @@ def dth_root(F, c, d):
         return RootResult(RootResult.WITNESS, c)
     if isinstance(F, RationalField):
         return _rational_dth_root(c, d)
-    q = F.cardinality()
-    if q is not None:
-        g = math.gcd(d, q - 1)
-        if not F.eq(F.pow(c, (q - 1) // g), F.one()):
+    if F.is_finite():
+        roots = _linear_roots(F, _root_poly(F, c, d))
+        if not roots:
             return RootResult(RootResult.NO_SOLUTION)
-        for x in F.elements():
-            if F.is_zero(x):
-                continue
-            if F.eq(F.pow(x, d), c):
-                return RootResult(RootResult.WITNESS, x)
-        raise UnknownSolvabilityError("criterion passed but no witness found")
+        x = min(roots, key=F.sort_key)
+        if not F.eq(F.pow(x, d), c):
+            raise MathIdentityError("a root of gcd(t^d - c, t^q - t) is not a d-th root of c")
+        return RootResult(RootResult.WITNESS, x)
     # char-0 extension: try constants from the base
     if isinstance(F, ExtensionField):
         base = F.base
@@ -851,12 +862,8 @@ def count_dth_roots(F, c, d):
         return 0
     if res.status == RootResult.UNKNOWN:
         return None
-    q = F.cardinality()
-    if q is not None:
-        return math.gcd(d, q - 1)
-    if isinstance(F, RationalField):
-        r = res.witness
-        if d % 2 == 0 and r != -r:
-            return 2
-        return 1
+    if F.is_finite():
+        return poly_deg(_root_poly(F, c, d))
+    if isinstance(F, RationalField):   # the witness is nonzero, so -r != r
+        return 2 if d % 2 == 0 else 1
     return None

@@ -237,6 +237,33 @@ def test_bad_deck_literal_exits_2_with_line(tmp_path, capsys, text, line):
     assert capsys.readouterr().out.startswith("error=input: line %d: " % line)
 
 
+@pytest.mark.parametrize("data, line", [
+    (b"field F3 = prime 3\n\xff\xfe bad\n", 2),
+    (b"field F3 = prime 3\r\n# ok\r\ngroup G = Z/3 \xc3\n", 3),
+], ids=["bad-start-byte", "truncated-sequence-crlf"])
+def test_deck_that_is_not_utf8_exits_2_with_line(tmp_path, capsys, data, line):
+    deck = tmp_path / "bad.deck"
+    deck.write_bytes(data)
+    assert main(["--deck", str(deck), "check"]) == 2
+    assert capsys.readouterr().out == "error=input: line %d: deck is not valid UTF-8\n" % line
+
+
+def test_deck_map_moves_the_algebra_into_the_ring_field():
+    deck = parse_deck(load("ex26.deck") + "map swap9 on A over F9r = [[0,1],[1,0]]\n")
+    assert deck.maps["swap9"].algebra.label == "A@F9"
+    rep = run_command(deck, ["member", "swap9", "in", "Gamma", "set=autGamma"])
+    assert rep.lines == ["member=true", "block e0 perm=(1 2)"]
+
+
+def test_deck_map_over_a_ring_with_no_field_map_exits_2(tmp_path, capsys):
+    deck = tmp_path / "t.deck"
+    deck.write_text(load("ex26.deck") + "field F5 = prime 5\nring F5r = base F5\n"
+                    "map bad on A over F5r = [[0,1],[1,0]]\n")
+    assert main(["--deck", str(deck), "check"]) == 2
+    assert capsys.readouterr().out == (
+        "error=input: line 16: map ring field does not match the algebra field\n")
+
+
 @pytest.mark.parametrize("flag, value", [("--cap", "abc"), ("--mode", "bogus")])
 def test_bad_flag_value_exits_2(tmp_path, capsys, flag, value):
     deck = tmp_path / "t.deck"

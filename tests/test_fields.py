@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import weylbench as wb
-from weylbench import scalars
+from weylbench import comrings, scalars
 from weylbench.errors import DivisionByZeroError, MathIdentityError, ReducibleModulusError
 
 ORACLE = settings(derandomize=True, max_examples=100, deadline=None, database=None)
@@ -25,6 +25,12 @@ TABLE_FIELDS = {
     "F49": wb.extension_field(F7, [1, 0, 1]),
     "F81": wb.extension_field(F9, [(2, 2), (0, 0), (1, 0)]),   # tower over F9
     "F343": wb.extension_field(F7, [4, 0, 0, 1]),              # 3 is no cube mod 7
+}
+Q = wb.rationals()
+POLY_FIELDS = {
+    "F729": wb.extension_field(F3, [2, 1, 0, 0, 0, 0, 1]),
+    "Q(sqrt2)": wb.extension_field(Q, [-2, 0, 1]),
+    "Q(2^(1/4))": wb.extension_field(Q, [-2, 0, 0, 0, 1]),
 }
 
 
@@ -97,6 +103,26 @@ def test_table_ops_equal_polynomial_ops(name):
     check()
 
 
+def field_elements(F):
+    if F.is_finite():
+        return st.sampled_from(list(F.elements()))
+    return st.tuples(*[st.fractions(-9, 9, max_denominator=9)] * F.degree)
+
+
+@pytest.mark.parametrize("name", sorted(TABLE_FIELDS) + sorted(POLY_FIELDS))
+def test_polynomial_mul_is_the_truncated_poly_kernel(name):
+    # the class-level mul is the polynomial path even where tables replaced it
+    F = TABLE_FIELDS.get(name) or POLY_FIELDS[name]
+    assert F.terms == comrings.truncated_poly(F.base, F.modulus).terms
+
+    @ORACLE
+    @given(field_elements(F), field_elements(F))
+    def check(a, b):
+        assert scalars.ExtensionField.mul(F, a, b) == ref_mul(F, a, b)
+
+    check()
+
+
 @pytest.mark.parametrize("name", sorted(TABLE_FIELDS))
 def test_exp_covers_the_units_once(name):
     F = TABLE_FIELDS[name]
@@ -108,12 +134,12 @@ def test_exp_covers_the_units_once(name):
 
 
 def test_fields_above_the_bound_keep_the_polynomial_path():
-    F729 = wb.extension_field(F3, [2, 1, 0, 0, 0, 0, 1])
+    F729 = POLY_FIELDS["F729"]
     assert F729.cardinality() > scalars.TABLE_MAX_ELEMENTS
     assert F729.log is None
     x = F729.gen()
     assert F729.mul(x, F729.inv(x)) == F729.one()
-    assert wb.extension_field(wb.rationals(), [-2, 0, 1]).log is None
+    assert POLY_FIELDS["Q(sqrt2)"].log is None
 
 
 def test_reducible_moduli_are_refused_with_a_proper_factor():

@@ -5,7 +5,7 @@ import pytest
 import weylbench as wb
 from weylbench import galg
 from weylbench.abgroups import cyclic_group
-from weylbench.errors import GradingAxiomError
+from weylbench.errors import GradingAxiomError, MathIdentityError
 
 from conftest import cubic_grading, para_hurwitz_grading, trivial_grading, zero_mult_grading
 
@@ -27,6 +27,14 @@ def test_grading_axiom_violation_witness(F3):
     with pytest.raises(GradingAxiomError) as err:
         wb.build_grading(A, cyclic_group(3), [(1,), (1,)])
     assert err.value.witness == (0, 0, 1)  # e1*e1 = e2 lands in degree 2
+
+
+def test_build_grading_cross_asserts_the_generic_check(F3, monkeypatch):
+    # a direct check that wrongly passes is caught by the generic character
+    A = para_hurwitz_grading(F3).algebra
+    monkeypatch.setattr(galg, "grading_axiom_witness", lambda A, G, labels: None)
+    with pytest.raises(MathIdentityError):
+        wb.build_grading(A, cyclic_group(3), [(1,), (1,)])
 
 
 def test_generic_and_direct_check_agree_on_fixtures(Q, F3):

@@ -155,10 +155,19 @@ def test_dth_root_never_contradicts_exhaustion():
                 if found:
                     assert res.status == RootResult.WITNESS
                     assert F.pow(res.witness, d) == c
+                    # the first root in elements() order, as the scan found it;
+                    # x^d = 1 answers 1 before any search
+                    assert res.witness == (F.one() if c == F.one() else found[0])
                 else:
                     assert res.status == RootResult.NO_SOLUTION
                 cnt = count_dth_roots(F, c, d)
                 assert cnt == len(found)
+
+
+def test_root_count_is_cross_asserted_against_euler(monkeypatch):
+    monkeypatch.setattr(scalars, "poly_gcd", lambda F, a, b: [F.one()])
+    with pytest.raises(MathIdentityError):
+        count_dth_roots(wb.prime_field(7), 1, 3)
 
 
 def test_dth_root_rational_negative_and_even():

@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 import weylbench as wb
@@ -75,6 +77,17 @@ def test_weyl_over_field_fixtures(Q, F3, F7):
     assert weyl.weyl_over_field(para_hurwitz_grading(F3)).order == 2
     # non-thin over a finite field goes through brute enumeration
     assert weyl.weyl_over_field(trivial_grading(F3)).order == 1
+
+
+def test_swap_on_cubic_over_a_large_prime_solves_without_a_scan(Q):
+    # the cube root of 1/2 came from a scan of F_q, linear in q
+    F = wb.prime_field(10000141)
+    gr = galg.grading_over(cubic_grading(Q), F)
+    start = time.perf_counter()
+    assert weyl.weyl_over_field(gr).order == 2
+    res = weyl.ses_check(gr)
+    assert (res.aut_count, res.stab_count, res.weyl_order) == (6, 3, 2)
+    assert time.perf_counter() - start < 2.0
 
 
 def test_weyl_generator_labels(Q):
