@@ -15,7 +15,6 @@ from .comrings import (
     GroupAlgebra,
     TestRing,
     base_field_ring,
-    build_ring,
     dual_numbers,
     enumerate_units,
     group_algebra_finite,
@@ -61,8 +60,8 @@ from .weyl import (
     PermGroup,
     admissible_permutations,
     ses_check,
-    thin_constraints,
     thin_solve,
+    thin_systems,
     weyl_closure,
     weyl_over_field,
 )

@@ -19,7 +19,6 @@ from .errors import (
     FactorizationIncompleteError,
     MathIdentityError,
     NotEnumerableError,
-    UnknownSolvabilityError,
 )
 
 # Enumerate a point group when its search visits at most ENUM_BUDGET nodes;
@@ -222,16 +221,8 @@ def _monomial_sample(gr, R):
     """Monomial witnesses from the thin solver over the base field."""
     if not gr.is_thin():
         return []
-    out = []
-    for sigma in weyl.admissible_permutations(gr):
-        system = weyl.thin_constraints(gr, sigma)
-        try:
-            res = weyl.thin_solve(system, "field")
-        except UnknownSolvabilityError:
-            continue
-        if res.status == "solvable" and res.witness is not None:
-            out.append(weyl.monomial_point(gr, system, res.witness, R))
-    return out
+    return [weyl.monomial_point(gr, t.system, t.witness, R)
+            for t in weyl.thin_systems(gr) if t.status == "solvable"]
 
 
 def _base_field_sample(gr, R):

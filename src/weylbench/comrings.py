@@ -27,8 +27,8 @@ from .errors import (
 )
 from .factorization import crt_idempotent_polys, int_divisors, partial_factor
 from .linalg import sparse_terms, structure_mul
-from .scalars import (TABLE_MAX_ELEMENTS, poly_eval, poly_trim, power_table,
-                      split_bracketed)
+from .scalars import (TABLE_MAX_ELEMENTS, linear_roots, poly_eval, poly_trim,
+                      power_table, split_bracketed)
 
 
 class TestRing:
@@ -390,23 +390,6 @@ def truncated_poly(F, modulus, label=None):
     return TestRing(F, table, table[0][0], label=label or "trunc")   # t^0 is the unit
 
 
-def build_ring(spec):
-    """spec: ('base', F) | ('dual', F, n) | ('product', R1, R2)
-    | ('groupalg', F, G) | ('trunc', F, modulus coefficients)."""
-    tag = spec[0]
-    if tag == "base":
-        return base_field_ring(spec[1])
-    if tag == "dual":
-        return dual_numbers(spec[1], spec[2])
-    if tag == "product":
-        return product_ring(spec[1], spec[2])
-    if tag == "groupalg":
-        return group_algebra_finite(spec[1], spec[2])
-    if tag == "trunc":
-        return truncated_poly(spec[1], spec[2])
-    raise InputError("unknown ring spec %r" % (tag,))
-
-
 # ---------------------------------------------------------------------------
 # nilradical
 
@@ -581,10 +564,10 @@ def _split_semisimple_finite(R):
     if a is None:
         raise MathIdentityError("fixed algebra of dimension >= 2 is all scalars")
     mu = _min_poly_of_element(R, a)
-    roots = [x for x in F.elements() if F.is_zero(poly_eval(F, mu, x))]
-    if len(roots) != len(mu) - 1:
+    roots = sorted(linear_roots(F, mu), key=F.sort_key)
+    if len(set(roots)) != len(mu) - 1 or any(
+            not F.is_zero(poly_eval(F, mu, x)) for x in roots):
         raise MathIdentityError("fixed element minimal polynomial did not split")
-    roots.sort(key=F.sort_key)
     return _split_along(R, a, mu, [[F.neg(lam), F.one()] for lam in roots])
 
 

@@ -58,6 +58,7 @@ class Grading:
     pattern: tuple = field(init=False)     # sorted (g, h) with A_g A_h != 0
     label: str = "grading"
     universal: object = field(default=None, init=False, repr=False, compare=False)
+    thin: object = field(default=None, init=False, repr=False, compare=False)  # weyl.thin_systems
 
     def __post_init__(self):
         comp = {}
@@ -138,6 +139,7 @@ class UniversalGroup:
     deg_u: dict        # support element (in G) -> element of U
     fold: object       # callable U element -> G element
     regraded: Grading  # same algebra regraded by U
+    rows: tuple        # relation rows over the support, one per pair of gr.pattern
 
 
 def universal_group(gr):
@@ -161,7 +163,8 @@ def _universal_group(gr):
         row[index[h]] += 1
         row[index[gh]] -= 1
         rows.append(row)
-    pres = Presentation(len(supp), tuple(tuple(r) for r in rows))
+    rows = tuple(tuple(r) for r in rows)
+    pres = Presentation(len(supp), rows)
     U, projection, lift = group_from_presentation(pres)
     deg_u = {g: projection[index[g]] for g in supp}
 
@@ -183,7 +186,7 @@ def _universal_group(gr):
     for g in supp:
         if fold(deg_u[g]) != g:
             raise InputError("universal degree map does not fold back")
-    return UniversalGroup(U, deg_u, fold, regraded)
+    return UniversalGroup(U, deg_u, fold, regraded, rows)
 
 
 def algebra_over(A, K):

@@ -22,6 +22,7 @@ from .errors import (
     DivisionByZeroError,
     FieldConstructionError,
     InfiniteFieldError,
+    InputError,
     MathIdentityError,
     ReducibleModulusError,
     UnknownSolvabilityError,
@@ -47,8 +48,33 @@ def prime_powers(n):
     return out
 
 
+# Miller-Rabin to the prime bases up to 41 is exact below the least strong
+# pseudoprime to all of them, 3317044064679887385961981 (about 3.3e24); the
+# bases up to 37 alone stop at 318665857834031151167461 (about 3.2e23).
+MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MILLER_RABIN_BOUND = 3317044064679887385961981
+
+
 def is_prime(n):
-    return prime_powers(n) == {n: 1}
+    """Deterministic Miller-Rabin; n >= MILLER_RABIN_BOUND is refused."""
+    if n >= MILLER_RABIN_BOUND:
+        raise InputError("primality is decided only below %d" % MILLER_RABIN_BOUND)
+    if n < 2 or any(n % a == 0 for a in MILLER_RABIN_BASES):
+        return n in MILLER_RABIN_BASES
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d, r = d // 2, r + 1
+    for a in MILLER_RABIN_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
 def integer_kth_root(n, k):
@@ -770,28 +796,29 @@ class RootResult:
     NO_SOLUTION = "nosolution"
     UNKNOWN = "unknown"
 
-    def __init__(self, status, witness=None):
+    def __init__(self, status, witness=None, count=None):
         self.status = status
         self.witness = witness
+        self.count = count    # number of d-th roots in the field; None if undecided
 
     def __repr__(self):
         if self.status == self.WITNESS:
-            return "RootResult(witness=%r)" % (self.witness,)
+            return "RootResult(witness=%r, count=%r)" % (self.witness, self.count)
         return "RootResult(%s)" % self.status
 
 
 def _rational_dth_root(c, d):
     num, den = c.numerator, c.denominator
     if num < 0 and d % 2 == 0:
-        return RootResult(RootResult.NO_SOLUTION)
+        return RootResult(RootResult.NO_SOLUTION, count=0)
     rn = integer_kth_root(abs(num), d)
     rd = integer_kth_root(den, d)
     if rn**d != abs(num) or rd**d != den:
-        return RootResult(RootResult.NO_SOLUTION)
+        return RootResult(RootResult.NO_SOLUTION, count=0)
     root = Fraction(rn, rd)
     if num < 0:
         root = -root
-    return RootResult(RootResult.WITNESS, root)
+    return RootResult(RootResult.WITNESS, root, 2 if d % 2 == 0 else 1)  # -r != r
 
 
 def _root_poly(F, c, d):
@@ -810,39 +837,43 @@ def _root_poly(F, c, d):
     return h
 
 
-def _linear_roots(F, h):
+def linear_roots(F, h):
     """The roots of a monic squarefree h over a finite field F that is a
-    product of linear factors, split by nontrivial_factor."""
+    product of linear factors, split by nontrivial_factor; the one
+    finite-field root finder."""
     if poly_deg(h) < 2:
         return [F.neg(c) for c in h[:-1]]
     g = nontrivial_factor(F, h)
-    return _linear_roots(F, g) + _linear_roots(F, poly_divmod(F, h, g)[0])
+    return linear_roots(F, g) + linear_roots(F, poly_divmod(F, h, g)[0])
 
 
 def dth_root(F, c, d):
-    """Decide solvability of x^d = c and produce a witness when possible.
+    """Decide solvability of x^d = c, produce a witness when possible, and
+    count the roots in F.
 
-    Complete over Q (perfect-power test) and over finite fields (the roots
-    of gcd(t^d - c, t^q - t); the witness is the least in F.sort_key order,
-    which is F.elements() order).  Over extensions of Q the answer may be
-    Unknown.
+    Complete over Q (perfect-power test; 1 root for odd d, 2 for even d)
+    and over finite fields (the roots of h = gcd(t^d - c, t^q - t); the
+    witness is 1 when c = 1, else the least root in F.sort_key order, which
+    is F.elements() order; the count is deg h, cross-asserted against
+    Euler's criterion).  Over extensions of Q the answer may be Unknown, and
+    the count is None.
     """
     if F.is_zero(c):
         raise DivisionByZeroError("dth_root of zero")
     if d < 1:
         raise ValueError("d must be >= 1")
-    if d == 1 or F.eq(c, F.one()):
-        return RootResult(RootResult.WITNESS, c)
     if isinstance(F, RationalField):
         return _rational_dth_root(c, d)
     if F.is_finite():
-        roots = _linear_roots(F, _root_poly(F, c, d))
-        if not roots:
-            return RootResult(RootResult.NO_SOLUTION)
-        x = min(roots, key=F.sort_key)
+        h = _root_poly(F, c, d)
+        if not poly_deg(h):
+            return RootResult(RootResult.NO_SOLUTION, count=0)
+        x = F.one() if F.eq(c, F.one()) else min(linear_roots(F, h), key=F.sort_key)
         if not F.eq(F.pow(x, d), c):
             raise MathIdentityError("a root of gcd(t^d - c, t^q - t) is not a d-th root of c")
-        return RootResult(RootResult.WITNESS, x)
+        return RootResult(RootResult.WITNESS, x, poly_deg(h))
+    if d == 1 or F.eq(c, F.one()):
+        return RootResult(RootResult.WITNESS, c)
     # char-0 extension: try constants from the base
     if isinstance(F, ExtensionField):
         base = F.base
@@ -853,17 +884,3 @@ def dth_root(F, c, d):
             # no rational root; a root may still exist in the extension
         return RootResult(RootResult.UNKNOWN)
     raise UnknownSolvabilityError("unsupported field for dth_root")
-
-
-def count_dth_roots(F, c, d):
-    """Number of solutions of x^d = c in F; None means infinite/undecided."""
-    res = dth_root(F, c, d)
-    if res.status == RootResult.NO_SOLUTION:
-        return 0
-    if res.status == RootResult.UNKNOWN:
-        return None
-    if F.is_finite():
-        return poly_deg(_root_poly(F, c, d))
-    if isinstance(F, RationalField):   # the witness is nonzero, so -r != r
-        return 2 if d % 2 == 0 else 1
-    return None

@@ -1,11 +1,13 @@
 """Weyl groups of gradings: admissible support permutations, the exact thin
-solver (closure mode needs no root extraction, only base-field arithmetic),
-rational-point Weyl groups, and exact-sequence checks at points.
+solver, rational-point Weyl groups, and exact-sequence checks at points.
 
 A grading is thin when every nonzero component is 1-dimensional; then every
 point of the grading automorphism scheme over a field is monomial, and the
 multiplicativity conditions become a system of monomial equations in the
-component scalars, solved by Smith reduction of the exponent lattice.
+component scalars, solved by Smith reduction of the exponent lattice.  Over
+each admissible sigma the solutions are empty or a torsor under the diagonal
+group, so one solved system per sigma gives the closure Weyl group, W(F) and
+the size of every fibre of Aut -> W.
 """
 
 from __future__ import annotations
@@ -15,16 +17,16 @@ from collections import Counter
 from dataclasses import dataclass
 
 from . import points as pts
-from .abgroups import smith_normal_form
+from .abgroups import int_identity, smith_normal_form
 from .comrings import base_field_ring
 from .errors import (
     CapExceededError,
-    InputError,
     MathIdentityError,
     NonThinError,
     UnknownSolvabilityError,
 )
-from .scalars import RootResult, count_dth_roots, dth_root
+from .galg import universal_group
+from .scalars import RootResult, dth_root
 
 
 # ---------------------------------------------------------------------------
@@ -166,11 +168,25 @@ def admissible_permutations(gr):
 class ThinSystem:
     sigma: tuple          # permutation tuple over the sorted support
     support: tuple
-    rows: list            # exponent rows over the unknown scalars
+    rows: tuple           # exponent rows over the unknown scalars (universal group's)
     consts: list          # nonzero field constants, one per row
     reduced: list         # [(d_i, c_i)] power equations after Smith reduction
     V: list               # unimodular change of unknowns
     field: object
+
+
+@dataclass
+class SolveResult:
+    system: ThinSystem
+    closure: bool               # solvable over an algebraic closure
+    status: str                 # over the field: 'solvable' | 'unsolvable' | 'unknown'
+    count: object = None        # solutions over the field; None when infinite or undecided
+    witness: dict = None        # support label -> field scalar
+    obstruction: tuple = None   # (d, c) of the failing power equation
+
+    @property
+    def sigma(self):
+        return self.system.sigma
 
 
 def _component_constant(gr, g, h):
@@ -182,127 +198,74 @@ def _component_constant(gr, g, h):
     return A.table[i][j][k]
 
 
-def thin_constraints(gr, sigma):
-    """One monomial constraint per product pair: the scalars of a monomial
-    map phi(x_g) = lambda_g x_{sigma(g)} must satisfy
-    lambda_g lambda_h c(sigma g, sigma h) = c(g, h) lambda_{g h}."""
-    if not gr.is_thin():
-        raise NonThinError("constraint system needs a thin grading")
-    supp = list(gr.support)
-    index = {g: i for i, g in enumerate(supp)}
-    smap = {g: supp[sigma[index[g]]] for g in supp}
-    F = gr.algebra.field
-    G = gr.group
-    rows, consts = [], []
-    for (g, h) in gr.pattern:
-        row = [0] * len(supp)
-        row[index[g]] += 1
-        row[index[h]] += 1
-        row[index[G.add(g, h)]] -= 1
-        c = F.div(_component_constant(gr, g, h),
-                  _component_constant(gr, smap[g], smap[h]))
-        rows.append(row)
-        consts.append(c)
-    reduced, V = _smith_reduce(F, rows, consts, len(supp))
-    return ThinSystem(tuple(sigma), tuple(supp), rows, consts, reduced, V, F)
+def thin_systems(gr):
+    """One solved system per admissible permutation sigma, kept on the grading.
+
+    The scalars of a monomial map phi(x_g) = lambda_g x_{sigma(g)} must satisfy
+    lambda_g lambda_h c(sigma g, sigma h) = c(g, h) lambda_{g h} on each product
+    pair: the universal group's relation rows with constants that depend on
+    sigma.  One Smith form of those rows reduces every system to power
+    equations mu_i^(d_i) = c_i."""
+    if gr.thin is None:
+        if not gr.is_thin():
+            raise NonThinError("constraint system needs a thin grading")
+        F, supp, rows = gr.algebra.field, gr.support, universal_group(gr).rows
+        s, m = len(supp), len(rows)
+        D, U, V = smith_normal_form(rows) if rows else ([], [], int_identity(s))
+        diag = [D[i][i] if i < min(m, s) else 0 for i in range(m)]
+        systems = []
+        for sigma in admissible_permutations(gr):
+            smap = {g: supp[sigma[i]] for i, g in enumerate(supp)}
+            consts = [F.div(_component_constant(gr, g, h),
+                            _component_constant(gr, smap[g], smap[h]))
+                      for (g, h) in gr.pattern]
+            reduced = [(d, _monomial(F, consts, u)) for d, u in zip(diag, U)]
+            systems.append(thin_solve(
+                ThinSystem(tuple(sigma), supp, rows, consts, reduced, V, F)))
+        gr.thin = tuple(systems)
+    return gr.thin
 
 
-def _smith_reduce(F, rows, consts, s):
-    if not rows:
-        return [], [[1 if i == j else 0 for j in range(s)] for i in range(s)]
-    D, U, V = smith_normal_form(rows)
-    m = len(rows)
-    reduced = []
-    for i in range(m):
-        d = D[i][i] if i < min(m, s) else 0
-        c = F.one()
-        for l, u in enumerate(U[i]):
-            if u:
-                c = F.mul(c, F.pow(consts[l], u))
-        reduced.append((d, c))
-    return reduced, V
+def _monomial(F, values, exponents):
+    acc = F.one()
+    for x, e in zip(values, exponents):
+        if e:
+            acc = F.mul(acc, F.pow(x, e))
+    return acc
 
 
-@dataclass
-class SolveResult:
-    status: str                 # 'solvable' | 'unsolvable' | 'unknown'
-    witness: dict = None        # support label -> field scalar
-    obstruction: tuple = None   # (d, c) of the failing power equation
-
-
-def thin_solve(system, mode="closure"):
-    """closure: solvability over an algebraic closure (after reduction, only
-    zero-exponent equations with constant != 1 obstruct).  field: decided via
-    d-th root extraction over the grading's own field."""
+def thin_solve(system):
+    """Solve one reduced system once.  Over an algebraic closure only a
+    zero-exponent equation with constant != 1 obstructs; over the system's
+    own field each mu_i^(d_i) = c_i needs a d_i-th root.  A witness is
+    checked against the raw system, and the count of solutions over the field
+    is the product of the root counts times (q - 1) per free unknown."""
     F = system.field
-    if mode == "closure":
-        for d, c in system.reduced:
-            if d == 0 and not F.eq(c, F.one()):
-                return SolveResult("unsolvable", obstruction=(d, c))
-        return SolveResult("solvable")
-    if mode != "field":
-        raise InputError("mode must be closure or field")
+    for d, c in system.reduced:
+        if d == 0 and not F.eq(c, F.one()):
+            return SolveResult(system, False, "unsolvable", 0, obstruction=(d, c))
     s = len(system.support)
     mu = [F.one()] * s
+    count, free = 1, s
     for i, (d, c) in enumerate(system.reduced):
         if d == 0:
-            if not F.eq(c, F.one()):
-                return SolveResult("unsolvable", obstruction=(d, c))
             continue
         res = dth_root(F, c, d)
         if res.status == RootResult.NO_SOLUTION:
-            return SolveResult("unsolvable", obstruction=(d, c))
+            return SolveResult(system, True, "unsolvable", 0, obstruction=(d, c))
         if res.status == RootResult.UNKNOWN:
-            return SolveResult("unknown", obstruction=(d, c))
-        if i < s:
-            mu[i] = res.witness
-    witness = {}
-    for j, g in enumerate(system.support):
-        acc = F.one()
-        for t in range(s):
-            e = system.V[j][t]
-            if e:
-                acc = F.mul(acc, F.pow(mu[t], e))
-        witness[g] = acc
-    _verify_thin_witness(system, witness, F)
-    return SolveResult("solvable", witness=witness)
-
-
-def _verify_thin_witness(system, witness, F):
-    for row, c in zip(system.rows, system.consts):
-        acc = F.one()
-        for e, g in zip(row, system.support):
-            if e:
-                acc = F.mul(acc, F.pow(witness[g], e))
-        if not F.eq(acc, c):
-            raise MathIdentityError("thin witness does not satisfy the raw system")
-
-
-def thin_solution_count(system, F):
-    """Number of scalar solutions over F; None when infinite or undecidable."""
-    s = len(system.support)
-    constrained = set()
-    total = 1
-    for i, (d, c) in enumerate(system.reduced):
-        if d == 0:
-            if not F.eq(c, F.one()):
-                return 0
-            continue
-        cnt = count_dth_roots(F, c, d)
-        if cnt is None:
-            return None
-        if cnt == 0:
-            return 0
-        total *= cnt
-        if i < s:
-            constrained.add(i)
-    free = s - len(constrained)
-    if free:
+            return SolveResult(system, True, "unknown", obstruction=(d, c))
+        mu[i] = res.witness
+        count = None if count is None or res.count is None else count * res.count
+        free -= 1
+    if free and count is not None:
         q = F.cardinality()
-        if q is None:
-            return None
-        total *= (q - 1) ** free
-    return total
+        count = None if q is None else count * (q - 1) ** free
+    lam = [_monomial(F, mu, V_row) for V_row in system.V]
+    for row, c in zip(system.rows, system.consts):
+        if not F.eq(_monomial(F, lam, row), c):
+            raise MathIdentityError("thin witness does not satisfy the raw system")
+    return SolveResult(system, True, "solvable", count, dict(zip(system.support, lam)))
 
 
 # ---------------------------------------------------------------------------
@@ -315,27 +278,18 @@ def weyl_closure(gr):
     if not gr.is_thin():
         raise NonThinError(
             "closure-mode Weyl groups are computed for thin gradings only")
-    solvable = []
-    for sigma in admissible_permutations(gr):
-        system = thin_constraints(gr, sigma)
-        if thin_solve(system, "closure").status == "solvable":
-            solvable.append(tuple(sigma))
-    return perm_group_from(set(solvable), gr.support)
+    return perm_group_from({t.sigma for t in thin_systems(gr) if t.closure}, gr.support)
 
 
 def weyl_over_field(gr, cap=10**8):
     """Image of the grading automorphisms over the base field in Sym(supp)."""
     if gr.is_thin():
-        solvable = []
-        for sigma in admissible_permutations(gr):
-            system = thin_constraints(gr, sigma)
-            res = thin_solve(system, "field")
-            if res.status == "unknown":
-                raise UnknownSolvabilityError(
-                    "cannot decide rational solvability for a permutation")
-            if res.status == "solvable":
-                solvable.append(tuple(sigma))
-        return perm_group_from(set(solvable), gr.support)
+        systems = thin_systems(gr)
+        if any(t.status == "unknown" for t in systems):
+            raise UnknownSolvabilityError(
+                "cannot decide rational solvability for a permutation")
+        return perm_group_from({t.sigma for t in systems if t.status == "solvable"},
+                               gr.support)
     F = gr.algebra.field
     if not F.is_finite():
         raise NonThinError(
@@ -384,32 +338,26 @@ class SesReport:
 
 
 def ses_check(gr, cap=10**8):
-    """Kernel-image count |Aut| = |Stab| * |W| at base-field points, plus the
-    containment of the rational Weyl group in the closure Weyl group."""
+    """Kernel-image count |Aut| = |Stab| * |W| at base-field points, with
+    exactness in the middle (every sigma in W(F) has exactly |Stab(F)|
+    preimages), plus the containment of the rational Weyl group in the
+    closure Weyl group."""
     F = gr.algebra.field
     if gr.is_thin():
-        aut = 0
-        stab = None
         w = weyl_over_field(gr)
-        for sigma in admissible_permutations(gr):
-            system = thin_constraints(gr, sigma)
-            cnt = thin_solution_count(system, F)
-            if cnt is None:
-                raise CapExceededError("infinite point counts in the exact sequence")
-            aut += cnt
-            if tuple(sigma) == perm_identity(len(gr.support)):
-                stab = cnt
+        systems = thin_systems(gr)
+        if any(t.count is None for t in systems):
+            raise CapExceededError("infinite point counts in the exact sequence")
+        fibres = {t.sigma: t.count for t in systems if t.count}
+        stab = fibres.get(perm_identity(len(gr.support)))
     else:
         if not F.is_finite():
             raise CapExceededError("non-thin exact-sequence check needs a finite field")
         points, perms, w = _weyl_from_field_points(gr, cap)
-        aut = len(points)
+        fibres = Counter(perms)
         stab = sum(1 for p in points if pts.stab_membership(gr, p))
-        # exactness: every sigma in W(F) has exactly |Stab(F)| preimages
-        if set(Counter(perms).values()) != {stab}:
-            raise MathIdentityError("a Weyl group element has other than |Stab| preimages")
-    closure = weyl_closure(gr) if gr.is_thin() else None
-    in_closure = True
-    if closure is not None:
-        in_closure = set(w.elements) <= set(closure.elements)
+    if set(fibres) != set(w.elements) or set(fibres.values()) != {stab}:
+        raise MathIdentityError("a Weyl group element has other than |Stab| preimages")
+    aut = sum(fibres.values())
+    in_closure = not gr.is_thin() or set(w.elements) <= set(weyl_closure(gr).elements)
     return SesReport(aut, stab, w.order, aut == stab * w.order, in_closure)

@@ -237,6 +237,26 @@ def test_bad_deck_literal_exits_2_with_line(tmp_path, capsys, text, line):
     assert capsys.readouterr().out.startswith("error=input: line %d: " % line)
 
 
+def test_deck_with_a_large_prime_field_checks_at_once(tmp_path, capsys):
+    deck = tmp_path / "big.deck"
+    deck.write_text("field F = prime 1000000000000000003\n")
+    start = time.perf_counter()
+    assert main(["--deck", str(deck), "check"]) == 0
+    assert time.perf_counter() - start < 2.0
+    assert capsys.readouterr().out.startswith("ok=true\n")
+
+
+@pytest.mark.parametrize("n, why", [
+    ("1000000016000000063", "1000000016000000063 is not prime"),
+    ("3317044064679887385961981", "primality is decided only below 3317044064679887385961981"),
+], ids=["composite", "past-bound"])
+def test_large_prime_field_refusal_exits_2_with_line(tmp_path, capsys, n, why):
+    deck = tmp_path / "bad.deck"
+    deck.write_text("field Q = rationals\nfield F = prime %s\n" % n)
+    assert main(["--deck", str(deck), "check"]) == 2
+    assert capsys.readouterr().out == "error=input: line 2: %s\n" % why
+
+
 @pytest.mark.parametrize("data, line", [
     (b"field F3 = prime 3\n\xff\xfe bad\n", 2),
     (b"field F3 = prime 3\r\n# ok\r\ngroup G = Z/3 \xc3\n", 3),

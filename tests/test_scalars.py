@@ -8,10 +8,11 @@ from weylbench import scalars
 from weylbench.errors import (
     DivisionByZeroError,
     FieldConstructionError,
+    InputError,
     MathIdentityError,
     ReducibleModulusError,
 )
-from weylbench.scalars import RootResult, count_dth_roots, dth_root, unit_order
+from weylbench.scalars import RootResult, dth_root, unit_order
 
 
 def all_fields():
@@ -160,22 +161,21 @@ def test_dth_root_never_contradicts_exhaustion():
                     assert res.witness == (F.one() if c == F.one() else found[0])
                 else:
                     assert res.status == RootResult.NO_SOLUTION
-                cnt = count_dth_roots(F, c, d)
-                assert cnt == len(found)
+                assert res.count == len(found)
 
 
 def test_root_count_is_cross_asserted_against_euler(monkeypatch):
     monkeypatch.setattr(scalars, "poly_gcd", lambda F, a, b: [F.one()])
     with pytest.raises(MathIdentityError):
-        count_dth_roots(wb.prime_field(7), 1, 3)
+        dth_root(wb.prime_field(7), 1, 3)
 
 
 def test_dth_root_rational_negative_and_even():
     Q = wb.rationals()
     assert dth_root(Q, Fraction(-8), 3).witness == -2
     assert dth_root(Q, Fraction(-4), 2).status == RootResult.NO_SOLUTION
-    assert count_dth_roots(Q, Fraction(4), 2) == 2
-    assert count_dth_roots(Q, Fraction(8), 3) == 1
+    assert dth_root(Q, Fraction(4), 2).count == 2
+    assert dth_root(Q, Fraction(8), 3).count == 1
 
 
 def test_dth_root_unknown_only_over_char0_extensions():
@@ -185,6 +185,24 @@ def test_dth_root_unknown_only_over_char0_extensions():
     # the oracle is allowed to say unknown here and only here
     res = dth_root(K, K.from_base(Fraction(1, 2)), 3)
     assert res.status == RootResult.UNKNOWN
+
+
+def test_is_prime_agrees_with_sympy():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(11)
+    # strong pseudoprimes to the bases up to 7, up to 23 and up to 37
+    pseudoprimes = [3215031751, 3825123056546413051, 318665857834031151167461]
+    sample = (list(range(2000)) + [rng.randrange(2**64) for _ in range(300)]
+              + [rng.randrange(scalars.MILLER_RABIN_BOUND) for _ in range(300)]
+              + [1000000000000000003, 1000000016000000063] + pseudoprimes)
+    for n in sample:
+        assert scalars.is_prime(n) == sympy.isprime(n), n
+    assert not any(scalars.is_prime(n) for n in pseudoprimes)
+
+
+def test_is_prime_refuses_integers_past_its_bound():
+    with pytest.raises(InputError, match=str(scalars.MILLER_RABIN_BOUND)):
+        scalars.is_prime(scalars.MILLER_RABIN_BOUND)
 
 
 def test_integer_kth_root():

@@ -1,10 +1,11 @@
 import time
+from collections import Counter
 
 import pytest
 
 import weylbench as wb
 from weylbench import comrings, galg, weyl
-from weylbench.errors import NonThinError
+from weylbench.errors import MathIdentityError, NonThinError
 from weylbench.scalars import RootResult, dth_root
 
 from conftest import (cubic_grading, para_hurwitz_grading, trivial_grading,
@@ -22,9 +23,13 @@ def test_admissible_permutations(Q, F3):
     assert len(weyl.admissible_permutations(g26)) == 2
 
 
+def _system(gr, sigma):
+    return next(t.system for t in weyl.thin_systems(gr) if t.sigma == sigma)
+
+
 def test_thin_constraint_reduction(Q):
     g34 = cubic_grading(Q)
-    system = weyl.thin_constraints(g34, (0, 2, 1))
+    system = _system(g34, (0, 2, 1))
     nontrivial = [(d, c) for d, c in system.reduced
                   if d != 0 or not Q.eq(c, Q.one())]
     # elimination leaves a single cube equation with constant 1/2 (or 2)
@@ -32,29 +37,29 @@ def test_thin_constraint_reduction(Q):
     assert len(cubes) == 1
     c = cubes[0][1]
     assert c in (Q.parse("1/2"), Q.parse("2"))
-    ident = weyl.thin_constraints(g34, (0, 1, 2))
+    ident = _system(g34, (0, 1, 2))
     cubes = [(d, c) for d, c in ident.reduced if d == 3]
     assert cubes and all(Q.eq(c, Q.one()) for _, c in cubes)
 
 
 def test_thin_solve_modes(Q, F7):
     g34 = cubic_grading(Q)
-    system = weyl.thin_constraints(g34, (0, 2, 1))
-    assert weyl.thin_solve(system, "closure").status == "solvable"
-    assert weyl.thin_solve(system, "field").status == "unsolvable"
-    assert weyl.thin_solve(weyl.thin_constraints(g34, (0, 1, 2)), "field").status == "solvable"
+    res = weyl.thin_solve(_system(g34, (0, 2, 1)))
+    assert res.closure
+    assert res.status == "unsolvable"
+    assert weyl.thin_solve(_system(g34, (0, 1, 2))).status == "solvable"
     # mod 7: 1/2 = 4 is not a cube (confirmed by exhaustion in scalars tests)
     g34_7 = galg.grading_over(g34, F7)
-    sys7 = weyl.thin_constraints(g34_7, (0, 2, 1))
-    res = weyl.thin_solve(sys7, "field")
+    sys7 = _system(g34_7, (0, 2, 1))
+    res = weyl.thin_solve(sys7)
     assert res.status == "unsolvable"
     assert [x for x in F7.elements() if F7.pow(x, 3) == 4] == []
 
 
 def test_thin_witness_is_checked(F7, Q):
     g34_7 = galg.grading_over(cubic_grading(Q), F7)
-    system = weyl.thin_constraints(g34_7, (0, 1, 2))
-    res = weyl.thin_solve(system, "field")
+    system = _system(g34_7, (0, 1, 2))
+    res = weyl.thin_solve(system)
     assert res.status == "solvable" and res.witness is not None
     R = comrings.base_field_ring(F7)
     from weylbench import points as pts
@@ -148,12 +153,51 @@ def test_thin_counts_match_enumeration_small_fields(F2, F3, F4, F5, F7):
                 gr = galg.extend_scalars(base, F)
             else:
                 gr = fix(F)
-            thin = sum(
-                weyl.thin_solution_count(weyl.thin_constraints(gr, s), F)
-                for s in weyl.admissible_permutations(gr))
+            thin = sum(t.count for t in weyl.thin_systems(gr))
             brute = len(pts.enumerate_points(
                 gr, comrings.base_field_ring(F), "autgamma"))
             assert thin == brute, (F, fix.__name__)
+
+
+def test_thin_fibres_match_enumerated_permutations(F2, F3, F4, F5, F7):
+    # per sigma, not only in total: |fibre(sigma)| from the solved system equals
+    # the number of enumerated points whose block certificate reads sigma
+    from weylbench import points as pts
+    for F in (F2, F3, F4, F5, F7):
+        for fix in (zero_mult_grading, para_hurwitz_grading, cubic_grading):
+            if F.kind == "extension":
+                gr = galg.extend_scalars(fix(wb.prime_field(F.characteristic())), F)
+            else:
+                gr = fix(F)
+            index = {g: i for i, g in enumerate(gr.support)}
+            perms = Counter()
+            for p in pts.enumerate_points(gr, comrings.base_field_ring(F), "autgamma"):
+                (_, sigma), = pts.block_permutations(gr, p).certificates
+                perms[tuple(index[sigma[g]] for g in gr.support)] += 1
+            assert Counter({t.sigma: t.count for t in weyl.thin_systems(gr)}) == perms, \
+                (F, fix.__name__)
+
+
+def test_thin_ses_check_refuses_a_wrong_fibre(F3):
+    gr = zero_mult_grading(F3)
+    ident = weyl.perm_identity(len(gr.support))
+    t = next(t for t in weyl.thin_systems(gr) if t.sigma != ident)
+    t.count += 1
+    with pytest.raises(MathIdentityError):
+        weyl.ses_check(gr)
+
+
+def test_thin_systems_are_solved_once_per_grading(monkeypatch, F3):
+    calls = []
+    solve = weyl.thin_solve
+    monkeypatch.setattr(weyl, "thin_solve", lambda system: calls.append(1) or solve(system))
+    gr = para_hurwitz_grading(F3)
+    weyl.weyl_over_field(gr)
+    assert len(calls) == len(weyl.admissible_permutations(gr))
+    weyl.weyl_over_field(gr)
+    weyl.weyl_closure(gr)
+    weyl.ses_check(gr)
+    assert len(calls) == len(weyl.admissible_permutations(gr))
 
 
 def test_perm_group_subgroup_checks():
