@@ -29,57 +29,39 @@ def int_identity(n):
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def int_det(A):
-    """Exact integer determinant (Bareiss fraction-free elimination)."""
-    n = len(A)
-    if n == 0:
-        return 1
-    M = [row[:] for row in A]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if M[k][k] == 0:
-            pivot = next((i for i in range(k + 1, n) if M[i][k] != 0), None)
-            if pivot is None:
-                return 0
-            M[k], M[pivot] = M[pivot], M[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                M[i][j] = (M[i][j] * M[k][k] - M[i][k] * M[k][j]) // prev
-            M[i][k] = 0
-        prev = M[k][k]
-    return sign * M[n - 1][n - 1]
-
-
 def smith_normal_form(M):
-    """Return (D, U, V) with U*M*V = D, U and V unimodular, D diagonal with
-    d1 | d2 | ... and nonnegative entries.  Verified on every call."""
+    """Return (D, U, V, Uinv, Vinv) with U*M*V = D, D diagonal with
+    d1 | d2 | ... and nonnegative entries, and Uinv, Vinv the integer inverses
+    of U and V (which certify that U and V are unimodular).  Verified on
+    every call."""
     rows = len(M)
     cols = len(M[0]) if rows else 0
     A = [list(map(int, row)) for row in M]
-    U = int_identity(rows)
-    V = int_identity(cols)
+    U, Uinv = int_identity(rows), int_identity(rows)
+    V, Vinv = int_identity(cols), int_identity(cols)
 
+    # each operation is applied to U (V) and, inverted, to Uinv (Vinv)
     def row_op(i, j, q):  # row_i -= q * row_j
         A[i] = [a - q * b for a, b in zip(A[i], A[j])]
         U[i] = [a - q * b for a, b in zip(U[i], U[j])]
+        for r in Uinv:
+            r[j] += q * r[i]
 
     def col_op(i, j, q):  # col_i -= q * col_j
-        for r in range(rows):
-            A[r][i] -= q * A[r][j]
-        for r in range(cols):
-            V[r][i] -= q * V[r][j]
+        for r in A + V:
+            r[i] -= q * r[j]
+        Vinv[j] = [a + q * b for a, b in zip(Vinv[j], Vinv[i])]
 
     def swap_rows(i, j):
         A[i], A[j] = A[j], A[i]
         U[i], U[j] = U[j], U[i]
+        for r in Uinv:
+            r[i], r[j] = r[j], r[i]
 
     def swap_cols(i, j):
-        for r in range(rows):
-            A[r][i], A[r][j] = A[r][j], A[r][i]
-        for r in range(cols):
-            V[r][i], V[r][j] = V[r][j], V[r][i]
+        for r in A + V:
+            r[i], r[j] = r[j], r[i]
+        Vinv[i], Vinv[j] = Vinv[j], Vinv[i]
 
     t = 0
     while t < min(rows, cols):
@@ -114,6 +96,8 @@ def smith_normal_form(M):
         if A[t][t] < 0:
             A[t] = [-a for a in A[t]]
             U[t] = [-a for a in U[t]]
+            for r in Uinv:
+                r[t] = -r[t]
         # enforce divisibility of the rest by A[t][t]
         offender = None
         for i in range(t + 1, rows):
@@ -128,14 +112,15 @@ def smith_normal_form(M):
             continue
         t += 1
 
-    _verify_snf(M, A, U, V, rows, cols)
-    return A, U, V
+    _verify_snf(M, A, U, V, Uinv, Vinv, rows, cols)
+    return A, U, V, Uinv, Vinv
 
 
-def _verify_snf(M, D, U, V, rows, cols):
+def _verify_snf(M, D, U, V, Uinv, Vinv, rows, cols):
     if mat_mul(INTEGERS, mat_mul(INTEGERS, U, M), V) != D:
         raise MathIdentityError("SNF postcondition U*M*V ≠ D")
-    if abs(int_det(U)) != 1 or abs(int_det(V)) != 1:
+    if (mat_mul(INTEGERS, U, Uinv) != int_identity(rows)
+            or mat_mul(INTEGERS, V, Vinv) != int_identity(cols)):
         raise MathIdentityError("SNF transform is not unimodular")
     diag = [D[i][i] for i in range(min(rows, cols))]
     for a, b in zip(diag, diag[1:]):
@@ -146,16 +131,6 @@ def _verify_snf(M, D, U, V, rows, cols):
         for j in range(cols):
             if i != j and D[i][j] != 0:
                 raise MathIdentityError("SNF result not diagonal")
-
-
-def int_mat_inv(A):
-    """Inverse of a unimodular integer matrix."""
-    n = len(A)
-    D, U, V = smith_normal_form(A)
-    for i in range(n):
-        if D[i][i] != 1:
-            raise InputError("matrix is not unimodular")
-    return mat_mul(INTEGERS, V, U)
 
 
 def hermite_rows(M):
@@ -194,19 +169,14 @@ def hermite_rows(M):
     return basis
 
 
-def kernel_basis(M):
-    """Basis rows of {x : x*M = 0} over the integers, in Hermite form."""
-    rows = len(M)
-    if rows == 0:
+def kernel_basis(M, snf=None):
+    """Basis rows of {x : x*M = 0} over the integers, in Hermite form; snf,
+    when given, is the Smith form of M already at hand."""
+    if not M:
         return []
-    D, U, V = smith_normal_form(M)
-    cols = len(M[0])
-    out = []
-    for i in range(rows):
-        d = D[i][i] if i < min(rows, cols) else 0
-        if d == 0:
-            out.append(U[i][:])
-    return hermite_rows(out) if out else []
+    D, U = (snf or smith_normal_form(M))[:2]
+    return hermite_rows([U[i] for i in range(len(M))
+                         if i >= len(M[0]) or D[i][i] == 0])
 
 
 # ---------------------------------------------------------------------------
@@ -264,6 +234,14 @@ class FGAbelianGroup:
 
     def scale(self, n, a):
         return self.reduce(tuple(n * x for x in a))
+
+    def combine(self, coeffs, elems):
+        """The linear combination sum_i coeffs[i] * elems[i]."""
+        acc = [0] * self.ncoords
+        for c, e in zip(coeffs, elems):
+            if c:
+                acc = [a + c * x for a, x in zip(acc, e)]
+        return self.reduce(acc)
 
     def is_finite(self):
         return self.rank == 0
@@ -344,32 +322,23 @@ class Presentation:
 def group_from_presentation(pres):
     """Quotient Z^m / rowspace(relations) in invariant-factor form.
 
-    Returns (group, projection, lift) where projection[j] is the image of
-    abstract generator j, and lift[i] is an integer vector over the abstract
-    generators mapping onto canonical generator i of the quotient.
+    Returns (group, projection, lift, snf) where projection[j] is the image
+    of abstract generator j, lift[i] is an integer vector over the abstract
+    generators mapping onto canonical generator i of the quotient, and snf is
+    the Smith form of the relation rows (a zero row when there are none).
     """
     m = pres.generators
-    rel = [list(r) for r in pres.relations]
-    if not rel:
-        rel = [[0] * m] if m else []
-    if m == 0:
-        return trivial_group(), [], []
-    D, U, V = smith_normal_form(rel)
-    rows = len(rel)
-    diag = [D[i][i] if i < min(rows, m) else 0 for i in range(m)]
+    rel = [list(r) for r in pres.relations] or [[0] * m]
+    snf = D, U, V, _, Vinv = smith_normal_form(rel)
+    diag = [D[i][i] if i < len(rel) else 0 for i in range(m)]
     torsion_pos = [i for i, d in enumerate(diag) if d > 1]
     free_pos = [i for i, d in enumerate(diag) if d == 0]
     group = FGAbelianGroup(tuple(diag[i] for i in torsion_pos), len(free_pos))
     positions = torsion_pos + free_pos
-
-    projection = []
-    for j in range(m):
-        coords = V[j]  # row j of V = image of e_j under x -> x V
-        projection.append(group.reduce(tuple(coords[p] for p in positions)))
-
-    Vinv = int_mat_inv(V)
+    # row j of V is the image of e_j under x -> x V; row p of Vinv lifts e_p
+    projection = [group.reduce([V[j][p] for p in positions]) for j in range(m)]
     lift = [list(Vinv[p]) for p in positions]
-    return group, projection, lift
+    return group, projection, lift, snf
 
 
 @dataclass
@@ -377,26 +346,24 @@ class SubgroupResult:
     group: FGAbelianGroup          # H in invariant-factor form
     gens_in_G: list                # canonical H-generator -> element of G
     relations: list                # Hermite basis of ker(Z^S -> G)
-    _solve_data: tuple
+    _solve_data: tuple             # (D, V) of the Smith form of the stacked rows
 
     def contains(self, element):
-        D, U, V, width, G = self._solve_data
-        target = list(element) + [0] * (width - len(element))
-        gv = [sum(target[r] * V[r][j] for r in range(width)) for j in range(width)]
-        rows = D and len(D) or 0
-        for j in range(width):
-            d = D[j][j] if j < min(rows, width) else 0
-            if d == 0:
-                if gv[j] != 0:
-                    return False
-            elif gv[j] % d != 0:
+        """g is in H iff x * rows = g is solvable: with y = g V, each y_j must
+        be divisible by d_j (and zero where d_j = 0)."""
+        D, V = self._solve_data
+        y = [sum(g * v for g, v in zip(element, col)) for col in zip(*V)]
+        for j, yj in enumerate(y):
+            d = D[j][j] if j < len(D) else 0
+            if (yj % d if d else yj) != 0:
                 return False
         return True
 
 
 def subgroup_generated(G, S):
     """Subgroup of G generated by S, with inclusion data and the relation
-    lattice (all integer relations among S inside G)."""
+    lattice (all integer relations among S inside G), both read from one
+    Smith form of the rows of S stacked on the torsion relations of G."""
     S = [G.reduce(s) for s in S]
     k = len(S)
     t = G.ncoords
@@ -405,42 +372,21 @@ def subgroup_generated(G, S):
         row = [0] * t
         row[i] = d
         rows.append(row)
-    if not rows:
-        rows = [[0] * t] if t else []
+    rows = rows or [[0] * t]
+    snf = smith_normal_form(rows)
 
     # relation lattice: kernel of Z^k -> G, as projection of ker(stacked map)
-    if k == 0:
-        relations = []
-    else:
-        full_kernel = kernel_basis(rows) if rows else []
-        relations = hermite_rows([r[:k] for r in full_kernel]) if full_kernel else []
-
-    pres = Presentation(k, tuple(tuple(r) for r in relations))
-    H, projection, lift = group_from_presentation(pres)
-
-    gens_in_G = []
-    for coeffs in lift:
-        acc = G.identity()
-        for c, s in zip(coeffs, S):
-            acc = G.add(acc, G.scale(c, s))
-        gens_in_G.append(acc)
-
-    # membership oracle: g in H iff the system x * rows = g is solvable
-    if rows:
-        D, U, V = smith_normal_form(rows)
-        solve_data = (D, U, V, t, G)
-    else:
-        solve_data = ([], [], int_identity(t), t, G)
-    result = SubgroupResult(H, gens_in_G, relations, solve_data)
+    relations = hermite_rows([r[:k] for r in kernel_basis(rows, snf)])
+    H, _, lift, _ = group_from_presentation(
+        Presentation(k, tuple(tuple(r) for r in relations)))
+    result = SubgroupResult(H, [G.combine(c, S) for c in lift], relations,
+                            (snf[0], snf[2]))
 
     for s in S:
         if not result.contains(s):
             raise MathIdentityError("generator not contained in generated subgroup")
     for rel in relations:
-        acc = G.identity()
-        for c, s in zip(rel, S):
-            acc = G.add(acc, G.scale(c, s))
-        if acc != G.identity():
+        if G.combine(rel, S) != G.identity():
             raise MathIdentityError("relation lattice row does not annihilate S")
     return result
 

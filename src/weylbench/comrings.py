@@ -707,10 +707,3 @@ class GroupAlgebra:
 
     def is_zero(self, x):
         return not x
-
-    def as_monomial(self, x):
-        """(r, g) if x = r*g with a single term, else None."""
-        if len(x) != 1:
-            return None
-        (g, r), = x.items()
-        return r, g

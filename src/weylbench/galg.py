@@ -140,6 +140,7 @@ class UniversalGroup:
     fold: object       # callable U element -> G element
     regraded: Grading  # same algebra regraded by U
     rows: tuple        # relation rows over the support, one per pair of gr.pattern
+    snf: tuple         # their Smith form, abgroups.smith_normal_form
 
 
 def universal_group(gr):
@@ -165,28 +166,19 @@ def _universal_group(gr):
         rows.append(row)
     rows = tuple(tuple(r) for r in rows)
     pres = Presentation(len(supp), rows)
-    U, projection, lift = group_from_presentation(pres)
+    U, projection, lift, snf = group_from_presentation(pres)
     deg_u = {g: projection[index[g]] for g in supp}
-
-    fold_gens = []
-    for coeffs in lift:
-        acc = G.identity()
-        for c, g in zip(coeffs, supp):
-            acc = G.add(acc, G.scale(c, g))
-        fold_gens.append(acc)
+    fold_gens = [G.combine(coeffs, supp) for coeffs in lift]
 
     def fold(u):
-        acc = G.identity()
-        for c, gen in zip(u, fold_gens):
-            acc = G.add(acc, G.scale(c, gen))
-        return acc
+        return G.combine(u, fold_gens)
 
     labels = [deg_u[gr.degrees[i]] for i in range(gr.algebra.dim)]
     regraded = build_grading(gr.algebra, U, labels, label="%s|universal" % gr.label)
     for g in supp:
         if fold(deg_u[g]) != g:
             raise InputError("universal degree map does not fold back")
-    return UniversalGroup(U, deg_u, fold, regraded, rows)
+    return UniversalGroup(U, deg_u, fold, regraded, rows, snf)
 
 
 def algebra_over(A, K):

@@ -381,56 +381,39 @@ def _scalar_blocks_of(gr, R, M):
 
 
 def norm_membership_generic(gr, phi):
-    """Conjugate the generic diagonal by phi over RG, blockwise over the
-    idempotent decomposition; membership requires unit scalar blocks.  Must
-    agree with the intersection definition (cross-asserted)."""
+    """Conjugate the generic diagonal by phi once over RG, M = phi^-1 Psi phi;
+    membership requires M component-scalar.  M is invertible, so its scalars
+    are units, and the proof shape is checked on them: each primitive
+    idempotent e cuts every s_g down to e*h with coefficient exactly e.  The
+    shifts g -> h per e must be the block permutations of phi, and
+    membership must agree with the intersection definition (cross-asserted)."""
     _require_automorphism(phi)
     R = phi.ring
-    member = True
-    shifts = []
-    witness = None
-    for e in R.idempotents():
-        S, project, inject = R.block(e)
-        GA = GroupAlgebra(S, gr.group)
-        phi_e = [[project(x) for x in row] for row in phi.entries]
-        phi_inv = ring_mat_inv(S, phi_e)
-        Phi = _ga_from_ring_matrix(GA, phi_e)
-        PhiInv = _ga_from_ring_matrix(GA, phi_inv)
-        Psi = generic_psi(gr, S)
-        M = linalg.mat_mul(GA, PhiInv, linalg.mat_mul(GA, Psi, Phi))
-        scalars = _scalar_blocks_of(gr, GA, M)
-        if scalars is None:
-            member = False
-            witness = (e, "conjugate is not component-scalar")
-            break
-        PsiInv = [[GA.zero() for _ in range(len(Psi))] for _ in range(len(Psi))]
-        for i in range(len(Psi)):
-            PsiInv[i][i] = GA.monomial(S.one, gr.group.neg(gr.degrees[i]))
-        Minv = linalg.mat_mul(GA, PhiInv, linalg.mat_mul(GA, PsiInv, Phi))
-        inv_scalars = _scalar_blocks_of(gr, GA, Minv)
-        if inv_scalars is None:
-            member = False
-            witness = (e, "inverse conjugate is not component-scalar")
-            break
-        shift = {}
-        for g in gr.support:
-            if GA.mul(scalars[g], inv_scalars[g]) != GA.one():
-                member = False
-                witness = (e, g, "scalar is not a unit")
-                break
-            mono = GA.as_monomial(scalars[g])
-            if mono is None or not S.is_unit(mono[0]):
-                raise MathIdentityError(
-                    "normalizer scalar is not a unit monomial; proof shape violated")
-            shift[g] = mono[1]
-        if not member:
-            break
-        shifts.append((e, shift))
-    direct = block_permutations(gr, phi).ok  # phi verified above
-    if member != direct:
+    GA = GroupAlgebra(R, gr.group)
+    Phi = _ga_from_ring_matrix(GA, phi.entries)
+    PhiInv = _ga_from_ring_matrix(GA, ring_mat_inv(R, phi.entries))
+    M = linalg.mat_mul(GA, PhiInv, linalg.mat_mul(GA, generic_psi(gr, R), Phi))
+    scalars = _scalar_blocks_of(gr, GA, M)
+    member = scalars is not None
+    shifts = [(e, {g: _idempotent_cut(R, e, scalars[g]) for g in gr.support})
+              for e in R.idempotents()] if member else []
+    direct = block_permutations(gr, phi)  # phi verified above
+    if member != direct.ok or shifts != direct.certificates:
         raise MathIdentityError(
             "generic normalizer test disagrees with the intersection definition")
-    return NormResult(member, shifts if member else [], witness)
+    return NormResult(member, shifts,
+                      None if member else "conjugate is not component-scalar")
+
+
+def _idempotent_cut(R, e, s):
+    """h with e*s = e*h, coefficient exactly e, for a normalizer scalar s in
+    RG; any other shape violates the structure theorem."""
+    cut = [(h, r) for h, r in ((h, R.mul(e, r)) for h, r in s.items())
+           if not R.is_zero(r)]
+    if len(cut) != 1 or cut[0][1] != e:
+        raise MathIdentityError(
+            "normalizer scalar is not e times a group element; proof shape violated")
+    return cut[0][0]
 
 
 @dataclass
@@ -443,42 +426,26 @@ class DGroupResult:
 
 def dgroup_norm_membership(gr, phi):
     """Normalizer test against the image of D(G) itself: conjugating the
-    generic character forces values on the support; membership needs those
-    forced values to satisfy every relation of the support inside G."""
+    generic character by phi forces the value sigma^-1(h) on each support
+    element h, read from the shift sigma of the generic normalizer test;
+    membership needs those forced values to satisfy every relation of the
+    support inside G."""
     if not autgamma_membership(gr, phi):
         raise InputError("matrix is not a point of the grading automorphism scheme")
-    R = phi.ring
-    if len(R.idempotents()) != 1:
+    if len(phi.ring.idempotents()) != 1:
         raise InputError("test requires a connected ring")
     G = gr.group
     sub = abgroups.subgroup_generated(G, list(gr.support))
     for gen in G.generators():
         if not sub.contains(gen):
             return DGroupResult("indeterminate", {})
-
-    GA = GroupAlgebra(R, G)
-    entries = [list(r) for r in phi.entries]
-    Phi = _ga_from_ring_matrix(GA, entries)
-    PhiInv = _ga_from_ring_matrix(GA, ring_mat_inv(R, entries))
-    Psi = generic_psi(gr, R)
-    M = linalg.mat_mul(GA, Phi, linalg.mat_mul(GA, Psi, PhiInv))
-    scalars = _scalar_blocks_of(gr, GA, M)
-    if scalars is None:
-        raise MathIdentityError("conjugate of a diagonal point is not diagonal")
-    forced = {}
-    for h in gr.support:
-        mono = GA.as_monomial(scalars[h])
-        if mono is None or mono[0] != R.one:
-            raise MathIdentityError("forced character value is not a group monomial")
-        forced[h] = mono[1]
-    supp = list(gr.support)
+    (_, shift), = norm_membership_generic(gr, phi).shifts
+    forced = {h: g for g, h in shift.items()}
     for row in sub.relations:
-        acc = G.identity()
-        for c, s in zip(row, supp):
-            acc = G.add(acc, G.scale(c, forced[s]))
-        if acc != G.identity():
+        value = G.combine(row, [forced[h] for h in gr.support])
+        if value != G.identity():
             return DGroupResult("nonmember", forced, relation=tuple(row),
-                                relation_value=acc)
+                                relation_value=value)
     return DGroupResult("member", forced)
 
 

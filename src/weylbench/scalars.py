@@ -34,18 +34,56 @@ from .linalg import sparse_terms, structure_mul
 TABLE_MAX_ELEMENTS = 512
 
 
+TRIAL_DIVISION_BOUND = 1000
+
+
 def prime_powers(n):
-    """{prime: exponent} of an integer n >= 1, ascending, by trial division."""
+    """{prime: exponent} of an integer n >= 1, ascending: trial division
+    below TRIAL_DIVISION_BOUND, then Pollard-Brent rho down to factors that
+    is_prime certifies (and refuses past MILLER_RABIN_BOUND)."""
     out = {}
-    d = 2
-    while d * d <= n:
+    for d in range(2, TRIAL_DIVISION_BOUND):
+        if d * d > n:
+            break
         while n % d == 0:
             out[d] = out.get(d, 0) + 1
             n //= d
-        d += 1
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
+    stack = [n] if n > 1 else []
+    while stack:
+        m = stack.pop()
+        if is_prime(m):
+            out[m] = out.get(m, 0) + 1
+        else:
+            f = _rho_factor(m)
+            stack += [f, m // f]
+    return dict(sorted(out.items()))
+
+
+def _rho_factor(n):
+    """A proper factor of an odd composite n, by Pollard's rho with Brent's
+    cycle search and batched gcds; a new constant c when a batch fails."""
+    for c in itertools.count(1):
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(128, r - k)):
+                    y = (y * y + c) % n
+                    q = q * abs(x - y) % n
+                g = math.gcd(q, n)
+                k += 128
+            r *= 2
+        if g == n:   # the batch overshot: replay it one step at a time
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = math.gcd(abs(x - ys), n)
+        if g != n:
+            return g
 
 
 # Miller-Rabin to the prime bases up to 41 is exact below the least strong

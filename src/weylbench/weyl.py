@@ -17,7 +17,6 @@ from collections import Counter
 from dataclasses import dataclass
 
 from . import points as pts
-from .abgroups import int_identity, smith_normal_form
 from .comrings import base_field_ring
 from .errors import (
     CapExceededError,
@@ -204,15 +203,14 @@ def thin_systems(gr):
     The scalars of a monomial map phi(x_g) = lambda_g x_{sigma(g)} must satisfy
     lambda_g lambda_h c(sigma g, sigma h) = c(g, h) lambda_{g h} on each product
     pair: the universal group's relation rows with constants that depend on
-    sigma.  One Smith form of those rows reduces every system to power
-    equations mu_i^(d_i) = c_i."""
+    sigma.  The Smith form of those rows, kept on the universal group,
+    reduces every system to power equations mu_i^(d_i) = c_i."""
     if gr.thin is None:
         if not gr.is_thin():
             raise NonThinError("constraint system needs a thin grading")
-        F, supp, rows = gr.algebra.field, gr.support, universal_group(gr).rows
-        s, m = len(supp), len(rows)
-        D, U, V = smith_normal_form(rows) if rows else ([], [], int_identity(s))
-        diag = [D[i][i] if i < min(m, s) else 0 for i in range(m)]
+        F, supp, uni = gr.algebra.field, gr.support, universal_group(gr)
+        D, U, V = uni.snf[:3]
+        diag = [D[i][i] if i < len(supp) else 0 for i in range(len(D))]
         systems = []
         for sigma in admissible_permutations(gr):
             smap = {g: supp[sigma[i]] for i, g in enumerate(supp)}
@@ -221,7 +219,7 @@ def thin_systems(gr):
                       for (g, h) in gr.pattern]
             reduced = [(d, _monomial(F, consts, u)) for d, u in zip(diag, U)]
             systems.append(thin_solve(
-                ThinSystem(tuple(sigma), supp, rows, consts, reduced, V, F)))
+                ThinSystem(tuple(sigma), supp, uni.rows, consts, reduced, V, F)))
         gr.thin = tuple(systems)
     return gr.thin
 

@@ -3,7 +3,8 @@ import random
 import pytest
 
 import weylbench as wb
-from weylbench import abgroups, comrings
+from weylbench import abgroups, comrings, weyl
+from weylbench import points as pts
 from weylbench.abgroups import (
     FGAbelianGroup,
     Presentation,
@@ -16,13 +17,15 @@ from weylbench.abgroups import (
 )
 from weylbench.errors import InputError
 
+from conftest import para_hurwitz_grading, zero_mult_grading
+
 
 def test_snf_examples():
-    D, U, V = smith_normal_form([[2, -1], [1, 1], [-1, 2]])
+    D, U, V, _, _ = smith_normal_form([[2, -1], [1, 1], [-1, 2]])
     assert [D[0][0], D[1][1]] == [1, 3]
-    D, U, V = smith_normal_form([[0, 0], [0, 0]])
+    D, U, V, _, _ = smith_normal_form([[0, 0], [0, 0]])
     assert all(D[i][j] == 0 for i in range(2) for j in range(2))
-    D, U, V = smith_normal_form([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    D, U, V, _, _ = smith_normal_form([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
     assert [D[i][i] for i in range(3)] == [1, 1, 1]
 
 
@@ -35,7 +38,7 @@ def test_snf_invariant_factors_match_sympy():
     for _ in range(60):
         r, c = rng.randint(1, 5), rng.randint(1, 5)
         M = [[rng.randint(-12, 12) for _ in range(c)] for _ in range(r)]
-        D, _, _ = smith_normal_form(M)
+        D, _, _, _, _ = smith_normal_form(M)
         ours = [abs(D[i][i]) for i in range(min(r, c))]
         theirs = [abs(int(d)) for d in invariant_factors(Matrix(M), domain=ZZ)]
         assert ours == theirs, M
@@ -48,35 +51,73 @@ def test_snf_random_matrices():
         r = rng.randint(1, 6)
         c = rng.randint(1, 6)
         M = [[rng.randint(-20, 20) for _ in range(c)] for _ in range(r)]
-        D, U, V = smith_normal_form(M)
+        D, U, V, _, _ = smith_normal_form(M)
         diag = [D[i][i] for i in range(min(r, c))]
         for a, b in zip(diag, diag[1:]):
             assert (b % a == 0) if a else (b == 0)
+
+
+def test_snf_returns_integer_inverses():
+    # the matrices of test_snf_random_matrices; products taken here by hand
+    rng = random.Random(12345)
+
+    def product(A, B):
+        return [[sum(a * b for a, b in zip(row, col)) for col in zip(*B)] for row in A]
+
+    for _ in range(200):
+        r = rng.randint(1, 6)
+        c = rng.randint(1, 6)
+        M = [[rng.randint(-20, 20) for _ in range(c)] for _ in range(r)]
+        D, U, V, Uinv, Vinv = smith_normal_form(M)
+        assert product(V, Vinv) == abgroups.int_identity(c)
+        assert product(U, Uinv) == abgroups.int_identity(r)
+
+
+def _count_snf(monkeypatch):
+    calls = []
+    snf = abgroups.smith_normal_form
+    monkeypatch.setattr(abgroups, "smith_normal_form", lambda M: calls.append(1) or snf(M))
+    return calls
+
+
+def test_one_smith_form_per_thin_ses_check(monkeypatch, F3):
+    calls = _count_snf(monkeypatch)
+    weyl.ses_check(para_hurwitz_grading(F3))
+    assert len(calls) == 1
+
+
+def test_two_smith_forms_per_dgroup_test(monkeypatch, Q):
+    gr = zero_mult_grading(Q)
+    R = comrings.base_field_ring(Q)
+    swap = pts.point_matrix(gr.algebra, R, [[R.zero(), R.one], [R.one, R.zero()]])
+    calls = _count_snf(monkeypatch)
+    assert pts.dgroup_norm_membership(gr, swap).status == "nonmember"
+    assert len(calls) == 2
 
 
 def test_snf_invariant_under_row_shuffle():
     rng = random.Random(99)
     for _ in range(40):
         rows = [[rng.randint(-9, 9) for _ in range(3)] for _ in range(4)]
-        D1, _, _ = smith_normal_form(rows)
+        D1, _, _, _, _ = smith_normal_form(rows)
         shuffled = rows[:]
         rng.shuffle(shuffled)
-        D2, _, _ = smith_normal_form(shuffled)
+        D2, _, _, _, _ = smith_normal_form(shuffled)
         d1 = sorted(D1[i][i] for i in range(3))
         d2 = sorted(D2[i][i] for i in range(3))
         assert d1 == d2
 
 
 def test_group_from_presentation_examples():
-    G, proj, _ = group_from_presentation(Presentation(2, ((2, -1), (1, 1), (-1, 2))))
+    G, proj, _, _ = group_from_presentation(Presentation(2, ((2, -1), (1, 1), (-1, 2))))
     assert G.group_str() == "Z/3"
-    G, proj, _ = group_from_presentation(Presentation(2, ()))
+    G, proj, _, _ = group_from_presentation(Presentation(2, ()))
     assert G.group_str() == "Z^2"
-    G, proj, _ = group_from_presentation(Presentation(1, ((6,),)))
+    G, proj, _, _ = group_from_presentation(Presentation(1, ((6,),)))
     assert G.group_str() == "Z/6"
     # relations composed with the projection vanish
     for rel in ((2, -1), (1, 1), (-1, 2)):
-        G, proj, _ = group_from_presentation(Presentation(2, ((2, -1), (1, 1), (-1, 2))))
+        G, proj, _, _ = group_from_presentation(Presentation(2, ((2, -1), (1, 1), (-1, 2))))
         acc = G.identity()
         for c, p in zip(rel, proj):
             acc = G.add(acc, G.scale(c, p))
@@ -161,7 +202,7 @@ def test_element_arithmetic_and_parse():
 def test_presentation_invariant_under_unimodular_row_ops():
     rng = random.Random(57)
     rel = [[2, -1], [1, 1], [-1, 2]]
-    G0, _, _ = group_from_presentation(Presentation(2, tuple(map(tuple, rel))))
+    G0, _, _, _ = group_from_presentation(Presentation(2, tuple(map(tuple, rel))))
     for _ in range(25):
         rows = [r[:] for r in rel]
         for _ in range(6):
@@ -170,7 +211,7 @@ def test_presentation_invariant_under_unimodular_row_ops():
                 q = rng.randint(-3, 3)
                 rows[i] = [a + q * b for a, b in zip(rows[i], rows[j])]
         rng.shuffle(rows)
-        G, _, _ = group_from_presentation(Presentation(2, tuple(map(tuple, rows))))
+        G, _, _, _ = group_from_presentation(Presentation(2, tuple(map(tuple, rows))))
         assert G == G0
 
 

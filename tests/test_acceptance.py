@@ -259,7 +259,7 @@ def test_criterion_9_smith_normal_form_random():
         c = rng.randint(1, 8)
         M = [[rng.randint(-20, 20) for _ in range(c)] for _ in range(r)]
         # postconditions (U M V = D, unimodularity, chain) verified inside
-        D, U, V = smith_normal_form(M)
+        D, U, V, _, _ = smith_normal_form(M)
     print("ACCEPTANCE 9: PASS Smith normal form postconditions on 500 random "
           "matrices up to 8x8")
 

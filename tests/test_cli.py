@@ -104,6 +104,18 @@ def test_member_goldens():
     assert rep.lines[0] == "member=true"
 
 
+@pytest.mark.parametrize("rows, ring, message", [
+    ("[[1,0],[0,0]]", "Qr", "matrix is not a point of the grading automorphism scheme"),
+    ("[[1,1],[0,1]]", "Qr", "matrix is not a point of the grading automorphism scheme"),
+    ("[[[0,1],[1,0]],[[1,0],[0,1]]]", "QxQ", "test requires a connected ring"),
+], ids=["singular", "triangular", "swap-on-one-block"])
+def test_dgroup_refusals_keep_their_messages(tmp_path, capsys, rows, ring, message):
+    deck = tmp_path / "ex24x.deck"
+    deck.write_text(load("ex24.deck") + "map m on A over %s = %s\n" % (ring, rows))
+    assert main(["--deck", str(deck), "member", "m", "in", "Gamma", "set=dGnorm"]) == 2
+    assert capsys.readouterr().out == "error=input: %s\n" % message
+
+
 def test_points_and_idempotents_goldens():
     rep = run(load("ex26.deck"), ["points", "Gamma", "over", "F3r", "set=aut"])
     assert rep.lines[0] == "points.count=2"
@@ -244,6 +256,21 @@ def test_deck_with_a_large_prime_field_checks_at_once(tmp_path, capsys):
     assert main(["--deck", str(deck), "check"]) == 0
     assert time.perf_counter() - start < 2.0
     assert capsys.readouterr().out.startswith("ok=true\n")
+
+
+@pytest.mark.parametrize("den, count", [
+    ("1000000000000000003", 1),
+    ("1000000014000000049", 2),
+    ("1000000016000000063", 1),
+], ids=["prime", "prime-squared", "two-primes"])
+def test_idempotents_with_a_large_denominator_answer_at_once(tmp_path, capsys, den, count):
+    # t^2 = 1/den splits over Q exactly when den is a square
+    deck = tmp_path / "trunc.deck"
+    deck.write_text("field Q = rationals\nring R = trunc Q [-1/%s,0,1]\n" % den)
+    start = time.perf_counter()
+    assert main(["--deck", str(deck), "idempotents", "R"]) == 0
+    assert time.perf_counter() - start < 2.0
+    assert capsys.readouterr().out.startswith("idempotents.count=%d\n" % count)
 
 
 @pytest.mark.parametrize("n, why", [

@@ -8,7 +8,7 @@ import weylbench as wb
 from weylbench import battery, comrings, galg, linalg, points as pts
 from weylbench.abgroups import cyclic_group
 from weylbench.comrings import base_field_ring, dual_numbers, product_ring
-from weylbench.errors import InputError, OrderViolationError
+from weylbench.errors import InputError, MathIdentityError, OrderViolationError
 
 from conftest import (cubic_grading, para_hurwitz_grading, trivial_grading,
                       truncated_power_grading, zero_mult_grading)
@@ -282,6 +282,25 @@ def test_mixed_blockwise_membership(Q):
     assert not pts.autgamma_membership(g24, phi)
     res = pts.norm_membership_generic(g24, phi)   # cross-asserted inside
     assert not res.member
+
+
+def test_normalizer_shifts_are_cross_asserted_per_block(monkeypatch, Q):
+    # a swap in one block of Q x Q: the certificate of the other block is
+    # replaced by the swap, so only the shifts can see the disagreement
+    g24 = zero_mult_grading(Q)
+    Rq = base_field_ring(Q)
+    R = product_ring(Rq, Rq)
+    e1, e2 = (Q.one(), Q.zero()), (Q.zero(), Q.one())
+    phi = pts.point_matrix(g24.algebra, R, [[e2, e1], [e1, e2]])
+    honest = pts.block_permutations(g24, phi)
+    assert honest.ok and pts.norm_membership_generic(g24, phi).member
+    swapped = {(2,): (3,), (3,): (2,)}
+    wrong = [(e, swapped) for e, _ in honest.certificates]
+    assert wrong != honest.certificates
+    monkeypatch.setattr(pts, "block_permutations",
+                        lambda gr, p: pts.BlockPermResult(True, wrong))
+    with pytest.raises(MathIdentityError):
+        pts.norm_membership_generic(g24, phi)
 
 
 def test_diag_count_for_free_universal_group_over_finite_field(F3):

@@ -200,6 +200,21 @@ def test_is_prime_agrees_with_sympy():
     assert not any(scalars.is_prime(n) for n in pseudoprimes)
 
 
+def test_prime_powers_agrees_with_sympy():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(13)
+    p, q = 1000000007, 1000000009
+    sample = ([rng.randrange(1, 10**15) for _ in range(300)]
+              + [1, 2, 2**60, 999983**2 * 991, p * p, p * q, 10**18 + 3])
+    for n in sample:
+        assert scalars.prime_powers(n) == dict(sorted(sympy.factorint(n).items())), n
+
+
+def test_prime_powers_refuses_a_cofactor_past_the_prime_bound():
+    with pytest.raises(InputError, match=str(scalars.MILLER_RABIN_BOUND)):
+        scalars.prime_powers(2 * scalars.MILLER_RABIN_BOUND)
+
+
 def test_is_prime_refuses_integers_past_its_bound():
     with pytest.raises(InputError, match=str(scalars.MILLER_RABIN_BOUND)):
         scalars.is_prime(scalars.MILLER_RABIN_BOUND)
