@@ -26,7 +26,6 @@ from .errors import (
     WorkbenchError,
 )
 from .factorization import crt_idempotent_polys, int_divisors, partial_factor
-from .linalg import sparse_terms, structure_mul
 from .scalars import (TABLE_MAX_ELEMENTS, linear_roots, poly_eval, poly_trim,
                       power_table, split_bracketed)
 
@@ -41,10 +40,9 @@ class TestRing:
         self.field = field
         self.dim = len(table)
         self.table = tuple(tuple(tuple(v) for v in row) for row in table)
-        self.terms = sparse_terms(field, self.table)
+        self.terms, self._product = linalg.compile_product(field, self.table)
         self.one = tuple(one)
-        self._fzero = field.zero()
-        self._zero = (self._fzero,) * self.dim
+        self._zero = (field.zero(),) * self.dim
         self.label = label or "ring"
         self._hint = idempotent_hint
         self._idempotents = None
@@ -92,8 +90,7 @@ class TestRing:
         self._to_table -= 1
         if not self._to_table:
             self.ring_table()
-        F = self.field
-        return structure_mul(self.terms, x, y, self._fzero, F.is_zero, F.add, F.mul, F.mul)
+        return self._product(x, y)
 
     def pow_element(self, x, n):
         out = self.one
@@ -106,13 +103,8 @@ class TestRing:
 
     def mul_matrix(self, x):
         """Matrix of multiplication-by-x on the canonical basis (columns)."""
-        F = self.field
-        M = [[F.zero()] * self.dim for _ in range(self.dim)]
-        for j in range(self.dim):
-            col = self.mul(x, self._basis_vec(j))
-            for k in range(self.dim):
-                M[k][j] = col[k]
-        return M
+        cols = [self.mul(x, self._basis_vec(j)) for j in range(self.dim)]
+        return [[col[k] for col in cols] for k in range(self.dim)]
 
     def _basis_vec(self, i):
         F = self.field
@@ -179,7 +171,7 @@ class TestRing:
                 ij = self.table[i][j]
                 for k in range(n):
                     left = self.mul(ij, basis[k])
-                    right = self.mul(basis[i], self.mul(basis[j], basis[k]))
+                    right = self.mul(basis[i], self.table[j][k])
                     if left != right:
                         raise RingAxiomError(
                             "multiplication not associative at basis triple (%d,%d,%d)"
@@ -401,10 +393,9 @@ def _nilradical_basis(R):
     if p == 0:
         # radical of the trace form B(x, y) = trace(L_{xy})  (Dickson)
         T = [[None] * n for _ in range(n)]
-        basis = [R._basis_vec(i) for i in range(n)]
         for i in range(n):
             for j in range(i, n):
-                M = R.mul_matrix(R.mul(basis[i], basis[j]))
+                M = R.mul_matrix(R.table[i][j])
                 tr = F.zero()
                 for k in range(n):
                     tr = F.add(tr, M[k][k])
@@ -478,8 +469,7 @@ def _quotient_ring(R, ideal_basis, label):
             prod = R.mul(R._basis_vec(i), tuple(v))
             if any(not F.is_zero(c) for c in reduce_vec(prod)):
                 raise MathIdentityError("subspace is not an ideal")
-    basis = [R._basis_vec(c) for c in free]
-    table = [[reduce_vec(R.mul(a, b)) for b in basis] for a in basis]
+    table = [[reduce_vec(R.table[a][b]) for b in free] for a in free]
     ring = TestRing(F, table, reduce_vec(R.one), label=label)
     return ring, reduce_vec, lift_vec
 

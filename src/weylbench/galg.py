@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from .abgroups import FGAbelianGroup, Presentation, group_from_presentation
 from .comrings import GroupAlgebra, base_field_ring
 from .errors import GradingAxiomError, InputError, MathIdentityError
-from .linalg import sparse_terms, structure_mul
+from .linalg import compile_product
 
 
 class Algebra:
@@ -28,15 +28,14 @@ class Algebra:
         for row in self.table:
             if len(row) != self.dim or any(len(v) != self.dim for v in row):
                 raise InputError("structure constant dimensions inconsistent")
-        self.terms = sparse_terms(fld, self.table)
+        self.terms, self._product = compile_product(fld, self.table)
         self.basis_names = tuple(basis_names) if basis_names else tuple(
             "b%d" % i for i in range(self.dim))
         self.label = label or "algebra"
         self.enumeration_plan = None  # points._enumeration_plan, built on first use
 
     def mul(self, x, y):
-        F = self.field
-        return structure_mul(self.terms, x, y, F.zero(), F.is_zero, F.add, F.mul, F.mul)
+        return self._product(x, y)
 
     def __repr__(self):
         return "Algebra(%s, dim=%d)" % (self.label, self.dim)

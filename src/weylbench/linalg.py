@@ -7,6 +7,9 @@ Matrices are lists of row lists; vectors are lists.  Everything is pure.
 
 from __future__ import annotations
 
+from fractions import Fraction
+from math import lcm
+
 from .errors import SingularMatrixError
 
 
@@ -33,11 +36,38 @@ def mat_mul(R, A, B):
     return out
 
 
-def sparse_terms(F, table):
-    """Compile structure constants: terms[i][j] lists the (k, c) with
-    table[i][j][k] = c nonzero, so products never visit a zero constant."""
-    return tuple(tuple(tuple((k, c) for k, c in enumerate(cell) if not F.is_zero(c))
-                       for cell in row) for row in table)
+def compile_product(F, table):
+    """(terms, product) for structure constants over F: terms[i][j] lists the
+    (k, c) with table[i][j][k] = c nonzero, and product(x, y) multiplies
+    F-coordinate tuples by the kernel chosen here, once per table."""
+    terms = tuple(tuple(tuple((k, c) for k, c in enumerate(cell) if not F.is_zero(c))
+                        for cell in row) for row in table)
+    if F.kind != "rationals":
+        zero, is_zero, add, mul = F.zero(), F.is_zero, F.add, F.mul
+        return terms, lambda x, y: structure_mul(terms, x, y, zero, is_zero, add, mul, mul)
+    # Over Q, on integers: the constants times their common denominator D,
+    # x and y times the lcms dx, dy of theirs; one Fraction per coordinate.
+    D = lcm(*(c.denominator for row in terms for cell in row for _, c in cell))
+    iterms = tuple(tuple(tuple((k, c.numerator * (D // c.denominator)) for k, c in cell)
+                         for cell in row) for row in terms)
+    zero = Fraction(0)
+
+    def product(x, y):
+        dx = lcm(*(a.denominator for a in x))
+        dy = lcm(*(b.denominator for b in y))
+        ys = [(j, b.numerator * (dy // b.denominator)) for j, b in enumerate(y) if b]
+        out = [0] * len(iterms)
+        for a, row in zip(x, iterms):
+            if a:
+                a = a.numerator * (dx // a.denominator)
+                for j, b in ys:
+                    ab = a * b
+                    for k, c in row[j]:
+                        out[k] += ab * c
+        d = dx * dy * D
+        return tuple(Fraction(v, d) if v else zero for v in out)
+
+    return terms, product
 
 
 def structure_mul(terms, x, y, zero, is_zero, add, mul, scal):

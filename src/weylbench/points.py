@@ -388,6 +388,11 @@ def norm_membership_generic(gr, phi):
     shifts g -> h per e must be the block permutations of phi, and
     membership must agree with the intersection definition (cross-asserted)."""
     _require_automorphism(phi)
+    return _normalizer(gr, phi, block_permutations(gr, phi))
+
+
+def _normalizer(gr, phi, direct):
+    """norm_membership_generic of a verified phi with block permutations direct."""
     R = phi.ring
     GA = GroupAlgebra(R, gr.group)
     Phi = _ga_from_ring_matrix(GA, phi.entries)
@@ -397,7 +402,6 @@ def norm_membership_generic(gr, phi):
     member = scalars is not None
     shifts = [(e, {g: _idempotent_cut(R, e, scalars[g]) for g in gr.support})
               for e in R.idempotents()] if member else []
-    direct = block_permutations(gr, phi)  # phi verified above
     if member != direct.ok or shifts != direct.certificates:
         raise MathIdentityError(
             "generic normalizer test disagrees with the intersection definition")
@@ -430,7 +434,8 @@ def dgroup_norm_membership(gr, phi):
     element h, read from the shift sigma of the generic normalizer test;
     membership needs those forced values to satisfy every relation of the
     support inside G."""
-    if not autgamma_membership(gr, phi):
+    direct = automorphism_membership(phi) and block_permutations(gr, phi)
+    if not (direct and direct.ok):
         raise InputError("matrix is not a point of the grading automorphism scheme")
     if len(phi.ring.idempotents()) != 1:
         raise InputError("test requires a connected ring")
@@ -439,7 +444,7 @@ def dgroup_norm_membership(gr, phi):
     for gen in G.generators():
         if not sub.contains(gen):
             return DGroupResult("indeterminate", {})
-    (_, shift), = norm_membership_generic(gr, phi).shifts
+    (_, shift), = _normalizer(gr, phi, direct).shifts
     forced = {h: g for g, h in shift.items()}
     for row in sub.relations:
         value = G.combine(row, [forced[h] for h in gr.support])

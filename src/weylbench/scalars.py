@@ -6,7 +6,7 @@ elements); all operations live on the field object.  An extension of a finite
 field is certified irreducible when it is built (Rabin's test), and a
 reducible modulus is refused with a nontrivial factor.  Finite extensions
 with at most TABLE_MAX_ELEMENTS elements run on log/Zech tables built once;
-the rest, and all extensions of Q, multiply with linalg.structure_mul over
+the rest, and all extensions of Q, multiply with linalg.compile_product over
 the table t^(i+j) mod f of power_table, the same table that builds the test
 ring comrings.truncated_poly.  A modulus over Q is certified by factoring it
 (factorization.partial_factor); over an extension of Q it is not certified.
@@ -27,7 +27,7 @@ from .errors import (
     ReducibleModulusError,
     UnknownSolvabilityError,
 )
-from .linalg import sparse_terms, structure_mul
+from .linalg import compile_product
 
 # Finite fields and rings with at most this many elements are tabulated:
 # extension fields on log/Zech tables here, rings in comrings.RingTable.
@@ -567,7 +567,7 @@ class ExtensionField(ExactField):
         self.base = base
         self.modulus = tuple(modulus)
         self.degree = len(modulus) - 1
-        self.terms = sparse_terms(base, power_table(base, modulus))
+        self.terms, self._product = compile_product(base, power_table(base, modulus))
         self._zero = self._vec([])
         self.exp = self.log = None
         q = self.cardinality()
@@ -714,8 +714,7 @@ class ExtensionField(ExactField):
         return tuple(self.base.neg(x) for x in a)
 
     def mul(self, a, b):
-        B = self.base
-        return structure_mul(self.terms, a, b, B.zero(), B.is_zero, B.add, B.mul, B.mul)
+        return self._product(a, b)
 
     def inv(self, a):
         if self.is_zero(a):

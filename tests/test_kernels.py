@@ -6,6 +6,7 @@ against its element operations."""
 
 import gc
 import itertools
+import math
 import random
 import weakref
 from fractions import Fraction
@@ -15,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import weylbench as wb
-from weylbench import abgroups, comrings, galg, linalg, points
+from weylbench import abgroups, comrings, galg, linalg, points, scalars
 from weylbench.errors import WorkbenchError
 from conftest import battery_rings, para_hurwitz_grading
 
@@ -99,6 +100,49 @@ def test_field_products_match_dense_loop(name, n, data):
     assert R.mul(u, v) == dense_mul(F, R.table, u, v, F.zero(), lambda a: a == F.zero(),
                                     F.add, F.mul, lambda c: c)
     assert galg.Algebra(F, table).mul(x, y) == expected
+
+
+def large_rationals():
+    """Rationals over products of large primes, zero about half of the time:
+    the denominators of a table, of x and of y are coprime or share factors."""
+    primes = st.lists(st.sampled_from([2, 3, 10007, 1000003, 998244353]), max_size=3)
+    nonzero = st.builds(lambda n, ps: Fraction(n, math.prod(ps)),
+                        st.integers(-10**9, 10**9), primes)
+    return st.one_of(st.just(Fraction(0)), nonzero)
+
+
+def large_vectors(n):
+    return st.one_of(st.just((Fraction(0),) * n), st.tuples(*[large_rationals()] * n))
+
+
+def assert_canonical(v):
+    for c in v:
+        assert type(c) is Fraction and c.denominator > 0
+        assert math.gcd(c.numerator, c.denominator) == 1
+
+
+@KERNEL
+@given(st.integers(1, 4), st.data())
+def test_rational_kernel_matches_dense_loop_on_large_denominators(n, data):
+    cell = st.one_of(st.just((Fraction(0),) * n), large_vectors(n))
+    table = data.draw(st.lists(st.lists(cell, min_size=n, max_size=n),
+                               min_size=n, max_size=n))
+    x, y = data.draw(large_vectors(n)), data.draw(large_vectors(n))
+    product = galg.Algebra(Q, table).mul(x, y)
+    assert product == dense_mul(Q, table, x, y, Q.zero(), Q.is_zero, Q.add, Q.mul,
+                                lambda c: c)
+    assert_canonical(product)
+    R = comrings.truncated_poly(Q, data.draw(large_vectors(n)) + (Fraction(1),))
+    u, v = data.draw(large_vectors(n)), data.draw(large_vectors(n))
+    product = R.mul(u, v)
+    assert product == dense_mul(Q, R.table, u, v, Q.zero(), Q.is_zero, Q.add, Q.mul,
+                                lambda c: c)
+    assert_canonical(product)
+    a, b = data.draw(large_vectors(2)), data.draw(large_vectors(2))
+    power = scalars.power_table(Q, QSQRT2.modulus)
+    assert QSQRT2.mul(a, b) == dense_mul(Q, power, a, b, Q.zero(), Q.is_zero, Q.add,
+                                         Q.mul, lambda c: c)
+    assert_canonical(QSQRT2.mul(a, b))
 
 
 @KERNEL

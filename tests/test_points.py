@@ -155,6 +155,19 @@ def test_dgroup_norm_membership(Q, F3):
         assert pts.dgroup_norm_membership(g24f3, p).status == "member"
 
 
+def test_dgroup_norm_membership_verifies_the_point_once(monkeypatch, Q, F3):
+    calls = []
+    for name in ("automorphism_membership", "block_permutations"):
+        fn = getattr(pts, name)
+        monkeypatch.setattr(pts, name,
+                            lambda *a, fn=fn, name=name: calls.append(name) or fn(*a))
+    for gr, R in ((zero_mult_grading(Q), base_field_ring(Q)),
+                  (para_hurwitz_grading(F3), base_field_ring(F3))):
+        calls.clear()
+        pts.dgroup_norm_membership(gr, swap_point(gr, R))
+        assert sorted(calls) == ["automorphism_membership", "block_permutations"]
+
+
 def test_diag_points_counts(Q, F3, F7):
     F3r = base_field_ring(F3)
     g26 = para_hurwitz_grading(F3)
