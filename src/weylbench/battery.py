@@ -80,17 +80,16 @@ def battery_points(gr, R, seed=0x5EED):
 
     Full enumeration when both the search and the resulting point group are
     small; very large point groups are stride-sampled from the enumeration."""
-    A = gr.algebra
-    count = R.element_count()
-    if count is not None and count <= pts.RingTable.MAX_ELEMENTS:
-        nodes = pts._estimated_nodes(A, R)
-        if nodes is not None and nodes <= ENUM_BUDGET:
-            enumerated = pts.enumerate_points(gr, R, "aut", cap=ENUM_BUDGET)
-            if len(enumerated) <= POINT_CAP:
-                return enumerated, "enumerated", len(enumerated)
-            stride = max(1, len(enumerated) // max(SAMPLE_TARGET, 128))
-            sampled = enumerated[::stride]
-            return sampled, "sampled", len(sampled)
+    try:
+        enumerated = pts.enumerate_points(gr, R, "aut", cap=ENUM_BUDGET)
+    except (CapExceededError, NotEnumerableError):
+        pass
+    else:
+        if len(enumerated) <= POINT_CAP:
+            return enumerated, "enumerated", len(enumerated)
+        stride = max(1, len(enumerated) // max(SAMPLE_TARGET, 128))
+        sampled = enumerated[::stride]
+        return sampled, "sampled", len(sampled)
     sampled = _sampled_points(gr, R, seed)
     return sampled, "sampled", max(SAMPLE_TARGET, len(sampled))
 
@@ -229,15 +228,9 @@ def _base_field_sample(gr, R):
     """Automorphism points over the base field embedded into R."""
     from .comrings import base_field_ring
 
-    F = gr.algebra.field
-    if not F.is_finite():
-        return []
-    base = base_field_ring(F)
-    nodes = pts._estimated_nodes(gr.algebra, base)
-    if nodes is None or nodes > BASE_FIELD_BUDGET:
-        return []
     try:
-        field_points = pts.enumerate_points(gr, base, "aut", cap=BASE_FIELD_BUDGET)
+        field_points = pts.enumerate_points(gr, base_field_ring(gr.algebra.field), "aut",
+                                            cap=BASE_FIELD_BUDGET)
     except (CapExceededError, NotEnumerableError):
         return []
     out = []

@@ -315,13 +315,7 @@ def main(argv=None):
     except MathIdentityError as exc:
         print("error=identity: %s" % exc)
         return 1
-    except InputError as exc:
-        print("error=input: %s" % exc)
-        return 2
-    except WorkbenchError as exc:
-        print("error=input: %s" % exc)
-        return 2
-    except OSError as exc:
+    except (WorkbenchError, OSError) as exc:
         print("error=input: %s" % exc)
         return 2
     sys.stdout.write(report.text())

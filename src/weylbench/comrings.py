@@ -36,7 +36,7 @@ class TestRing:
 
     __test__ = False  # "Test" prefix is domain vocabulary, not a pytest class
 
-    def __init__(self, field, table, one, label=None, idempotent_hint=None):
+    def __init__(self, field, table, one, label=None):
         self.field = field
         self.dim = len(table)
         self.table = tuple(tuple(tuple(v) for v in row) for row in table)
@@ -44,18 +44,15 @@ class TestRing:
         self.one = tuple(one)
         self._zero = (field.zero(),) * self.dim
         self.label = label or "ring"
-        self._hint = idempotent_hint
         self._idempotents = None
         self._nilradical = None
         self._nil_quotient = None   # R/nil, kept from the reducedness check
         self._unit_group = None
         self._ring_table = None
-        self._block_cache = {}
-        self._to_table = -1   # products left before moving onto the table
         self._check_axioms()
         count = self.element_count()
         if count is not None and count <= RingTable.MAX_ELEMENTS:
-            self._to_table = RingTable.PAYS_AFTER * count
+            self.ring_table()
 
     # -- element helpers ----------------------------------------------------
 
@@ -87,9 +84,6 @@ class TestRing:
         return tuple(F.mul(c, a) for a in x)
 
     def mul(self, x, y):
-        self._to_table -= 1
-        if not self._to_table:
-            self.ring_table()
         return self._product(x, y)
 
     def pow_element(self, x, n):
@@ -188,12 +182,7 @@ class TestRing:
     def idempotents(self):
         """Primitive orthogonal idempotents, lexicographically ordered."""
         if self._idempotents is None:
-            if self._hint is not None:
-                idems = [tuple(e) for e in self._hint]
-                _verify_idempotent_family(self, idems)
-            else:
-                idems = decompose_ring(self)
-            self._idempotents = tuple(sorted(idems, key=self.sort_key))
+            self._idempotents = tuple(decompose_ring(self))
         return self._idempotents
 
     def block(self, e):
@@ -201,26 +190,23 @@ class TestRing:
         project, inject): project(x) is the class of x, which is that of ex,
         and inject(b) = e * lift(b) lies in eR."""
         e = tuple(e)
-        if e not in self._block_cache:
-            f = self.sub(self.one, e)
-            ring, project, lift = _quotient_ring(
-                self, [self.mul(f, self._basis_vec(i)) for i in range(self.dim)],
-                "%s|block" % self.label)
-            self._block_cache[e] = (ring, project, lambda b: self.mul(e, lift(b)))
-        return self._block_cache[e]
+        f = self.sub(self.one, e)
+        ring, project, lift = _quotient_ring(
+            self, [self.mul(f, self._basis_vec(i)) for i in range(self.dim)],
+            "%s|block" % self.label)
+        return ring, project, lambda b: self.mul(e, lift(b))
 
     def unit_group(self):
         """{unit: order} for a finite ring, computed once and kept."""
         if self._unit_group is None:
-            if self._to_table > 0:   # keep every flag the scan computes
-                self.ring_table()
             self._unit_group = enumerate_units(self)
         return self._unit_group
 
     def ring_table(self):
-        """The index table of a finite ring, built on first call and kept;
-        from then on mul, add and is_unit of this ring are table lookups.
-        The table holds the ring weakly and is valid only while it is alive."""
+        """The index table of a finite ring, built once and kept (at
+        construction within RingTable.MAX_ELEMENTS); mul, add and is_unit of
+        this ring are then table lookups.  The table holds the ring weakly
+        and is valid only while it is alive."""
         if self._ring_table is None:
             self._ring_table = table = RingTable(self)
             self.mul, self.add, self.is_unit = table.element_ops()
@@ -240,10 +226,6 @@ class RingTable:
     written.  It holds its ring weakly: the two form no reference cycle."""
 
     MAX_ELEMENTS = TABLE_MAX_ELEMENTS
-    # A ring moves onto its table after PAYS_AFTER * |R| coordinate products:
-    # a lookup that misses costs more than the product, so little-used rings
-    # (blocks and quotients in decompose_ring) are faster without one.
-    PAYS_AFTER = 4
 
     def __init__(self, R):
         count = R.element_count()
@@ -347,8 +329,7 @@ def product_ring(R1, R2, label=None):
             else:
                 table[i][j] = (F.zero(),) * n
     one = tuple(R1.one) + tuple(R2.one)
-    hint = [emb1(e) for e in R1.idempotents()] + [emb2(e) for e in R2.idempotents()]
-    return TestRing(F, table, one, label=label or "product", idempotent_hint=hint)
+    return TestRing(F, table, one, label=label or "product")
 
 
 def group_algebra_finite(F, G, label=None):
@@ -672,12 +653,6 @@ class GroupAlgebra:
                 out[g] = r
         return out
 
-    def neg(self, x):
-        return {g: self.ring.neg(r) for g, r in x.items()}
-
-    def sub(self, x, y):
-        return self.add(x, self.neg(y))
-
     def mul(self, x, y):
         out = {}
         for g, r in x.items():
@@ -691,9 +666,6 @@ class GroupAlgebra:
                 else:
                     out[gh] = rs
         return out
-
-    def eq(self, x, y):
-        return x == y
 
     def is_zero(self, x):
         return not x

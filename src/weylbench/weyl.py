@@ -299,14 +299,16 @@ def _weyl_from_field_points(gr, cap):
     """(points, perms, W(F)): the points of Aut Gamma over the base field, the
     support permutation of each, read from its one block certificate (a
     field has one block), and the group W(F) of those permutations."""
-    points = pts.enumerate_points(gr, base_field_ring(gr.algebra.field), "autgamma", cap=cap)
     index = {g: i for i, g in enumerate(gr.support)}
-    perms = []
-    for p in points:
+    points, perms = [], []
+    for p in pts.enumerate_points(gr, base_field_ring(gr.algebra.field), "aut", cap=cap):
         cert = pts.block_permutations(gr, p)
-        if not cert.ok or len(cert.certificates) != 1:
+        if not cert.ok:
+            continue
+        if len(cert.certificates) != 1:
             raise MathIdentityError("field point without a unique permutation")
         sigma = cert.certificates[0][1]
+        points.append(p)
         perms.append(tuple(index[sigma[g]] for g in gr.support))
     return points, perms, perm_group_from(set(perms), gr.support)
 

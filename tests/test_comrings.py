@@ -287,7 +287,7 @@ def test_block_ring_roundtrip(Q, F3, F7, F9):
     rings = [group_algebra_finite(Q, cyclic_group(6)),
              group_algebra_finite(F7, cyclic_group(6)),
              group_algebra_finite(F3, cyclic_group(3)),
-             TestRing(F3, eps_x_f3.table, eps_x_f3.one),   # no idempotent hint
+             TestRing(F3, eps_x_f3.table, eps_x_f3.one),   # a product's table, unlabelled
              product_ring(base_field_ring(F9), base_field_ring(F9))]
     for R in rings:
         basis = [R._basis_vec(i) for i in range(R.dim)]
@@ -352,13 +352,28 @@ def test_parse_print_roundtrip(F3):
 
 
 def test_product_decomposition_without_hints(F3, F5):
-    # decompose_ring ignores the product's idempotent hint; the general
-    # algorithm must reproduce the structural block count
+    # the general algorithm must reproduce the structural block count
     P = product_ring(dual_numbers(F3, 2), base_field_ring(F3))
     assert len(decompose_ring(P)) == 2
     P2 = product_ring(base_field_ring(F5), base_field_ring(F5))
     assert len(decompose_ring(P2)) == 2
     assert set(decompose_ring(P2)) == set(P2.idempotents())
+
+
+@pytest.mark.parametrize("name", ["Q", "F3", "F9"])
+def test_product_ring_idempotents_are_the_embedded_factor_idempotents(name, request):
+    F = request.getfixturevalue(name)
+    one, zero = F.one(), F.zero()
+    factors = [base_field_ring(F), dual_numbers(F, 2),   # eps is nilpotent
+               truncated_poly(F, [F.neg(one), zero, one]),   # t^2 - 1 splits
+               group_algebra_finite(F, cyclic_group(2))]
+    for R1 in factors:
+        for R2 in factors:
+            P = product_ring(R1, R2)
+            pad1, pad2 = (zero,) * R2.dim, (zero,) * R1.dim
+            embedded = ([tuple(e) + pad1 for e in R1.idempotents()]
+                        + [pad2 + tuple(e) for e in R2.idempotents()])
+            assert P.idempotents() == tuple(sorted(embedded, key=P.sort_key))
 
 
 def test_idempotents_over_a_large_prime_field_without_a_scan():

@@ -390,11 +390,11 @@ def test_ring_table_is_built_once_per_ring(monkeypatch):
         builds.append(R)
         init(table, R)
 
+    gr = para_hurwitz_grading(F3)
     monkeypatch.setattr(comrings.RingTable, "__init__", counting_init)
     R = comrings.dual_numbers(F3, 2)
     assert points.RingTable is comrings.RingTable
     assert R.ring_table() is R.ring_table()
-    gr = para_hurwitz_grading(F3)
     first = points.enumerate_points(gr, R, "aut")
     assert points.enumerate_points(gr, R, "aut") == first
     assert builds == [R]
@@ -434,22 +434,31 @@ def test_bound_table_ops_match_coordinate_path(name, n, data):
     assert R.pow_element(x, n) == power
 
 
-def test_ring_moves_onto_its_table_after_its_products_pay():
-    R = comrings.dual_numbers(F5, 2)   # 25 elements
+def test_finite_ring_binds_table_ops_at_construction(monkeypatch):
+    check_axioms = comrings.TestRing._check_axioms
+
+    def on_coordinates(R):
+        assert not {"mul", "add", "is_unit"} & set(vars(R))
+        check_axioms(R)
+
+    monkeypatch.setattr(comrings.TestRing, "_check_axioms", on_coordinates)
+    base = comrings.base_field_ring(F5)
+    rings = [comrings.dual_numbers(F5, 2), comrings.product_ring(base, base),
+             comrings.group_algebra_finite(F3, abgroups.cyclic_group(3)),
+             comrings.dual_numbers(F2, 9)]   # 512 elements, the bound
+    for R in rings:
+        assert {"mul", "add", "is_unit"} <= set(vars(R)), R.label
+        assert R.ring_table() is R._ring_table
+    R = rings[0]
     x = (F5.one(), F5.from_int(2))
-    for _ in range(comrings.RingTable.PAYS_AFTER * 25 - 1):
-        R.mul(x, x)
-    assert not {"mul", "add", "is_unit"} & set(vars(R))
-    R.mul(x, x)
-    assert {"mul", "add", "is_unit"} <= set(vars(R))
     assert R.mul(x, x) == comrings.TestRing.mul(R, x, x)
 
 
 def test_q_and_large_rings_never_bind_table_ops():
     for R in (comrings.dual_numbers(Q, 2), comrings.dual_numbers(F9, 3)):
         x = tuple(R.field.one() for _ in range(R.dim))
-        # more products than would move a ring of 729 elements (F9[eps]/eps^3)
-        for _ in range(comrings.RingTable.PAYS_AFTER * 729 + 1):
+        # products never bind table ops on a Q ring or one past the bound
+        for _ in range(2917):
             R.mul(x, x)
         assert not {"mul", "add", "is_unit"} & set(vars(R)), R.label
 
