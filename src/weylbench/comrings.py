@@ -3,8 +3,9 @@ idempotent decomposition, unit/nilpotent predicates, the unit map {unit: order},
 and sparse group-algebra arithmetic RG.
 
 Ring elements are tuples of field elements (coordinates in the canonical
-basis).  Ring axioms are verified at construction; primitive idempotents and
-the nilradical are computed on demand and cached.
+basis).  Ring axioms are verified at construction; the nilradical and the
+primitive idempotents, split inside R/nil with no block ring, are computed
+on demand and cached.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .errors import (
     SingularMatrixError,
     WorkbenchError,
 )
-from .factorization import crt_idempotent_polys, int_divisors, partial_factor
+from .factorization import Factor, crt_idempotent_polys, int_divisors, partial_factor
 from .scalars import (TABLE_MAX_ELEMENTS, linear_roots, poly_eval, poly_trim,
                       power_table, split_bracketed)
 
@@ -460,8 +461,8 @@ def _quotient_ring(R, ideal_basis, label):
 
 
 def decompose_ring(R):
-    """Primitive orthogonal idempotents of R via nilradical + semisimple split
-    + Newton lifting (e -> 3e^2 - 2e^3, valid in every characteristic)."""
+    """Primitive orthogonal idempotents of R: those of R/nil, split in place,
+    Newton-lifted (e -> 3e^2 - 2e^3, valid in every characteristic)."""
     if R.nilradical():
         ring, _, lift = R._nil_quotient
         idems = [_newton_lift(R, lift(e)) for e in _split_semisimple(ring)]
@@ -476,9 +477,9 @@ def _newton_lift(R, e):
     three = R.from_int(3)
     two = R.from_int(2)
     for _ in range(64):
-        if R.mul(e, e) == e:
-            return tuple(e)
         e2 = R.mul(e, e)
+        if e2 == e:
+            return tuple(e)
         e = R.sub(R.mul(three, e2), R.mul(two, R.mul(e2, e)))
     raise MathIdentityError("idempotent lifting did not converge")
 
@@ -497,95 +498,74 @@ def _verify_idempotent_family(R, idems):
 
 
 def _split_semisimple(R):
-    """Primitive idempotents of a ring assumed reduced."""
-    if R.dim == 1:
-        return [R.one]
-    if R.field.characteristic() > 0:
-        return _split_semisimple_finite(R)
-    return _split_semisimple_char0(R)
+    """Primitive idempotents of a ring assumed reduced, by refining the
+    family {1} inside R: a member e is split by the CRT idempotents of the
+    factored minimal polynomial of x = e*c over eR.  Over F_q, c runs over a
+    basis of the Frobenius-fixed subalgebra B = F_q^k, one coordinate per
+    block (Berlekamp), so the factors are linear, a member no c splits is
+    primitive, and the family ends with dim B members.  In characteristic 0,
+    c runs over the basis of R, and a member is kept once some e*c generates
+    eR as a certified field."""
+    F = R.field
+    finite = F.characteristic() > 0
+    gens = [R._basis_vec(i) for i in range(R.dim)]
+    if finite:   # B is the kernel of x -> x^q - x
+        cols = [R.sub(R.pow_element(b, F.cardinality()), b) for b in gens]
+        gens = [tuple(v) for v in linalg.nullspace(F, [list(r) for r in zip(*cols)])]
+    family, todo = [], [R.one]
+    while todo:
+        e = todo.pop()
+        d = linalg.rank(F, R.mul_matrix(e))   # dim eR
+        for c in gens:
+            x = R.mul(e, c)
+            mu = _min_poly_of_element(R, x, e, d)
+            factors = _linear_factors(F, mu) if finite else partial_factor(F, mu)
+            if len(factors) > 1:
+                for ep in crt_idempotent_polys(F, mu, [f.poly for f in factors]):
+                    f = _eval_poly_at_element(R, ep, x, e)
+                    if R.is_zero(f) or R.mul(f, f) != f:
+                        raise MathIdentityError("split produced a non-idempotent")
+                    todo.append(f)
+                break
+            if len(mu) - 1 == d and factors[0].certified:
+                family.append(e)   # e*c generates eR, a field
+                break
+        else:
+            if not finite:
+                raise FactorizationIncompleteError(
+                    "cannot certify connectedness of a %d-dimensional block over %r" % (d, F))
+            family.append(e)   # no c in B splits e: it is primitive
+    if finite and len(family) != len(gens):
+        raise MathIdentityError("%d primitive idempotents for a %d-dimensional "
+                                "Frobenius-fixed subalgebra" % (len(family), len(gens)))
+    return family
 
 
-def _min_poly_of_element(R, x):
-    """Monic minimal polynomial of x, low first: the first kernel vector of
-    the columns 1, x, ..., x^dim (its free column is the least dependent power)."""
-    powers = [R.one]
-    for _ in range(R.dim):
+def _linear_factors(F, mu):
+    """The linear factors of the minimal polynomial of a Frobenius-fixed
+    element, checked to be distinct with product mu."""
+    roots = linear_roots(F, mu)
+    if len(set(roots)) != len(mu) - 1 or any(
+            not F.is_zero(poly_eval(F, mu, x)) for x in roots):
+        raise MathIdentityError("fixed element minimal polynomial did not split")
+    return [Factor([F.neg(lam), F.one()], True) for lam in roots]
+
+
+def _min_poly_of_element(R, x, e=None, d=None):
+    """Monic minimal polynomial of x in eR (e idempotent, R.one by default),
+    low first: the first kernel vector of the columns e, x, ..., x^d for
+    d >= dim eR, R.dim by default (its free column is the least dependent power)."""
+    powers = [R.one if e is None else e]
+    for _ in range(R.dim if d is None else d):
         powers.append(R.mul(powers[-1], x))
     cols = [[p[k] for p in powers] for k in range(R.dim)]
     return poly_trim(R.field, linalg.nullspace(R.field, cols)[0])
 
 
-def _split_semisimple_finite(R):
-    F = R.field
-    q = F.cardinality()
-    n = R.dim
-    # Frobenius-fixed subalgebra: x with x^q = x; its dimension counts blocks
-    cols = [R.pow_element(R._basis_vec(i), q) for i in range(n)]
-    M = [[F.sub(cols[j][k], F.one() if j == k else F.zero()) for j in range(n)]
-         for k in range(n)]
-    fixed = linalg.nullspace(F, M)
-    if len(fixed) == 1:
-        return [R.one]
-    # pick a fixed element that is not a scalar multiple of 1
-    a = None
-    for v in fixed:
-        if linalg.rank(F, [list(R.one), list(v)]) == 2:
-            a = tuple(v)
-            break
-    if a is None:
-        raise MathIdentityError("fixed algebra of dimension >= 2 is all scalars")
-    mu = _min_poly_of_element(R, a)
-    roots = sorted(linear_roots(F, mu), key=F.sort_key)
-    if len(set(roots)) != len(mu) - 1 or any(
-            not F.is_zero(poly_eval(F, mu, x)) for x in roots):
-        raise MathIdentityError("fixed element minimal polynomial did not split")
-    return _split_along(R, a, mu, [[F.neg(lam), F.one()] for lam in roots])
-
-
-def _split_semisimple_char0(R):
-    F = R.field
-    for i in range(R.dim):
-        b = R._basis_vec(i)
-        mu = _min_poly_of_element(R, b)
-        if len(mu) <= 2:
-            continue
-        factors = partial_factor(F, mu)
-        if len(factors) >= 2:
-            return _split_along(R, b, mu, [f.poly for f in factors])
-    # no split found: certify that R is a field or give up
-    for i in range(R.dim):
-        mu = _min_poly_of_element(R, R._basis_vec(i))
-        if len(mu) - 1 == R.dim:
-            factors = partial_factor(F, mu)
-            if len(factors) == 1 and factors[0].certified:
-                return [R.one]
-    raise FactorizationIncompleteError(
-        "cannot certify connectedness of a %d-dimensional block over %r"
-        % (R.dim, F))
-
-
-def _split_along(R, x, mu, factors):
-    """Split R along coprime factors of the minimal polynomial mu of x: the
-    CRT idempotents of F[t]/(mu) evaluated at x, each split further."""
-    out = []
-    for ep in crt_idempotent_polys(R.field, mu, factors):
-        out.extend(_recurse_block(R, _eval_poly_at_element(R, ep, x)))
-    return out
-
-
-def _recurse_block(R, e):
-    """Split the block eR further and inject its idempotents back into R."""
-    if R.mul(e, e) != tuple(e) or R.is_zero(e):
-        raise MathIdentityError("split produced a non-idempotent")
-    if e == R.one:
-        return [R.one]
-    ring, project, inject = R.block(e)
-    return [inject(f) for f in _split_semisimple(ring)]
-
-
-def _eval_poly_at_element(R, poly, x):
+def _eval_poly_at_element(R, poly, x, e=None):
+    """poly(x) in eR, with e (by default R.one) as its unit."""
     acc = R.zero()
-    power = R.one
+    power = R.one if e is None else e
     for c in poly:
         acc = R.add(acc, R.scal(c, power))
         power = R.mul(power, x)

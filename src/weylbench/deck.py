@@ -208,7 +208,7 @@ class _PendingAlgebra:
         self.basis = basis
         self.table = [[tuple(fld.zero() for _ in range(dim)) for _ in range(dim)]
                       for _ in range(dim)]
-        self.lines = []
+        self.mul_lines = {}   # (i, j) -> line number of its mul line
         self.line_no = line_no
 
 
@@ -241,6 +241,10 @@ def _parse_mul(pending, line, line_no):
         j = pending.basis.index(b2)
     except ValueError:
         raise DeckError(line_no, "unknown basis name in mul line")
+    if (i, j) in pending.mul_lines:
+        raise DeckError(line_no, "duplicate mul line for %s %s (first at line %d)"
+                        % (b1, b2, pending.mul_lines[i, j]))
+    pending.mul_lines[i, j] = line_no
     vec = [pending.field.zero()] * pending.dim
     if rhs not in ("0", ""):
         for term in rhs.split("+"):
@@ -311,18 +315,16 @@ def _parse_grading(deck, line, line_no):
 
 
 def _parse_map(deck, line, line_no):
-    toks = line.split(None, 6)
     # map NAME on ALG over RING = [[..],[..]]
     try:
+        head, body = line.split("=", 1)
+        toks = head.split()
+        assert len(toks) == 6 and toks[2] == "on" and toks[4] == "over"
         name = toks[1]
-        assert toks[2] == "on" and toks[4] == "over"
         algebra = _lookup(deck.algebras, toks[3], "algebra", line_no)
-        tail = line.split("=", 1)
-        assert len(tail) == 2
-        ring_name = toks[5]
-        ring = _lookup(deck.rings, ring_name, "ring", line_no)
-        body = tail[1].strip()
-    except (IndexError, AssertionError):
+        ring = _lookup(deck.rings, toks[5], "ring", line_no)
+        body = body.strip()
+    except (ValueError, AssertionError):
         raise DeckError(line_no, "bad map declaration")
     _check_fresh(deck, name, line_no)
     if not (body.startswith("[") and body.endswith("]")):

@@ -311,6 +311,60 @@ def test_deck_map_over_a_ring_with_no_field_map_exits_2(tmp_path, capsys):
         "error=input: line 16: map ring field does not match the algebra field\n")
 
 
+def test_deck_map_ring_name_written_against_the_equals_sign(tmp_path, capsys):
+    # the ring name is the text before the first '=', as in "ring R=base Q"
+    text = ("field Q = rationals\nring R=base Q\nalgebra A over Q dim 1 basis e\n"
+            "mul e e = e\nmap m on A over R=[[1]]\n")
+    deck = tmp_path / "t.deck"
+    deck.write_text(text)
+    assert main(["--deck", str(deck), "check"]) == 0
+    assert "maps=1\n" in capsys.readouterr().out
+    spaced = parse_deck(text.replace("R=[[1]]", "R = [[1]]")).maps["m"]
+    tight = parse_deck(text).maps["m"]
+    assert (tight.ring.label, tight.entries) == (spaced.ring.label, spaced.entries)
+
+
+def test_duplicate_mul_line_exits_2_with_its_line(tmp_path, capsys):
+    text = ("field Q = rationals\nalgebra A over Q dim 2 basis a,b\n"
+            "mul a a = a\nmul a b = b\nmul b a = b\n")
+    deck = tmp_path / "t.deck"
+    deck.write_text(text)
+    assert main(["--deck", str(deck), "check"]) == 0   # (a, b) and (b, a) are two pairs
+    capsys.readouterr()
+    deck.write_text(text + "# a comment\nmul a b = 0\n")
+    assert main(["--deck", str(deck), "check"]) == 2
+    assert capsys.readouterr().out == (
+        "error=input: line 7: duplicate mul line for a b (first at line 4)\n")
+
+
+SQRT2_DECK = """field Q = rationals
+field K = extend Q [-2,0,1]
+ring Kr = base K
+ring KK = product Kr Kr
+ring T = trunc K [-1,0,1]
+ring D = dual K 2
+ring DK = product D Kr
+"""
+
+
+@pytest.mark.parametrize("ring, code, out", [
+    ("Kr", 0, "idempotents.count=1\nidempotent.0=[1,0]\n"),
+    ("KK", 2, "error=input: cannot certify connectedness of a 2-dimensional block "
+              "over Q[t]/(deg 2)\n"),
+    ("T", 2, "error=input: cannot certify connectedness of a 2-dimensional block "
+             "over Q[t]/(deg 2)\n"),
+    ("DK", 2, "error=input: cannot certify connectedness of a 2-dimensional block "
+              "over Q[t]/(deg 2)\n"),
+])
+def test_idempotents_over_q_sqrt2(tmp_path, capsys, ring, code, out):
+    # over K = Q(sqrt 2) only degree <= 1 is certified, so a reduced ring with
+    # two blocks cannot be split; dim eR is a rank, never a trace read as an int
+    deck = tmp_path / "k.deck"
+    deck.write_text(SQRT2_DECK)
+    assert main(["--deck", str(deck), "idempotents", ring]) == code
+    assert capsys.readouterr().out == out
+
+
 @pytest.mark.parametrize("flag, value", [("--cap", "abc"), ("--mode", "bogus")])
 def test_bad_flag_value_exits_2(tmp_path, capsys, flag, value):
     deck = tmp_path / "t.deck"

@@ -1,3 +1,4 @@
+import itertools
 import random
 import time
 
@@ -18,6 +19,7 @@ from weylbench.comrings import (
     truncated_poly,
 )
 from weylbench.errors import MathIdentityError, RingAxiomError
+from weylbench.factorization import Factor
 
 from conftest import battery_rings, zero_mult_grading
 
@@ -305,7 +307,9 @@ def test_block_ring_roundtrip(Q, F3, F7, F9):
         assert dims == R.dim, R.label
 
 
-def test_decompose_ring_builds_the_reduced_quotient_once(F3, monkeypatch):
+def test_decompose_ring_builds_the_reduced_quotient_once(Q, F3, F5, F7, F9, monkeypatch):
+    # the split runs inside R/nil: one quotient on a non-reduced ring, none on
+    # a reduced one, and no block ring at all
     built = []
     quotient_ring = comrings._quotient_ring
 
@@ -314,11 +318,58 @@ def test_decompose_ring_builds_the_reduced_quotient_once(F3, monkeypatch):
         return quotient_ring(R, ideal_basis, *args)
 
     monkeypatch.setattr(comrings, "_quotient_ring", counting)
-    R = product_ring(dual_numbers(F3, 3), base_field_ring(F3))
-    decompose_ring(R)
-    nil = list(R.nilradical())
-    assert len(nil) == 2
-    assert sum(1 for S, ideal in built if S is R and ideal == nil) == 1
+    non_reduced = [product_ring(dual_numbers(F3, 3), base_field_ring(F3)),
+                   dual_numbers(F3, 2), dual_numbers(Q, 3),
+                   group_algebra_finite(F3, cyclic_group(6)),
+                   product_ring(dual_numbers(F9, 2), base_field_ring(F9))]
+    reduced = [group_algebra_finite(Q, cyclic_group(6)),
+               group_algebra_finite(F7, cyclic_group(6)),
+               product_ring(base_field_ring(F5), base_field_ring(F5)),
+               group_algebra_finite(F3, cyclic_group(2))]
+    for R in non_reduced + reduced:
+        built.clear()
+        decompose_ring(R)
+        nil = list(R.nilradical())
+        assert built == ([(R, nil)] if R in non_reduced else []), R.label
+        assert bool(nil) == (R in non_reduced), R.label
+
+
+def test_frobenius_count_check_fires_when_a_member_is_left_unsplit(F5, F7, monkeypatch):
+    # a split that never divides a member ends with the family {1}: one member
+    # against dim B = 2 on F5 x F5 and dim B = 6 on F7C6
+    monkeypatch.setattr(comrings, "_linear_factors", lambda F, mu: [Factor(mu, True)])
+    for R in (product_ring(base_field_ring(F5), base_field_ring(F5)),
+              group_algebra_finite(F7, cyclic_group(6))):
+        with pytest.raises(MathIdentityError, match="1 primitive idempotents for a"):
+            decompose_ring(R)
+
+
+def _brute_idempotents(R):
+    """The minimal nonzero idempotents, by a scan of every x with x*x = x."""
+    idems = [x for x in R.elements() if not R.is_zero(x) and R.mul(x, x) == x]
+    return sorted((e for e in idems
+                   if not any(f != e and R.mul(f, e) == f for f in idems)), key=R.sort_key)
+
+
+def _oracle_rings(F):
+    one, base = F.one(), base_field_ring(F)
+    rings = []
+    for n in (1, 2, 3):
+        rings += [dual_numbers(F, n), product_ring(dual_numbers(F, n), base)]
+    rings += [group_algebra_finite(F, cyclic_group(n)) for n in (2, 3, 4)]
+    if F.cardinality() <= 3:
+        for deg in (1, 2, 3):
+            for low in itertools.product(list(F.elements()), repeat=deg):
+                rings.append(truncated_poly(F, list(low) + [one]))
+    return [R for R in rings if R.element_count() <= 243]
+
+
+@pytest.mark.parametrize("fname", ["F2", "F3", "F5"])
+def test_idempotents_match_a_brute_force_scan(fname, request):
+    # dual numbers of order 1-3 and their products with F, FC2, FC3, FC4, and
+    # F[t]/(f) for every monic f of degree <= 3 over F2 and F3
+    for R in _oracle_rings(request.getfixturevalue(fname)):
+        assert list(R.idempotents()) == _brute_idempotents(R), (R.label, R.table)
 
 
 def test_quotient_ring_refuses_a_subspace_that_is_not_an_ideal(F3):
