@@ -24,6 +24,7 @@ from .comrings import (
 from .galg import (
     Algebra,
     Grading,
+    admissible_permutations,
     algebra_over,
     build_algebra,
     build_grading,
@@ -58,7 +59,6 @@ from .scalars import (
 )
 from .weyl import (
     PermGroup,
-    admissible_permutations,
     ses_check,
     thin_solve,
     thin_systems,

@@ -62,10 +62,10 @@ def theorem_battery(gr, R, seed=0x5EED):
     warn = False
     nonsmooth = None
     cent = norm = 0
-    for p in points:
-        in_stab = pts.cent_membership_generic(gr, p)  # asserted == stab_membership
+    for p in points:   # each already verified by battery_points
+        in_stab = pts._centralizer(gr, p)  # asserted == the stabilizer test
         cent += 1
-        res = pts.norm_membership_generic(gr, p)
+        res = pts._normalizer(gr, p, pts.block_permutations(gr, p))
         norm += 1
         if res.member and not in_stab:
             if nonsmooth is None:

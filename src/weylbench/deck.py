@@ -217,25 +217,26 @@ def _parse_algebra_header(deck, line, line_no):
     # algebra NAME over FIELD dim N basis a,b,c
     try:
         name = toks[1]
-        assert toks[2] == "over" and toks[4] == "dim" and toks[6] == "basis"
+        assert len(toks) == 8 and toks[2:7:2] == ["over", "dim", "basis"]
         fld = _lookup(deck.fields, toks[3], "field", line_no)
         dim = int(toks[5])
-        basis = [b.strip() for b in toks[7].split(",")]
+        basis = toks[7].split(",")
     except (IndexError, AssertionError, ValueError):
         raise DeckError(line_no, "bad algebra declaration")
     _check_fresh(deck, name, line_no)
-    if len(basis) != dim or len(set(basis)) != dim:
+    if (len(basis) != dim or len(set(basis)) != dim
+            or not all(b.isidentifier() for b in basis)):
         raise DeckError(line_no, "basis names must be %d distinct identifiers" % dim)
     deck.decls.append(line_canonical(line))
     return _PendingAlgebra(deck, name, fld, dim, basis, line_no)
 
 
 def _parse_mul(pending, line, line_no):
-    toks = line.split(None, 3)
-    if len(toks) < 4 or "=" not in toks[3]:
+    lhs, eq, rhs = line.partition("=")
+    toks, rhs = lhs.split(), rhs.strip()
+    if not eq or len(toks) != 3:
         raise DeckError(line_no, "bad mul line")
     b1, b2 = toks[1], toks[2]
-    rhs = toks[3].split("=", 1)[1].strip()
     try:
         i = pending.basis.index(b1)
         j = pending.basis.index(b2)

@@ -10,6 +10,7 @@ the one map of structure constants into another field.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 from .abgroups import FGAbelianGroup, Presentation, group_from_presentation
@@ -221,3 +222,19 @@ def product_pattern(gr):
             if (g, h) not in nonzero:
                 zero.append((g, h))
     return tuple(gr.pattern), tuple(sorted(zero))
+
+
+def admissible_permutations(gr):
+    """Support permutations, as position tuples over gr.support, preserving
+    component dimensions and the zero pattern, and additive on the product
+    pattern."""
+    supp, G, pat = gr.support, gr.group, set(gr.pattern)
+    out = []
+    for perm in itertools.permutations(range(len(supp))):
+        sigma = dict(zip(supp, (supp[i] for i in perm)))
+        if all(gr.component_dim(g) == gr.component_dim(sigma[g]) for g in supp) and all(
+                ((g, h) in pat) == ((sigma[g], sigma[h]) in pat)
+                and ((g, h) not in pat or sigma[G.add(g, h)] == G.add(sigma[g], sigma[h]))
+                for g in supp for h in supp):
+            out.append(perm)
+    return out

@@ -154,12 +154,13 @@ def _require_automorphism(phi):
 def stab_membership(gr, phi):
     """Block-diagonal with respect to the homogeneous components."""
     _require_automorphism(phi)
-    R = phi.ring
-    for k in range(gr.algebra.dim):
-        for j in range(gr.algebra.dim):
-            if gr.degrees[k] != gr.degrees[j] and not R.is_zero(phi.entries[k][j]):
-                return False
-    return True
+    return _degree_preserving(gr, phi)
+
+
+def _degree_preserving(gr, phi):
+    n, R = gr.algebra.dim, phi.ring
+    return all(gr.degrees[k] == gr.degrees[j] or R.is_zero(phi.entries[k][j])
+               for k in range(n) for j in range(n))
 
 
 @dataclass
@@ -341,7 +342,13 @@ def _ga_from_ring_matrix(GA, M):
 def cent_membership_generic(gr, phi):
     """Commutation with the generic diagonal over RG; must agree with the
     direct stabilizer test (cross-asserted)."""
-    direct = stab_membership(gr, phi)  # raises unless phi is an automorphism
+    _require_automorphism(phi)
+    return _centralizer(gr, phi)
+
+
+def _centralizer(gr, phi):
+    """cent_membership_generic of a verified phi."""
+    direct = _degree_preserving(gr, phi)
     R = phi.ring
     GA = GroupAlgebra(R, gr.group)
     Phi = _ga_from_ring_matrix(GA, phi.entries)
@@ -520,8 +527,23 @@ def _estimated_nodes(A, R):
 def enumerate_points(gr, R, which="aut", cap=10**8):
     """Exhaustive, deterministic list of points over a finite ring.
 
-    which: 'aut' | 'stab' | 'autgamma'.  Enumerates with constraint pruning
-    and column derivation, then re-verifies every survivor exactly."""
+    which: 'aut' | 'stab' | 'autgamma'.  Each point set is searched in its own
+    block shape (_points_by_shape), with constraint pruning and column
+    derivation, and every survivor is re-verified exactly."""
+    points = [p for _, found in _points_by_shape(gr, R, which, cap) for p in found]
+    points.sort(key=lambda p: p.sort_key())
+    return points
+
+
+def _points_by_shape(gr, R, which, cap):
+    """(shape, points) per searched shape.  A shape is one support
+    permutation per primitive idempotent e of R, as position tuples over
+    gr.support: entry (k, j) may be nonzero in eR only where the permutation
+    of e sends deg j to deg k.  'aut' is the one unshaped search (the empty
+    shape), 'stab' the all-identity shape, and 'autgamma' every tuple of
+    admissible permutations: on each connected block eR a point of Aut Gamma
+    induces one, which preserves the product pattern and is additive on it.
+    Each shaped point must carry block certificates equal to its shape."""
     A = gr.algebra
     nodes = _estimated_nodes(A, R)
     if nodes is None:
@@ -529,12 +551,24 @@ def enumerate_points(gr, R, which="aut", cap=10**8):
     if nodes > cap:
         raise CapExceededError("estimated enumeration size %d exceeds cap %d"
                                % (nodes, cap))
+    if which == "aut":
+        idems, shapes = (), [()]
+    elif which in ("stab", "autgamma"):
+        idems = R.idempotents()
+        perms = galg.admissible_permutations(gr) if which == "autgamma" else [
+            tuple(range(len(gr.support)))]
+        shapes = itertools.product(perms, repeat=len(idems))
+    else:
+        raise InputError("unknown point set %r" % which)
     table = R.ring_table()
     steps, checks = _enumeration_plan(A)
     n = A.dim
     terms = tuple(tuple(tuple((k, table.index[R.from_field(c)]) for k, c in cell)
                         for cell in row) for row in A.terms)
     zero, add, mul, is_zero = table.zero(), table.add, table.mul, table.is_zero
+    full = range(len(table.elems))
+    annihilators = [frozenset(x for x in full if is_zero(mul(table.index[e], x)))
+                    for e in idems]
 
     def product(x, y):
         return structure_mul(terms, x, y, zero, is_zero, add, mul, mul)
@@ -548,47 +582,54 @@ def enumerate_points(gr, R, which="aut", cap=10**8):
                     lhs[t] = add(lhs[t], mul(x, c))
         return tuple(lhs) == product(cols[i], cols[j])
 
-    count = len(table.elems)
-    survivors = []
+    def allowed(sigmas, k, j):
+        # entry (k, j) vanishes in eR for each e whose sigma does not send
+        # deg j to deg k
+        off = [ann for ann, sigma in zip(annihilators, sigmas)
+               if sigma[gr.degrees[j]] != gr.degrees[k]]
+        return frozenset.intersection(*off) if off else full
 
-    def dfs(stage, cols):
-        if stage == len(steps):
-            rows = [[cols[j][k] for j in range(n)] for k in range(n)]
-            if table.is_unit(ring_det(table, rows)):
-                survivors.append(rows)
-            return
-        step = steps[stage]
-        if step[0] == "enum":
-            j = step[1]
-            for cand in itertools.product(range(count), repeat=n):
-                cols[j] = cand
-                if all(check_ok(cols, a, b) for (a, b) in checks[stage]):
+    for shape in shapes:
+        sigmas = [dict(zip(gr.support, (gr.support[i] for i in perm))) for perm in shape]
+        cells = [[allowed(sigmas, k, j) for k in range(n)] for j in range(n)]
+        bounds = [[(t, s) for t, s in enumerate(col) if s is not full] for col in cells]
+        survivors = []
+
+        def dfs(stage, cols):
+            if stage == len(steps):
+                rows = [[cols[j][k] for j in range(n)] for k in range(n)]
+                if table.is_unit(ring_det(table, rows)):
+                    survivors.append(rows)
+                return
+            step = steps[stage]
+            if step[0] == "enum":
+                j = step[1]
+                for cand in itertools.product(*cells[j]):
+                    cols[j] = cand
+                    if all(check_ok(cols, a, b) for (a, b) in checks[stage]):
+                        dfs(stage + 1, cols)
+                cols[j] = None
+            else:
+                _, k, i, jj, inv_c = step
+                ic = table.index[R.from_field(inv_c)]
+                cols[k] = tuple(mul(ic, x) for x in product(cols[i], cols[jj]))
+                if (all(cols[k][t] in s for t, s in bounds[k])
+                        and all(check_ok(cols, a, b) for (a, b) in checks[stage])):
                     dfs(stage + 1, cols)
-            cols[j] = None
-        else:
-            _, k, i, jj, inv_c = step
-            ic = table.index[R.from_field(inv_c)]
-            cols[k] = tuple(mul(ic, x) for x in product(cols[i], cols[jj]))
-            if all(check_ok(cols, a, b) for (a, b) in checks[stage]):
-                dfs(stage + 1, cols)
-            cols[k] = None
+                cols[k] = None
 
-    dfs(0, [None] * n)
-
-    points = []
-    for rows in survivors:
-        pt = point_matrix(A, R, [[table.elems[x] for x in row] for row in rows])
-        if not automorphism_membership(pt):
-            raise MathIdentityError("fast enumeration produced a non-automorphism")
-        points.append(pt)
-    if which == "stab":
-        points = [p for p in points if stab_membership(gr, p)]
-    elif which == "autgamma":
-        points = [p for p in points if block_permutations(gr, p).ok]
-    elif which != "aut":
-        raise InputError("unknown point set %r" % which)
-    points.sort(key=lambda p: p.sort_key())
-    return points
+        dfs(0, [None] * n)
+        certs = list(zip(idems, sigmas))
+        points = []
+        for rows in survivors:
+            pt = point_matrix(A, R, [[table.elems[x] for x in row] for row in rows])
+            if not automorphism_membership(pt):
+                raise MathIdentityError("fast enumeration produced a non-automorphism")
+            if shape and block_permutations(gr, pt).certificates != certs:
+                raise MathIdentityError(
+                    "shaped enumeration point certifies another block permutation")
+            points.append(pt)
+        yield shape, points
 
 
 # ---------------------------------------------------------------------------

@@ -12,8 +12,6 @@ the size of every fibre of Aut -> W.
 
 from __future__ import annotations
 
-import itertools
-from collections import Counter
 from dataclasses import dataclass
 
 from . import points as pts
@@ -24,7 +22,7 @@ from .errors import (
     NonThinError,
     UnknownSolvabilityError,
 )
-from .galg import universal_group
+from .galg import admissible_permutations, universal_group
 from .scalars import RootResult, dth_root
 
 
@@ -126,41 +124,7 @@ def perm_group_from(element_set, support):
 
 
 # ---------------------------------------------------------------------------
-# admissible permutations and the thin constraint system
-
-
-def admissible_permutations(gr):
-    """Support permutations preserving component dimensions and the zero
-    pattern, and additive on the product pattern."""
-    supp = list(gr.support)
-    n = len(supp)
-    index = {g: i for i, g in enumerate(supp)}
-    pat = set(gr.pattern)
-    G = gr.group
-    out = []
-    for perm in itertools.permutations(range(n)):
-        ok = True
-        for i, g in enumerate(supp):
-            if gr.component_dim(g) != gr.component_dim(supp[perm[i]]):
-                ok = False
-                break
-        if not ok:
-            continue
-        sigma = {g: supp[perm[index[g]]] for g in supp}
-        for g in supp:
-            for h in supp:
-                if ((g, h) in pat) != ((sigma[g], sigma[h]) in pat):
-                    ok = False
-                    break
-                if (g, h) in pat:
-                    if sigma[G.add(g, h)] != G.add(sigma[g], sigma[h]):
-                        ok = False
-                        break
-            if not ok:
-                break
-        if ok:
-            out.append(perm)
-    return out
+# the thin constraint system
 
 
 @dataclass
@@ -292,25 +256,18 @@ def weyl_over_field(gr, cap=10**8):
     if not F.is_finite():
         raise NonThinError(
             "non-thin Weyl groups need a finite base field for enumeration")
-    return _weyl_from_field_points(gr, cap)[2]
+    return _weyl_from_field_points(gr, cap)[1]
 
 
 def _weyl_from_field_points(gr, cap):
-    """(points, perms, W(F)): the points of Aut Gamma over the base field, the
-    support permutation of each, read from its one block certificate (a
-    field has one block), and the group W(F) of those permutations."""
-    index = {g: i for i, g in enumerate(gr.support)}
-    points, perms = [], []
-    for p in pts.enumerate_points(gr, base_field_ring(gr.algebra.field), "aut", cap=cap):
-        cert = pts.block_permutations(gr, p)
-        if not cert.ok:
-            continue
-        if len(cert.certificates) != 1:
-            raise MathIdentityError("field point without a unique permutation")
-        sigma = cert.certificates[0][1]
-        points.append(p)
-        perms.append(tuple(index[sigma[g]] for g in gr.support))
-    return points, perms, perm_group_from(set(perms), gr.support)
+    """({sigma: fibre size}, W(F)): the points of Aut Gamma over the base field
+    counted per support permutation sigma by the shaped search (a field has
+    one block), over the sigma with a nonempty fibre, and the group W(F) of
+    those sigma."""
+    R = base_field_ring(gr.algebra.field)
+    fibres = {sigma: len(found) for (sigma,), found
+              in pts._points_by_shape(gr, R, "autgamma", cap) if found}
+    return fibres, perm_group_from(set(fibres), gr.support)
 
 
 def monomial_point(gr, system, witness, R):
@@ -353,9 +310,8 @@ def ses_check(gr, cap=10**8):
     else:
         if not F.is_finite():
             raise CapExceededError("non-thin exact-sequence check needs a finite field")
-        points, perms, w = _weyl_from_field_points(gr, cap)
-        fibres = Counter(perms)
-        stab = sum(1 for p in points if pts.stab_membership(gr, p))
+        fibres, w = _weyl_from_field_points(gr, cap)
+        stab = len(pts.enumerate_points(gr, base_field_ring(F), "stab", cap=cap))
     if set(fibres) != set(w.elements) or set(fibres.values()) != {stab}:
         raise MathIdentityError("a Weyl group element has other than |Stab| preimages")
     aut = sum(fibres.values())

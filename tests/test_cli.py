@@ -337,6 +337,29 @@ def test_duplicate_mul_line_exits_2_with_its_line(tmp_path, capsys):
         "error=input: line 7: duplicate mul line for a b (first at line 4)\n")
 
 
+@pytest.mark.parametrize("basis", ["a, b", "a,b extra", "a,", ",b", "a,,b"])
+def test_algebra_header_refuses_stray_basis_tokens(tmp_path, capsys, basis):
+    # a space after a comma once left the basis a and "" and dropped b
+    deck = tmp_path / "t.deck"
+    deck.write_text("field Q = rationals\nalgebra A over Q dim 2 basis %s\n" % basis)
+    assert main(["--deck", str(deck), "check"]) == 2
+    assert capsys.readouterr().out.startswith("error=input: line 2: ")
+
+
+def test_mul_line_with_a_tight_equals_sign(tmp_path, capsys):
+    text = "field Q = rationals\nalgebra A over Q dim 1 basis e\nmul e e = e\n"
+    spaced = parse_deck(text).algebras["A"].table
+    for tight in ("mul e e=e", "mul e e =e", "mul e e= e"):
+        assert parse_deck(text.replace("mul e e = e", tight)).algebras["A"].table == spaced
+    deck = tmp_path / "t.deck"
+    deck.write_text(text.replace("mul e e = e", "mul e e = e extra"))
+    assert main(["--deck", str(deck), "check"]) == 2
+    assert capsys.readouterr().out.startswith("error=input: line 3: ")
+    for bad in ("mul e e e = e", "mul e = e", "mul e e e"):
+        with pytest.raises(DeckError, match="bad mul line"):
+            parse_deck(text.replace("mul e e = e", bad))
+
+
 SQRT2_DECK = """field Q = rationals
 field K = extend Q [-2,0,1]
 ring Kr = base K

@@ -168,6 +168,29 @@ def test_dgroup_norm_membership_verifies_the_point_once(monkeypatch, Q, F3):
         assert sorted(calls) == ["automorphism_membership", "block_permutations"]
 
 
+def test_battery_verifies_each_point_once(monkeypatch, Q, F3):
+    calls = []
+    for name in ("automorphism_membership", "block_permutations"):
+        fn = getattr(pts, name)
+        monkeypatch.setattr(pts, name,
+                            lambda *a, fn=fn, name=name: calls.append(name) or fn(*a))
+    gr, R = para_hurwitz_grading(F3), dual_numbers(F3, 2)
+    res = battery.theorem_battery(gr, R)   # enumerated: verified in enumerate_points
+    assert res.mode == "enumerated"
+    assert sorted(calls) == (["automorphism_membership"] * res.distinct_points
+                             + ["block_permutations"] * res.distinct_points)
+    # whatever battery_points did, the loop itself only reads block certificates
+    find = battery.battery_points
+    monkeypatch.setattr(battery, "battery_points",
+                        lambda *a: (find(*a), calls.clear())[0])
+    for gr, R, mode in ((zero_mult_grading(Q), base_field_ring(Q), "sampled"),
+                        (para_hurwitz_grading(F3), R, "enumerated")):
+        res = battery.theorem_battery(gr, R)
+        assert res.mode == mode
+        assert res.cent_checked == res.norm_checked == res.distinct_points
+        assert calls == ["block_permutations"] * res.distinct_points
+
+
 def test_diag_points_counts(Q, F3, F7):
     F3r = base_field_ring(F3)
     g26 = para_hurwitz_grading(F3)
@@ -188,6 +211,71 @@ def test_enumerate_points_counts(F3):
     g24 = zero_mult_grading(F3)
     assert len(pts.enumerate_points(g24, F3r, "autgamma")) == 8
     assert len(pts.enumerate_points(g24, F3r, "stab")) == 4
+
+
+# The benchmark's enumerate cells: (fixture, p) -> rings, restated here.
+ENUM_CELLS = {
+    (zero_mult_grading, 2): ("F", "eps2", "eps3", "FxF"),
+    (para_hurwitz_grading, 2): ("F", "eps2", "eps3", "FxF"),
+    (cubic_grading, 2): ("F", "eps2", "FxF"),
+    (trivial_grading, 2): ("F", "eps2", "eps3", "FxF"),
+    (zero_mult_grading, 3): ("F", "eps2", "FxF"),
+    (para_hurwitz_grading, 3): ("F", "eps2", "eps3", "FxF"),
+    (cubic_grading, 3): ("F",),
+    (trivial_grading, 3): ("F", "eps2", "eps3", "FxF"),
+    (zero_mult_grading, 5): ("F",),
+    (para_hurwitz_grading, 5): ("F", "eps2", "eps3", "FxF"),
+    (cubic_grading, 5): ("F",),
+    (trivial_grading, 5): ("F", "eps2", "eps3", "FxF"),
+    (zero_mult_grading, 7): ("F",),
+    (para_hurwitz_grading, 7): ("F", "eps2", "FxF"),
+    (trivial_grading, 7): ("F", "eps2", "FxF"),
+}
+
+
+def _enum_cases():
+    for (fix, p), names in ENUM_CELLS.items():
+        F = wb.prime_field(p)
+        base = base_field_ring(F)
+        rings = {"F": base, "eps2": dual_numbers(F, 2), "eps3": dual_numbers(F, 3),
+                 "FxF": product_ring(base, base)}
+        for name in names:
+            yield "%s/F%d/%s" % (fix.__name__, p, name), fix(F), rings[name]
+    F3 = wb.prime_field(3)
+    R = product_ring(dual_numbers(F3, 2), base_field_ring(F3))
+    for fix in (para_hurwitz_grading, trivial_grading):
+        yield "%s/F3/eps2xF" % fix.__name__, fix(F3), R
+
+
+def test_shaped_search_matches_filtered_aut():
+    # reference: all of Aut(A)(R), filtered by the two membership tests
+    for label, gr, R in _enum_cases():
+        aut = pts.enumerate_points(gr, R, "aut")
+        reference = {"stab": [p for p in aut if pts.stab_membership(gr, p)],
+                     "autgamma": [p for p in aut if pts.block_permutations(gr, p).ok]}
+        for which, ref in reference.items():
+            shaped = pts.enumerate_points(gr, R, which)
+            assert (sorted(p.to_str() for p in shaped)
+                    == sorted(p.to_str() for p in ref)), (label, which)
+    assert len(R.idempotents()) == 2 and len(R.idempotents()[0]) == 3   # eps2 x F
+
+
+def test_shaped_search_refuses_a_wrong_certificate(monkeypatch, F3):
+    gr = zero_mult_grading(F3)
+    R = product_ring(dual_numbers(F3, 2), base_field_ring(F3))
+    assert pts.enumerate_points(gr, R, "autgamma")
+    honest = pts.block_permutations
+    swapped = {(2,): (3,), (3,): (2,)}
+
+    def lying(gr, p):
+        (e, sigma), *rest = honest(gr, p).certificates
+        other = swapped if sigma != swapped else {g: g for g in gr.support}
+        return pts.BlockPermResult(True, [(e, other)] + rest)
+
+    monkeypatch.setattr(pts, "block_permutations", lying)
+    for which in ("stab", "autgamma"):
+        with pytest.raises(MathIdentityError):
+            pts.enumerate_points(gr, R, which)
 
 
 def test_enumerated_point_sets_are_groups(F3):

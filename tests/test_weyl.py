@@ -5,6 +5,7 @@ import pytest
 
 import weylbench as wb
 from weylbench import comrings, galg, weyl
+from weylbench import points as pts
 from weylbench.errors import MathIdentityError, NonThinError
 from weylbench.scalars import RootResult, dth_root
 
@@ -184,6 +185,20 @@ def test_thin_ses_check_refuses_a_wrong_fibre(F3):
     t = next(t for t in weyl.thin_systems(gr) if t.sigma != ident)
     t.count += 1
     with pytest.raises(MathIdentityError):
+        weyl.ses_check(gr)
+
+
+def test_non_thin_ses_check_refuses_a_wrong_stab_count(monkeypatch, F3):
+    gr = trivial_grading(F3)
+    assert not gr.is_thin() and weyl.ses_check(gr).product_ok
+    enumerate_points = pts.enumerate_points
+
+    def corrupted(gr, R, which="aut", cap=10**8):
+        found = enumerate_points(gr, R, which, cap)
+        return found + found[:1] if which == "stab" else found
+
+    monkeypatch.setattr(pts, "enumerate_points", corrupted)
+    with pytest.raises(MathIdentityError, match="other than"):
         weyl.ses_check(gr)
 
 
