@@ -8,23 +8,9 @@ from __future__ import annotations
 import sys
 
 from . import battery as battery_mod
-from . import comrings, galg, points as pts, weyl
-from .deck import parse_deck
+from . import galg, points as pts, weyl
+from .deck import match, parse_deck, tokenize
 from .errors import DeckError, InputError, MathIdentityError, WorkbenchError
-
-USAGE = """usage: weylbench --deck FILE [--cap N] [--mode closure|rational] COMMAND ...
-
-commands:
-  check
-  support GRADING
-  universal GRADING
-  weyl GRADING [over FIELD]
-  points GRADING over RING set=aut|stab|autgamma|diag
-  member MAP in GRADING set=aut|stab|diag|autGamma|centDiag|normDiag|dGnorm
-  idempotents RING
-  ses GRADING [over FIELD]
-  verify-theorem GRADING over RING
-"""
 
 WARN_NONSMOOTH = ("WARN diagonal scheme has infinitesimal points in this "
                   "characteristic; its rational-point normalizer can differ "
@@ -46,48 +32,15 @@ class Report:
 
 
 def run_command(deck, tokens, cap=10**8, mode=None):
+    """Tokenize the command tokens once, match them against COMMANDS and run
+    the handler on the resolved deck objects."""
     report = Report()
-    if not tokens:
-        raise InputError("missing command")
-    cmd, args = tokens[0], tokens[1:]
-    handlers = {
-        "check": _cmd_check,
-        "support": _cmd_support,
-        "universal": _cmd_universal,
-        "weyl": _cmd_weyl,
-        "points": _cmd_points,
-        "member": _cmd_member,
-        "idempotents": _cmd_idempotents,
-        "ses": _cmd_ses,
-        "verify-theorem": _cmd_verify,
-    }
-    if cmd not in handlers:
-        raise InputError("unknown command %r" % cmd)
-    handlers[cmd](deck, args, report, cap, mode)
+    pattern, values = match(COMMANDS, tokenize(" ".join(tokens)), deck)
+    COMMANDS[pattern](deck, report, cap, mode, *values)
     return report
 
 
-def _grading_arg(deck, args):
-    if not args:
-        raise InputError("missing grading name")
-    name = args[0]
-    if name not in deck.gradings:
-        raise InputError("unknown grading %r" % name)
-    return deck.gradings[name]
-
-
-def _over_field(deck, args):
-    """Handle a trailing `over FIELD`; returns field or None."""
-    if "over" in args:
-        idx = args.index("over")
-        fname = args[idx + 1] if idx + 1 < len(args) else None
-        if fname is None or fname not in deck.fields:
-            raise InputError("unknown field after over")
-        return deck.fields[fname]
-    return None
-
-
-def _cmd_check(deck, args, report, cap, mode):
+def _cmd_check(deck, report, cap, mode):
     report.kv("ok", "true")
     report.kv("fields", len(deck.fields))
     report.kv("groups", len(deck.groups))
@@ -97,23 +50,18 @@ def _cmd_check(deck, args, report, cap, mode):
     report.kv("maps", len(deck.maps))
 
 
-def _cmd_support(deck, args, report, cap, mode):
-    gr = _grading_arg(deck, args)
+def _cmd_support(deck, report, cap, mode, gr):
     report.kv("support.size", len(gr.support))
     report.kv("support", ";".join(gr.group.element_str(g) for g in gr.support))
 
 
-def _cmd_universal(deck, args, report, cap, mode):
-    gr = _grading_arg(deck, args)
+def _cmd_universal(deck, report, cap, mode, gr):
     uni = galg.universal_group(gr)
     report.kv("U", uni.group.group_str())
 
 
-def _cmd_weyl(deck, args, report, cap, mode):
-    gr = _grading_arg(deck, args)
-    fld = _over_field(deck, args)
-    rational = fld is not None or mode == "rational"
-    if rational:
+def _cmd_weyl(deck, report, cap, mode, gr, fld=None):
+    if fld is not None or mode == "rational":
         if fld is not None:
             gr = galg.grading_over(gr, fld)
         group = weyl.weyl_over_field(gr, cap=cap)
@@ -125,30 +73,7 @@ def _cmd_weyl(deck, args, report, cap, mode):
     report.kv("weyl.generators", group.generators_str())
 
 
-def _ring_arg(deck, args):
-    if "over" not in args:
-        raise InputError("missing over RING")
-    idx = args.index("over")
-    rname = args[idx + 1] if idx + 1 < len(args) else None
-    if rname is None or rname not in deck.rings:
-        raise InputError("unknown ring after over")
-    return deck.rings[rname]
-
-
-def _set_arg(args, allowed):
-    for a in args:
-        if a.startswith("set="):
-            val = a[4:]
-            if val not in allowed:
-                raise InputError("set must be one of %s" % "|".join(sorted(allowed)))
-            return val
-    raise InputError("missing set=...")
-
-
-def _cmd_points(deck, args, report, cap, mode):
-    gr = _grading_arg(deck, args)
-    ring = _ring_arg(deck, args)
-    which = _set_arg(args, {"aut", "stab", "autgamma", "diag"})
+def _cmd_points(deck, report, cap, mode, gr, ring, which):
     gr = galg.grading_over(gr, ring.field)
     if which == "diag":
         plist = pts.diag_points(gr, ring, cap=cap)
@@ -159,20 +84,11 @@ def _cmd_points(deck, args, report, cap, mode):
         report.kv("point.%d" % i, p.to_str())
 
 
-def _cmd_member(deck, args, report, cap, mode):
-    if not args or args[0] not in deck.maps:
-        raise InputError("unknown map name")
-    phi = deck.maps[args[0]]
-    rest = args[args.index("in") + 1:] if "in" in args else []
-    if not rest or rest[0] not in deck.gradings:
-        raise InputError("missing in GRADING")
-    gr = deck.gradings[rest[0]]
+def _cmd_member(deck, report, cap, mode, phi, gr, which):
     gr = galg.grading_over(gr, phi.ring.field)
     if gr.algebra.table != phi.algebra.table:
         raise InputError("map and grading algebras differ")
     gr = galg.Grading(phi.algebra, gr.group, gr.degrees, label=gr.label)
-    which = _set_arg(args, {"aut", "stab", "diag", "autGamma",
-                            "centDiag", "normDiag", "dGnorm"})
     R = phi.ring
     if which == "aut":
         report.kv("member", str(pts.automorphism_membership(phi)).lower())
@@ -224,23 +140,17 @@ def _emit_block_certs(report, gr, R, certs):
     index = {g: i for i, g in enumerate(supp)}
     for i, (e, sigma) in enumerate(certs):
         perm = tuple(index[sigma[g]] for g in supp)
-        pg = weyl.PermGroup(tuple(supp), (perm,), (perm,))
-        report.add("block e%d perm=%s" % (i, pg.perm_str(perm)))
+        report.add("block e%d perm=%s" % (i, weyl.cycles_str(perm, supp, weyl.label_str)))
 
 
-def _cmd_idempotents(deck, args, report, cap, mode):
-    if not args or args[0] not in deck.rings:
-        raise InputError("unknown ring name")
-    R = deck.rings[args[0]]
+def _cmd_idempotents(deck, report, cap, mode, R):
     idems = R.idempotents()
     report.kv("idempotents.count", len(idems))
     for i, e in enumerate(idems):
         report.kv("idempotent.%d" % i, R.to_str(e))
 
 
-def _cmd_ses(deck, args, report, cap, mode):
-    gr = _grading_arg(deck, args)
-    fld = _over_field(deck, args)
+def _cmd_ses(deck, report, cap, mode, gr, fld=None):
     if fld is not None:
         gr = galg.grading_over(gr, fld)
     res = weyl.ses_check(gr, cap=cap)
@@ -253,9 +163,7 @@ def _cmd_ses(deck, args, report, cap, mode):
         raise MathIdentityError("exact sequence check failed at points")
 
 
-def _cmd_verify(deck, args, report, cap, mode):
-    gr = _grading_arg(deck, args)
-    ring = _ring_arg(deck, args)
+def _cmd_verify(deck, report, cap, mode, gr, ring):
     gr = galg.grading_over(gr, ring.field)
     res = battery_mod.theorem_battery(gr, ring)
     report.kv("points.mode", res.mode)
@@ -264,6 +172,26 @@ def _cmd_verify(deck, args, report, cap, mode):
     report.add("norm==autGamma: ok (%d/%d)" % (res.norm_checked, res.distinct_points))
     if res.warn_nonsmooth:
         report.add(WARN_NONSMOOTH)
+
+
+# Each command form, mapped to its handler; the handler gets the slot values.
+COMMANDS = {
+    "check": _cmd_check,
+    "support GRADING": _cmd_support,
+    "universal GRADING": _cmd_universal,
+    "weyl GRADING": _cmd_weyl,
+    "weyl GRADING over FIELD": _cmd_weyl,
+    "points GRADING over RING set = aut|stab|autgamma|diag": _cmd_points,
+    "member MAP in GRADING set = aut|stab|diag|autGamma|centDiag|normDiag|dGnorm":
+        _cmd_member,
+    "idempotents RING": _cmd_idempotents,
+    "ses GRADING": _cmd_ses,
+    "ses GRADING over FIELD": _cmd_ses,
+    "verify-theorem GRADING over RING": _cmd_verify,
+}
+
+USAGE = ("usage: weylbench --deck FILE [--cap N] [--mode closure|rational] COMMAND ...\n"
+         "\ncommands:\n" + "".join("  %s\n" % form for form in COMMANDS))
 
 
 def _decode_deck(data):

@@ -1,6 +1,10 @@
 """Line-oriented deck files: named fields, groups, rings, algebras, gradings
 and maps.  One declaration per line, `#` comments, byte-deterministic
 canonical printing for golden tests.
+
+Decks and CLI commands share one grammar: `tokenize` splits a line and `match`
+checks all of it against a pattern table, `DECLARATIONS` here and
+`cli.COMMANDS` for commands.
 """
 
 from __future__ import annotations
@@ -11,7 +15,7 @@ from . import comrings, galg, scalars
 from .abgroups import FGAbelianGroup, trivial_group
 from .errors import (DeckError, GradingAxiomError, InputError, MathIdentityError,
                      WorkbenchError)
-from .points import PointMatrix, point_matrix
+from .points import point_matrix
 from .scalars import split_bracketed
 
 
@@ -23,7 +27,7 @@ class Deck:
     algebras: dict = dc_field(default_factory=dict)
     gradings: dict = dc_field(default_factory=dict)
     maps: dict = dc_field(default_factory=dict)
-    decls: list = dc_field(default_factory=list)   # canonical declaration lines
+    decls: list = dc_field(default_factory=list)   # each line's tokens, joined by spaces
 
     def all_names(self):
         out = set()
@@ -36,44 +40,122 @@ class Deck:
         return "\n".join(self.decls) + ("\n" if self.decls else "")
 
 
-def _check_fresh(deck, name, line_no):
-    if name in deck.all_names():
-        raise DeckError(line_no, "name %r is already declared" % name)
+# -- the grammar -------------------------------------------------------------
+
+
+def tokenize(line):
+    """Split on whitespace.  `=` is always a token of its own, and a bracketed
+    literal is one token with any spaces inside it dropped."""
+    tokens, cur, depth = [], [], 0
+    for ch in line + " ":
+        if depth == 0 and (ch.isspace() or ch == "="):
+            if cur:
+                tokens.append("".join(cur))
+                cur = []
+            if ch == "=":
+                tokens.append(ch)
+            continue
+        depth += (ch == "[") - (ch == "]")
+        if depth < 0:
+            raise InputError("unbalanced ']'")
+        if not ch.isspace():
+            cur.append(ch)
+    if depth:
+        raise InputError("unclosed '['")
+    return tokens
+
+
+_LOOKUPS = {"FIELD": "fields", "RING": "rings", "GROUP": "groups",
+            "ALGEBRA": "algebras", "GRADING": "gradings", "MAP": "maps"}
+
+
+def match(patterns, tokens, deck):
+    """(pattern, slot values) for the first of `patterns` that matches all of
+    `tokens`.  Pattern words: a lowercase word or `=` is literal; `a|b` is a
+    choice and gives the token; NAME is a fresh identifier; FIELD, RING,
+    GROUP, ALGEBRA, GRADING and MAP give the deck object of that name; INT
+    gives an int, VECTOR the entries of a bracket literal and WORD the token;
+    a final `...` gives the list of remaining tokens.  With no match, an
+    InputError says what was expected where the patterns got furthest."""
+    misses = []
+    for pattern in patterns:
+        values, miss = _match_words(pattern.split(), tokens, deck)
+        if miss is None:
+            return pattern, values
+        misses.append(miss)
+    pos = max(m[0] for m in misses)
+    furthest = [m for m in misses if m[0] == pos]
+    reasons = [reason for _, _, reason in furthest if reason]
+    if reasons:
+        raise InputError(reasons[0])
+    got = repr(tokens[pos]) if pos < len(tokens) else "end of line"
+    raise InputError("expected %s, got %s"
+                     % ("|".join(dict.fromkeys(w for _, w, _ in furthest)), got))
+
+
+def _match_words(words, tokens, deck):
+    """(values, None) on a full match, else (None, (position, expected word,
+    reason or None))."""
+    values = []
+    for pos, word in enumerate(words):
+        if word == "...":
+            return values + [tokens[pos:]], None
+        if pos == len(tokens):
+            return None, (pos, word, None)
+        tok = tokens[pos]
+        if word in _LOOKUPS:
+            table = getattr(deck, _LOOKUPS[word])
+            if tok not in table:
+                return None, (pos, word, "unknown %s %r" % (word.lower(), tok))
+            values.append(table[tok])
+        elif word == "NAME" and tok.isidentifier():
+            if tok in deck.all_names():
+                return None, (pos, word, "name %r is already declared" % tok)
+            values.append(tok)
+        elif word == "INT" and tok.removeprefix("-").isdecimal():
+            values.append(int(tok))
+        elif word == "VECTOR" and tok.startswith("[") and tok.endswith("]"):
+            values.append(split_bracketed(tok[1:-1]))
+        elif word == "WORD" or ("|" in word and tok in word.split("|")):
+            values.append(tok)
+        elif word.isupper() or word != tok:   # a slot that does not fit, or a literal
+            return None, (pos, word, None)
+    if len(tokens) > len(words):
+        return None, (len(words), "end of line", None)
+    return values, None
+
+
+# -- declarations ------------------------------------------------------------
 
 
 def parse_deck(text):
-    deck = Deck()
-    pending_algebra = None
+    """The Deck of a deck text.  Every error is a DeckError naming its line.
+
+    A `mul` line sets one product of the algebra declared above it; the
+    algebra is built once the next declaration or the end of the deck closes
+    its block."""
+    deck, block = Deck(), None
     for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
         try:
-            head = line.split()[0]
-            if head == "field":
-                _parse_field(deck, line, line_no)
-                pending_algebra = _flush_algebra(deck, pending_algebra)
-            elif head == "group":
-                _parse_group(deck, line, line_no)
-                pending_algebra = _flush_algebra(deck, pending_algebra)
-            elif head == "ring":
-                pending_algebra = _flush_algebra(deck, pending_algebra)
-                _parse_ring(deck, line, line_no)
-            elif head == "algebra":
-                pending_algebra = _flush_algebra(deck, pending_algebra)
-                pending_algebra = _parse_algebra_header(deck, line, line_no)
-            elif head == "mul":
-                if pending_algebra is None:
+            tokens = tokenize(raw.split("#", 1)[0])
+            if not tokens:
+                continue
+            if tokens[0] != "mul":
+                _close_algebra(deck, block)
+                block = None
+            try:
+                pattern, values = match(DECLARATIONS, tokens, deck)
+            except InputError as exc:
+                raise DeckError(line_no, "bad %s line: %s" % (tokens[0], exc))
+            if tokens[0] == "mul":
+                if block is None:
                     raise DeckError(line_no, "mul line outside an algebra block")
-                _parse_mul(pending_algebra, line, line_no)
-            elif head == "grading":
-                pending_algebra = _flush_algebra(deck, pending_algebra)
-                _parse_grading(deck, line, line_no)
-            elif head == "map":
-                pending_algebra = _flush_algebra(deck, pending_algebra)
-                _parse_map(deck, line, line_no)
-            else:
-                raise DeckError(line_no, "unknown declaration %r" % head)
+                _mul(block, line_no, *values)
+            elif tokens[0] == "algebra":
+                block = _algebra(*values)
+            else:   # a field line fills deck.fields, a ring line deck.rings, ...
+                getattr(deck, tokens[0] + "s")[values[0]] = DECLARATIONS[pattern](*values)
+            deck.decls.append(" ".join(tokens))
         except (DeckError, MathIdentityError):
             raise
         except WorkbenchError as exc:
@@ -81,72 +163,15 @@ def parse_deck(text):
         except (ValueError, ZeroDivisionError) as exc:
             # int() or Fraction() on a malformed literal such as x or 1/0
             raise DeckError(line_no, "bad number literal: %s" % exc)
-    _flush_algebra(deck, pending_algebra)
+    _close_algebra(deck, block)
     return deck
 
 
-# -- field -------------------------------------------------------------------
-
-
-def _parse_field(deck, line, line_no):
-    name, rhs = _split_decl(line, "field", line_no)
-    _check_fresh(deck, name, line_no)
-    toks = rhs.split()
-    if toks[0] == "rationals" and len(toks) == 1:
-        fld = scalars.rationals()
-    elif toks[0] == "prime" and len(toks) == 2:
-        fld = scalars.prime_field(int(toks[1]))
-    elif toks[0] == "extend" and len(toks) == 3:
-        base = _lookup(deck.fields, toks[1], "field", line_no)
-        coeffs = [base.parse(p) for p in split_bracketed(_unbracket(toks[2], line_no))]
-        fld = scalars.extension_field(base, coeffs)
-    else:
-        raise DeckError(line_no, "bad field declaration")
-    deck.fields[name] = fld
-    deck.decls.append(line_canonical(line))
-
-
-def _split_decl(line, kind, line_no):
-    body = line[len(kind):].strip()
-    if "=" not in body:
-        raise DeckError(line_no, "expected NAME = ... in %s declaration" % kind)
-    name, rhs = body.split("=", 1)
-    name = name.strip()
-    if not name.isidentifier():
-        raise DeckError(line_no, "bad name %r" % name)
-    if not rhs.strip():
-        raise DeckError(line_no, "empty right-hand side in %s declaration" % kind)
-    return name, rhs.strip()
-
-
-def _lookup(table, name, kind, line_no):
-    if name not in table:
-        raise DeckError(line_no, "unknown %s %r" % (kind, name))
-    return table[name]
-
-
-def _unbracket(s, line_no):
-    s = s.strip()
-    if not (s.startswith("[") and s.endswith("]")):
-        raise DeckError(line_no, "expected a bracketed coefficient vector")
-    return s[1:-1]
-
-
-def line_canonical(line):
-    return " ".join(line.split())
-
-
-# -- group -------------------------------------------------------------------
-
-
-def _parse_group(deck, line, line_no):
-    name, rhs = _split_decl(line, "group", line_no)
-    _check_fresh(deck, name, line_no)
+def _group(name, rhs):
+    rhs = " ".join(rhs)
+    if rhs in ("1", "Z/1"):
+        return trivial_group()
     torsion, rank = [], 0
-    if rhs.strip() in ("1", "Z/1"):
-        deck.groups[name] = trivial_group()
-        deck.decls.append(line_canonical(line))
-        return
     for term in rhs.split("+"):
         term = term.strip()
         if term == "Z":
@@ -155,196 +180,105 @@ def _parse_group(deck, line, line_no):
             rank += int(term[2:])
         elif term.startswith("Z/"):
             d = int(term[2:])
-            if d == 1:
-                continue
-            torsion.append(d)
+            if d != 1:
+                torsion.append(d)
         else:
-            raise DeckError(line_no, "bad group term %r" % term)
-    deck.groups[name] = FGAbelianGroup(tuple(torsion), rank)
-    deck.decls.append(line_canonical(line))
+            raise InputError("bad group term %r" % term)
+    return FGAbelianGroup(tuple(torsion), rank)
 
 
-# -- ring --------------------------------------------------------------------
-
-
-def _parse_ring(deck, line, line_no):
-    name, rhs = _split_decl(line, "ring", line_no)
-    _check_fresh(deck, name, line_no)
-    toks = rhs.split()
-    kind = toks[0]
-    if kind == "base" and len(toks) == 2:
-        ring = comrings.base_field_ring(_lookup(deck.fields, toks[1], "field", line_no),
-                                        label=name)
-    elif kind == "dual" and len(toks) == 3:
-        ring = comrings.dual_numbers(_lookup(deck.fields, toks[1], "field", line_no),
-                                     int(toks[2]), label=name)
-    elif kind == "product" and len(toks) == 3:
-        ring = comrings.product_ring(_lookup(deck.rings, toks[1], "ring", line_no),
-                                     _lookup(deck.rings, toks[2], "ring", line_no),
-                                     label=name)
-    elif kind == "groupalg" and len(toks) == 3:
-        ring = comrings.group_algebra_finite(
-            _lookup(deck.fields, toks[1], "field", line_no),
-            _lookup(deck.groups, toks[2], "group", line_no), label=name)
-    elif kind == "trunc" and len(toks) == 3:
-        fld = _lookup(deck.fields, toks[1], "field", line_no)
-        coeffs = [fld.parse(p) for p in split_bracketed(_unbracket(toks[2], line_no))]
-        ring = comrings.truncated_poly(fld, coeffs, label=name)
-    else:
-        raise DeckError(line_no, "bad ring declaration")
-    deck.rings[name] = ring
-    deck.decls.append(line_canonical(line))
-
-
-# -- algebra -----------------------------------------------------------------
-
-
-class _PendingAlgebra:
-    def __init__(self, deck, name, fld, dim, basis, line_no):
-        self.deck = deck
-        self.name = name
-        self.field = fld
-        self.dim = dim
-        self.basis = basis
-        self.table = [[tuple(fld.zero() for _ in range(dim)) for _ in range(dim)]
-                      for _ in range(dim)]
-        self.mul_lines = {}   # (i, j) -> line number of its mul line
-        self.line_no = line_no
-
-
-def _parse_algebra_header(deck, line, line_no):
-    toks = line.split()
-    # algebra NAME over FIELD dim N basis a,b,c
-    try:
-        name = toks[1]
-        assert len(toks) == 8 and toks[2:7:2] == ["over", "dim", "basis"]
-        fld = _lookup(deck.fields, toks[3], "field", line_no)
-        dim = int(toks[5])
-        basis = toks[7].split(",")
-    except (IndexError, AssertionError, ValueError):
-        raise DeckError(line_no, "bad algebra declaration")
-    _check_fresh(deck, name, line_no)
+def _algebra(name, fld, dim, basis):
+    """The open block of an algebra: its name, field, basis names, product
+    table and the line of each product set so far."""
+    basis = basis.split(",")
     if (len(basis) != dim or len(set(basis)) != dim
             or not all(b.isidentifier() for b in basis)):
-        raise DeckError(line_no, "basis names must be %d distinct identifiers" % dim)
-    deck.decls.append(line_canonical(line))
-    return _PendingAlgebra(deck, name, fld, dim, basis, line_no)
+        raise InputError("basis names must be %d distinct identifiers" % dim)
+    zero = tuple(fld.zero() for _ in range(dim))
+    return name, fld, basis, [[zero] * dim for _ in range(dim)], {}
 
 
-def _parse_mul(pending, line, line_no):
-    lhs, eq, rhs = line.partition("=")
-    toks, rhs = lhs.split(), rhs.strip()
-    if not eq or len(toks) != 3:
-        raise DeckError(line_no, "bad mul line")
-    b1, b2 = toks[1], toks[2]
-    try:
-        i = pending.basis.index(b1)
-        j = pending.basis.index(b2)
-    except ValueError:
-        raise DeckError(line_no, "unknown basis name in mul line")
-    if (i, j) in pending.mul_lines:
-        raise DeckError(line_no, "duplicate mul line for %s %s (first at line %d)"
-                        % (b1, b2, pending.mul_lines[i, j]))
-    pending.mul_lines[i, j] = line_no
-    vec = [pending.field.zero()] * pending.dim
+def _mul(block, line_no, b1, b2, rhs):
+    _, fld, basis, table, lines = block
+    if b1 not in basis or b2 not in basis:
+        raise InputError("unknown basis name in mul line")
+    i, j = basis.index(b1), basis.index(b2)
+    if (i, j) in lines:
+        raise InputError("duplicate mul line for %s %s (first at line %d)"
+                         % (b1, b2, lines[i, j]))
+    lines[i, j] = line_no
+    vec = [fld.zero()] * len(basis)
+    rhs = " ".join(rhs)
     if rhs not in ("0", ""):
         for term in rhs.split("+"):
             parts = term.split()
-            if len(parts) == 1:
-                coeff, bname = pending.field.one(), parts[0]
-            elif len(parts) == 2:
-                coeff, bname = pending.field.parse(parts[0]), parts[1]
-            else:
-                raise DeckError(line_no, "bad product term %r" % term)
-            try:
-                k = pending.basis.index(bname)
-            except ValueError:
-                raise DeckError(line_no, "unknown basis name %r" % bname)
-            vec[k] = pending.field.add(vec[k], coeff)
-    pending.table[i][j] = tuple(vec)
-    pending.deck.decls.append(line_canonical(line))
+            if len(parts) not in (1, 2):
+                raise InputError("bad product term %r" % term)
+            if parts[-1] not in basis:
+                raise InputError("unknown basis name %r" % parts[-1])
+            k = basis.index(parts[-1])
+            coeff = fld.parse(parts[0]) if len(parts) == 2 else fld.one()
+            vec[k] = fld.add(vec[k], coeff)
+    table[i][j] = tuple(vec)
 
 
-def _flush_algebra(deck, pending):
-    if pending is not None:
-        deck.algebras[pending.name] = galg.build_algebra(
-            pending.field, pending.dim, pending.table, pending.basis,
-            label=pending.name)
-    return None
+def _close_algebra(deck, block):
+    if block is not None:
+        name, fld, basis, table, _ = block
+        deck.algebras[name] = galg.build_algebra(fld, len(basis), table, basis, label=name)
 
 
-# -- grading -----------------------------------------------------------------
-
-
-def _parse_grading(deck, line, line_no):
-    toks = line.split()
-    # grading NAME on ALG by GROUP deg b=e ...
+def _grading(name, algebra, group, rest):
+    basis, degrees = algebra.basis_names, {}
+    while rest:
+        _, (bname, elt, rest) = match(["deg WORD = WORD ..."], rest, None)
+        if bname not in basis:
+            raise InputError("unknown basis name %r" % bname)
+        if bname in degrees:
+            raise InputError("second degree for %r" % bname)
+        degrees[bname] = group.parse_element(elt)
+    if len(degrees) != len(basis):
+        raise InputError("every basis vector needs a degree")
     try:
-        name = toks[1]
-        assert toks[2] == "on" and toks[4] == "by"
-        algebra = _lookup(deck.algebras, toks[3], "algebra", line_no)
-        group = _lookup(deck.groups, toks[5], "group", line_no)
-    except (IndexError, AssertionError):
-        raise DeckError(line_no, "bad grading declaration")
-    _check_fresh(deck, name, line_no)
-    labels = [None] * algebra.dim
-    rest = toks[6:]
-    if len(rest) % 2 != 0:
-        raise DeckError(line_no, "bad degree assignments")
-    for key, assign in zip(rest[::2], rest[1::2]):
-        if key != "deg" or "=" not in assign:
-            raise DeckError(line_no, "bad degree assignment %r" % assign)
-        bname, elt = assign.split("=", 1)
-        try:
-            idx = list(algebra.basis_names).index(bname)
-        except ValueError:
-            raise DeckError(line_no, "unknown basis name %r" % bname)
-        labels[idx] = group.parse_element(elt)
-    if any(l is None for l in labels):
-        raise DeckError(line_no, "every basis vector needs a degree")
-    try:
-        gr = galg.build_grading(algebra, group, labels, label=name)
+        return galg.build_grading(algebra, group, [degrees[b] for b in basis], label=name)
     except GradingAxiomError as exc:
-        i, j, k = exc.witness
-        raise DeckError(line_no, "grading axiom fails, witness (%s,%s)"
-                        % (algebra.basis_names[i], algebra.basis_names[j]))
-    deck.gradings[name] = gr
-    deck.decls.append(line_canonical(line))
+        i, j, _ = exc.witness
+        raise InputError("grading axiom fails, witness (%s,%s)" % (basis[i], basis[j]))
 
 
-# -- map ---------------------------------------------------------------------
-
-
-def _parse_map(deck, line, line_no):
-    # map NAME on ALG over RING = [[..],[..]]
-    try:
-        head, body = line.split("=", 1)
-        toks = head.split()
-        assert len(toks) == 6 and toks[2] == "on" and toks[4] == "over"
-        name = toks[1]
-        algebra = _lookup(deck.algebras, toks[3], "algebra", line_no)
-        ring = _lookup(deck.rings, toks[5], "ring", line_no)
-        body = body.strip()
-    except (ValueError, AssertionError):
-        raise DeckError(line_no, "bad map declaration")
-    _check_fresh(deck, name, line_no)
-    if not (body.startswith("[") and body.endswith("]")):
-        raise DeckError(line_no, "matrix literal must be [[...],[...]]")
-    rows_raw = split_bracketed(body[1:-1])
-    if len(rows_raw) != algebra.dim:
-        raise DeckError(line_no, "matrix needs %d rows" % algebra.dim)
-    rows = []
-    for row_raw in rows_raw:
-        row_raw = row_raw.strip()
-        if not (row_raw.startswith("[") and row_raw.endswith("]")):
-            raise DeckError(line_no, "matrix rows must be bracketed")
-        cells = split_bracketed(row_raw[1:-1])
-        if len(cells) != algebra.dim:
-            raise DeckError(line_no, "matrix rows need %d entries" % algebra.dim)
-        rows.append([ring.parse(c) for c in cells])
+def _map(name, algebra, ring, rows):
+    if not all(r.startswith("[") and r.endswith("]") for r in rows):
+        raise InputError("matrix rows must be bracketed")
+    entries = [[ring.parse(c) for c in split_bracketed(r[1:-1])] for r in rows]
     try:
         algebra = galg.algebra_over(algebra, ring.field)
     except InputError:
-        raise DeckError(line_no, "map ring field does not match the algebra field")
-    deck.maps[name] = point_matrix(algebra, ring, rows)
-    deck.decls.append(line_canonical(line))
+        raise InputError("map ring field does not match the algebra field")
+    return point_matrix(algebra, ring, entries)
+
+
+def _parse_vector(fld, entries):
+    return [fld.parse(c) for c in entries]
+
+
+# Each declaration form, mapped to the builder of its object from the slot
+# values; `algebra` and `mul` lines build one algebra between them.
+DECLARATIONS = {
+    "field NAME = rationals": lambda name: scalars.rationals(),
+    "field NAME = prime INT": lambda name, p: scalars.prime_field(p),
+    "field NAME = extend FIELD VECTOR":
+        lambda name, base, v: scalars.extension_field(base, _parse_vector(base, v)),
+    "group NAME = ...": _group,
+    "ring NAME = base FIELD": lambda name, F: comrings.base_field_ring(F, label=name),
+    "ring NAME = dual FIELD INT": lambda name, F, n: comrings.dual_numbers(F, n, label=name),
+    "ring NAME = product RING RING":
+        lambda name, R, S: comrings.product_ring(R, S, label=name),
+    "ring NAME = groupalg FIELD GROUP":
+        lambda name, F, G: comrings.group_algebra_finite(F, G, label=name),
+    "ring NAME = trunc FIELD VECTOR":
+        lambda name, F, v: comrings.truncated_poly(F, _parse_vector(F, v), label=name),
+    "algebra NAME over FIELD dim INT basis WORD": _algebra,
+    "mul WORD WORD = ...": _mul,
+    "grading NAME on ALGEBRA by GROUP ...": _grading,
+    "map NAME on ALGEBRA over RING = VECTOR": _map,
+}

@@ -69,19 +69,17 @@ class PermGroup:
     def order(self):
         return len(self.elements)
 
-    def perm_str(self, p):
-        labels = [self.support[i] for i in range(len(p))]
-        return cycles_str(p, labels, self._label_str)
-
-    def _label_str(self, label):
-        if len(label) == 0:
-            return "0"
-        if len(label) == 1:
-            return str(label[0])
-        return "(" + ",".join(str(c) for c in label) + ")"
-
     def generators_str(self):
-        return ",".join(self.perm_str(p) for p in self.generators)
+        return ",".join(cycles_str(p, self.support, label_str) for p in self.generators)
+
+
+def label_str(label):
+    """A support label (a group element as a coordinate tuple) as printed."""
+    if len(label) == 0:
+        return "0"
+    if len(label) == 1:
+        return str(label[0])
+    return "(" + ",".join(str(c) for c in label) + ")"
 
 
 def cycles_str(p, labels, label_str):
@@ -298,7 +296,8 @@ def ses_check(gr, cap=10**8):
     """Kernel-image count |Aut| = |Stab| * |W| at base-field points, with
     exactness in the middle (every sigma in W(F) has exactly |Stab(F)|
     preimages), plus the containment of the rational Weyl group in the
-    closure Weyl group."""
+    closure Weyl group.  |Stab(F)| is the fibre over sigma = id: a field has
+    one idempotent, so the shaped `stab` search is that fibre's search."""
     F = gr.algebra.field
     if gr.is_thin():
         w = weyl_over_field(gr)
@@ -306,12 +305,11 @@ def ses_check(gr, cap=10**8):
         if any(t.count is None for t in systems):
             raise CapExceededError("infinite point counts in the exact sequence")
         fibres = {t.sigma: t.count for t in systems if t.count}
-        stab = fibres.get(perm_identity(len(gr.support)))
     else:
         if not F.is_finite():
             raise CapExceededError("non-thin exact-sequence check needs a finite field")
         fibres, w = _weyl_from_field_points(gr, cap)
-        stab = len(pts.enumerate_points(gr, base_field_ring(F), "stab", cap=cap))
+    stab = fibres.get(perm_identity(len(gr.support)))
     if set(fibres) != set(w.elements) or set(fibres.values()) != {stab}:
         raise MathIdentityError("a Weyl group element has other than |Stab| preimages")
     aut = sum(fibres.values())

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from weylbench.cli import main, run_command
+from weylbench.cli import COMMANDS, main, run_command
 from weylbench.deck import parse_deck
 from weylbench.errors import DeckError
 
@@ -38,6 +38,11 @@ def test_deck_roundtrip():
         text = deck.canonical_text()
         deck2 = parse_deck(text)
         assert deck2.canonical_text() == text
+        tight = load(name).replace(" = ", "=")
+        loose = re.sub(r"\s*=\s*", " = ", tight)
+        assert tight != load(name) != loose
+        for variant in (tight, loose):
+            assert parse_deck(variant).canonical_text() == text
         assert sorted(deck2.all_names()) == sorted(deck.all_names())
         for gname, gr in deck.gradings.items():
             gr2 = deck2.gradings[gname]
@@ -232,6 +237,10 @@ def test_diag_points_over_a_ring_past_the_cap_exits_2(tmp_path, capsys):
     assert capsys.readouterr().out == "error=input: |R| = 531441 exceeds cap 20000\n"
 
 
+EX24_HEAD = ("field Q = rationals\ngroup C6 = Z/6\nalgebra A over Q dim 2 basis u,v\n"
+             "# the zero algebra\n")
+
+
 @pytest.mark.parametrize("text, line", [
     ("field F = prime x\n", 1),
     ("group G = Z/q\n", 1),
@@ -240,8 +249,30 @@ def test_diag_points_over_a_ring_past_the_cap_exits_2(tmp_path, capsys):
     ("field Q = rationals\ngroup G = Z^-2\n", 2),
     ("field Q =\n", 1),
     ("field Q = rationals\nring R =\n", 2),
+    ("field F = prime 3 3\n", 1),
+    ("field 3F = prime 3\n", 1),
+    ("field F9 = extend F3 [1,0,1]\n", 1),
+    ("field F3 = prime 3\nfield F9 = extend F3 [1,0,1\n", 2),
+    ("group G = Z/3\ngroup G = Z/2\n", 2),
+    ("group G-1 = Z/3\n", 1),
+    ("field F3 = prime 3\nring R = base F3 F3\n", 2),
+    ("field F3 = prime 3\nring R = dual F3 two\n", 2),
+    ("field F3 = prime 3\nalgebra A over F3 dim x basis a\n", 2),
+    ("field F3 = prime 3\nalgebra A xx F3 yy 2 zz e1,e2\n", 2),
+    ("field F3 = prime 3\nmul a a = a\n", 2),
+    ("field F3 = prime 3\nalgebra A over F3 dim 1 basis a\nmul a a a\n", 3),
+    (EX24_HEAD + "grading Gamma of A with C6 deg u=2 deg v=3\n", 5),
+    (EX24_HEAD + "grading Gamma on A by C6 deg u=2 deg v 3\n", 5),
+    (EX24_HEAD + "grading Gamma on A by C6 deg u=2 deg v=3\n"
+     "ring Qr = base Q\nmap m on A over Qr = [[1,0],[0,1]] extra\n", 7),
+    (EX24_HEAD + "ring Qr = base Q\nmap m on A over Qr = [[1,0],[0,1]]]\n", 6),
 ], ids=["prime-x", "group-Zq", "F3-one-over-zero", "Q-one-over-zero", "negative-rank",
-        "field-empty-rhs", "ring-empty-rhs"])
+        "field-empty-rhs", "ring-empty-rhs", "field-trailing-token", "field-bad-name",
+        "field-unknown-base", "field-unclosed-bracket", "group-redeclared", "group-bad-name",
+        "ring-trailing-token", "ring-non-integer", "algebra-non-integer",
+        "algebra-wrong-keywords", "mul-outside-algebra", "mul-without-equals",
+        "grading-wrong-keywords", "grading-deg-without-equals",
+        "map-trailing-token", "map-unbalanced-bracket"])
 def test_bad_deck_literal_exits_2_with_line(tmp_path, capsys, text, line):
     deck = tmp_path / "bad.deck"
     deck.write_text(text)
@@ -388,6 +419,39 @@ def test_idempotents_over_q_sqrt2(tmp_path, capsys, ring, code, out):
     assert capsys.readouterr().out == out
 
 
+def test_second_degree_for_a_basis_name_is_refused():
+    # the second deg once overwrote the first, grading a different algebra
+    with pytest.raises(DeckError, match="line 5: second degree for 'u'"):
+        parse_deck(EX24_HEAD + "grading Gamma on A by C6 deg u=2 deg v=3 deg u=1\n")
+
+
+def test_bracket_literals_ignore_inner_spaces():
+    tight = ("field F3 = prime 3\nfield F9 = extend F3 [1,0,1]\nring T = trunc F3 [0,0,1]\n"
+             "algebra A over F3 dim 2 basis a,b\nmap m on A over T = [[[1,0],[0,0]],[[0,0],[1,0]]]\n")
+    loose = re.sub(r"\[.*\]", lambda m: m.group().replace(",", " , ").replace("]", " ] "), tight)
+    assert loose.count(" ") > tight.count(" ") + 20
+    a, b = parse_deck(tight), parse_deck(loose)
+    assert a.canonical_text() == b.canonical_text() == tight
+    assert a.fields["F9"] == b.fields["F9"]
+    assert a.rings["T"].table == b.rings["T"].table
+    assert a.maps["m"].entries == b.maps["m"].entries
+
+
+# every command form, its slots filled from ex24.deck, with one token too many
+SLOTS = {"GRADING": "Gamma", "FIELD": "F3", "RING": "F3r", "MAP": "swap3"}
+
+
+@pytest.mark.parametrize("form", list(COMMANDS) + ["ses GRADING set=aut"])
+def test_trailing_command_tokens_exit_2(capsys, form):
+    argv = [SLOTS.get(w, w.split("|")[0]) for w in form.split()]
+    if "set=aut" not in argv:
+        argv.append("junk")
+    assert main(["--deck", os.path.join(DECKS, "ex24.deck")] + argv) == 2
+    out = capsys.readouterr().out
+    assert out.startswith("error=input: expected end of line"), out
+    assert out.endswith(", got %r\n" % ("set" if "set=aut" in argv else "junk"))
+
+
 @pytest.mark.parametrize("flag, value", [("--cap", "abc"), ("--mode", "bogus")])
 def test_bad_flag_value_exits_2(tmp_path, capsys, flag, value):
     deck = tmp_path / "t.deck"
@@ -396,14 +460,14 @@ def test_bad_flag_value_exits_2(tmp_path, capsys, flag, value):
     assert capsys.readouterr().out.startswith("error=input: " + flag)
 
 
-@pytest.mark.parametrize("argv", [
-    ["member", "swap", "in"],
-    ["member", "swap", "set=aut"],
-    ["member", "swap", "in", "Nope"],
+@pytest.mark.parametrize("argv, message", [
+    (["member", "swap", "in"], "expected GRADING, got end of line"),
+    (["member", "swap", "set=aut"], "expected in, got 'set'"),
+    (["member", "swap", "in", "Nope"], "unknown grading 'Nope'"),
 ], ids=["member-in-without-grading", "member-without-in", "member-unknown-grading"])
-def test_bad_command_args_exits_2(capsys, argv):
+def test_bad_command_args_exits_2(capsys, argv, message):
     assert main(["--deck", os.path.join(DECKS, "ex24.deck")] + argv) == 2
-    assert capsys.readouterr().out == "error=input: missing in GRADING\n"
+    assert capsys.readouterr().out == "error=input: %s\n" % message
 
 
 @pytest.mark.parametrize("modulus", ["[2,0,1]", "[2,0,1,0,1,0,1]"],

@@ -1,6 +1,7 @@
 """The runtime is stdlib-only: no module of the package imports anything
 outside the standard library, although test oracles such as sympy and
-hypothesis are installed next to it."""
+hypothesis are installed next to it.  And no module checks anything with
+`assert`, which `python -O` strips."""
 
 import ast
 import pathlib
@@ -26,3 +27,10 @@ def test_package_imports_only_the_standard_library():
                for name in _absolute_imports(ast.parse(path.read_text(), str(path)))
                if name.partition(".")[0] not in sys.stdlib_module_names]
     assert outside == []
+
+
+def test_package_has_no_assert_statements():
+    asserts = [(path.name, node.lineno) for path in sorted(PACKAGE.glob("*.py"))
+               for node in ast.walk(ast.parse(path.read_text(), str(path)))
+               if isinstance(node, ast.Assert)]
+    assert asserts == []

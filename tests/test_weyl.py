@@ -4,7 +4,7 @@ from collections import Counter
 import pytest
 
 import weylbench as wb
-from weylbench import comrings, galg, weyl
+from weylbench import abgroups, comrings, galg, weyl
 from weylbench import points as pts
 from weylbench.errors import MathIdentityError, NonThinError
 from weylbench.scalars import RootResult, dth_root
@@ -188,16 +188,23 @@ def test_thin_ses_check_refuses_a_wrong_fibre(F3):
         weyl.ses_check(gr)
 
 
-def test_non_thin_ses_check_refuses_a_wrong_stab_count(monkeypatch, F3):
-    gr = trivial_grading(F3)
-    assert not gr.is_thin() and weyl.ses_check(gr).product_ok
-    enumerate_points = pts.enumerate_points
+def test_non_thin_ses_check_refuses_a_wrong_stab_count(monkeypatch, F2):
+    # zero algebra on a, b, c, d graded by Z/3 in degrees 1, 1, 2, 2:
+    # Stab = GL2(F2) x GL2(F2) and W(F2) swaps the two components
+    z = (F2.zero(),) * 4
+    A = wb.build_algebra(F2, 4, [[z] * 4 for _ in range(4)], ["a", "b", "c", "d"])
+    gr = wb.build_grading(A, abgroups.cyclic_group(3), [(1,), (1,), (2,), (2,)])
+    res = weyl.ses_check(gr)
+    assert not gr.is_thin() and res.product_ok
+    assert (res.aut_count, res.stab_count, res.weyl_order) == (72, 36, 2)
+    ident = weyl.perm_identity(len(gr.support))
+    points_by_shape = pts._points_by_shape
 
-    def corrupted(gr, R, which="aut", cap=10**8):
-        found = enumerate_points(gr, R, which, cap)
-        return found + found[:1] if which == "stab" else found
+    def corrupted(gr, R, which, cap):
+        for (sigma,), found in points_by_shape(gr, R, which, cap):
+            yield (sigma,), found + found[:1] if sigma != ident else found
 
-    monkeypatch.setattr(pts, "enumerate_points", corrupted)
+    monkeypatch.setattr(pts, "_points_by_shape", corrupted)
     with pytest.raises(MathIdentityError, match="other than"):
         weyl.ses_check(gr)
 
