@@ -4,8 +4,9 @@ generic normalizer test against the intersection definition.  Any mismatch
 raises MathIdentityError from inside the membership functions themselves.
 
 Small point groups are enumerated exhaustively; large or infinite ones are
-sampled from constructed points (diagonal characters, monomial witnesses,
-blockwise combinations, random invertibles where every invertible works).
+sampled from constructed candidates (diagonal characters, monomial witnesses,
+blockwise combinations, random invertibles where every invertible works),
+each distinct one verified once.
 """
 
 from __future__ import annotations
@@ -61,18 +62,16 @@ def theorem_battery(gr, R, seed=0x5EED):
     points, mode, evaluations = battery_points(gr, R, seed)
     warn = False
     nonsmooth = None
-    cent = norm = 0
+    checked = 0
     for p in points:   # each already verified by battery_points
-        in_stab = pts._centralizer(gr, p)  # asserted == the stabilizer test
-        cent += 1
-        res = pts._normalizer(gr, p, pts.block_permutations(gr, p))
-        norm += 1
+        in_stab, res = pts._generic_tests(gr, p, pts.block_permutations(gr, p))
+        checked += 1
         if res.member and not in_stab:
             if nonsmooth is None:
                 nonsmooth = diag_scheme_nonsmooth(gr)
             if nonsmooth:
                 warn = True
-    return BatteryResult(mode, evaluations, len(points), cent, norm, warn)
+    return BatteryResult(mode, evaluations, len(points), checked, checked, warn)
 
 
 def battery_points(gr, R, seed=0x5EED):
@@ -95,35 +94,31 @@ def battery_points(gr, R, seed=0x5EED):
 
 
 def _sampled_points(gr, R, seed):
+    """Candidates from the sources below, closed under a few products; each
+    distinct point is verified once, here or, for a diagonal point of a small
+    ring, in diag_points."""
     rng = random.Random(seed)
     A = gr.algebra
-    pool = {pts.identity_point(A, R).entries}
-
-    for p in _diagonal_sample(gr, R, rng):
-        pool.add(p.entries)
-    for p in _monomial_sample(gr, R):
-        pool.add(p.entries)
-    for p in _base_field_sample(gr, R):
-        pool.add(p.entries)
+    diagonal, verified = _diagonal_sample(gr, R, rng)
+    sources = [pts.identity_point(A, R), *diagonal, *_monomial_sample(gr, R),
+               *_base_field_sample(gr, R)]
     if _all_products_zero(A):
-        for p in _random_invertibles(gr, R, rng):
-            pool.add(p.entries)
-    pool = _blockwise_combinations(gr, R, pool, rng)
+        sources += _random_invertibles(gr, R, rng)
+    pool = _blockwise_combinations(gr, R, {p.entries for p in sources}, rng)
 
-    base = [pts.PointMatrix(A, R, e) for e in sorted(pool)]
+    base = sorted(pool)
     seen = set(pool)
     products = 0
     while len(seen) < SAMPLE_TARGET and products < 4 * SAMPLE_TARGET and len(base) > 1:
-        a, b = rng.choice(base), rng.choice(base)
-        prod = linalg.mat_mul(R, a.entries, b.entries)
+        prod = linalg.mat_mul(R, rng.choice(base), rng.choice(base))
         ent = tuple(tuple(r) for r in prod)
         products += 1
         if ent not in seen:
             seen.add(ent)
-            base.append(pts.PointMatrix(A, R, ent))
+            base.append(ent)
     out = [pts.PointMatrix(A, R, e) for e in sorted(seen)]
     for p in out:
-        if not pts.automorphism_membership(p):
+        if p.entries not in verified and not pts.automorphism_membership(p):
             raise MathIdentityError("sampled point is not an automorphism")
     return out
 
@@ -134,15 +129,17 @@ def _all_products_zero(A):
 
 
 def _diagonal_sample(gr, R, rng):
+    """(diagonal candidates, entries of the points diag_points verified)."""
     count = R.element_count()
     if count is not None and count <= DIAG_FULL_CAP:
         try:
             dp = pts.diag_points(gr, R, cross_check=False)
         except (NotEnumerableError, CapExceededError, FactorizationIncompleteError):
-            return []
+            return [], set()
+        verified = {p.entries for p in dp}
         if len(dp) > DIAG_KEEP:
             dp = dp[::max(1, len(dp) // DIAG_KEEP)][:DIAG_KEEP]
-        return dp
+        return dp, verified
     # large or infinite ring: torsion units cover torsion generators of the
     # universal group; free generators get a few random units
     uni = galg.universal_group(gr)
@@ -160,17 +157,12 @@ def _diagonal_sample(gr, R, rng):
         assigns = [a + [v] for a in assigns for v in pool]
         if len(assigns) > 64:
             assigns = assigns[:64]
-    out = []
-    for assign in assigns:
-        p = pts.character_point(gr, R, uni.deg_u, assign)
-        if pts.automorphism_membership(p):
-            out.append(p)
-    return out
+    return [pts.character_point(gr, R, uni.deg_u, assign) for assign in assigns], set()
 
 
 def _torsion_units(R):
-    """Finite-order units found structurally: +-1, group-algebra monomials,
-    and products thereof."""
+    """Finite-order units found structurally: the closure of +-1 and the
+    group-algebra monomials, {+-g}, each of order dividing 2 exp G."""
     seeds = {R.one, R.neg(R.one)}
     basis = getattr(R, "group_basis", None)
     if basis is not None:
@@ -187,20 +179,7 @@ def _torsion_units(R):
             if z not in closed:
                 closed.add(z)
                 frontier.append(z)
-    out = []
-    for u in sorted(closed, key=R.sort_key):
-        acc = u
-        order = 1
-        finite = False
-        for _ in range(TORSION_CAP):
-            if acc == R.one:
-                finite = True
-                break
-            acc = R.mul(acc, u)
-            order += 1
-        if finite:
-            out.append(u)
-    return out
+    return sorted(closed, key=R.sort_key)
 
 
 def _random_units(R, rng):
@@ -241,6 +220,8 @@ def _base_field_sample(gr, R):
 
 
 def _random_invertibles(gr, R, rng):
+    """Random matrices with a unit determinant: the points, when every product
+    in A is zero."""
     A = gr.algebra
     n = A.dim
     out = []
@@ -249,9 +230,8 @@ def _random_invertibles(gr, R, rng):
         tries += 1
         rows = [[tuple(R.field.random_element(rng, 5) for _ in range(R.dim))
                  for _ in range(n)] for _ in range(n)]
-        p = pts.point_matrix(A, R, rows)
-        if pts.automorphism_membership(p):
-            out.append(p)
+        if R.is_unit(pts.ring_det(R, rows)):
+            out.append(pts.point_matrix(A, R, rows))
     return out
 
 
@@ -262,17 +242,13 @@ def _blockwise_combinations(gr, R, pool, rng):
         return pool
     base = sorted(pool)
     out = set(pool)
-    combos = 0
     n = gr.algebra.dim
-    while combos < BLOCKWISE_COMBINATIONS:
-        combos += 1
+    for _ in range(BLOCKWISE_COMBINATIONS):
         acc = [[R.zero()] * n for _ in range(n)]
         for e in idems:
             choice = rng.choice(base)
             for i in range(n):
                 for j in range(n):
                     acc[i][j] = R.add(acc[i][j], R.mul(e, choice[i][j]))
-        p = pts.PointMatrix(gr.algebra, R, tuple(tuple(r) for r in acc))
-        if pts.automorphism_membership(p):
-            out.add(p.entries)
+        out.add(tuple(tuple(r) for r in acc))
     return out

@@ -31,16 +31,16 @@ class Report:
         return "\n".join(self.lines) + ("\n" if self.lines else "")
 
 
-def run_command(deck, tokens, cap=10**8, mode=None):
+def run_command(deck, tokens, cap=10**8):
     """Tokenize the command tokens once, match them against COMMANDS and run
     the handler on the resolved deck objects."""
     report = Report()
     pattern, values = match(COMMANDS, tokenize(" ".join(tokens)), deck)
-    COMMANDS[pattern](deck, report, cap, mode, *values)
+    COMMANDS[pattern](deck, report, cap, *values)
     return report
 
 
-def _cmd_check(deck, report, cap, mode):
+def _cmd_check(deck, report, cap):
     report.kv("ok", "true")
     report.kv("fields", len(deck.fields))
     report.kv("groups", len(deck.groups))
@@ -50,20 +50,19 @@ def _cmd_check(deck, report, cap, mode):
     report.kv("maps", len(deck.maps))
 
 
-def _cmd_support(deck, report, cap, mode, gr):
+def _cmd_support(deck, report, cap, gr):
     report.kv("support.size", len(gr.support))
     report.kv("support", ";".join(gr.group.element_str(g) for g in gr.support))
 
 
-def _cmd_universal(deck, report, cap, mode, gr):
+def _cmd_universal(deck, report, cap, gr):
     uni = galg.universal_group(gr)
     report.kv("U", uni.group.group_str())
 
 
-def _cmd_weyl(deck, report, cap, mode, gr, fld=None):
-    if fld is not None or mode == "rational":
-        if fld is not None:
-            gr = galg.grading_over(gr, fld)
+def _cmd_weyl(deck, report, cap, gr, fld=None):
+    if fld is not None:
+        gr = galg.grading_over(gr, fld)
         group = weyl.weyl_over_field(gr, cap=cap)
         report.kv("weyl.mode", "rational")
     else:
@@ -73,7 +72,7 @@ def _cmd_weyl(deck, report, cap, mode, gr, fld=None):
     report.kv("weyl.generators", group.generators_str())
 
 
-def _cmd_points(deck, report, cap, mode, gr, ring, which):
+def _cmd_points(deck, report, cap, gr, ring, which):
     gr = galg.grading_over(gr, ring.field)
     if which == "diag":
         plist = pts.diag_points(gr, ring, cap=cap)
@@ -84,7 +83,7 @@ def _cmd_points(deck, report, cap, mode, gr, ring, which):
         report.kv("point.%d" % i, p.to_str())
 
 
-def _cmd_member(deck, report, cap, mode, phi, gr, which):
+def _cmd_member(deck, report, cap, phi, gr, which):
     gr = galg.grading_over(gr, phi.ring.field)
     if gr.algebra.table != phi.algebra.table:
         raise InputError("map and grading algebras differ")
@@ -143,14 +142,14 @@ def _emit_block_certs(report, gr, R, certs):
         report.add("block e%d perm=%s" % (i, weyl.cycles_str(perm, supp, weyl.label_str)))
 
 
-def _cmd_idempotents(deck, report, cap, mode, R):
+def _cmd_idempotents(deck, report, cap, R):
     idems = R.idempotents()
     report.kv("idempotents.count", len(idems))
     for i, e in enumerate(idems):
         report.kv("idempotent.%d" % i, R.to_str(e))
 
 
-def _cmd_ses(deck, report, cap, mode, gr, fld=None):
+def _cmd_ses(deck, report, cap, gr, fld=None):
     if fld is not None:
         gr = galg.grading_over(gr, fld)
     res = weyl.ses_check(gr, cap=cap)
@@ -163,7 +162,7 @@ def _cmd_ses(deck, report, cap, mode, gr, fld=None):
         raise MathIdentityError("exact sequence check failed at points")
 
 
-def _cmd_verify(deck, report, cap, mode, gr, ring):
+def _cmd_verify(deck, report, cap, gr, ring):
     gr = galg.grading_over(gr, ring.field)
     res = battery_mod.theorem_battery(gr, ring)
     report.kv("points.mode", res.mode)
@@ -190,7 +189,7 @@ COMMANDS = {
     "verify-theorem GRADING over RING": _cmd_verify,
 }
 
-USAGE = ("usage: weylbench --deck FILE [--cap N] [--mode closure|rational] COMMAND ...\n"
+USAGE = ("usage: weylbench --deck FILE [--cap N] COMMAND ...\n"
          "\ncommands:\n" + "".join("  %s\n" % form for form in COMMANDS))
 
 
@@ -205,7 +204,7 @@ def _decode_deck(data):
 
 def main(argv=None):
     argv = list(sys.argv[1:] if argv is None else argv)
-    flags = {"cap": 10**8, "mode": None, "deck": None}
+    flags = {"cap": 10**8, "deck": None}
     tokens = []
     i = 0
     while i < len(argv):
@@ -231,15 +230,12 @@ def main(argv=None):
     except ValueError:
         print("error=input: --cap needs an integer, got %r" % flags["cap"])
         return 2
-    if flags["mode"] not in (None, "closure", "rational"):
-        print("error=input: --mode must be closure or rational")
-        return 2
     try:
         if flags["deck"] is None:
             raise InputError("missing --deck FILE")
         with open(flags["deck"], "rb") as fh:
             deck = parse_deck(_decode_deck(fh.read()))
-        report = run_command(deck, tokens, cap=cap, mode=flags["mode"])
+        report = run_command(deck, tokens, cap=cap)
     except MathIdentityError as exc:
         print("error=identity: %s" % exc)
         return 1

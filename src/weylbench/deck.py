@@ -45,8 +45,9 @@ class Deck:
 
 def tokenize(line):
     """Split on whitespace.  `=` is always a token of its own, and a bracketed
-    literal is one token with any spaces inside it dropped."""
-    tokens, cur, depth = [], [], 0
+    literal is one token.  Inside it a space may stand only next to `[`, `]`
+    or `,`, and is dropped; a space inside an entry is refused."""
+    tokens, cur, depth, gap = [], [], 0, False
     for ch in line + " ":
         if depth == 0 and (ch.isspace() or ch == "="):
             if cur:
@@ -55,11 +56,16 @@ def tokenize(line):
             if ch == "=":
                 tokens.append(ch)
             continue
+        if ch.isspace():
+            gap = True
+            continue
+        if gap and cur[-1] not in "[]," and ch not in "[],":
+            raise InputError("space inside a literal entry: %r" % ("".join(cur) + " " + ch))
+        gap = False
         depth += (ch == "[") - (ch == "]")
         if depth < 0:
             raise InputError("unbalanced ']'")
-        if not ch.isspace():
-            cur.append(ch)
+        cur.append(ch)
     if depth:
         raise InputError("unclosed '['")
     return tokens

@@ -341,23 +341,10 @@ def _ga_from_ring_matrix(GA, M):
 
 def cent_membership_generic(gr, phi):
     """Commutation with the generic diagonal over RG; must agree with the
-    direct stabilizer test (cross-asserted)."""
+    direct stabilizer test (cross-asserted, as is the normalizer half of the
+    same lift)."""
     _require_automorphism(phi)
-    return _centralizer(gr, phi)
-
-
-def _centralizer(gr, phi):
-    """cent_membership_generic of a verified phi."""
-    direct = _degree_preserving(gr, phi)
-    R = phi.ring
-    GA = GroupAlgebra(R, gr.group)
-    Phi = _ga_from_ring_matrix(GA, phi.entries)
-    Psi = generic_psi(gr, R)
-    commute = linalg.mat_mul(GA, Phi, Psi) == linalg.mat_mul(GA, Psi, Phi)
-    if commute != direct:
-        raise MathIdentityError(
-            "generic centralizer test disagrees with the stabilizer test")
-    return commute
+    return _generic_tests(gr, phi, block_permutations(gr, phi))[0]
 
 
 @dataclass
@@ -395,25 +382,32 @@ def norm_membership_generic(gr, phi):
     shifts g -> h per e must be the block permutations of phi, and
     membership must agree with the intersection definition (cross-asserted)."""
     _require_automorphism(phi)
-    return _normalizer(gr, phi, block_permutations(gr, phi))
+    return _generic_tests(gr, phi, block_permutations(gr, phi))[1]
 
 
-def _normalizer(gr, phi, direct):
-    """norm_membership_generic of a verified phi with block permutations direct."""
+def _generic_tests(gr, phi, direct):
+    """(centralizer member, NormResult) of a verified phi with block
+    permutations direct, from one lift to RG: Phi Psi == Psi Phi must agree
+    with the stabilizer test, and the conjugate Phi^-1 (Psi Phi) with direct."""
     R = phi.ring
     GA = GroupAlgebra(R, gr.group)
     Phi = _ga_from_ring_matrix(GA, phi.entries)
+    Psi = generic_psi(gr, R)
+    PsiPhi = linalg.mat_mul(GA, Psi, Phi)
+    commute = linalg.mat_mul(GA, Phi, Psi) == PsiPhi
+    if commute != _degree_preserving(gr, phi):
+        raise MathIdentityError(
+            "generic centralizer test disagrees with the stabilizer test")
     PhiInv = _ga_from_ring_matrix(GA, ring_mat_inv(R, phi.entries))
-    M = linalg.mat_mul(GA, PhiInv, linalg.mat_mul(GA, generic_psi(gr, R), Phi))
-    scalars = _scalar_blocks_of(gr, GA, M)
+    scalars = _scalar_blocks_of(gr, GA, linalg.mat_mul(GA, PhiInv, PsiPhi))
     member = scalars is not None
     shifts = [(e, {g: _idempotent_cut(R, e, scalars[g]) for g in gr.support})
               for e in R.idempotents()] if member else []
     if member != direct.ok or shifts != direct.certificates:
         raise MathIdentityError(
             "generic normalizer test disagrees with the intersection definition")
-    return NormResult(member, shifts,
-                      None if member else "conjugate is not component-scalar")
+    return commute, NormResult(member, shifts,
+                               None if member else "conjugate is not component-scalar")
 
 
 def _idempotent_cut(R, e, s):
@@ -451,7 +445,7 @@ def dgroup_norm_membership(gr, phi):
     for gen in G.generators():
         if not sub.contains(gen):
             return DGroupResult("indeterminate", {})
-    (_, shift), = _normalizer(gr, phi, direct).shifts
+    (_, shift), = _generic_tests(gr, phi, direct)[1].shifts
     forced = {h: g for g, h in shift.items()}
     for row in sub.relations:
         value = G.combine(row, [forced[h] for h in gr.support])

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from weylbench.cli import COMMANDS, main, run_command
-from weylbench.deck import parse_deck
+from weylbench.deck import parse_deck, tokenize
 from weylbench.errors import DeckError
 
 DECKS = os.path.join(os.path.dirname(__file__), "..", "src", "weylbench", "decks")
@@ -210,12 +210,6 @@ def test_weyl_over_extension_field_golden():
     rep = run(load("ex26.deck"), ["weyl", "Gamma", "over", "F9"])
     assert rep.lines == ["weyl.mode=rational", "weyl.order=2",
                         "weyl.generators=(1 2)"]
-
-
-def test_mode_flag_selects_rational():
-    rep = run(load("ex34.deck"), ["weyl", "Gamma"], mode="rational")
-    assert rep.lines[0] == "weyl.mode=rational"
-    assert rep.lines[1] == "weyl.order=1"
 
 
 def test_cap_flag_limits_enumeration():
@@ -425,6 +419,27 @@ def test_second_degree_for_a_basis_name_is_refused():
         parse_deck(EX24_HEAD + "grading Gamma on A by C6 deg u=2 deg v=3 deg u=1\n")
 
 
+@pytest.mark.parametrize("text", [
+    "field F7 = prime 7\nring R = trunc F7 [1 2, 0, 1]\n",
+    "field Q = rationals\nfield K = extend Q [-2, 0 1]\n",
+], ids=["trunc-entry-split", "extend-entry-split"])
+def test_space_inside_a_literal_entry_exits_2_with_line(tmp_path, capsys, text):
+    # the space was dropped: [1 2, 0, 1] read as [12,0,1]
+    deck = tmp_path / "bad.deck"
+    deck.write_text(text)
+    assert main(["--deck", str(deck), "check"]) == 2
+    assert capsys.readouterr().out.startswith(
+        "error=input: line 2: space inside a literal entry")
+
+
+def test_spaces_next_to_brackets_and_commas_are_dropped():
+    assert tokenize("ring R = trunc F3 [ 1 , 0 ,1 ]") == [
+        "ring", "R", "=", "trunc", "F3", "[1,0,1]"]
+    tight = "field F3 = prime 3\nring R = trunc F3 [1,0,1]\n"
+    assert parse_deck(tight.replace("[1,0,1]", "[ 1 , 0 ,1 ]")).canonical_text() == tight
+    assert parse_deck(tight).canonical_text() == tight
+
+
 def test_bracket_literals_ignore_inner_spaces():
     tight = ("field F3 = prime 3\nfield F9 = extend F3 [1,0,1]\nring T = trunc F3 [0,0,1]\n"
              "algebra A over F3 dim 2 basis a,b\nmap m on A over T = [[[1,0],[0,0]],[[0,0],[1,0]]]\n")
@@ -452,12 +467,19 @@ def test_trailing_command_tokens_exit_2(capsys, form):
     assert out.endswith(", got %r\n" % ("set" if "set=aut" in argv else "junk"))
 
 
-@pytest.mark.parametrize("flag, value", [("--cap", "abc"), ("--mode", "bogus")])
+@pytest.mark.parametrize("flag, value", [("--cap", "abc")])
 def test_bad_flag_value_exits_2(tmp_path, capsys, flag, value):
     deck = tmp_path / "t.deck"
     deck.write_text(load("ex34.deck"))
     assert main(["--deck", str(deck), flag, value, "weyl", "Gamma"]) == 2
     assert capsys.readouterr().out.startswith("error=input: " + flag)
+
+
+def test_mode_flag_is_unknown(capsys):
+    # `weyl GRADING over FIELD` asks the rational question
+    argv = ["--deck", os.path.join(DECKS, "ex34.deck"), "--mode", "rational", "weyl", "Gamma"]
+    assert main(argv) == 2
+    assert capsys.readouterr().out == "error=input: unknown flag --mode\n"
 
 
 @pytest.mark.parametrize("argv, message", [

@@ -189,6 +189,64 @@ def test_battery_verifies_each_point_once(monkeypatch, Q, F3):
         assert res.mode == mode
         assert res.cent_checked == res.norm_checked == res.distinct_points
         assert calls == ["block_permutations"] * res.distinct_points
+    # sampled cells: each distinct point is verified exactly once, in
+    # diag_points or in the final loop of _sampled_points; over F3[eps]/eps^3
+    # diagonal points that the stride dropped come back as products
+    monkeypatch.setattr(battery, "battery_points", find)
+    verify = pts.automorphism_membership
+    keys = []
+    monkeypatch.setattr(pts, "automorphism_membership",
+                        lambda phi: keys.append((phi.ring, phi.entries)) or verify(phi))
+    sample, sampled = battery._sampled_points, []
+    monkeypatch.setattr(battery, "_sampled_points",
+                        lambda *a: sampled.append(sample(*a)) or sampled[-1])
+    F7 = wb.prime_field(7)
+    for gr, R in ((zero_mult_grading(Q), product_ring(base_field_ring(Q), base_field_ring(Q))),
+                  (galg.grading_over(cubic_grading(Q), F7),
+                   comrings.group_algebra_finite(F7, cyclic_group(3))),
+                  (zero_mult_grading(F3), dual_numbers(F3, 3))):
+        keys.clear()
+        sampled.clear()
+        res = battery.theorem_battery(gr, R)
+        assert res.mode == "sampled" and len(sampled) == 1
+        assert len(keys) == len(set(keys))
+        assert {(R, p.entries) for p in sampled[0]} <= set(keys)
+
+
+def test_sampled_large_ring_character_point_is_verified(monkeypatch, Q):
+    # over Q[eps]/eps^2 the diagonal candidates are character points that
+    # diag_points never saw: a singular one must fail the final check
+    def singular(gr, R, coords, values):
+        return pts.point_matrix(gr.algebra, R, [[R.zero()] * gr.algebra.dim] * gr.algebra.dim)
+    monkeypatch.setattr(pts, "character_point", singular)
+    with pytest.raises(MathIdentityError, match="sampled point is not an automorphism"):
+        battery.theorem_battery(zero_mult_grading(Q), dual_numbers(Q, 2))
+
+
+def test_sampled_blockwise_mix_is_verified(monkeypatch, Q):
+    # a "blockwise" mix over the first block twice misses the second block
+    R = product_ring(base_field_ring(Q), base_field_ring(Q))
+    e1 = R.idempotents()[0]
+    monkeypatch.setattr(R, "idempotents", lambda: (e1, e1))
+    with pytest.raises(MathIdentityError, match="sampled point is not an automorphism"):
+        battery.theorem_battery(zero_mult_grading(Q), R)
+
+
+@pytest.mark.parametrize("ring, units", [
+    (lambda Q: comrings.group_algebra_finite(Q, cyclic_group(2)), "group"),
+    (lambda Q: comrings.group_algebra_finite(Q, cyclic_group(3)), "group"),
+    (lambda Q: comrings.group_algebra_finite(Q, cyclic_group(6)), "group"),
+    (lambda Q: dual_numbers(Q, 2), "signs"),
+    (lambda Q: product_ring(base_field_ring(Q), base_field_ring(Q)), "signs"),
+], ids=["QC2", "QC3", "QC6", "Q-eps2", "QxQ"])
+def test_torsion_units_are_the_signed_group_elements(Q, ring, units):
+    R = ring(Q)
+    expected = {R.one, R.neg(R.one)}
+    if units == "group":
+        for i in range(R.dim):
+            g = tuple(Q.one() if k == i else Q.zero() for k in range(R.dim))
+            expected |= {g, R.neg(g)}
+    assert battery._torsion_units(R) == sorted(expected, key=R.sort_key)
 
 
 def test_diag_points_counts(Q, F3, F7):
