@@ -180,6 +180,11 @@ class TestRing:
             self._nil_quotient = _verify_nilradical(self, self._nilradical)
         return self._nilradical
 
+    def nil_quotient(self):
+        """(R/nil, x -> class of x, a section of it), or None if R is reduced."""
+        self.nilradical()
+        return self._nil_quotient
+
     def idempotents(self):
         """Primitive orthogonal idempotents, lexicographically ordered."""
         if self._idempotents is None:
@@ -463,8 +468,8 @@ def _quotient_ring(R, ideal_basis, label):
 def decompose_ring(R):
     """Primitive orthogonal idempotents of R: those of R/nil, split in place,
     Newton-lifted (e -> 3e^2 - 2e^3, valid in every characteristic)."""
-    if R.nilradical():
-        ring, _, lift = R._nil_quotient
+    if R.nil_quotient():
+        ring, _, lift = R.nil_quotient()
         idems = [_newton_lift(R, lift(e)) for e in _split_semisimple(ring)]
     else:
         idems = [tuple(e) for e in _split_semisimple(R)]

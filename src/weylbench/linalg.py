@@ -39,35 +39,48 @@ def mat_mul(R, A, B):
 def compile_product(F, table):
     """(terms, product) for structure constants over F: terms[i][j] lists the
     (k, c) with table[i][j][k] = c nonzero, and product(x, y) multiplies
-    F-coordinate tuples by the kernel chosen here, once per table."""
+    F-coordinate tuples by the kernel chosen here, once per table.  Over F_p
+    and Q it adds up Python ints and makes one field element per coordinate."""
     terms = tuple(tuple(tuple((k, c) for k, c in enumerate(cell) if not F.is_zero(c))
                         for cell in row) for row in table)
+    if F.kind == "prime":   # reduced mod p once per coordinate
+        p = F.p
+        return terms, lambda x, y: tuple(v % p for v in _int_products(terms, x, y))
     if F.kind != "rationals":
         zero, is_zero, add, mul = F.zero(), F.is_zero, F.add, F.mul
         return terms, lambda x, y: structure_mul(terms, x, y, zero, is_zero, add, mul, mul)
-    # Over Q, on integers: the constants times their common denominator D,
-    # x and y times the lcms dx, dy of theirs; one Fraction per coordinate.
+    # Over Q: the constants times their common denominator D, x and y times
+    # the lcms dx, dy of theirs; one Fraction per coordinate.
     D = lcm(*(c.denominator for row in terms for cell in row for _, c in cell))
     iterms = tuple(tuple(tuple((k, c.numerator * (D // c.denominator)) for k, c in cell)
                          for cell in row) for row in terms)
     zero = Fraction(0)
 
     def product(x, y):
-        dx = lcm(*(a.denominator for a in x))
-        dy = lcm(*(b.denominator for b in y))
-        ys = [(j, b.numerator * (dy // b.denominator)) for j, b in enumerate(y) if b]
-        out = [0] * len(iterms)
-        for a, row in zip(x, iterms):
-            if a:
-                a = a.numerator * (dx // a.denominator)
-                for j, b in ys:
-                    ab = a * b
-                    for k, c in row[j]:
-                        out[k] += ab * c
+        (dx, xs), (dy, ys) = _on_integers(x), _on_integers(y)
         d = dx * dy * D
-        return tuple(Fraction(v, d) if v else zero for v in out)
+        return tuple(Fraction(v, d) if v else zero for v in _int_products(iterms, xs, ys))
 
     return terms, product
+
+
+def _int_products(terms, x, y):
+    """sum_{i,j} x_i y_j c_ijk per k, on ints, from (k, c) terms per cell."""
+    ys = [(j, b) for j, b in enumerate(y) if b]
+    out = [0] * len(terms)
+    for a, row in zip(x, terms):
+        if a:
+            for j, b in ys:
+                ab = a * b
+                for k, c in row[j]:
+                    out[k] += ab * c
+    return out
+
+
+def _on_integers(v):
+    """(d, d*v) for a vector v of rationals, d the lcm of their denominators."""
+    d = lcm(*(a.denominator for a in v))
+    return d, [a.numerator * (d // a.denominator) for a in v]
 
 
 def structure_mul(terms, x, y, zero, is_zero, add, mul, scal):
@@ -92,10 +105,11 @@ def structure_mul(terms, x, y, zero, is_zero, add, mul, scal):
 
 
 def mat_vec(F, A, v):
-    return [
-        _dot(F, row, v)
-        for row in A
-    ]
+    if F.kind != "rationals":
+        return [_dot(F, row, v) for row in A]
+    dv, vs = _on_integers(v)   # over Q: one denominator per vector and per row
+    return [Fraction(sum(a * b for a, b in zip(rs, vs)), dr * dv)
+            for dr, rs in map(_on_integers, A)]
 
 
 def _dot(F, row, v):

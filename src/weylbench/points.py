@@ -537,7 +537,12 @@ def _points_by_shape(gr, R, which, cap):
     shape), 'stab' the all-identity shape, and 'autgamma' every tuple of
     admissible permutations: on each connected block eR a point of Aut Gamma
     induces one, which preserves the product pattern and is additive on it.
-    Each shaped point must carry block certificates equal to its shape."""
+    Each shaped point must carry block certificates equal to its shape.
+
+    Over a non-reduced R each shape is searched once per point rho of
+    Aut(A)(R/nil), entry (k, j) confined to the fibre over rho[k][j].  The
+    nonempty (shape, rho) fibres are cosets of the kernel of reduction and
+    shape, both homomorphisms, so they must all have one size."""
     A = gr.algebra
     nodes = _estimated_nodes(A, R)
     if nodes is None:
@@ -563,6 +568,15 @@ def _points_by_shape(gr, R, which, cap):
     full = range(len(table.elems))
     annihilators = [frozenset(x for x in full if is_zero(mul(table.index[e], x)))
                     for e in idems]
+    residues, fibre_sizes = [None], set()
+    if R.nil_quotient():
+        ring, project, _ = R.nil_quotient()
+        bar = ring.ring_table()
+        fibres = [set() for _ in bar.elems]
+        for x, elem in enumerate(table.elems):
+            fibres[bar.index[project(elem)]].add(x)
+        residues = [[[bar.index[x] for x in row] for row in p.entries]
+                    for _, found in _points_by_shape(gr, ring, "aut", cap) for p in found]
 
     def product(x, y):
         return structure_mul(terms, x, y, zero, is_zero, add, mul, mul)
@@ -583,36 +597,46 @@ def _points_by_shape(gr, R, which, cap):
                if sigma[gr.degrees[j]] != gr.degrees[k]]
         return frozenset.intersection(*off) if off else full
 
+    def dfs(stage, cols):
+        if stage == len(steps):
+            rows = [[cols[j][k] for j in range(n)] for k in range(n)]
+            if table.is_unit(ring_det(table, rows)):
+                survivors.append(rows)
+            return
+        step = steps[stage]
+        if step[0] == "enum":
+            j = step[1]
+            for cand in itertools.product(*cells[j]):
+                cols[j] = cand
+                if all(check_ok(cols, a, b) for (a, b) in checks[stage]):
+                    dfs(stage + 1, cols)
+            cols[j] = None
+        else:
+            _, k, i, jj, inv_c = step
+            ic = table.index[R.from_field(inv_c)]
+            cols[k] = tuple(mul(ic, x) for x in product(cols[i], cols[jj]))
+            if (all(cols[k][t] in s for t, s in bounds[k])
+                    and all(check_ok(cols, a, b) for (a, b) in checks[stage])):
+                dfs(stage + 1, cols)
+            cols[k] = None
+
     for shape in shapes:
         sigmas = [dict(zip(gr.support, (gr.support[i] for i in perm))) for perm in shape]
-        cells = [[allowed(sigmas, k, j) for k in range(n)] for j in range(n)]
-        bounds = [[(t, s) for t, s in enumerate(col) if s is not full] for col in cells]
+        shaped = [[allowed(sigmas, k, j) for k in range(n)] for j in range(n)]
         survivors = []
-
-        def dfs(stage, cols):
-            if stage == len(steps):
-                rows = [[cols[j][k] for j in range(n)] for k in range(n)]
-                if table.is_unit(ring_det(table, rows)):
-                    survivors.append(rows)
-                return
-            step = steps[stage]
-            if step[0] == "enum":
-                j = step[1]
-                for cand in itertools.product(*cells[j]):
-                    cols[j] = cand
-                    if all(check_ok(cols, a, b) for (a, b) in checks[stage]):
-                        dfs(stage + 1, cols)
-                cols[j] = None
-            else:
-                _, k, i, jj, inv_c = step
-                ic = table.index[R.from_field(inv_c)]
-                cols[k] = tuple(mul(ic, x) for x in product(cols[i], cols[jj]))
-                if (all(cols[k][t] in s for t, s in bounds[k])
-                        and all(check_ok(cols, a, b) for (a, b) in checks[stage])):
-                    dfs(stage + 1, cols)
-                cols[k] = None
-
-        dfs(0, [None] * n)
+        for rho in residues:
+            cells = shaped if rho is None else [
+                [fibres[rho[k][j]].intersection(shaped[j][k]) for k in range(n)]
+                for j in range(n)]
+            if not all(map(all, cells)):
+                continue   # an empty cell: no point of this shape lies over rho
+            bounds = [[(t, s) for t, s in enumerate(col) if s is not full] for col in cells]
+            before = len(survivors)
+            dfs(0, [None] * n)
+            fibre_sizes.add(len(survivors) - before)
+        if len(fibre_sizes - {0}) > 1:
+            raise MathIdentityError("point fibres have sizes %s, not one coset size"
+                                    % sorted(fibre_sizes - {0}))
         certs = list(zip(idems, sigmas))
         points = []
         for rows in survivors:

@@ -172,13 +172,22 @@ def test_battery_verifies_each_point_once(monkeypatch, Q, F3):
     calls = []
     for name in ("automorphism_membership", "block_permutations"):
         fn = getattr(pts, name)
-        monkeypatch.setattr(pts, name,
-                            lambda *a, fn=fn, name=name: calls.append(name) or fn(*a))
+        monkeypatch.setattr(pts, name, lambda *a, fn=fn, name=name:
+                            calls.append((name, a[-1].ring, a[-1].entries)) or fn(*a))
     gr, R = para_hurwitz_grading(F3), dual_numbers(F3, 2)
+    residue = R.nil_quotient()[0]
     res = battery.theorem_battery(gr, R)   # enumerated: verified in enumerate_points
     assert res.mode == "enumerated"
-    assert sorted(calls) == (["automorphism_membership"] * res.distinct_points
-                             + ["block_permutations"] * res.distinct_points)
+    # each point over R once, and each point over R/nil once, in the residue
+    # search of the one enumerate_points call
+    verified = [(ring, entries) for name, ring, entries in calls
+                if name == "automorphism_membership"]
+    assert len(verified) == len(set(verified))
+    rings = [ring for ring, _ in verified]
+    assert len(rings) == rings.count(R) + rings.count(residue)
+    assert rings.count(R) == res.distinct_points
+    assert rings.count(residue) == len(pts.enumerate_points(gr, residue, "aut")) == 2
+    assert [name for name, _, _ in calls].count("block_permutations") == res.distinct_points
     # whatever battery_points did, the loop itself only reads block certificates
     find = battery.battery_points
     monkeypatch.setattr(battery, "battery_points",
@@ -188,7 +197,7 @@ def test_battery_verifies_each_point_once(monkeypatch, Q, F3):
         res = battery.theorem_battery(gr, R)
         assert res.mode == mode
         assert res.cent_checked == res.norm_checked == res.distinct_points
-        assert calls == ["block_permutations"] * res.distinct_points
+        assert [name for name, _, _ in calls] == ["block_permutations"] * res.distinct_points
     # sampled cells: each distinct point is verified exactly once, in
     # diag_points or in the final loop of _sampled_points; over F3[eps]/eps^3
     # diagonal points that the stride dropped come back as products
@@ -316,6 +325,63 @@ def test_shaped_search_matches_filtered_aut():
             assert (sorted(p.to_str() for p in shaped)
                     == sorted(p.to_str() for p in ref)), (label, which)
     assert len(R.idempotents()) == 2 and len(R.idempotents()[0]) == 3   # eps2 x F
+
+
+def test_aut_enumeration_is_complete_by_brute_force(F2, F3):
+    # oracle: every 2 x 2 matrix over R that passes automorphism_membership,
+    # on each non-reduced test ring with |R|^4 <= 10^4
+    rings = {"F2[eps]/eps^2": dual_numbers(F2, 2), "F2[eps]/eps^3": dual_numbers(F2, 3),
+             "F3[eps]/eps^2": dual_numbers(F3, 2),
+             "F2[eps]/eps^2 x F2": product_ring(dual_numbers(F2, 2), base_field_ring(F2))}
+    for name, R in rings.items():
+        assert R.nil_quotient() is not None and R.element_count() ** 4 <= 10**4
+        elems = list(R.elements())
+        for fix in (zero_mult_grading, para_hurwitz_grading, trivial_grading):
+            gr = fix(R.field)
+            brute = set()
+            for a, b, c, d in itertools.product(elems, repeat=4):
+                phi = pts.point_matrix(gr.algebra, R, [[a, b], [c, d]])
+                if pts.automorphism_membership(phi):
+                    brute.add(phi.entries)
+            found = [p.entries for p in pts.enumerate_points(gr, R, "aut")]
+            assert len(found) == len(set(found)) and set(found) == brute, (name, fix)
+
+
+def test_fibre_sizes_over_the_residue_ring_are_cross_asserted(monkeypatch, F2, F3):
+    # GL_2(F2[eps]/eps^2): 16 points over each of the 6 points of GL_2(F2);
+    # a projection that sends eps to the class of 1 instead of 0 breaks that
+    gr, R = zero_mult_grading(F2), dual_numbers(F2, 2)
+    assert len(pts.enumerate_points(gr, R, "aut")) == 96
+    residue, project, lift = R.nil_quotient()
+    misplaced = lambda x: residue.one if x == (0, 1) else project(x)
+    monkeypatch.setattr(R, "nil_quotient", lambda: (residue, misplaced, lift))
+    with pytest.raises(MathIdentityError, match="point fibres"):
+        pts.enumerate_points(gr, R, "aut")
+    monkeypatch.undo()
+    # a search that drops its first survivor over R: one fibre comes up short.
+    # Over F3[eps]/eps^2, para-Hurwitz has 2 residue points with 3 points
+    # over each, and zero_mult 4 with 9 in Stab and 8 with 9 in Aut Gamma.
+    R = dual_numbers(F3, 2)
+    det, dropped = pts.ring_det, []
+
+    def dropping(ring, M):
+        d = det(ring, M)
+        if ring is R.ring_table() and ring.is_unit(d) and not dropped:
+            dropped.append(M)
+            return ring.zero()
+        return d
+
+    for fix, which, count in ((para_hurwitz_grading, "aut", 6),
+                              (zero_mult_grading, "stab", 36),
+                              (zero_mult_grading, "autgamma", 72)):
+        gr = fix(F3)
+        assert len(pts.enumerate_points(gr, R, which)) == count
+        monkeypatch.setattr(pts, "ring_det", dropping)
+        dropped.clear()
+        with pytest.raises(MathIdentityError, match="point fibres"):
+            pts.enumerate_points(gr, R, which)
+        assert dropped
+        monkeypatch.undo()
 
 
 def test_shaped_search_refuses_a_wrong_certificate(monkeypatch, F3):
