@@ -30,7 +30,6 @@ from .galg import (
     build_grading,
     extend_scalars,
     grading_over,
-    product_pattern,
     universal_group,
     verify_grading_generic,
 )

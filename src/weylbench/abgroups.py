@@ -229,9 +229,6 @@ class FGAbelianGroup:
     def neg(self, a):
         return self.reduce(tuple(-x for x in a))
 
-    def sub(self, a, b):
-        return self.add(a, self.neg(b))
-
     def scale(self, n, a):
         return self.reduce(tuple(n * x for x in a))
 
@@ -245,14 +242,6 @@ class FGAbelianGroup:
 
     def is_finite(self):
         return self.rank == 0
-
-    def order(self):
-        if not self.is_finite():
-            return None
-        n = 1
-        for d in self.torsion:
-            n *= d
-        return n
 
     def elements(self):
         if not self.is_finite():

@@ -139,7 +139,7 @@ def _emit_block_certs(report, gr, R, certs):
     index = {g: i for i, g in enumerate(supp)}
     for i, (e, sigma) in enumerate(certs):
         perm = tuple(index[sigma[g]] for g in supp)
-        report.add("block e%d perm=%s" % (i, weyl.cycles_str(perm, supp, weyl.label_str)))
+        report.add("block e%d perm=%s" % (i, weyl.cycles_str(perm, supp)))
 
 
 def _cmd_idempotents(deck, report, cap, R):

@@ -50,6 +50,7 @@ class TestRing:
         self._nil_quotient = None   # R/nil, kept from the reducedness check
         self._unit_group = None
         self._ring_table = None
+        self._blocks = {}           # idempotent -> block(e), built on demand
         self._check_axioms()
         count = self.element_count()
         if count is not None and count <= RingTable.MAX_ELEMENTS:
@@ -192,15 +193,17 @@ class TestRing:
         return self._idempotents
 
     def block(self, e):
-        """The block ring eR with unit e, built as R/(1-e)R; returns (ring,
-        project, inject): project(x) is the class of x, which is that of ex,
-        and inject(b) = e * lift(b) lies in eR."""
+        """The block ring eR with unit e, built as R/(1-e)R once and kept;
+        returns (ring, project, inject): project(x) is the class of x, which
+        is that of ex, and inject(b) = e * lift(b) lies in eR."""
         e = tuple(e)
-        f = self.sub(self.one, e)
-        ring, project, lift = _quotient_ring(
-            self, [self.mul(f, self._basis_vec(i)) for i in range(self.dim)],
-            "%s|block" % self.label)
-        return ring, project, lambda b: self.mul(e, lift(b))
+        if e not in self._blocks:
+            f = self.sub(self.one, e)
+            ring, project, lift = _quotient_ring(
+                self, [self.mul(f, self._basis_vec(i)) for i in range(self.dim)],
+                "%s|block" % self.label)
+            self._blocks[e] = ring, project, lambda b: self.mul(e, lift(b))
+        return self._blocks[e]
 
     def unit_group(self):
         """{unit: order} for a finite ring, computed once and kept."""
@@ -556,21 +559,21 @@ def _linear_factors(F, mu):
     return [Factor([F.neg(lam), F.one()], True) for lam in roots]
 
 
-def _min_poly_of_element(R, x, e=None, d=None):
-    """Monic minimal polynomial of x in eR (e idempotent, R.one by default),
-    low first: the first kernel vector of the columns e, x, ..., x^d for
-    d >= dim eR, R.dim by default (its free column is the least dependent power)."""
-    powers = [R.one if e is None else e]
-    for _ in range(R.dim if d is None else d):
+def _min_poly_of_element(R, x, e, d):
+    """Monic minimal polynomial of x in eR (e idempotent), low first: the
+    first kernel vector of the columns e, x, ..., x^d for d >= dim eR (its
+    free column is the least dependent power)."""
+    powers = [e]
+    for _ in range(d):
         powers.append(R.mul(powers[-1], x))
     cols = [[p[k] for p in powers] for k in range(R.dim)]
     return poly_trim(R.field, linalg.nullspace(R.field, cols)[0])
 
 
-def _eval_poly_at_element(R, poly, x, e=None):
-    """poly(x) in eR, with e (by default R.one) as its unit."""
+def _eval_poly_at_element(R, poly, x, e):
+    """poly(x) in eR, with e as its unit."""
     acc = R.zero()
-    power = R.one if e is None else e
+    power = e
     for c in poly:
         acc = R.add(acc, R.scal(c, power))
         power = R.mul(power, x)

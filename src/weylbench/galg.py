@@ -213,17 +213,6 @@ def grading_over(gr, K):
 extend_scalars = grading_over   # scalar extension is the from_base case
 
 
-def product_pattern(gr):
-    """(nonzero pairs, zero pairs) over the support."""
-    nonzero = set(gr.pattern)
-    zero = []
-    for g in gr.support:
-        for h in gr.support:
-            if (g, h) not in nonzero:
-                zero.append((g, h))
-    return tuple(gr.pattern), tuple(sorted(zero))
-
-
 def admissible_permutations(gr):
     """Support permutations, as position tuples over gr.support, preserving
     component dimensions and the zero pattern, and additive on the product

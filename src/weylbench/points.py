@@ -11,6 +11,7 @@ call, so any gap between the two characterizations raises MathIdentityError.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -532,17 +533,21 @@ def enumerate_points(gr, R, which="aut", cap=10**8):
 def _points_by_shape(gr, R, which, cap):
     """(shape, points) per searched shape.  A shape is one support
     permutation per primitive idempotent e of R, as position tuples over
-    gr.support: entry (k, j) may be nonzero in eR only where the permutation
-    of e sends deg j to deg k.  'aut' is the one unshaped search (the empty
-    shape), 'stab' the all-identity shape, and 'autgamma' every tuple of
-    admissible permutations: on each connected block eR a point of Aut Gamma
-    induces one, which preserves the product pattern and is additive on it.
-    Each shaped point must carry block certificates equal to its shape.
+    gr.support: 'aut' is the one unshaped search (the empty shape), 'stab'
+    the all-identity shape, and 'autgamma' every tuple of admissible
+    permutations: on each connected block eR a point of Aut Gamma induces
+    one, which preserves the product pattern and is additive on it.  Each
+    shaped point must carry block certificates equal to its shape.
 
-    Over a non-reduced R each shape is searched once per point rho of
-    Aut(A)(R/nil), entry (k, j) confined to the fibre over rho[k][j].  The
-    nonempty (shape, rho) fibres are cosets of the kernel of reduction and
-    shape, both homomorphisms, so they must all have one size."""
+    The schemes are affine, so a point over R = e1 R x ... x em R is a sum of
+    block points, one per eR searched on its own, with their shapes
+    concatenated.  On a connected R entry (k, j) is zero unless sigma sends
+    deg j to deg k; if R is not reduced, each shape is searched once per
+    point rho of the same set over the field R/nil, entry (k, j) confined to
+    the class over rho[k][j].  The classes are cosets of nil, so each holds
+    |R|/|R/nil| elements, and the nonempty fibres, over (shape, rho) in a
+    block and over shapes in a product, are cosets of the kernel of
+    reduction and shape, both homomorphisms, so they must all have one size."""
     A = gr.algebra
     nodes = _estimated_nodes(A, R)
     if nodes is None:
@@ -551,12 +556,11 @@ def _points_by_shape(gr, R, which, cap):
         raise CapExceededError("estimated enumeration size %d exceeds cap %d"
                                % (nodes, cap))
     if which == "aut":
-        idems, shapes = (), [()]
-    elif which in ("stab", "autgamma"):
-        idems = R.idempotents()
-        perms = galg.admissible_permutations(gr) if which == "autgamma" else [
-            tuple(range(len(gr.support)))]
-        shapes = itertools.product(perms, repeat=len(idems))
+        shapes = [()]
+    elif which == "stab":
+        shapes = [(tuple(range(len(gr.support))),)]
+    elif which == "autgamma":
+        shapes = [(perm,) for perm in galg.admissible_permutations(gr)]
     else:
         raise InputError("unknown point set %r" % which)
     table = R.ring_table()
@@ -565,18 +569,28 @@ def _points_by_shape(gr, R, which, cap):
     terms = tuple(tuple(tuple((k, table.index[R.from_field(c)]) for k, c in cell)
                         for cell in row) for row in A.terms)
     zero, add, mul, is_zero = table.zero(), table.add, table.mul, table.is_zero
-    full = range(len(table.elems))
-    annihilators = [frozenset(x for x in full if is_zero(mul(table.index[e], x)))
-                    for e in idems]
-    residues, fibre_sizes = [None], set()
-    if R.nil_quotient():
+    full, zero_only, fibre_sizes = range(len(table.elems)), {zero}, set()
+    split = len(R.idempotents()) > 1
+    if split:
+        blocks = [R.block(e) for e in R.idempotents()]
+        searches = [(sum((shape for shape, _ in found), ()),
+                     itertools.product(*(block_points for _, block_points in found)))
+                    for found in itertools.product(*(list(_points_by_shape(gr, ring, which, cap))
+                                                     for ring, _, _ in blocks))]
+    elif R.nil_quotient():
         ring, project, _ = R.nil_quotient()
         bar = ring.ring_table()
         fibres = [set() for _ in bar.elems]
         for x, elem in enumerate(table.elems):
             fibres[bar.index[project(elem)]].add(x)
-        residues = [[[bar.index[x] for x in row] for row in p.entries]
-                    for _, found in _points_by_shape(gr, ring, "aut", cap) for p in found]
+        size = len(full) // len(fibres)
+        if any(len(f) != size for f in fibres):
+            raise MathIdentityError("residue classes have sizes %s, not |R|/|R/nil| = %d"
+                                    % (sorted({len(f) for f in fibres}), size))
+        searches = [(shape, [[[bar.index[x] for x in row] for row in p.entries] for p in found])
+                    for shape, found in _points_by_shape(gr, ring, which, cap)]
+    else:
+        searches = [(shape, [None]) for shape in shapes]
 
     def product(x, y):
         return structure_mul(terms, x, y, zero, is_zero, add, mul, mul)
@@ -590,18 +604,11 @@ def _points_by_shape(gr, R, which, cap):
                     lhs[t] = add(lhs[t], mul(x, c))
         return tuple(lhs) == product(cols[i], cols[j])
 
-    def allowed(sigmas, k, j):
-        # entry (k, j) vanishes in eR for each e whose sigma does not send
-        # deg j to deg k
-        off = [ann for ann, sigma in zip(annihilators, sigmas)
-               if sigma[gr.degrees[j]] != gr.degrees[k]]
-        return frozenset.intersection(*off) if off else full
-
     def dfs(stage, cols):
         if stage == len(steps):
             rows = [[cols[j][k] for j in range(n)] for k in range(n)]
             if table.is_unit(ring_det(table, rows)):
-                survivors.append(rows)
+                survivors.append([[table.elems[x] for x in row] for row in rows])
             return
         step = steps[stage]
         if step[0] == "enum":
@@ -620,30 +627,34 @@ def _points_by_shape(gr, R, which, cap):
                 dfs(stage + 1, cols)
             cols[k] = None
 
-    for shape in shapes:
-        sigmas = [dict(zip(gr.support, (gr.support[i] for i in perm))) for perm in shape]
-        shaped = [[allowed(sigmas, k, j) for k in range(n)] for j in range(n)]
-        survivors = []
-        for rho in residues:
-            cells = shaped if rho is None else [
-                [fibres[rho[k][j]].intersection(shaped[j][k]) for k in range(n)]
-                for j in range(n)]
-            if not all(map(all, cells)):
-                continue   # an empty cell: no point of this shape lies over rho
-            bounds = [[(t, s) for t, s in enumerate(col) if s is not full] for col in cells]
-            before = len(survivors)
-            dfs(0, [None] * n)
-            fibre_sizes.add(len(survivors) - before)
+    for shape, found in searches:
+        certs = [(e, dict(zip(gr.support, (gr.support[i] for i in perm))))
+                 for e, perm in zip(R.idempotents(), shape)]
+        if split:   # one point per block, summed into R
+            survivors = [[[functools.reduce(R.add, (inject(p.entries[k][j]) for (_, _, inject), p
+                                                    in zip(blocks, parts)))
+                           for j in range(n)] for k in range(n)] for parts in found]
+            fibre_sizes.add(len(survivors))
+        else:
+            survivors = []
+            for rho in found:
+                cells = [[zero_only if certs and certs[0][1][gr.degrees[j]] != gr.degrees[k]
+                          else full if rho is None else fibres[rho[k][j]]
+                          for k in range(n)] for j in range(n)]
+                bounds = [[(t, s) for t, s in enumerate(col) if s is not full]
+                          for col in cells]
+                before = len(survivors)
+                dfs(0, [None] * n)
+                fibre_sizes.add(len(survivors) - before)
         if len(fibre_sizes - {0}) > 1:
             raise MathIdentityError("point fibres have sizes %s, not one coset size"
                                     % sorted(fibre_sizes - {0}))
-        certs = list(zip(idems, sigmas))
         points = []
         for rows in survivors:
-            pt = point_matrix(A, R, [[table.elems[x] for x in row] for row in rows])
+            pt = point_matrix(A, R, rows)
             if not automorphism_membership(pt):
                 raise MathIdentityError("fast enumeration produced a non-automorphism")
-            if shape and block_permutations(gr, pt).certificates != certs:
+            if certs and block_permutations(gr, pt).certificates != certs:
                 raise MathIdentityError(
                     "shaped enumeration point certifies another block permutation")
             points.append(pt)

@@ -351,39 +351,18 @@ def _split_by(F, f, k, q, a):
 
 
 class ExactField:
-    """Common interface; subclasses fix the element representation."""
+    """Common interface; subclasses fix the element representation.  Each
+    field defines zero, one, from_int, add, neg, mul, inv, is_zero,
+    characteristic, cardinality (None if infinite), sort_key, to_str, parse
+    and random_element; the operations below are derived from those."""
 
     kind = None
-
-    def zero(self):
-        raise NotImplementedError
-
-    def one(self):
-        raise NotImplementedError
-
-    def from_int(self, n) -> object:
-        raise NotImplementedError
-
-    def add(self, a, b):
-        raise NotImplementedError
-
-    def neg(self, a):
-        raise NotImplementedError
-
-    def mul(self, a, b):
-        raise NotImplementedError
-
-    def inv(self, a):
-        raise NotImplementedError
 
     def sub(self, a, b):
         return self.add(a, self.neg(b))
 
     def div(self, a, b):
         return self.mul(a, self.inv(b))
-
-    def is_zero(self, a):
-        raise NotImplementedError
 
     def eq(self, a, b):
         return a == b
@@ -399,30 +378,11 @@ class ExactField:
             n >>= 1
         return result
 
-    def characteristic(self) -> int:
-        raise NotImplementedError
-
-    def cardinality(self):
-        """Number of elements, or None if infinite."""
-        raise NotImplementedError
-
     def is_finite(self):
         return self.cardinality() is not None
 
     def elements(self):
         raise InfiniteFieldError("cannot enumerate an infinite field")
-
-    def sort_key(self, a):
-        raise NotImplementedError
-
-    def to_str(self, a) -> str:
-        raise NotImplementedError
-
-    def parse(self, s: str):
-        raise NotImplementedError
-
-    def random_element(self, rng, size=10):
-        raise NotImplementedError
 
 
 class RationalField(ExactField):

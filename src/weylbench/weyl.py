@@ -70,7 +70,7 @@ class PermGroup:
         return len(self.elements)
 
     def generators_str(self):
-        return ",".join(cycles_str(p, self.support, label_str) for p in self.generators)
+        return ",".join(cycles_str(p, self.support) for p in self.generators)
 
 
 def label_str(label):
@@ -82,7 +82,7 @@ def label_str(label):
     return "(" + ",".join(str(c) for c in label) + ")"
 
 
-def cycles_str(p, labels, label_str):
+def cycles_str(p, labels):
     n = len(p)
     seen = [False] * n
     out = []

@@ -249,9 +249,9 @@ def test_min_poly_matches_incremental_reference(Q, F3, F7, F9):
         samples += [tuple(R.field.random_element(rng, 5) for _ in range(R.dim))
                     for _ in range(8)]
         for x in samples:
-            mu = comrings._min_poly_of_element(R, x)
+            mu = comrings._min_poly_of_element(R, x, R.one, R.dim)
             assert mu == _reference_min_poly(R, x)
-            assert R.is_zero(comrings._eval_poly_at_element(R, mu, x))
+            assert R.is_zero(comrings._eval_poly_at_element(R, mu, x, R.one))
 
 
 def test_unit_exhaustion_matches_unit_test(F3):

@@ -18,7 +18,8 @@ def test_fixture_gradings_build(Q, F3):
     assert g26.support == ((1,), (2,))
     assert set(g26.pattern) == {((1,), (1,)), ((2,), (2,))}
     g34 = cubic_grading(Q)
-    assert len(g34.pattern) == 9  # every component product is nonzero
+    # every component product is nonzero
+    assert set(g34.pattern) == {(g, h) for g in g34.support for h in g34.support}
 
 
 def test_grading_axiom_violation_witness(F3):
@@ -106,16 +107,6 @@ def test_grading_over_reduction(Q, F7, F2):
     # mod 2 the structure constant 2 vanishes and the pattern shrinks
     gr2 = galg.grading_over(grq, F2)
     assert len(gr2.pattern) < len(grq.pattern)
-
-
-def test_product_pattern(Q, F3):
-    p, z = galg.product_pattern(zero_mult_grading(Q))
-    assert p == () and len(z) == 4
-    p, z = galg.product_pattern(para_hurwitz_grading(F3))
-    assert set(p) == {((1,), (1,)), ((2,), (2,))}
-    assert set(z) == {((1,), (2,)), ((2,), (1,))}
-    p, z = galg.product_pattern(cubic_grading(Q))
-    assert len(p) == 9 and z == ()
 
 
 def test_generic_check_on_free_universal_regrading(Q):

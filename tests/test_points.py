@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -329,35 +330,50 @@ def test_shaped_search_matches_filtered_aut():
 
 def test_aut_enumeration_is_complete_by_brute_force(F2, F3):
     # oracle: every 2 x 2 matrix over R that passes automorphism_membership,
-    # on each non-reduced test ring with |R|^4 <= 10^4
+    # then stab_membership or autgamma_membership, on each non-reduced test
+    # ring and each reduced product with |R|^4 <= 10^4
+    F2r, F3r = base_field_ring(F2), base_field_ring(F3)
     rings = {"F2[eps]/eps^2": dual_numbers(F2, 2), "F2[eps]/eps^3": dual_numbers(F2, 3),
              "F3[eps]/eps^2": dual_numbers(F3, 2),
-             "F2[eps]/eps^2 x F2": product_ring(dual_numbers(F2, 2), base_field_ring(F2))}
+             "F2[eps]/eps^2 x F2": product_ring(dual_numbers(F2, 2), F2r),
+             "F2 x F2": product_ring(F2r, F2r), "F3 x F3": product_ring(F3r, F3r)}
     for name, R in rings.items():
-        assert R.nil_quotient() is not None and R.element_count() ** 4 <= 10**4
+        assert R.element_count() ** 4 <= 10**4
+        assert R.nil_quotient() is not None or len(R.idempotents()) == 2
         elems = list(R.elements())
         for fix in (zero_mult_grading, para_hurwitz_grading, trivial_grading):
             gr = fix(R.field)
-            brute = set()
+            brute = {"aut": set(), "stab": set(), "autgamma": set()}
             for a, b, c, d in itertools.product(elems, repeat=4):
                 phi = pts.point_matrix(gr.algebra, R, [[a, b], [c, d]])
                 if pts.automorphism_membership(phi):
-                    brute.add(phi.entries)
-            found = [p.entries for p in pts.enumerate_points(gr, R, "aut")]
-            assert len(found) == len(set(found)) and set(found) == brute, (name, fix)
+                    brute["aut"].add(phi.entries)
+                    if pts.stab_membership(gr, phi):
+                        brute["stab"].add(phi.entries)
+                    if pts.autgamma_membership(gr, phi):
+                        brute["autgamma"].add(phi.entries)
+            for which, ref in brute.items():
+                found = [p.entries for p in pts.enumerate_points(gr, R, which)]
+                assert len(found) == len(set(found)) and set(found) == ref, (name, fix, which)
 
 
 def test_fibre_sizes_over_the_residue_ring_are_cross_asserted(monkeypatch, F2, F3):
-    # GL_2(F2[eps]/eps^2): 16 points over each of the 6 points of GL_2(F2);
-    # a projection that sends eps to the class of 1 instead of 0 breaks that
-    gr, R = zero_mult_grading(F2), dual_numbers(F2, 2)
-    assert len(pts.enumerate_points(gr, R, "aut")) == 96
-    residue, project, lift = R.nil_quotient()
-    misplaced = lambda x: residue.one if x == (0, 1) else project(x)
-    monkeypatch.setattr(R, "nil_quotient", lambda: (residue, misplaced, lift))
-    with pytest.raises(MathIdentityError, match="point fibres"):
-        pts.enumerate_points(gr, R, "aut")
-    monkeypatch.undo()
+    # residue classes must be cosets of nil, checked before any search.
+    # GL_2(F2[eps]/eps^2) has 16 points over each of the 6 points of GL_2(F2);
+    # a projection that sends eps to the class of 1 instead of 0 breaks that.
+    # Sending 1+eps of F3[eps]/eps^2 to the class of 0 would empty fibres
+    # alike (para-Hurwitz: 2 points instead of 6, if unchecked).
+    for gr, R, count, moved, to_one, sizes in (
+            (zero_mult_grading(F2), dual_numbers(F2, 2), 96, (0, 1), True, "[1, 3]"),
+            (para_hurwitz_grading(F3), dual_numbers(F3, 2), 6, (1, 1), False, "[2, 3, 4]")):
+        assert len(pts.enumerate_points(gr, R, "aut")) == count
+        residue, project, lift = R.nil_quotient()
+        target = residue.one if to_one else residue.zero()
+        misplaced = lambda x: target if x == moved else project(x)
+        monkeypatch.setattr(R, "nil_quotient", lambda: (residue, misplaced, lift))
+        with pytest.raises(MathIdentityError, match=re.escape("classes have sizes " + sizes)):
+            pts.enumerate_points(gr, R, "aut")
+        monkeypatch.undo()
     # a search that drops its first survivor over R: one fibre comes up short.
     # Over F3[eps]/eps^2, para-Hurwitz has 2 residue points with 3 points
     # over each, and zero_mult 4 with 9 in Stab and 8 with 9 in Aut Gamma.
@@ -382,6 +398,37 @@ def test_fibre_sizes_over_the_residue_ring_are_cross_asserted(monkeypatch, F2, F
             pts.enumerate_points(gr, R, which)
         assert dropped
         monkeypatch.undo()
+    # over F3 x F3, zero_mult has 4 points per shape in each block; a block
+    # search that loses one point of its swap fibre leaves product shape
+    # fibres of 16 and 12 points
+    F3r = base_field_ring(F3)
+    R, gr = product_ring(F3r, F3r), zero_mult_grading(F3)
+    assert len(pts.enumerate_points(gr, R, "autgamma")) == 64
+    first = R.block(R.idempotents()[0])[0]
+    points_by_shape, ident = pts._points_by_shape, (tuple(range(len(gr.support))),)
+
+    def losing(gr, ring, which, cap):
+        for shape, found in points_by_shape(gr, ring, which, cap):
+            yield shape, found[1:] if ring is first and shape != ident else found
+
+    monkeypatch.setattr(pts, "_points_by_shape", losing)
+    with pytest.raises(MathIdentityError, match=r"point fibres have sizes \[12, 16\]"):
+        pts.enumerate_points(gr, R, "autgamma")
+
+
+def test_residue_search_serves_the_callers_point_set(monkeypatch, F3):
+    # over F3[eps]/eps^2 the residue field is searched for stab or autgamma
+    # itself: 4 and 8 residue points verified, not all 48 of GL_2(F3)
+    gr, R = zero_mult_grading(F3), dual_numbers(F3, 2)
+    residue = R.nil_quotient()[0]
+    verify, rings = pts.automorphism_membership, []
+    monkeypatch.setattr(pts, "automorphism_membership",
+                        lambda phi: rings.append(phi.ring) or verify(phi))
+    for which, residue_points, count in (("stab", 4, 36), ("autgamma", 8, 72)):
+        rings.clear()
+        assert len(pts.enumerate_points(gr, R, which)) == count
+        assert (rings.count(residue), rings.count(R)) == (residue_points, count)
+        assert len(rings) == residue_points + count
 
 
 def test_shaped_search_refuses_a_wrong_certificate(monkeypatch, F3):
