@@ -10,6 +10,7 @@ on demand and cached.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import weakref
 from array import array
@@ -41,7 +42,7 @@ class TestRing:
         self.field = field
         self.dim = len(table)
         self.table = tuple(tuple(tuple(v) for v in row) for row in table)
-        self.terms, self._product = linalg.compile_product(field, self.table)
+        self.terms, self._product, self._ints = linalg.compile_product(field, self.table)
         self.one = tuple(one)
         self._zero = (field.zero(),) * self.dim
         self.label = label or "ring"
@@ -162,16 +163,24 @@ class TestRing:
         for i in range(n):
             if self.mul(self.one, basis[i]) != basis[i]:
                 raise RingAxiomError("claimed unit does not act as identity")
-        for i in range(n):
-            for j in range(n):
-                ij = self.table[i][j]
-                for k in range(n):
-                    left = self.mul(ij, basis[k])
-                    right = self.mul(basis[i], self.table[j][k])
-                    if left != right:
-                        raise RingAxiomError(
-                            "multiplication not associative at basis triple (%d,%d,%d)"
-                            % (i, j, k))
+        ints = self._ints
+        if ints is None:   # extension fields: on the field kernel
+            def times(i, j, k):   # (e_i e_j) e_k
+                return self.mul(self.table[i][j], basis[k])
+        else:   # on ints: over Q both sides times D^2, over F_p reduced mod p
+            p = F.p if F.kind == "prime" else None
+
+            def times(i, j, k):
+                out = [0] * n
+                for l, c in ints[i][j]:
+                    for m, d in ints[l][k]:
+                        out[m] += c * d
+                return out if p is None else [v % p for v in out]
+        left = {ijk: times(*ijk) for ijk in itertools.product(range(n), repeat=3)}
+        for (i, j, k), v in left.items():
+            if v != left[j, k, i]:   # e_i (e_j e_k) = (e_j e_k) e_i
+                raise RingAxiomError(
+                    "multiplication not associative at basis triple (%d,%d,%d)" % (i, j, k))
 
     # -- nilradical and idempotents ------------------------------------------
 
@@ -381,17 +390,15 @@ def _nilradical_basis(R):
     n = R.dim
     p = F.characteristic()
     if p == 0:
-        # radical of the trace form B(x, y) = trace(L_{xy})  (Dickson)
-        T = [[None] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(i, n):
-                M = R.mul_matrix(R.table[i][j])
-                tr = F.zero()
-                for k in range(n):
-                    tr = F.add(tr, M[k][k])
-                T[i][j] = tr
-                T[j][i] = tr
-        return linalg.nullspace(F, T)
+        # radical of the trace form B(x, y) = trace(L_{xy})  (Dickson), from
+        # the constants: t_l = trace(L_{e_l}) = sum_k c_lk^k and
+        # B(e_i, e_j) = sum_l c_ij^l t_l
+        def total(values):
+            return functools.reduce(F.add, values, F.zero())
+        t = [total(c for k, cell in enumerate(row) for m, c in cell if m == k)
+             for row in R.terms]
+        return linalg.nullspace(F, [[total(F.mul(c, t[l]) for l, c in cell) for cell in row]
+                                    for row in R.terms])
     q = F.cardinality()
     if q is None:
         raise FactorizationIncompleteError("positive characteristic needs a finite field")

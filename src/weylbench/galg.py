@@ -29,7 +29,7 @@ class Algebra:
         for row in self.table:
             if len(row) != self.dim or any(len(v) != self.dim for v in row):
                 raise InputError("structure constant dimensions inconsistent")
-        self.terms, self._product = compile_product(fld, self.table)
+        self.terms, self._product, _ = compile_product(fld, self.table)
         self.basis_names = tuple(basis_names) if basis_names else tuple(
             "b%d" % i for i in range(self.dim))
         self.label = label or "algebra"

@@ -2,13 +2,17 @@
 the two products that work over any ring: `mat_mul` and the
 structure-constant kernel `structure_mul`.
 
+Over Q the products, `mat_vec` and `rref` (so `solve`, `inv`, `nullspace`
+and `rank`) run on Python ints scaled by common denominators, making one
+Fraction per output entry; `det`, and every other field, use field operations.
+
 Matrices are lists of row lists; vectors are lists.  Everything is pure.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from .errors import SingularMatrixError
 
@@ -37,18 +41,20 @@ def mat_mul(R, A, B):
 
 
 def compile_product(F, table):
-    """(terms, product) for structure constants over F: terms[i][j] lists the
-    (k, c) with table[i][j][k] = c nonzero, and product(x, y) multiplies
-    F-coordinate tuples by the kernel chosen here, once per table.  Over F_p
-    and Q it adds up Python ints and makes one field element per coordinate."""
+    """(terms, product, ints) for structure constants over F: terms[i][j]
+    lists the (k, c) with table[i][j][k] = c nonzero, and product(x, y)
+    multiplies F-coordinate tuples by the kernel chosen here, once per table.
+    Over F_p and Q it adds up Python ints and makes one field element per
+    coordinate; ints are then the terms on ints (over Q, the constants times
+    their common denominator), else None."""
     terms = tuple(tuple(tuple((k, c) for k, c in enumerate(cell) if not F.is_zero(c))
                         for cell in row) for row in table)
     if F.kind == "prime":   # reduced mod p once per coordinate
         p = F.p
-        return terms, lambda x, y: tuple(v % p for v in _int_products(terms, x, y))
+        return terms, lambda x, y: tuple(v % p for v in _int_products(terms, x, y)), terms
     if F.kind != "rationals":
         zero, is_zero, add, mul = F.zero(), F.is_zero, F.add, F.mul
-        return terms, lambda x, y: structure_mul(terms, x, y, zero, is_zero, add, mul, mul)
+        return terms, lambda x, y: structure_mul(terms, x, y, zero, is_zero, add, mul, mul), None
     # Over Q: the constants times their common denominator D, x and y times
     # the lcms dx, dy of theirs; one Fraction per coordinate.
     D = lcm(*(c.denominator for row in terms for cell in row for _, c in cell))
@@ -61,7 +67,7 @@ def compile_product(F, table):
         d = dx * dy * D
         return tuple(Fraction(v, d) if v else zero for v in _int_products(iterms, xs, ys))
 
-    return terms, product
+    return terms, product, iterms
 
 
 def _int_products(terms, x, y):
@@ -122,6 +128,8 @@ def _dot(F, row, v):
 
 def rref(F, A):
     """Reduced row echelon form; returns (R, pivot column list)."""
+    if F.kind == "rationals":
+        return _rref_on_integers(A)
     R = [row[:] for row in A]
     rows = len(R)
     cols = len(R[0]) if rows else 0
@@ -147,6 +155,36 @@ def rref(F, A):
         if r == rows:
             break
     return R, pivots
+
+
+def _rref_on_integers(A):
+    """rref over Q, fraction-free: rows scaled to integers, cleared by integer
+    combinations and divided by their gcd; one Fraction per entry at the end.
+    The form is unique, so it equals the one of field elimination."""
+    R = [_on_integers(row)[1] for row in A]
+    rows = len(R)
+    cols = len(R[0]) if rows else 0
+    pivots = []
+    for c in range(cols):
+        r = len(pivots)
+        pivot = next((i for i in range(r, rows) if R[i][c]), None)
+        if pivot is None:
+            continue
+        R[r], R[pivot] = R[pivot], R[r]
+        top, a = R[r], R[r][c]
+        for i, row in enumerate(R):
+            b = row[c]
+            if b and i != r:
+                g = gcd(a, b)
+                row = [a // g * x - b // g * y for x, y in zip(row, top)]
+                g = gcd(*row) or 1
+                R[i] = [x // g for x in row]
+        pivots.append(c)
+        if r + 1 == rows:
+            break
+    zero = Fraction(0)
+    return [[Fraction(x, d) if x else zero for x in row]
+            for row, d in zip(R, [R[i][c] for i, c in enumerate(pivots)] + [1] * rows)], pivots
 
 
 def rank(F, A):

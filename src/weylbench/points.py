@@ -659,26 +659,3 @@ def _points_by_shape(gr, R, which, cap):
                     "shaped enumeration point certifies another block permutation")
             points.append(pt)
         yield shape, points
-
-
-# ---------------------------------------------------------------------------
-# point-wise normalizer (for comparing with the scheme-level test)
-
-
-def pointwise_normalizer(points, dpoints):
-    """Elements of `points` normalizing the set `dpoints` by conjugation."""
-    R = points[0].ring if points else None
-    dset = {p.entries for p in dpoints}
-    out = []
-    for p in points:
-        M = [list(r) for r in p.entries]
-        Minv = ring_mat_inv(R, M)
-        ok = True
-        for d in dpoints:
-            conj = linalg.mat_mul(R, linalg.mat_mul(R, M, d.entries), Minv)
-            if tuple(tuple(r) for r in conj) not in dset:
-                ok = False
-                break
-        if ok:
-            out.append(p)
-    return out

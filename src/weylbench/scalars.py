@@ -527,7 +527,7 @@ class ExtensionField(ExactField):
         self.base = base
         self.modulus = tuple(modulus)
         self.degree = len(modulus) - 1
-        self.terms, self._product = compile_product(base, power_table(base, modulus))
+        self.terms, self._product, _ = compile_product(base, power_table(base, modulus))
         self._zero = self._vec([])
         self.exp = self.log = None
         q = self.cardinality()

@@ -1,8 +1,12 @@
 import itertools
+import math
 import random
 import time
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import weylbench as wb
 from weylbench import comrings, linalg, points
@@ -436,3 +440,107 @@ def test_idempotents_over_a_large_prime_field_without_a_scan():
     assert time.perf_counter() - start < 2.0
     assert sorted(idems) == [(5000071, 5000070), (5000071, 5000071)]
     assert all(R.mul(e, e) == e for e in idems) and R.add(*idems) == R.one
+
+
+QQ = wb.rationals()
+GF3 = wb.prime_field(3)
+AXIOM_FIELDS = {"Q": QQ, "F2": wb.prime_field(2), "F3": GF3, "F5": wb.prime_field(5),
+                "F7": wb.prime_field(7), "F9": wb.extension_field(GF3, [1, 0, 1]),
+                "Q(sqrt2)": wb.extension_field(QQ, [Fraction(-2), Fraction(0), Fraction(1)])}
+
+
+def _field_entries(F):
+    """Elements of F; over Q with denominators over products of large primes."""
+    if F.kind == "rationals":
+        return st.builds(lambda a, ps: Fraction(a, math.prod(ps)), st.integers(-10**6, 10**6),
+                         st.lists(st.sampled_from([2, 3, 10007, 1000003]), max_size=2))
+    if F.kind == "prime":
+        return st.integers(0, F.p - 1)
+    return st.tuples(*[_field_entries(F.base)] * F.degree)
+
+
+def _first_nonassociative_triple(F, table):
+    """The first basis triple (i, j, k) in loop order with (e_i e_j) e_k !=
+    e_i (e_j e_k), by the dense product over F; None if there is none."""
+    n = len(table)
+
+    def times(x, y):
+        out = [F.zero()] * n
+        for i, j, k in itertools.product(range(n), repeat=3):
+            out[k] = F.add(out[k], F.mul(F.mul(x[i], y[j]), table[i][j][k]))
+        return out
+
+    e = [[F.one() if k == i else F.zero() for k in range(n)] for i in range(n)]
+    return next(((i, j, k) for i, j, k in itertools.product(range(n), repeat=3)
+                 if times(times(e[i], e[j]), e[k]) != times(e[i], times(e[j], e[k]))), None)
+
+
+@pytest.mark.parametrize("name", sorted(AXIOM_FIELDS))
+@settings(derandomize=True, max_examples=15, deadline=None, database=None)
+@given(n=st.integers(2, 5), data=st.data())
+def test_associativity_check_fails_at_the_reference_triple(name, n, data):
+    # F[t]/(f), or F[s]/(s^a) x F[t]/(t^(n-a)), with one symmetric pair of
+    # cells (i, j), (j, i) off the unit's support moved by c e_k: the check
+    # must refuse exactly when a reference loop over basis triples finds a
+    # failure, and name the first failing triple
+    F = AXIOM_FIELDS[name]
+    entry = _field_entries(F)
+    if data.draw(st.booleans()):
+        a = data.draw(st.integers(1, n - 1))
+        R = product_ring(dual_numbers(F, a), dual_numbers(F, n - a))
+    else:
+        R = truncated_poly(F, [data.draw(entry) for _ in range(n)] + [F.one()])
+    table = [[list(cell) for cell in row] for row in R.table]
+    free = [m for m in range(n - 1, -1, -1) if F.is_zero(R.one[m])]
+    if not free:
+        return
+    i, j = data.draw(st.sampled_from(list(itertools.combinations_with_replacement(free, 2))))
+    k, c = data.draw(st.sampled_from(range(n - 1, -1, -1))), data.draw(entry)
+    for a, b in {(i, j), (j, i)}:
+        table[a][b][k] = F.add(table[a][b][k], c)
+    one = R.one
+    triple = _first_nonassociative_triple(F, table)
+    if triple is None:
+        assert TestRing(F, table, one).table == tuple(tuple(map(tuple, row)) for row in table)
+    else:
+        with pytest.raises(RingAxiomError) as err:
+            TestRing(F, table, one)
+        assert str(err.value) == "multiplication not associative at basis triple (%d,%d,%d)" % triple
+
+
+def _mul_matrix_trace_nilradical(R):
+    """The radical of B(e_i, e_j) = trace(L_{e_i e_j}), each trace read off
+    R.mul_matrix (the definition the structure-constant trace form replaced)."""
+    F = R.field
+    T = [[None] * R.dim for _ in range(R.dim)]
+    for i, j in itertools.product(range(R.dim), repeat=2):
+        M = R.mul_matrix(R.table[i][j])
+        tr = F.zero()
+        for k in range(R.dim):
+            tr = F.add(tr, M[k][k])
+        T[i][j] = tr
+    return linalg.nullspace(F, T)
+
+
+@pytest.mark.parametrize("name", ["Q", "Q(sqrt2)", "Q(zeta3)"])
+def test_trace_form_nilradical_matches_the_mul_matrix_definition(name):
+    K = {"Q": QQ, "Q(sqrt2)": AXIOM_FIELDS["Q(sqrt2)"],
+         "Q(zeta3)": wb.extension_field(QQ, [Fraction(1), Fraction(1), Fraction(1)])}[name]
+    c = K.from_int
+    rings = [dual_numbers(K, 3), product_ring(dual_numbers(K, 2), base_field_ring(K)),
+             truncated_poly(K, [c(4), c(0), c(-4), c(0), c(1)]),   # (t^2 - 2)^2
+             truncated_poly(K, [c(1), c(2), c(3), c(1)]),
+             group_algebra_finite(K, cyclic_group(3))]
+    rng = random.Random(21)
+    for R in list(rings):
+        while True:
+            P = [[c(rng.randint(-2, 2)) for _ in range(R.dim)] for _ in range(R.dim)]
+            if not K.is_zero(linalg.det(K, P)):
+                break
+        rings.append(_basis_change(R, P, linalg.inv(K, P))[0])
+    dims = []
+    for R in rings:
+        nil = comrings._nilradical_basis(R)
+        assert nil == _mul_matrix_trace_nilradical(R), (name, R.label)
+        dims.append(len(nil))
+    assert 0 in dims and max(dims) >= 2

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 import weylbench as wb
 from weylbench import abgroups, comrings, galg, linalg, points, scalars
-from weylbench.errors import WorkbenchError
+from weylbench.errors import SingularMatrixError, WorkbenchError
 from conftest import battery_rings, para_hurwitz_grading
 
 KERNEL = settings(derandomize=True, max_examples=40, deadline=None, database=None)
@@ -505,3 +505,68 @@ def test_unit_group_makes_one_determinant_test_per_element(monkeypatch):
     assert len(calls) == R.element_count() == 125 and len(units) == 100
     assert sum(map(R.is_unit, R.elements())) == 100
     assert len(calls) == 125
+
+
+@st.composite
+def rational_matrices(draw, square=False):
+    """m x n over Q, tall, wide or square (n = m if square): L B for L m x r and B r x n with
+    nonzero entries over products of large primes, so of rank r = min(m, n)
+    (generically) or less; then maybe one row set to zero."""
+    m = draw(st.integers(1, 5))
+    n = m if square else draw(st.integers(1, 5))
+    r = min(m, n) - draw(st.sampled_from([0, 0, 1, 2]))
+    entry = st.builds(lambda a, ps: Fraction(a, math.prod(ps)),
+                      st.integers(-10**9, 10**9).filter(bool),
+                      st.lists(st.sampled_from([10007, 1000003, 998244353, 2, 3]),
+                               min_size=1, max_size=3))
+    L = [draw(st.tuples(*[entry] * max(r, 0))) for _ in range(m)]
+    B = [draw(st.tuples(*[entry] * n)) for _ in range(max(r, 0))]
+    A = [[sum((a * b[j] for a, b in zip(row, B)), Fraction(0)) for j in range(n)]
+         for row in L]
+    if draw(st.booleans()):
+        A[draw(st.integers(0, m - 1))] = [Fraction(0)] * n
+    return A
+
+
+def sympy_matrix(A):
+    sympy = pytest.importorskip("sympy")
+    return sympy.Matrix([[sympy.Rational(c.numerator, c.denominator) for c in row]
+                         for row in A])
+
+
+def from_sympy(M):
+    return [[Fraction(int(c.p), int(c.q)) for c in M.row(i)] for i in range(M.rows)]
+
+
+@KERNEL
+@given(rational_matrices(), st.booleans(), st.data())
+def test_rational_elimination_matches_sympy(A, consistent, data):
+    # fraction-free rref over Q against sympy: the form, the pivots and what
+    # solve, nullspace, inv and rank read from it
+    M = sympy_matrix(A)
+    m, n = len(A), len(A[0])
+    R, pivots = linalg.rref(Q, A)
+    S, spivots = M.rref()
+    assert (R, pivots) == (from_sympy(S), list(spivots))
+    for row in R:
+        assert_canonical(row)
+    assert linalg.rank(Q, A) == M.rank()
+    assert linalg.nullspace(Q, A) == [from_sympy(v.T)[0] for v in M.nullspace()]
+    if consistent:
+        x0 = data.draw(st.tuples(*[large_rationals()] * n))
+        b = linalg.mat_vec(Q, A, list(x0))
+    else:
+        b = list(data.draw(st.tuples(*[large_rationals()] * m)))
+    if M.row_join(sympy_matrix([[c] for c in b])).rank() == M.rank():
+        x, params = M.gauss_jordan_solve(sympy_matrix([[c] for c in b]))
+        x = x.subs({t: 0 for t in params})   # free variables zero, as solve sets them
+        assert linalg.solve(Q, A, b) == from_sympy(x.T)[0]
+    else:
+        with pytest.raises(SingularMatrixError):
+            linalg.solve(Q, A, b)
+    S = data.draw(rational_matrices(square=True))
+    if sympy_matrix(S).rank() == len(S):
+        assert linalg.inv(Q, S) == from_sympy(sympy_matrix(S).inv())
+    else:
+        with pytest.raises(SingularMatrixError):
+            linalg.inv(Q, S)
