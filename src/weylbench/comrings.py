@@ -27,9 +27,8 @@ from .errors import (
     SingularMatrixError,
     WorkbenchError,
 )
-from .factorization import Factor, crt_idempotent_polys, int_divisors, partial_factor
-from .scalars import (TABLE_MAX_ELEMENTS, linear_roots, poly_eval, poly_trim,
-                      power_table, split_bracketed)
+from .factorization import crt_idempotent_polys, int_divisors, partial_factor
+from .scalars import TABLE_MAX_ELEMENTS, poly_trim, power_table, split_bracketed
 
 
 class TestRing:
@@ -534,7 +533,9 @@ def _split_semisimple(R):
         for c in gens:
             x = R.mul(e, c)
             mu = _min_poly_of_element(R, x, e, d)
-            factors = _linear_factors(F, mu) if finite else partial_factor(F, mu)
+            factors = partial_factor(F, mu)
+            if finite and any(len(f.poly) != 2 for f in factors):
+                raise MathIdentityError("fixed element minimal polynomial did not split")
             if len(factors) > 1:
                 for ep in crt_idempotent_polys(F, mu, [f.poly for f in factors]):
                     f = _eval_poly_at_element(R, ep, x, e)
@@ -554,16 +555,6 @@ def _split_semisimple(R):
         raise MathIdentityError("%d primitive idempotents for a %d-dimensional "
                                 "Frobenius-fixed subalgebra" % (len(family), len(gens)))
     return family
-
-
-def _linear_factors(F, mu):
-    """The linear factors of the minimal polynomial of a Frobenius-fixed
-    element, checked to be distinct with product mu."""
-    roots = linear_roots(F, mu)
-    if len(set(roots)) != len(mu) - 1 or any(
-            not F.is_zero(poly_eval(F, mu, x)) for x in roots):
-        raise MathIdentityError("fixed element minimal polynomial did not split")
-    return [Factor([F.neg(lam), F.one()], True) for lam in roots]
 
 
 def _min_poly_of_element(R, x, e, d):

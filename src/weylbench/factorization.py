@@ -1,14 +1,16 @@
 """Factorization of squarefree monic polynomials over exact fields.
 
-Over Q the factorization is complete and every factor is certified
-irreducible, by Zassenhaus's method (Zassenhaus 1969, "On Hensel
-factorization I"): the polynomial is scaled to a monic integer polynomial g,
-g is split into irreducibles modulo the least odd prime p for which it stays
-squarefree, the split is Hensel-lifted to a power of p above twice the
-Mignotte bound on the coefficients of a factor of g, and subsets of the
-lifted factors are recombined in increasing size, each candidate accepted
-only when it divides g exactly over Z.  Over other fields only degree <= 1
-is certified; callers decide whether an uncertified factor blocks them.
+Over finite fields the factors are those of scalars.irreducible_factors
+(distinct-degree, then equal-degree splitting).  Over Q the factorization is
+complete and every factor is certified irreducible, by Zassenhaus's method
+(Zassenhaus 1969, "On Hensel factorization I"): the polynomial is scaled to a
+monic integer polynomial g, g is split into irreducibles modulo the least odd
+prime p for which it stays squarefree, the split is Hensel-lifted to a power
+of p above twice the Mignotte bound on the coefficients of a factor of g, and
+subsets of the lifted factors are recombined in increasing size, each
+candidate accepted only when it divides g exactly over Z.  Over extensions
+of Q only degree <= 1 is certified; callers decide whether an uncertified
+factor blocks them.
 """
 
 from __future__ import annotations
@@ -24,9 +26,7 @@ from .scalars import (
     PrimeField,
     RationalField,
     poly_add,
-    poly_deriv,
     poly_divmod,
-    poly_gcd,
     poly_monic,
     poly_mul,
     poly_trim,
@@ -75,18 +75,6 @@ def _to_integer_monic(p):
     return out, lam
 
 
-def _squarefree(F, f):
-    return len(poly_gcd(F, f, poly_deriv(F, f))) == 1
-
-
-def _irreducibles_mod(Fp, f):
-    """The monic irreducible factors of a squarefree monic f over F_p."""
-    if scalars.is_irreducible(Fp, f):
-        return [f]
-    h = scalars.nontrivial_factor(Fp, f)
-    return _irreducibles_mod(Fp, h) + _irreducibles_mod(Fp, poly_divmod(Fp, f, h)[0])
-
-
 def _hensel_lift(Fp, g, a, b, m):
     """Monic integer A = a, B = b (mod p) with g = A*B (mod m), for a monic
     integer g = a*b (mod p) with a, b coprime over Fp = F_p and m a power of
@@ -125,13 +113,14 @@ def _zassenhaus(g):
     of degree >= 2; CapExceededError after RECOMBINATION_CAP subset tries."""
     n = len(g) - 1
     p = next(q for q in itertools.count(3, 2)
-             if scalars.is_prime(q) and _squarefree(PrimeField(q), [c % q for c in g]))
+             if scalars.is_prime(q)
+             and scalars.repeated_factor(PrimeField(q), [c % q for c in g]) is None)
     Fp = PrimeField(p)
     m = p
     while m * m <= 4 ** (n + 1) * sum(c * c for c in g):  # m > 2 * 2^n * |g|_2
         m *= p
     lifted, cofactor = [], g
-    *heads, _ = _irreducibles_mod(Fp, [c % p for c in g])
+    *heads, _ = scalars.irreducible_factors(Fp, [c % p for c in g])
     for a in heads:
         b = poly_divmod(Fp, [c % p for c in cofactor], a)[0]
         A, cofactor = _hensel_lift(Fp, cofactor, a, b, m)
@@ -162,19 +151,22 @@ def partial_factor(F, p):
     """Pairwise-coprime monic factors of a squarefree monic polynomial; their
     product is p.
 
-    Over Q these are the irreducible factors, all certified, sorted by
-    (degree, coefficients); a polynomial with a repeated factor raises
-    MathIdentityError.  Over other fields only degree <= 1 is certified.
+    Over finite fields and Q these are the irreducible factors, all
+    certified, sorted by (degree, coefficients), and a polynomial with a
+    repeated factor raises MathIdentityError.  Over extensions of Q only
+    degree <= 1 is certified.
     """
     p = poly_monic(F, p)
     if len(p) <= 1:
         return []
     if len(p) == 2:
         return [Factor(p, True)]
-    if not isinstance(F, RationalField):
+    if not (F.is_finite() or isinstance(F, RationalField)):
         return [Factor(p, False)]
-    if not _squarefree(F, p):
+    if scalars.repeated_factor(F, p) is not None:
         raise MathIdentityError("polynomial to factor has a repeated factor")
+    if F.is_finite():
+        return [Factor(g, True) for g in scalars.irreducible_factors(F, p)]
     g, lam = _to_integer_monic(p)
     factors = [Factor([Fraction(c, lam ** (len(h) - 1 - i)) for i, c in enumerate(h)], True)
                for h in _zassenhaus(g)]

@@ -2,14 +2,17 @@
 simple extensions F[t]/(f) of an already-built field.
 
 Field elements are plain immutable values (Fraction, int, or tuple of base
-elements); all operations live on the field object.  An extension of a finite
-field is certified irreducible when it is built (Rabin's test), and a
-reducible modulus is refused with a nontrivial factor.  Finite extensions
-with at most TABLE_MAX_ELEMENTS elements run on log/Zech tables built once;
-the rest, and all extensions of Q, multiply with linalg.compile_product over
-the table t^(i+j) mod f of power_table, the same table that builds the test
-ring comrings.truncated_poly.  A modulus over Q is certified by factoring it
-(factorization.partial_factor); over an extension of Q it is not certified.
+elements); all operations live on the field object.  Over a finite field
+irreducible_factors is the one factorizer: a distinct-degree pass, then
+equal-degree splitting (Cantor-Zassenhaus).  An extension of a finite field
+or of Q is certified irreducible when it is built: a modulus with a repeated
+factor (repeated_factor) or a proper irreducible factor
+(factorization.partial_factor) is refused with that factor; over an
+extension of Q it is not certified.  Finite extensions with at most
+TABLE_MAX_ELEMENTS elements run on log/Zech tables built once; the rest, and
+all extensions of Q, multiply with linalg.compile_product over the table
+t^(i+j) mod f of power_table, the same table that builds the test ring
+comrings.truncated_poly.
 """
 
 from __future__ import annotations
@@ -236,13 +239,6 @@ def poly_ext_gcd(F, a, b):
     return poly_scal(F, c, r0), poly_scal(F, c, s0), poly_scal(F, c, t0)
 
 
-def poly_eval(F, p, x):
-    acc = F.zero()
-    for c in reversed(p):
-        acc = F.add(F.mul(acc, x), c)
-    return acc
-
-
 def poly_deriv(F, p):
     out = []
     for i in range(1, len(p)):
@@ -274,43 +270,51 @@ def poly_pow_mod(F, base, n, modulus):
     return result
 
 
-def is_irreducible(F, f):
-    """Rabin's test over a finite field F with q elements: monic f of degree
-    d >= 1 is irreducible iff f divides t^(q^d) - t and
-    gcd(t^(q^(d/r)) - t, f) = 1 for each prime r dividing d."""
-    q, d = F.cardinality(), poly_deg(f)
-    t = poly_mod(F, [F.zero(), F.one()], f)
-    frob = [t]                      # frob[k] = t^(q^k) mod f
-    for _ in range(d):
-        frob.append(poly_pow_mod(F, frob[-1], q, f))
-    if poly_sub(F, frob[d], t):
-        return False
-    return all(poly_deg(poly_gcd(F, poly_sub(F, frob[d // r], t), f)) == 0
-               for r in prime_powers(d))
-
-
-def nontrivial_factor(F, f):
-    """A monic factor of degree strictly between 0 and deg f, for a reducible
-    monic f over a finite field F: a p-th root or gcd(f, f') when f has a
-    repeated factor, else the product of its irreducible factors of the least
-    degree k, split further when that product is all of f."""
-    q, p, d = F.cardinality(), F.characteristic(), poly_deg(f)
+def repeated_factor(F, f):
+    """A proper monic factor that shows a repeated factor of a monic f of
+    degree >= 1: the p-th root h of f = h^p when f' = 0, else gcd(f, f')
+    when it is not 1; None when f is squarefree."""
     df = poly_deriv(F, f)
     if not df:                      # f(t) = h(t)^p, h = sum c_(ip)^(q/p) t^i
+        p, q = F.characteristic(), F.cardinality()
         return poly_monic(F, [F.pow(c, q // p) for c in f[::p]])
     g = poly_gcd(F, f, df)
-    if poly_deg(g) > 0:
-        return g
-    t = [F.zero(), F.one()]
-    h = t
-    for k in range(1, d):
-        h = poly_pow_mod(F, h, q, f)
-        g = poly_gcd(F, poly_sub(F, h, t), f)
-        if 0 < poly_deg(g) < d:
-            return g
-        if poly_deg(g) == d:
-            return _equal_degree_factor(F, f, k)
-    raise MathIdentityError("no proper factor of a modulus Rabin's test refused")
+    return g if poly_deg(g) > 0 else None
+
+
+def irreducible_factors(F, f):
+    """The monic irreducible factors of a squarefree monic f over a finite
+    field F with q elements, sorted by (degree, F.sort_key of the
+    coefficients).  One distinct-degree pass: the part of f whose factors
+    have degree k is gcd(rest, t^(q^k) - t), and once deg rest < 2(k + 1)
+    the rest is irreducible; each part is split by equal-degree splitting.
+    Every piece must have a degree divisible by its k, and the factors must
+    multiply back to f."""
+    q, t = F.cardinality(), [F.zero(), F.one()]
+    factors, rest, frob, k = [], f, t, 0
+    while 2 * (k + 1) <= poly_deg(rest):
+        k += 1
+        frob = poly_pow_mod(F, frob, q, rest)          # t^(q^k) mod rest
+        pieces = [poly_gcd(F, rest, poly_sub(F, frob, t))]
+        rest = poly_divmod(F, rest, pieces[0])[0]
+        while pieces:
+            g = pieces.pop()
+            if poly_deg(g) % k:
+                raise MathIdentityError("a part of degree %d is not a product of "
+                                        "factors of degree %d" % (poly_deg(g), k))
+            if poly_deg(g) == k:
+                factors.append(g)
+            elif poly_deg(g) > 0:
+                h = _equal_degree_factor(F, g, k)
+                pieces += [h, poly_divmod(F, g, h)[0]]
+    if poly_deg(rest) > 0:
+        factors.append(rest)
+    product = [F.one()]
+    for g in factors:
+        product = poly_mul(F, product, g)
+    if product != poly_trim(F, f):
+        raise MathIdentityError("the irreducible factors do not multiply back to f")
+    return sorted(factors, key=lambda g: (len(g), [F.sort_key(c) for c in g]))
 
 
 def _equal_degree_factor(F, f, k):
@@ -511,7 +515,7 @@ class ExtensionField(ExactField):
     """F[t]/(modulus) for monic modulus of degree >= 2 over a built field F.
 
     Elements are coefficient tuples of length deg(modulus), low degree first.
-    Over a finite F the modulus is certified irreducible here, and a field of
+    Over a finite F or Q the modulus is certified irreducible here; a field of
     at most TABLE_MAX_ELEMENTS elements replaces the polynomial methods below
     by table lookups on the instance (see _tabulate).
     """
@@ -530,37 +534,27 @@ class ExtensionField(ExactField):
         self.terms, self._product, _ = compile_product(base, power_table(base, modulus))
         self._zero = self._vec([])
         self.exp = self.log = None
-        q = self.cardinality()
-        if q is not None:
-            self._certify(q)
-        elif isinstance(base, RationalField):
-            self._certify_rational()
+        if self.cardinality() is not None or isinstance(base, RationalField):
+            self._certify()
 
-    def _certify(self, q):
-        """Rabin's test; on a tabulated field the generator search is a
-        second certificate and the two must agree."""
-        F, f = self.base, list(self.modulus)
-        irreducible = is_irreducible(F, f)
-        if q <= TABLE_MAX_ELEMENTS:
-            g = self._find_generator(q)
-            if (g is not None) != irreducible:
-                raise MathIdentityError(
-                    "Rabin's test and the generator search disagree on modulus %s"
-                    % self._poly_str(f))
-            if g is not None:
-                self._tabulate(g, q)
-        if not irreducible:
-            raise ReducibleModulusError(self._poly_str(nontrivial_factor(F, f)))
-
-    def _certify_rational(self):
-        """Over Q: a repeated factor shows as gcd(f, f'); else the least of
-        the certified irreducible factors of f (Zassenhaus) must be f."""
+    def _certify(self):
+        """Refuse a reducible modulus, naming its repeated part, else its
+        least irreducible factor (factorization.partial_factor, certified
+        over finite fields and Q).  On a tabulated field the generator
+        search is a second certificate and the two must agree."""
         from .factorization import partial_factor  # it imports this module
-        F, f = self.base, [Fraction(c) for c in self.modulus]
-        g = poly_gcd(F, f, poly_deriv(F, f))
-        if poly_deg(g) == 0:
-            g = partial_factor(F, f)[0].poly
-        if poly_deg(g) < self.degree:
+        F, f, q = self.base, list(self.modulus), self.cardinality()
+        g = repeated_factor(F, f) or partial_factor(F, f)[0].poly
+        irreducible = poly_deg(g) == self.degree
+        if q is not None and q <= TABLE_MAX_ELEMENTS:
+            gen = self._find_generator(q)
+            if (gen is not None) != irreducible:
+                raise MathIdentityError(
+                    "the factorization and the generator search disagree on modulus %s"
+                    % self._poly_str(f))
+            if gen is not None:
+                self._tabulate(gen, q)
+        if not irreducible:
             raise ReducibleModulusError(self._poly_str(g))
 
     def _poly_str(self, coeffs):
@@ -834,16 +828,6 @@ def _root_poly(F, c, d):
     return h
 
 
-def linear_roots(F, h):
-    """The roots of a monic squarefree h over a finite field F that is a
-    product of linear factors, split by nontrivial_factor; the one
-    finite-field root finder."""
-    if poly_deg(h) < 2:
-        return [F.neg(c) for c in h[:-1]]
-    g = nontrivial_factor(F, h)
-    return linear_roots(F, g) + linear_roots(F, poly_divmod(F, h, g)[0])
-
-
 def dth_root(F, c, d):
     """Decide solvability of x^d = c, produce a witness when possible, and
     count the roots in F.
@@ -865,7 +849,8 @@ def dth_root(F, c, d):
         h = _root_poly(F, c, d)
         if not poly_deg(h):
             return RootResult(RootResult.NO_SOLUTION, count=0)
-        x = F.one() if F.eq(c, F.one()) else min(linear_roots(F, h), key=F.sort_key)
+        x = F.one() if F.eq(c, F.one()) else min(
+            (F.neg(g[0]) for g in irreducible_factors(F, h)), key=F.sort_key)
         if not F.eq(F.pow(x, d), c):
             raise MathIdentityError("a root of gcd(t^d - c, t^q - t) is not a d-th root of c")
         return RootResult(RootResult.WITNESS, x, poly_deg(h))

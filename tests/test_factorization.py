@@ -43,6 +43,14 @@ def test_repeated_factor_is_refused():
         with pytest.raises(MathIdentityError):
             factorization.partial_factor(Q, square)
     assert time.perf_counter() - start < 1.0
+    F3 = scalars.prime_field(3)
+    F9 = scalars.extension_field(F3, [1, 0, 1])
+    one, zero, i = F9.one(), F9.zero(), F9.gen()
+    for F, square in [(F3, [2, 2, 1, 1]),          # (t + 1)^2 (t + 2)
+                      (F3, [1, 0, 0, 1]),          # (t + 1)^3, f' = 0
+                      (F9, [one, zero, zero, F9.neg(i), zero, zero, one])]:  # (t^2 + it + 1)^3
+        with pytest.raises(MathIdentityError, match="repeated factor"):
+            factorization.partial_factor(F, square)
 
 
 def _random_monic(rng, degree):

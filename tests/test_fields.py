@@ -1,8 +1,10 @@
 """Oracle tests for finite extension fields: every log/Zech table op against
-the polynomial arithmetic it replaced, kept here as the reference, and
-Rabin's irreducibility certificate against sympy."""
+the polynomial arithmetic it replaced, kept here as the reference, and the
+finite-field factorizer behind the modulus certificate against sympy and
+against a listing of F9."""
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -143,28 +145,30 @@ def test_fields_above_the_bound_keep_the_polynomial_path():
 
 
 def test_reducible_moduli_are_refused_with_a_proper_factor():
-    for base, f in [(F3, [2, 0, 1]),                  # (t - 1)(t + 1), tabulated size
-                    (F3, [1, 0, 0, 2, 0, 0, 1]),      # (t + 1)^6, a cube
-                    (F3, [2, 0, 1, 0, 1, 0, 1]),      # two irreducible cubics
-                    (F2, [0, 1, 1])]:                 # t(t + 1)
+    # the named factor is the repeated part, else the least irreducible factor
+    for base, f, named in [(F3, [2, 0, 1], [1, 1]),                  # (t + 1)(t + 2)
+                           (F3, [1, 0, 0, 2, 0, 0, 1], [1, 2, 1]),   # (t + 1)^6 = ((t + 1)^2)^3
+                           (F3, [2, 0, 1, 0, 1, 0, 1], [1, 2, 0, 1]),  # two irreducible cubics
+                           (F2, [0, 1, 1], [0, 1])]:                 # t(t + 1)
         with pytest.raises(ReducibleModulusError) as err:
             wb.extension_field(base, f)
-        g = scalars.nontrivial_factor(base, f)
+        g = scalars.repeated_factor(base, f) or scalars.irreducible_factors(base, f)[0]
+        assert g == named
         assert 0 < scalars.poly_deg(g) < scalars.poly_deg(f)
         assert scalars.poly_mod(base, f, g) == []
         assert err.value.factor == "[" + ",".join(map(str, g)) + "]"
 
 
-def test_rabin_and_generator_search_must_agree(monkeypatch):
-    monkeypatch.setattr(scalars, "is_irreducible", lambda F, f: False)
-    with pytest.raises(MathIdentityError):
+def test_factorization_and_generator_search_must_agree(monkeypatch):
+    monkeypatch.setattr(scalars, "irreducible_factors", lambda F, f: [[F.zero(), F.one()]])
+    with pytest.raises(MathIdentityError, match="generator search disagree"):
         wb.extension_field(F3, [1, 0, 1])
-    monkeypatch.setattr(scalars, "is_irreducible", lambda F, f: True)
-    with pytest.raises(MathIdentityError):
+    monkeypatch.setattr(scalars, "irreducible_factors", lambda F, f: [list(f)])
+    with pytest.raises(MathIdentityError, match="generator search disagree"):
         wb.extension_field(F3, [2, 0, 1])
 
 
-def test_rabin_matches_sympy_on_small_moduli():
+def test_irreducible_factors_match_sympy_on_small_moduli():
     sympy = pytest.importorskip("sympy")
     x = sympy.Symbol("x")
     for p in (2, 3, 5):
@@ -172,9 +176,63 @@ def test_rabin_matches_sympy_on_small_moduli():
         for d in (2, 3, 4):
             for low in itertools.product(range(p), repeat=d):
                 f = list(low) + [1]
-                verdict = scalars.is_irreducible(F, f)
-                assert verdict == sympy.Poly(f[::-1], x, modulus=p).is_irreducible, (p, f)
-                if not verdict:
-                    g = scalars.nontrivial_factor(F, f)
+                _, listed = sympy.Poly(f[::-1], x, modulus=p).factor_list()
+                g = scalars.repeated_factor(F, f)
+                assert (g is None) == all(e == 1 for _, e in listed), (p, f)
+                if g is None:
+                    expected = sorted([int(c) % p for c in h.all_coeffs()[::-1]]
+                                      for h, _ in listed)
+                    assert scalars.irreducible_factors(F, f) == sorted(
+                        expected, key=lambda h: (len(h), h)), (p, f)
+                else:
                     assert 0 < scalars.poly_deg(g) < d
                     assert scalars.poly_mod(F, f, g) == []
+
+
+def _monic_polys(F, d):
+    return [list(low) + [F.one()] for low in itertools.product(list(F.elements()), repeat=d)]
+
+
+def test_irreducible_factors_over_F9_have_no_factor_in_a_listing():
+    # over F9 = F3[i]/(i^2 + 1): a factor of degree n <= 5 is irreducible when no
+    # monic polynomial of degree 1..n/2, listed from the elements of F9, divides it
+    small = _monic_polys(F9, 1) + _monic_polys(F9, 2)
+    rng = random.Random(9)
+    elements, seen = list(F9.elements()), 0
+    while seen < 40:
+        f = [rng.choice(elements) for _ in range(rng.randint(1, 5))] + [F9.one()]
+        if scalars.repeated_factor(F9, f) is not None:
+            continue
+        seen += 1
+        factors = scalars.irreducible_factors(F9, f)
+        product = [F9.one()]
+        for g in factors:
+            product = scalars.poly_mul(F9, product, g)
+            assert g[-1] == F9.one()
+            assert not any(scalars.poly_mod(F9, g, h) == [] for h in small
+                           if 2 * scalars.poly_deg(h) <= scalars.poly_deg(g)), (f, g)
+        assert product == f
+        assert factors == sorted(factors, key=lambda g: (len(g), [F9.sort_key(c) for c in g]))
+
+
+# (t^2 + 1)(t^2 + t + 2) over F3: one distinct-degree part of degree 4 for k = 2
+TWO_QUADRATICS = [2, 1, 0, 1, 1]
+
+
+def test_a_part_of_the_wrong_degree_is_refused(monkeypatch):
+    original, calls = scalars._equal_degree_factor, []
+
+    def wrong_once(F, f, k):   # t splits off a degree-3 part: not a product of quadratics
+        calls.append(f)
+        return [F.zero(), F.one()] if len(calls) == 1 else original(F, f, k)
+
+    monkeypatch.setattr(scalars, "_equal_degree_factor", wrong_once)
+    with pytest.raises(MathIdentityError, match="not a product of factors of degree 2"):
+        scalars.irreducible_factors(F3, TWO_QUADRATICS)
+
+
+def test_factors_that_do_not_multiply_back_are_refused(monkeypatch):
+    # t^2 + 2 = (t + 1)(t + 2) does not divide the part; the degrees still fit
+    monkeypatch.setattr(scalars, "_equal_degree_factor", lambda F, f, k: [2, 0, 1])
+    with pytest.raises(MathIdentityError, match="do not multiply back"):
+        scalars.irreducible_factors(F3, TWO_QUADRATICS)
