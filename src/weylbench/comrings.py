@@ -51,6 +51,7 @@ class TestRing:
         self._unit_group = None
         self._ring_table = None
         self._blocks = {}           # idempotent -> block(e), built on demand
+        self._filtration = None
         self._check_axioms()
         count = self.element_count()
         if count is not None and count <= RingTable.MAX_ELEMENTS:
@@ -213,6 +214,28 @@ class TestRing:
             self._blocks[e] = ring, project, lambda b: self.mul(e, lift(b))
         return self._blocks[e]
 
+    def filtration(self):
+        """(starts, basis, coords) for a finite connected ring with nilradical
+        m != 0: an F-basis adapted to m > m^2 > ... > m^r = 0, whose vectors
+        from starts[i] on span m^i, and the coordinates coords[x] in it of
+        each RingTable element x, which lies in m^i when coords[x][:starts[i]]
+        vanish.  Built once and kept."""
+        if self._filtration is None:
+            F, m = self.field, self.nilradical()
+            powers = [m]   # powers[i] spans m^(i+1)
+            while powers[-1]:
+                red, pivots = linalg.rref(F, [list(self.mul(x, y)) for x in powers[-1] for y in m])
+                powers.append([tuple(v) for v in red[:len(pivots)]])
+            # the first independent vectors from m^(r-1) out to R, deepest last
+            stack = [v for span in reversed(powers) for v in span]
+            stack += [self._basis_vec(i) for i in range(self.dim)]
+            basis = [stack[p] for p in linalg.rref(F, [list(c) for c in zip(*stack)])[1]][::-1]
+            inv = linalg.inv(F, [list(c) for c in zip(*basis)])
+            coords = [tuple(linalg.mat_vec(F, inv, list(x))) for x in self.ring_table().elems]
+            starts = [self.dim - len(span) for span in [basis] + powers]
+            self._filtration = starts, basis, coords
+        return self._filtration
+
     def unit_group(self):
         """{unit: order} for a finite ring, computed once and kept."""
         if self._unit_group is None:
@@ -236,7 +259,7 @@ _EMPTY = 0xFFFF   # an unfilled RingTable cell; indices stay below 512
 class RingTable:
     """Index view of a finite TestRing: its elements, in R.elements() order,
     are numbered 0..|R|-1, and it speaks the ring protocol on those indices
-    (zero(), one, is_zero, add, mul, neg, is_unit), so structure_mul,
+    (zero(), one, is_zero, add, mul, neg, inv, is_unit), so structure_mul,
     linalg.mat_mul and points.ring_det run on it unchanged.  Cells are filled
     on first use by the coordinate kernel (TestRing.mul, TestRing.add, the
     determinant test of TestRing.is_unit); a row is allocated when first
@@ -300,6 +323,9 @@ class RingTable:
 
     def neg(self, a):
         return self.index[TestRing.neg(self._ring(), self.elems[a])]
+
+    def inv(self, a):
+        return self.index[TestRing.inv(self._ring(), self.elems[a])]
 
     def is_unit(self, a):
         if not self._unit[a]:

@@ -34,6 +34,7 @@ class Algebra:
             "b%d" % i for i in range(self.dim))
         self.label = label or "algebra"
         self.enumeration_plan = None  # points._enumeration_plan, built on first use
+        self.derivations = {}         # points._derivations, per column set
 
     def mul(self, x, y):
         return self._product(x, y)

@@ -63,48 +63,44 @@ def identity_point(A, R):
 # matrices over a commutative ring
 
 
-def ring_det(R, M):
-    # cofactor expansion with memoized minors: no division, so it stays
-    # exact over rings with zero divisors, where elimination cannot pivot;
-    # R is a TestRing on elements or its RingTable on indices
-    n = len(M)
+def _minors(R, M):
+    """det of M on (rows, cols) tuples, by cofactor expansion along the
+    first row with memoized minors: no division, so it stays exact over
+    rings with zero divisors, where elimination cannot pivot; R is a
+    TestRing on elements or its RingTable on indices"""
     memo = {}
 
-    def minor(r, cols):
-        if r == n:
+    def minor(rows, cols):
+        if not rows:
             return R.one
-        key = (r, cols)
-        if key in memo:
-            return memo[key]
-        acc = R.zero()
-        sign = True
-        for pos, c in enumerate(cols):
-            entry = M[r][c]
-            if not R.is_zero(entry):
-                sub = minor(r + 1, cols[:pos] + cols[pos + 1:])
-                term = R.mul(entry, sub)
-                acc = R.add(acc, term if sign else R.neg(term))
-            sign = not sign
-        memo[key] = acc
-        return acc
+        key = (rows, cols)
+        if key not in memo:
+            acc = R.zero()
+            for pos, c in enumerate(cols):
+                entry = M[rows[0]][c]
+                if not R.is_zero(entry):
+                    term = R.mul(entry, minor(rows[1:], cols[:pos] + cols[pos + 1:]))
+                    acc = R.add(acc, R.neg(term) if pos % 2 else term)
+            memo[key] = acc
+        return memo[key]
 
-    return minor(0, tuple(range(n)))
+    return minor
+
+
+def ring_det(R, M):
+    every = tuple(range(len(M)))
+    return _minors(R, M)(every, every)
 
 
 def ring_mat_inv(R, M):
     n = len(M)
-    d = ring_det(R, M)
-    d_inv = R.inv(d)  # raises InputError when det is not a unit
+    minor, every = _minors(R, M), tuple(range(n))
+    d_inv = R.inv(minor(every, every))  # raises InputError when det is not a unit
     out = [[None] * n for _ in range(n)]
     for i in range(n):
         for j in range(n):
-            rows = [r for r in range(n) if r != j]
-            cols = [c for c in range(n) if c != i]
-            sub = [[M[r][c] for c in cols] for r in rows]
-            cof = ring_det(R, sub) if sub else R.one
-            if (i + j) % 2:
-                cof = R.neg(cof)
-            out[i][j] = R.mul(d_inv, cof)
+            cof = minor(every[:j] + every[j + 1:], every[:i] + every[i + 1:])
+            out[i][j] = R.mul(d_inv, R.neg(cof) if (i + j) % 2 else cof)
     return out
 
 
@@ -505,6 +501,51 @@ def _enumeration_plan(A):
     return A.enumeration_plan
 
 
+def _derivations(A, cols):
+    """d(Delta)_ab = Delta(e_a e_b) - Delta(e_a) e_b - e_a Delta(e_b) on the
+    Delta with entries cols, (l, j) the e_l coefficient of Delta(e_j),
+    eliminated once per column set and kept on A.derivations: (cols, rows,
+    pivots, inverse, relations, kernel), where the rows of d that rows index
+    span its row space, relations give the others from them, inverse
+    inverts d on rows x pivots, and kernel spans ker d, the derivations."""
+    if cols not in A.derivations:
+        F, n, c = A.field, A.dim, A.table
+        d = [[F.sub(F.sub(c[a][b][j] if l == k else F.zero(),
+                          c[l][b][k] if j == a else F.zero()),
+                    c[a][l][k] if j == b else F.zero()) for l, j in cols]
+             for a, b, k in itertools.product(range(n), repeat=3)]
+        dT = [list(col) for col in zip(*d)]
+        rows = linalg.rref(F, dT)[1]
+        relations = [[(p, v) for p, v in enumerate(y) if not F.is_zero(v)]
+                     for y in linalg.nullspace(F, dT)]
+        pivots = linalg.rref(F, [d[r] for r in rows])[1]
+        A.derivations[cols] = (cols, rows, pivots,
+                               linalg.inv(F, [[d[r][p] for p in pivots] for r in rows]),
+                               relations, linalg.nullspace(F, d))
+    return A.derivations[cols]
+
+
+def _back_substitute(F, system, b):
+    """The solution of d Delta = b over F, from _derivations, that is zero off
+    its pivots, or None when b breaks a relation, so that there is none."""
+    cols, rows, pivots, inverse, relations, _ = system
+    if any(not F.is_zero(functools.reduce(F.add, (F.mul(v, b[p]) for p, v in y)))
+           for y in relations):
+        return None
+    x = dict(zip(pivots, linalg.mat_vec(F, inverse, [b[r] for r in rows])))
+    return [x.get(c, F.zero()) for c in range(len(cols))]
+
+
+def _span(table, scalars, directions, start):
+    """start plus every combination of directions with coefficients in
+    scalars; vectors of RingTable indices."""
+    out = [start]
+    for d in directions:
+        multiples = [tuple(table.mul(s, x) for x in d) for s in scalars]
+        out = [tuple(map(table.add, v, w)) for v in out for w in multiples]
+    return out
+
+
 def _estimated_nodes(A, R):
     steps, _ = _enumeration_plan(A)
     count = R.element_count()
@@ -541,13 +582,15 @@ def _points_by_shape(gr, R, which, cap):
 
     The schemes are affine, so a point over R = e1 R x ... x em R is a sum of
     block points, one per eR searched on its own, with their shapes
-    concatenated.  On a connected R entry (k, j) is zero unless sigma sends
-    deg j to deg k; if R is not reduced, each shape is searched once per
-    point rho of the same set over the field R/nil, entry (k, j) confined to
-    the class over rho[k][j].  The classes are cosets of nil, so each holds
-    |R|/|R/nil| elements, and the nonempty fibres, over (shape, rho) in a
-    block and over shapes in a product, are cosets of the kernel of
-    reduction and shape, both homomorphisms, so they must all have one size."""
+    concatenated.  On a field, entry (k, j) is zero unless sigma sends deg j
+    to deg k, and a DFS searches the columns.  A connected R that is not
+    reduced has a residue field R/m, m = nil: the same point set is searched
+    there, and each residue point rho is lifted through the square-zero
+    layers m^i/m^(i+1) of the filtration (lift).  The residue classes
+    are cosets of m, so each holds |R|/|R/m| elements, and the nonempty
+    fibres, over rho in a block and over shapes in a product, are cosets of
+    the kernel of reduction and shape, both homomorphisms, so they must all
+    have one size."""
     A = gr.algebra
     nodes = _estimated_nodes(A, R)
     if nodes is None:
@@ -578,31 +621,70 @@ def _points_by_shape(gr, R, which, cap):
                     for found in itertools.product(*(list(_points_by_shape(gr, ring, which, cap))
                                                      for ring, _, _ in blocks))]
     elif R.nil_quotient():
-        ring, project, _ = R.nil_quotient()
+        ring, project, section = R.nil_quotient()
         bar = ring.ring_table()
-        fibres = [set() for _ in bar.elems]
-        for x, elem in enumerate(table.elems):
-            fibres[bar.index[project(elem)]].add(x)
-        size = len(full) // len(fibres)
-        if any(len(f) != size for f in fibres):
+        classes = [bar.index[project(x)] for x in table.elems]
+        size, sizes = len(full) // len(bar.elems), set(map(classes.count, range(len(bar.elems))))
+        if sizes != {size}:
             raise MathIdentityError("residue classes have sizes %s, not |R|/|R/nil| = %d"
-                                    % (sorted({len(f) for f in fibres}), size))
-        searches = [(shape, [[[bar.index[x] for x in row] for row in p.entries] for p in found])
-                    for shape, found in _points_by_shape(gr, ring, which, cap)]
+                                    % (sorted(sizes), size))
+        searches = list(_points_by_shape(gr, ring, which, cap))
+        lifted = [table.index[section(x)] for x in bar.elems]
+        F, (starts, basis, coords) = A.field, R.filtration()
+        units = [table.index[u] for u in basis]
+        scalars = {c: table.index[R.from_field(c)] for c in F.elements()}
+        minus_one = table.index[R.neg(R.one)]
+        system = _derivations(A, tuple((l, j) for l in range(n) for j in range(n)
+                                       if which == "aut" or gr.degrees[l] == gr.degrees[j]))
     else:
-        searches = [(shape, [None]) for shape in shapes]
+        searches = [(shape, None) for shape in shapes]
 
     def product(x, y):
         return structure_mul(terms, x, y, zero, is_zero, add, mul, mul)
 
-    def check_ok(cols, i, j):
-        # phi(e_i e_j) == phi(e_i) phi(e_j) on table indices
-        lhs = [zero] * n
+    def image(cols, i, j):
+        # phi(e_i e_j) on table indices
+        out = [zero] * n
         for k, c in terms[i][j]:
             for t, x in enumerate(cols[k]):
                 if not is_zero(x):
-                    lhs[t] = add(lhs[t], mul(x, c))
-        return tuple(lhs) == product(cols[i], cols[j])
+                    out[t] = add(out[t], mul(x, c))
+        return tuple(out)
+
+    def check_ok(cols, i, j):
+        return image(cols, i, j) == product(cols[i], cols[j])
+
+    def residual(cols, i, j):
+        # phi(e_i) phi(e_j) - phi(e_i e_j)
+        return [add(x, mul(minus_one, y)) for x, y in zip(product(cols[i], cols[j]),
+                                                           image(cols, i, j))]
+
+    def times(rho, parts):
+        # rho Delta, Delta the sum of the vec (x) u_t over (t, vec) in parts,
+        # vec over the columns of the system; indices, flat by column
+        delta = [[zero] * n for _ in range(n)]
+        for t, vec in parts:
+            for (l, j), v in zip(system[0], vec):
+                delta[l][j] = add(delta[l][j], mul(scalars[v], units[t]))
+        return tuple(x for col in zip(*linalg.mat_mul(table, rho, delta)) for x in col)
+
+    def lift(nodes, i, rho, rho_inv):
+        # the lifts modulo m^(i+1) of the nodes at layer i, points modulo m^i
+        # over the residue point of rho, flat by column; E is rho^-1 times
+        # their residual, over the triples (a, b, k)
+        layer, children = range(starts[i], starts[i + 1]), []
+        directions = [times(rho, [(t, v)]) for t in layer for v in system[5]]
+        for phi in nodes:
+            cols = [phi[j * n:(j + 1) * n] for j in range(n)]
+            E = [functools.reduce(add, map(mul, row, e)) for a in range(n) for b in range(n)
+                 for e in [residual(cols, a, b)] for row in rho_inv]
+            if any(not F.is_zero(c) for x in E for c in coords[x][:starts[i]]):
+                raise MathIdentityError("a node at layer %d has a residual outside m^%d" % (i, i))
+            parts = [(t, _back_substitute(F, system, [coords[x][t] for x in E])) for t in layer]
+            if all(x is not None for _, x in parts):
+                children += _span(table, scalars.values(), directions,
+                                  tuple(map(add, phi, times(rho, parts))))
+        return children
 
     def dfs(stage, cols):
         if stage == len(steps):
@@ -635,17 +717,25 @@ def _points_by_shape(gr, R, which, cap):
                                                     in zip(blocks, parts)))
                            for j in range(n)] for k in range(n)] for parts in found]
             fibre_sizes.add(len(survivors))
+        elif found is None:
+            cells = [[zero_only if certs and certs[0][1][gr.degrees[j]] != gr.degrees[k]
+                      else full for k in range(n)] for j in range(n)]
+            bounds = [[(t, s) for t, s in enumerate(col) if s is not full] for col in cells]
+            survivors = []
+            dfs(0, [None] * n)
+            fibre_sizes.add(len(survivors))
         else:
             survivors = []
             for rho in found:
-                cells = [[zero_only if certs and certs[0][1][gr.degrees[j]] != gr.degrees[k]
-                          else full if rho is None else fibres[rho[k][j]]
-                          for k in range(n)] for j in range(n)]
-                bounds = [[(t, s) for t, s in enumerate(col) if s is not full]
-                          for col in cells]
-                before = len(survivors)
-                dfs(0, [None] * n)
-                fibre_sizes.add(len(survivors) - before)
+                rows = [[bar.index[x] for x in row] for row in rho.entries]
+                up, down = ([[lifted[x] for x in row] for row in M]
+                            for M in (rows, ring_mat_inv(bar, rows)))
+                nodes = [tuple(up[k][j] for j in range(n) for k in range(n))]
+                for i in range(1, len(starts) - 1):
+                    nodes = lift(nodes, i, up, down)
+                fibre_sizes.add(len(nodes))
+                survivors += [[[table.elems[phi[j * n + k]] for j in range(n)] for k in range(n)]
+                              for phi in nodes]
         if len(fibre_sizes - {0}) > 1:
             raise MathIdentityError("point fibres have sizes %s, not one coset size"
                                     % sorted(fibre_sizes - {0}))

@@ -1,6 +1,8 @@
+import functools
 import itertools
 import random
 import re
+import time
 from fractions import Fraction
 
 import pytest
@@ -331,10 +333,16 @@ def test_shaped_search_matches_filtered_aut():
 def test_aut_enumeration_is_complete_by_brute_force(F2, F3):
     # oracle: every 2 x 2 matrix over R that passes automorphism_membership,
     # then stab_membership or autgamma_membership, on each non-reduced test
-    # ring and each reduced product with |R|^4 <= 10^4
+    # ring and each reduced product with |R|^4 <= 10^4; F2[C2] = F2[x]/x^2,
+    # x = g + 1, is one whose basis 1, g is not adapted to its filtration,
+    # and F2[x, y]/(x, y)^2 one whose square-zero layer has two coordinates
     F2r, F3r = base_field_ring(F2), base_field_ring(F3)
+    one, x, y, zero = (1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 0, 0)
+    xy = comrings.TestRing(F2, [[one, x, y], [x, zero, zero], [y, zero, zero]], one)
     rings = {"F2[eps]/eps^2": dual_numbers(F2, 2), "F2[eps]/eps^3": dual_numbers(F2, 3),
              "F3[eps]/eps^2": dual_numbers(F3, 2),
+             "F2[C2]": comrings.group_algebra_finite(F2, cyclic_group(2)),
+             "F2[x, y]/(x, y)^2": xy,
              "F2[eps]/eps^2 x F2": product_ring(dual_numbers(F2, 2), F2r),
              "F2 x F2": product_ring(F2r, F2r), "F3 x F3": product_ring(F3r, F3r)}
     for name, R in rings.items():
@@ -374,25 +382,25 @@ def test_fibre_sizes_over_the_residue_ring_are_cross_asserted(monkeypatch, F2, F
         with pytest.raises(MathIdentityError, match=re.escape("classes have sizes " + sizes)):
             pts.enumerate_points(gr, R, "aut")
         monkeypatch.undo()
-    # a search that drops its first survivor over R: one fibre comes up short.
-    # Over F3[eps]/eps^2, para-Hurwitz has 2 residue points with 3 points
-    # over each, and zero_mult 4 with 9 in Stab and 8 with 9 in Aut Gamma.
+    # a lifting that drops one lift over its first residue point: that fibre
+    # comes up short.  Over F3[eps]/eps^2, para-Hurwitz has 2 residue points
+    # with 3 points over each, and zero_mult 4 with 9 in Stab and 8 with 9 in
+    # Aut Gamma.
     R = dual_numbers(F3, 2)
-    det, dropped = pts.ring_det, []
+    span, dropped = pts._span, []
 
-    def dropping(ring, M):
-        d = det(ring, M)
-        if ring is R.ring_table() and ring.is_unit(d) and not dropped:
-            dropped.append(M)
-            return ring.zero()
-        return d
+    def dropping(*args):
+        lifts = span(*args)
+        if not dropped:
+            dropped.append(lifts.pop())
+        return lifts
 
     for fix, which, count in ((para_hurwitz_grading, "aut", 6),
                               (zero_mult_grading, "stab", 36),
                               (zero_mult_grading, "autgamma", 72)):
         gr = fix(F3)
         assert len(pts.enumerate_points(gr, R, which)) == count
-        monkeypatch.setattr(pts, "ring_det", dropping)
+        monkeypatch.setattr(pts, "_span", dropping)
         dropped.clear()
         with pytest.raises(MathIdentityError, match="point fibres"):
             pts.enumerate_points(gr, R, which)
@@ -414,6 +422,68 @@ def test_fibre_sizes_over_the_residue_ring_are_cross_asserted(monkeypatch, F2, F
     monkeypatch.setattr(pts, "_points_by_shape", losing)
     with pytest.raises(MathIdentityError, match=r"point fibres have sizes \[12, 16\]"):
         pts.enumerate_points(gr, R, "autgamma")
+
+
+def test_a_wrong_particular_lift_is_caught_below_the_next_layer(monkeypatch, F3):
+    # Delta: e1 -> e1, e2 -> 0, entry (0, 0), is no derivation of para-Hurwitz
+    # (Delta(e1 e1) = 0, but Delta(e1) e1 + e1 Delta(e1) = 2 e2), so adding it
+    # to each particular solution leaves the children of a layer-1 node over
+    # F3[eps]/eps^3 a residual outside m^2; over F3[eps]/eps^2 its lifts are
+    # the points, and their verification refuses them
+    gr = para_hurwitz_grading(F3)
+    honest = pts._back_substitute
+
+    def corrupted(F, system, b):
+        x = honest(F, system, b)
+        if x is not None:
+            x[system[0].index((0, 0))] = F.add(x[system[0].index((0, 0))], F.one())
+        return x
+
+    for order, count, message in ((3, 18, r"node at layer 2 has a residual outside m\^2"),
+                                  (2, 6, "non-automorphism")):
+        R = dual_numbers(F3, order)
+        assert len(pts.enumerate_points(gr, R, "aut")) == count
+        monkeypatch.setattr(pts, "_back_substitute", corrupted)
+        with pytest.raises(MathIdentityError, match=message):
+            pts.enumerate_points(gr, R, "aut")
+        monkeypatch.undo()
+
+
+def test_lifting_agrees_across_presentations_of_one_ring(F3, F9):
+    # F3[C3] = F3[eps]/eps^3 by g -> 1 + eps, whose canonical basis 1, g, g^2
+    # is not adapted to the filtration: the point sets must correspond.
+    # F3[t]/((t^2+1)^2), residue field F9, is F9[eps]/eps^2 as a ring, so
+    # the points of A and of A over F9 must be as many.
+    one, zero, two = F3.one(), F3.zero(), F3.from_int(2)
+    C3, E3 = comrings.group_algebra_finite(F3, cyclic_group(3)), dual_numbers(F3, 3)
+    images = [E3.one, (one, one, zero), (one, two, one)]   # 1, g, g^2
+
+    def move(x):
+        return functools.reduce(E3.add, (E3.scal(c, image) for c, image in zip(x, images)))
+
+    T = comrings.truncated_poly(F3, [one, zero, two, zero, one])
+    E9 = dual_numbers(F9, 2)
+    assert T.nil_quotient()[0].dim == 2 and len(T.idempotents()) == 1
+    for fix, counts in ((para_hurwitz_grading, (18, 9, 18)), (trivial_grading, (18, 18, 18))):
+        gr, gr9 = fix(F3), galg.extend_scalars(fix(F3), F9)
+        for which, count in zip(("aut", "stab", "autgamma"), counts):
+            moved = {tuple(tuple(move(x) for x in row) for row in p.entries)
+                     for p in pts.enumerate_points(gr, C3, which)}
+            assert moved == {p.entries for p in pts.enumerate_points(gr, E3, which)}
+            assert len(pts.enumerate_points(gr, T, which)) == count, (fix, which)
+            assert len(pts.enumerate_points(gr9, E9, which)) == count, (fix, which)
+
+
+def test_lifting_lists_points_the_fibre_walk_was_slow_on(F3, F5, F7):
+    # with the cap lifted: each residue point is lifted layer by layer,
+    # never searched for among the elements of its residue classes
+    for gr, R, count in ((cubic_grading(F7), dual_numbers(F7, 3), 3),
+                         (cubic_grading(F5), dual_numbers(F5, 2), 2)):
+        start = time.perf_counter()
+        assert len(pts.enumerate_points(gr, R, "aut", cap=10**30)) == count
+        assert time.perf_counter() - start < 1.0
+    assert len(pts.enumerate_points(zero_mult_grading(F3), dual_numbers(F3, 2), "aut",
+                                    cap=10**30)) == 3888
 
 
 def test_residue_search_serves_the_callers_point_set(monkeypatch, F3):
