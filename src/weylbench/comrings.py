@@ -52,6 +52,7 @@ class TestRing:
         self._ring_table = None
         self._blocks = {}           # idempotent -> block(e), built on demand
         self._filtration = None
+        self.residue_classes = None, None   # points: (projection, class sizes)
         self._check_axioms()
         count = self.element_count()
         if count is not None and count <= RingTable.MAX_ELEMENTS:
@@ -259,11 +260,13 @@ _EMPTY = 0xFFFF   # an unfilled RingTable cell; indices stay below 512
 class RingTable:
     """Index view of a finite TestRing: its elements, in R.elements() order,
     are numbered 0..|R|-1, and it speaks the ring protocol on those indices
-    (zero(), one, is_zero, add, mul, neg, inv, is_unit), so structure_mul,
-    linalg.mat_mul and points.ring_det run on it unchanged.  Cells are filled
-    on first use by the coordinate kernel (TestRing.mul, TestRing.add, the
-    determinant test of TestRing.is_unit); a row is allocated when first
-    written.  It holds its ring weakly: the two form no reference cycle."""
+    (zero(), one, is_zero, add, mul, scal by a constant given as the index of
+    R.from_field(c), neg, inv, is_unit), so the point layer of points.py runs
+    on it.  Cells are filled on first use by the coordinate kernel (TestRing
+    mul, add, neg, the determinant test of is_unit); a row, the negatives,
+    the sort ranks and per algebra its constants as indices (terms, kept by
+    points) are made when first needed.  It holds its ring weakly: the two
+    form no reference cycle."""
 
     MAX_ELEMENTS = TABLE_MAX_ELEMENTS
 
@@ -279,6 +282,7 @@ class RingTable:
         self._blank = array("H", [_EMPTY]) * count   # shared until written
         self._mul = [self._blank] * count
         self._add = [self._blank] * count
+        self._neg, self._rank, self.terms = self._blank, None, {}
         self._unit = bytearray(count)    # 0 unknown, 1 not a unit, 2 unit
         self._zero = self.index[R.zero()]
         self.one = self.index[R.one]
@@ -321,8 +325,23 @@ class RingTable:
         c = self._mul[a][b]
         return c if c != _EMPTY else self._fill(self._mul, TestRing.mul, a, b)
 
+    scal = mul
+
     def neg(self, a):
-        return self.index[TestRing.neg(self._ring(), self.elems[a])]
+        if self._neg is self._blank:
+            self._neg = array("H", self._blank)
+        c = self._neg[a]
+        if c == _EMPTY:
+            c = self._neg[a] = self.index[TestRing.neg(self._ring(), self.elems[a])]
+        return c
+
+    def rank(self):
+        """Each index's position in the R.sort_key order of the elements."""
+        if self._rank is None:   # the inverse of the sorting permutation
+            key = self._ring().sort_key
+            order = sorted(range(len(self.elems)), key=lambda a: key(self.elems[a]))
+            self._rank = sorted(range(len(order)), key=order.__getitem__)
+        return self._rank
 
     def inv(self, a):
         return self.index[TestRing.inv(self._ring(), self.elems[a])]
@@ -353,26 +372,10 @@ def product_ring(R1, R2, label=None):
     if R1.field != R2.field:
         raise InputError("product factors must share the base field")
     F = R1.field
-    n1, n2 = R1.dim, R2.dim
-    n = n1 + n2
-
-    def emb1(v):
-        return tuple(v) + (F.zero(),) * n2
-
-    def emb2(v):
-        return (F.zero(),) * n1 + tuple(v)
-
-    table = [[None] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            if i < n1 and j < n1:
-                table[i][j] = emb1(R1.table[i][j])
-            elif i >= n1 and j >= n1:
-                table[i][j] = emb2(R2.table[i - n1][j - n1])
-            else:
-                table[i][j] = (F.zero(),) * n
-    one = tuple(R1.one) + tuple(R2.one)
-    return TestRing(F, table, one, label=label or "product")
+    z1, z2 = (F.zero(),) * R1.dim, (F.zero(),) * R2.dim
+    table = ([[v + z2 for v in row] + [z1 + z2] * R2.dim for row in R1.table]
+             + [[z1 + z2] * R1.dim + [z1 + v for v in row] for row in R2.table])
+    return TestRing(F, table, R1.one + R2.one, label=label or "product")
 
 
 def group_algebra_finite(F, G, label=None):
@@ -380,17 +383,12 @@ def group_algebra_finite(F, G, label=None):
     if not isinstance(G, FGAbelianGroup) or not G.is_finite():
         raise InputError("group algebra test ring needs a finite group")
     elems = sorted(G.elements())
-    index = {g: i for i, g in enumerate(elems)}
-    n = len(elems)
-    table = [[None] * n for _ in range(n)]
-    for i, g in enumerate(elems):
-        for j, h in enumerate(elems):
-            v = [F.zero()] * n
-            v[index[G.add(g, h)]] = F.one()
-            table[i][j] = tuple(v)
-    one = [F.zero()] * n
-    one[index[G.identity()]] = F.one()
-    ring = TestRing(F, table, tuple(one), label=label or "groupalg")
+
+    def basis(g):   # g as a basis vector
+        return tuple(F.one() if h == g else F.zero() for h in elems)
+
+    table = [[basis(G.add(g, h)) for h in elems] for g in elems]
+    ring = TestRing(F, table, basis(G.identity()), label=label or "groupalg")
     ring.group_basis = tuple(elems)
     return ring
 
@@ -647,7 +645,7 @@ class GroupAlgebra:
     def monomial(self, r, g):
         if self.ring.is_zero(r):
             return {}
-        return {self.group.reduce(g): tuple(r)}
+        return {self.group.reduce(g): r}
 
     def scalar(self, r):
         return self.monomial(r, self.group.identity())

@@ -7,6 +7,9 @@ The centralizer/normalizer functors quantify over all R-algebras; following
 the structure theory they are decided at the single generic algebra RG and
 cross-asserted against the direct block/permutation definitions on every
 call, so any gap between the two characterizations raises MathIdentityError.
+Over a ring with a RingTable, membership, det and inverse, block certificates,
+the RG tests and sort keys run on its indices (_kernel); points, certificates
+and shifts stay in ring elements.
 """
 
 from __future__ import annotations
@@ -33,17 +36,15 @@ class PointMatrix:
     ring: object
     entries: tuple   # entries[k][j] in R; column j is the image of basis j
 
-    def column(self, j):
-        return [self.entries[k][j] for k in range(self.algebra.dim)]
-
     def to_str(self):
         R = self.ring
         rows = ["[" + ",".join(R.to_str(x) for x in row) + "]" for row in self.entries]
         return "[" + ",".join(rows) + "]"
 
     def sort_key(self):
-        R = self.ring
-        return tuple(R.sort_key(x) for row in self.entries for x in row)
+        T, to, _ = _indexed(self.ring)   # on a table: each entry's rank
+        key = T.sort_key if T is self.ring else T.rank().__getitem__
+        return tuple(key(to(x)) for row in self.entries for x in row)
 
 
 def point_matrix(A, R, rows):
@@ -60,7 +61,56 @@ def identity_point(A, R):
 
 
 # ---------------------------------------------------------------------------
-# matrices over a commutative ring
+# the index kernel: matrices over a commutative ring, and phi against A's
+# product, on RingTable indices when R has a table
+
+
+def _same(x):
+    return x
+
+
+def _indexed(R):
+    """(ring, to, back): R's RingTable with the maps from R's elements to its
+    indices and back, or R itself with identity maps when R has no table
+    (over Q, above RingTable.MAX_ELEMENTS, or R a table or a stand-in)."""
+    T = getattr(R, "_ring_table", None)
+    if T is None:
+        return R, _same, _same
+    return T, T.index.__getitem__, T.elems.__getitem__
+
+
+def _kernel(A, R):
+    """(ring, to, product, image, multiplicative) on _indexed(R): product(x,
+    y) multiplies coordinate vectors of A tensor R, image(cols, i, j) is
+    phi(e_i e_j) for phi given by its columns, and multiplicative(cols,
+    pairs) tests phi(e_i e_j) = phi(e_i) phi(e_j) on each pair.  On a table
+    each structure constant c is the index of R.from_field(c), made once per
+    algebra and kept on the table."""
+    T, to, _ = _indexed(R)
+    if T is not R and A not in T.terms:
+        T.terms[A] = tuple(tuple(tuple((k, to(R.from_field(c))) for k, c in cell)
+                                 for cell in row) for row in A.terms)
+    terms = A.terms if T is R else T.terms[A]
+    zero, is_zero, add, mul, scal = T.zero(), T.is_zero, T.add, T.mul, T.scal
+
+    def product(x, y):
+        return structure_mul(terms, x, y, zero, is_zero, add, mul, scal)
+
+    def image(cols, i, j):
+        out = [zero] * len(cols)
+        for k, c in terms[i][j]:
+            for t, x in enumerate(cols[k]):
+                if not is_zero(x):
+                    out[t] = add(out[t], scal(c, x))
+        return tuple(out)
+
+    def multiplicative(cols, pairs):
+        for i, j in pairs:
+            if image(cols, i, j) != product(cols[i], cols[j]):
+                return False
+        return True
+
+    return T, to, product, image, multiplicative
 
 
 def _minors(R, M):
@@ -68,19 +118,20 @@ def _minors(R, M):
     first row with memoized minors: no division, so it stays exact over
     rings with zero divisors, where elimination cannot pivot; R is a
     TestRing on elements or its RingTable on indices"""
-    memo = {}
+    memo, one, zero = {}, R.one, R.zero()
+    is_zero, add, mul, neg = R.is_zero, R.add, R.mul, R.neg
 
     def minor(rows, cols):
-        if not rows:
-            return R.one
+        if len(rows) < 2:
+            return M[rows[0]][cols[0]] if rows else one
         key = (rows, cols)
         if key not in memo:
-            acc = R.zero()
+            acc = zero
             for pos, c in enumerate(cols):
                 entry = M[rows[0]][c]
-                if not R.is_zero(entry):
-                    term = R.mul(entry, minor(rows[1:], cols[:pos] + cols[pos + 1:]))
-                    acc = R.add(acc, R.neg(term) if pos % 2 else term)
+                if not is_zero(entry):
+                    term = mul(entry, minor(rows[1:], cols[:pos] + cols[pos + 1:]))
+                    acc = add(acc, neg(term) if pos % 2 else term)
             memo[key] = acc
         return memo[key]
 
@@ -88,40 +139,22 @@ def _minors(R, M):
 
 
 def ring_det(R, M):
+    """det M for a matrix over R, expanded on R's table when it has one."""
+    T, to, back = _indexed(R)
     every = tuple(range(len(M)))
-    return _minors(R, M)(every, every)
+    return back(_minors(T, M if T is R else [list(map(to, row)) for row in M])(every, every))
 
 
 def ring_mat_inv(R, M):
+    """M^-1 over R, from one expansion of minors on R's table when it has one;
+    InputError when det M is not a unit."""
+    T, to, back = _indexed(R)
     n = len(M)
-    minor, every = _minors(R, M), tuple(range(n))
-    d_inv = R.inv(minor(every, every))  # raises InputError when det is not a unit
-    out = [[None] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            cof = minor(every[:j] + every[j + 1:], every[:i] + every[i + 1:])
-            out[i][j] = R.mul(d_inv, R.neg(cof) if (i + j) % 2 else cof)
-    return out
-
-
-def algebra_mul_over_ring(A, R, x, y):
-    """Product in A tensor R of coordinate vectors x, y over R."""
-    return structure_mul(A.terms, x, y, R.zero(), R.is_zero, R.add, R.mul, R.scal)
-
-
-def apply_point(phi, vec):
-    """Apply phi to an F-coefficient vector of the algebra."""
-    R = phi.ring
-    n = phi.algebra.dim
-    out = [R.zero()] * n
-    for j, c in enumerate(vec):
-        if phi.algebra.field.is_zero(c):
-            continue
-        for k in range(n):
-            e = phi.entries[k][j]
-            if not R.is_zero(e):
-                out[k] = R.add(out[k], R.scal(c, e))
-    return tuple(out)
+    minor, every = _minors(T, M if T is R else [list(map(to, row)) for row in M]), tuple(range(n))
+    d_inv = T.inv(minor(every, every))  # raises InputError when det is not a unit
+    return [[back(T.mul(d_inv, T.neg(cof) if (i + j) % 2 else cof)) for j in range(n)
+             for cof in [minor(every[:j] + every[j + 1:], every[:i] + every[i + 1:])]]
+            for i in range(n)]
 
 
 # ---------------------------------------------------------------------------
@@ -130,17 +163,12 @@ def apply_point(phi, vec):
 
 def automorphism_membership(phi):
     """det(phi) a unit and phi multiplicative on all basis pairs."""
-    A, R = phi.algebra, phi.ring
-    if not R.is_unit(ring_det(R, [list(r) for r in phi.entries])):
+    T, to, _, _, multiplicative = _kernel(phi.algebra, phi.ring)
+    rows = [list(map(to, row)) for row in phi.entries]
+    if not T.is_unit(ring_det(T, rows)):
         return False
-    cols = [phi.column(j) for j in range(A.dim)]
-    for i in range(A.dim):
-        for j in range(A.dim):
-            lhs = apply_point(phi, A.table[i][j])
-            rhs = algebra_mul_over_ring(A, R, cols[i], cols[j])
-            if lhs != rhs:
-                return False
-    return True
+    every = range(phi.algebra.dim)
+    return multiplicative(list(zip(*rows)), itertools.product(every, every))
 
 
 def _require_automorphism(phi):
@@ -186,18 +214,19 @@ class BlockPermResult:
 def block_permutations(gr, phi):
     """Per primitive idempotent of R, the component permutation realized by
     phi, or failure with a witness."""
-    R = phi.ring
-    if not R.is_unit(ring_det(R, [list(r) for r in phi.entries])):
+    T, to, _ = _indexed(phi.ring)
+    rows = [list(map(to, row)) for row in phi.entries]
+    if not T.is_unit(ring_det(T, rows)):
         raise InputError("matrix is not invertible over R")
     n = gr.algebra.dim
     certs = []
-    for e in R.idempotents():
-        sigma = {}
+    for e in phi.ring.idempotents():
+        sigma, ie = {}, to(e)
         for g in gr.support:
             targets = set()
             for j in gr.components[g]:
                 for k in range(n):
-                    if not R.is_zero(R.mul(e, phi.entries[k][j])):
+                    if not T.is_zero(T.mul(ie, rows[k][j])):
                         targets.add(gr.degrees[k])
             if len(targets) != 1:
                 return BlockPermResult(False, [], witness=(e, g, tuple(sorted(targets))))
@@ -212,9 +241,7 @@ def block_permutations(gr, phi):
 
 
 def autgamma_membership(gr, phi):
-    if not automorphism_membership(phi):
-        return False
-    return block_permutations(gr, phi).ok
+    return automorphism_membership(phi) and block_permutations(gr, phi).ok
 
 
 # ---------------------------------------------------------------------------
@@ -299,23 +326,13 @@ def _brute_diag_count(gr, R, cap):
     if count is None or count ** len(supp) > cap:
         return None
     units = list(R.unit_group())
-    G = gr.group
-    A = gr.algebra
-    F = A.field
+    A, d = gr.algebra, gr.degrees
     # one scalar equation per nonzero structure cell
-    cells = []
-    for i in range(A.dim):
-        for j in range(A.dim):
-            if any(not F.is_zero(c) for c in A.table[i][j]):
-                cells.append((gr.degrees[i], gr.degrees[j],
-                              G.add(gr.degrees[i], gr.degrees[j])))
-    cells = sorted(set(cells))
-    total = 0
-    for assign in itertools.product(units, repeat=len(supp)):
-        scal = dict(zip(supp, assign))
-        if all(R.mul(scal[g], scal[h]) == scal[gh] for (g, h, gh) in cells):
-            total += 1
-    return total
+    cells = sorted({(d[i], d[j], gr.group.add(d[i], d[j]))
+                    for i in range(A.dim) for j in range(A.dim) if A.terms[i][j]})
+    return sum(all(R.mul(scal[g], scal[h]) == scal[gh] for (g, h, gh) in cells)
+               for scal in (dict(zip(supp, assign))
+                            for assign in itertools.product(units, repeat=len(supp))))
 
 
 # ---------------------------------------------------------------------------
@@ -324,16 +341,9 @@ def _brute_diag_count(gr, R, cap):
 
 def generic_psi(gr, R):
     """Diagonal operator over RG scaling component A_g by the group element g."""
-    GA = GroupAlgebra(R, gr.group)
-    n = gr.algebra.dim
-    M = [[GA.zero() for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        M[i][i] = GA.monomial(R.one, gr.degrees[i])
-    return M
-
-
-def _ga_from_ring_matrix(GA, M):
-    return [[GA.scalar(x) for x in row] for row in M]
+    GA, n = GroupAlgebra(R, gr.group), gr.algebra.dim
+    return [[GA.monomial(R.one, gr.degrees[i]) if i == j else GA.zero() for j in range(n)]
+            for i in range(n)]
 
 
 def cent_membership_generic(gr, phi):
@@ -384,22 +394,24 @@ def norm_membership_generic(gr, phi):
 
 def _generic_tests(gr, phi, direct):
     """(centralizer member, NormResult) of a verified phi with block
-    permutations direct, from one lift to RG: Phi Psi == Psi Phi must agree
-    with the stabilizer test, and the conjugate Phi^-1 (Psi Phi) with direct."""
-    R = phi.ring
-    GA = GroupAlgebra(R, gr.group)
-    Phi = _ga_from_ring_matrix(GA, phi.entries)
-    Psi = generic_psi(gr, R)
+    permutations direct, from one lift to RG, over R's table when it has one:
+    Phi Psi == Psi Phi must agree with the stabilizer test, and the conjugate
+    Phi^-1 (Psi Phi) with direct."""
+    T, to, _ = _indexed(phi.ring)
+    rows = [list(map(to, row)) for row in phi.entries]
+    GA = GroupAlgebra(T, gr.group)
+    Phi = [[GA.scalar(x) for x in row] for row in rows]
+    Psi = generic_psi(gr, T)
     PsiPhi = linalg.mat_mul(GA, Psi, Phi)
     commute = linalg.mat_mul(GA, Phi, Psi) == PsiPhi
     if commute != _degree_preserving(gr, phi):
         raise MathIdentityError(
             "generic centralizer test disagrees with the stabilizer test")
-    PhiInv = _ga_from_ring_matrix(GA, ring_mat_inv(R, phi.entries))
+    PhiInv = [[GA.scalar(x) for x in row] for row in ring_mat_inv(T, rows)]
     scalars = _scalar_blocks_of(gr, GA, linalg.mat_mul(GA, PhiInv, PsiPhi))
     member = scalars is not None
-    shifts = [(e, {g: _idempotent_cut(R, e, scalars[g]) for g in gr.support})
-              for e in R.idempotents()] if member else []
+    shifts = [(e, {g: _idempotent_cut(T, to(e), scalars[g]) for g in gr.support})
+              for e in phi.ring.idempotents()] if member else []
     if member != direct.ok or shifts != direct.certificates:
         raise MathIdentityError(
             "generic normalizer test disagrees with the intersection definition")
@@ -607,24 +619,28 @@ def _points_by_shape(gr, R, which, cap):
     else:
         raise InputError("unknown point set %r" % which)
     table = R.ring_table()
+    _, _, product, image, multiplicative = _kernel(A, R)
     steps, checks = _enumeration_plan(A)
     n = A.dim
-    terms = tuple(tuple(tuple((k, table.index[R.from_field(c)]) for k, c in cell)
-                        for cell in row) for row in A.terms)
-    zero, add, mul, is_zero = table.zero(), table.add, table.mul, table.is_zero
+    zero, add, mul = table.zero(), table.add, table.mul
     full, zero_only, fibre_sizes = range(len(table.elems)), {zero}, set()
     split = len(R.idempotents()) > 1
     if split:
-        blocks = [R.block(e) for e in R.idempotents()]
+        blocks = [(ring, inject) for ring, _, inject in map(R.block, R.idempotents())]
+        # each block element's index in R, as an element of eR
+        into = [{x: table.index[inject(x)] for x in ring.ring_table().elems}
+                for ring, inject in blocks]
         searches = [(sum((shape for shape, _ in found), ()),
                      itertools.product(*(block_points for _, block_points in found)))
                     for found in itertools.product(*(list(_points_by_shape(gr, ring, which, cap))
-                                                     for ring, _, _ in blocks))]
+                                                     for ring, _ in blocks))]
     elif R.nil_quotient():
         ring, project, section = R.nil_quotient()
         bar = ring.ring_table()
-        classes = [bar.index[project(x)] for x in table.elems]
-        size, sizes = len(full) // len(bar.elems), set(map(classes.count, range(len(bar.elems))))
+        if R.residue_classes[0] is not project:   # counted once per projection
+            classes = [bar.index[project(x)] for x in table.elems]
+            R.residue_classes = project, set(map(classes.count, range(len(bar.elems))))
+        size, sizes = len(full) // len(bar.elems), R.residue_classes[1]
         if sizes != {size}:
             raise MathIdentityError("residue classes have sizes %s, not |R|/|R/nil| = %d"
                                     % (sorted(sizes), size))
@@ -638,21 +654,6 @@ def _points_by_shape(gr, R, which, cap):
                                        if which == "aut" or gr.degrees[l] == gr.degrees[j]))
     else:
         searches = [(shape, None) for shape in shapes]
-
-    def product(x, y):
-        return structure_mul(terms, x, y, zero, is_zero, add, mul, mul)
-
-    def image(cols, i, j):
-        # phi(e_i e_j) on table indices
-        out = [zero] * n
-        for k, c in terms[i][j]:
-            for t, x in enumerate(cols[k]):
-                if not is_zero(x):
-                    out[t] = add(out[t], mul(x, c))
-        return tuple(out)
-
-    def check_ok(cols, i, j):
-        return image(cols, i, j) == product(cols[i], cols[j])
 
     def residual(cols, i, j):
         # phi(e_i) phi(e_j) - phi(e_i e_j)
@@ -690,14 +691,14 @@ def _points_by_shape(gr, R, which, cap):
         if stage == len(steps):
             rows = [[cols[j][k] for j in range(n)] for k in range(n)]
             if table.is_unit(ring_det(table, rows)):
-                survivors.append([[table.elems[x] for x in row] for row in rows])
+                survivors.append(rows)
             return
         step = steps[stage]
         if step[0] == "enum":
             j = step[1]
             for cand in itertools.product(*cells[j]):
                 cols[j] = cand
-                if all(check_ok(cols, a, b) for (a, b) in checks[stage]):
+                if multiplicative(cols, checks[stage]):
                     dfs(stage + 1, cols)
             cols[j] = None
         else:
@@ -705,7 +706,7 @@ def _points_by_shape(gr, R, which, cap):
             ic = table.index[R.from_field(inv_c)]
             cols[k] = tuple(mul(ic, x) for x in product(cols[i], cols[jj]))
             if (all(cols[k][t] in s for t, s in bounds[k])
-                    and all(check_ok(cols, a, b) for (a, b) in checks[stage])):
+                    and multiplicative(cols, checks[stage])):
                 dfs(stage + 1, cols)
             cols[k] = None
 
@@ -713,8 +714,7 @@ def _points_by_shape(gr, R, which, cap):
         certs = [(e, dict(zip(gr.support, (gr.support[i] for i in perm))))
                  for e, perm in zip(R.idempotents(), shape)]
         if split:   # one point per block, summed into R
-            survivors = [[[functools.reduce(R.add, (inject(p.entries[k][j]) for (_, _, inject), p
-                                                    in zip(blocks, parts)))
+            survivors = [[[functools.reduce(add, (m[p.entries[k][j]] for m, p in zip(into, parts)))
                            for j in range(n)] for k in range(n)] for parts in found]
             fibre_sizes.add(len(survivors))
         elif found is None:
@@ -734,14 +734,14 @@ def _points_by_shape(gr, R, which, cap):
                 for i in range(1, len(starts) - 1):
                     nodes = lift(nodes, i, up, down)
                 fibre_sizes.add(len(nodes))
-                survivors += [[[table.elems[phi[j * n + k]] for j in range(n)] for k in range(n)]
+                survivors += [[[phi[j * n + k] for j in range(n)] for k in range(n)]
                               for phi in nodes]
         if len(fibre_sizes - {0}) > 1:
             raise MathIdentityError("point fibres have sizes %s, not one coset size"
                                     % sorted(fibre_sizes - {0}))
         points = []
         for rows in survivors:
-            pt = point_matrix(A, R, rows)
+            pt = PointMatrix(A, R, tuple(tuple(map(table.elems.__getitem__, row)) for row in rows))
             if not automorphism_membership(pt):
                 raise MathIdentityError("fast enumeration produced a non-automorphism")
             if certs and block_permutations(gr, pt).certificates != certs:

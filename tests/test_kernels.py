@@ -17,8 +17,8 @@ from hypothesis import strategies as st
 
 import weylbench as wb
 from weylbench import abgroups, comrings, galg, linalg, points, scalars
-from weylbench.errors import SingularMatrixError, WorkbenchError
-from conftest import battery_rings, para_hurwitz_grading
+from weylbench.errors import InputError, SingularMatrixError, WorkbenchError
+from conftest import battery_rings, cubic_grading, para_hurwitz_grading
 
 KERNEL = settings(derandomize=True, max_examples=40, deadline=None, database=None)
 
@@ -167,15 +167,19 @@ def test_products_over_a_ring_match_dense_loop(name, n, data):
     expected = dense_mul(F, A.table, x, y, R.zero(),
                          lambda r: all(c == F.zero() for c in r),
                          R.add, R.mul, R.from_field)
-    assert points.algebra_mul_over_ring(A, R, x, y) == expected
-    # apply_point scales matrix entries by the same field constants
-    phi = points.point_matrix(A, R, [data.draw(ring_vectors) for _ in range(n)])
-    vec = data.draw(vectors(F, n))
+    # the point layer's kernel, on R's table when it has one
+    T, to, product, image_of, _ = points._kernel(A, R)
+    back = points._indexed(R)[2]
+    assert tuple(map(back, product(tuple(map(to, x)), tuple(map(to, y))))) == expected
+    # image_of scales the columns of phi by the same field constants
+    rows = [data.draw(ring_vectors) for _ in range(n)]
+    i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
     image = [R.zero()] * n
-    for j, c in enumerate(vec):
+    for t, c in enumerate(A.table[i][j]):
         for k in range(n):
-            image[k] = R.add(image[k], R.mul(phi.entries[k][j], R.from_field(c)))
-    assert points.apply_point(phi, vec) == tuple(image)
+            image[k] = R.add(image[k], R.mul(rows[k][t], R.from_field(c)))
+    cols = [tuple(map(to, col)) for col in zip(*rows)]
+    assert tuple(map(back, image_of(cols, i, j))) == tuple(image)
 
 
 @KERNEL
@@ -324,6 +328,9 @@ class Coordinates:
     def is_unit(self, x):
         return coordinate_is_unit(self.R, x)
 
+    def inv(self, x):
+        return next(y for y in self.R.elements() if self.mul(x, y) == self.one)
+
 
 def indices(table):
     """Table indices, the zero index about half of the time."""
@@ -444,6 +451,133 @@ def test_bound_table_ops_match_coordinate_path(name, n, data):
     for _ in range(n):
         power = TR.mul(R, power, x)
     assert R.pow_element(x, n) == power
+
+
+def reference_minors(R, M):
+    """The element-tuple determinant ring_det ran before the point layer
+    moved onto table indices, kept as the reference: cofactor expansion
+    along the first row with memoized minors."""
+    memo = {}
+
+    def minor(rows, cols):
+        if not rows:
+            return R.one
+        key = (rows, cols)
+        if key not in memo:
+            acc = R.zero()
+            for pos, c in enumerate(cols):
+                entry = M[rows[0]][c]
+                if not R.is_zero(entry):
+                    term = R.mul(entry, minor(rows[1:], cols[:pos] + cols[pos + 1:]))
+                    acc = R.add(acc, R.neg(term) if pos % 2 else term)
+            memo[key] = acc
+        return memo[key]
+
+    return minor
+
+
+def reference_det(R, M):
+    every = tuple(range(len(M)))
+    return reference_minors(R, M)(every, every)
+
+
+def reference_inv(R, M):
+    """The element-tuple ring_mat_inv, kept as the reference."""
+    n = len(M)
+    minor, every = reference_minors(R, M), tuple(range(n))
+    d = minor(every, every)
+    if not R.is_unit(d):
+        raise InputError("element is not a unit")
+    d_inv = R.inv(d)
+    return [[R.mul(d_inv, R.neg(cof) if (i + j) % 2 else cof)
+             for j in range(n) for cof in [minor(every[:j] + every[j + 1:],
+                                                  every[:i] + every[i + 1:])]]
+            for i in range(n)]
+
+
+def reference_membership(R, A, M):
+    """The element-tuple automorphism_membership, kept as the reference:
+    det M a unit, and phi(e_i e_j) = phi(e_i) phi(e_j) on every basis pair,
+    both sides by the dense loop with each constant c as R.from_field(c)."""
+    if not R.is_unit(reference_det(R, M)):
+        return False
+    F, n, lift = A.field, A.dim, R.R.from_field
+    cols = [[M[k][j] for k in range(n)] for j in range(n)]
+    for i, j in itertools.product(range(n), repeat=2):
+        image = [R.zero()] * n
+        for t, c in enumerate(A.table[i][j]):
+            for k in range(n):
+                image[k] = R.add(image[k], R.mul(cols[t][k], lift(c)))
+        if tuple(image) != dense_mul(F, A.table, cols[i], cols[j], R.zero(), R.is_zero,
+                                     R.add, R.mul, lift):
+            return False
+    return True
+
+
+# every battery table ring over F3, F5 and F9: the rings of oracle tests
+ORACLE_RINGS = {name: R for name, R in BOUND_RINGS.items()
+                if name.split("/")[1] in ("F3", "F5", "F9")}
+
+
+def cube_roots(R):
+    """The cube roots of unity in R other than 1, or [1] if it has none."""
+    C = Coordinates(R)
+    return [z for z in R.elements() if z != R.one and C.mul(z, C.mul(z, z)) == R.one] or [R.one]
+
+
+CUBE_ROOTS = {name: cube_roots(R) for name, R in ORACLE_RINGS.items()}
+
+
+def transported(A, P):
+    """A on the basis f_j = sum_k P[k][j] e_k, with P^-1; an automorphism S of
+    A on the e basis is P^-1 S P on the f basis.  The new constants are
+    generic, so a point of A rarely survives a wrong one."""
+    F, cols = A.field, [tuple(col) for col in zip(*P)]
+    Pinv = linalg.inv(F, P)
+    table = [[linalg.mat_vec(F, Pinv, list(A.mul(x, y))) for y in cols] for x in cols]
+    return galg.Algebra(F, table), Pinv
+
+
+@settings(derandomize=True, max_examples=150, deadline=None, database=None)
+@given(st.sampled_from(sorted(ORACLE_RINGS)), st.sampled_from([2, 3]), st.data())
+def test_point_layer_matches_element_reference(name, n, data):
+    # para-Hurwitz (2 x 2) or the cubic root (3 x 3), transported to a random
+    # basis; its points diag(z, z^2), [[0, z^2], [z, 0]] and diag(1, z, z^2)
+    # for z^3 = 1, z != 1 if R has such z, one of them with an entry moved, or
+    # a random matrix
+    R = ORACLE_RINGS[name]
+    F, C = R.field, Coordinates(R)
+    z = data.draw(st.sampled_from(CUBE_ROOTS[name]))
+    zz, o = C.mul(z, z), R.zero()
+    if n == 2:
+        A = para_hurwitz_grading(F).algebra
+        S = data.draw(st.sampled_from([[[z, o], [o, zz]], [[o, zz], [z, o]]]))
+    else:
+        A = cubic_grading(F).algebra
+        S = [[R.one, o, o], [o, z, o], [o, o, zz]]
+    P = data.draw(st.lists(st.lists(elements(F), min_size=n, max_size=n),
+                           min_size=n, max_size=n).filter(
+                               lambda P: not F.is_zero(linalg.det(F, P))))
+    A, Pinv = transported(A, P)
+    Pinv, P = ([[R.from_field(c) for c in row] for row in N] for N in (Pinv, P))
+    M = linalg.mat_mul(C, linalg.mat_mul(C, Pinv, S), P)
+    kind = data.draw(st.sampled_from(["point", "moved", "random"]))
+    if kind == "point":
+        assert reference_membership(C, A, M)
+    elif kind == "moved":
+        k, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+        M[k][j] = data.draw(vectors(F, R.dim))
+    else:
+        M = [[data.draw(vectors(F, R.dim)) for _ in range(n)] for _ in range(n)]
+    d = reference_det(C, M)
+    assert points.ring_det(R, M) == d
+    assert points.automorphism_membership(points.point_matrix(A, R, M)) == \
+        reference_membership(C, A, M)
+    if C.is_unit(d):
+        assert points.ring_mat_inv(R, M) == reference_inv(C, M)
+    else:
+        with pytest.raises(InputError):
+            points.ring_mat_inv(R, M)
 
 
 def test_finite_ring_binds_table_ops_at_construction(monkeypatch):

@@ -519,6 +519,21 @@ def test_shaped_search_refuses_a_wrong_certificate(monkeypatch, F3):
             pts.enumerate_points(gr, R, which)
 
 
+def test_points_come_in_ring_sort_key_order(F3, F5, F9):
+    # the CLI goldens and the battery's stride sampling read this order; sort
+    # keys on a table ring are ranks of indices and must keep it
+    base = base_field_ring(F3)
+    for gr, R in ((para_hurwitz_grading(F9), dual_numbers(F9, 2)),
+                  (zero_mult_grading(F3), product_ring(base, base)),
+                  (para_hurwitz_grading(F5), comrings.group_algebra_finite(F5, cyclic_group(3)))):
+        def key(p):
+            return tuple(R.sort_key(x) for row in p.entries for x in row)
+
+        for found in (pts.enumerate_points(gr, R, "aut"), pts.enumerate_points(gr, R, "stab"),
+                      pts.diag_points(gr, R)):
+            assert len(found) > 1 and found == sorted(found, key=key)
+
+
 def test_enumerated_point_sets_are_groups(F3):
     g26 = para_hurwitz_grading(F3)
     R = dual_numbers(F3, 2)
