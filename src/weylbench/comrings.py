@@ -15,7 +15,7 @@ import itertools
 import weakref
 from array import array
 
-from . import linalg
+from . import linalg, scalars
 from .abgroups import FGAbelianGroup
 from .errors import (
     CapExceededError,
@@ -27,7 +27,7 @@ from .errors import (
     SingularMatrixError,
     WorkbenchError,
 )
-from .factorization import crt_idempotent_polys, int_divisors, partial_factor
+from .factorization import crt_idempotent_polys, partial_factor
 from .scalars import TABLE_MAX_ELEMENTS, poly_trim, power_table, split_bracketed
 
 
@@ -91,13 +91,7 @@ class TestRing:
         return self._product(x, y)
 
     def pow_element(self, x, n):
-        out = self.one
-        while n > 0:
-            if n & 1:
-                out = self.mul(out, x)
-            x = self.mul(x, x)
-            n >>= 1
-        return out
+        return scalars.power(self.mul, self.one, x, n)
 
     def mul_matrix(self, x):
         """Matrix of multiplication-by-x on the canonical basis (columns)."""
@@ -611,16 +605,20 @@ UNIT_ENUMERATION_CAP = 10**6
 
 def enumerate_units(R):
     """The unit map of a finite ring: {unit: multiplicative order}, keyed in
-    R.sort_key order.  One R.is_unit test per element."""
+    R.sort_key order.  One R.is_unit test per element; each order comes
+    from scalars.multiplicative_order with the multiple n = |R^x|, which
+    fails only against Lagrange's theorem."""
     count = R.element_count()
     if count is None:
         raise NotEnumerableError("unit enumeration needs a finite base field")
     if count > UNIT_ENUMERATION_CAP:
         raise CapExceededError("|R| = %d exceeds cap %d" % (count, UNIT_ENUMERATION_CAP))
     units = sorted((v for v in R.elements() if R.is_unit(v)), key=R.sort_key)
-    divisors = int_divisors(len(units))
-    return {u: next(d for d in divisors if R.pow_element(u, d) == R.one)
-            for u in units}
+    orders = {u: scalars.multiplicative_order(R.mul, R.one, u, len(units)) for u in units}
+    if None in orders.values():
+        raise MathIdentityError("a unit u of %s has u^|R^x| != 1, against Lagrange's "
+                                "theorem" % R.label)
+    return orders
 
 
 # ---------------------------------------------------------------------------
@@ -638,9 +636,6 @@ class GroupAlgebra:
 
     def zero(self):
         return {}
-
-    def one(self):
-        return {self.group.identity(): self.ring.one}
 
     def monomial(self, r, g):
         if self.ring.is_zero(r):

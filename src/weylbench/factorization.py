@@ -33,19 +33,6 @@ from .scalars import (
 )
 
 
-def int_divisors(n):
-    """The positive divisors of |n|, ascending."""
-    n = abs(n)
-    out = set()
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.add(d)
-            out.add(n // d)
-        d += 1
-    return sorted(out)
-
-
 class Factor:
     def __init__(self, poly, certified):
         self.poly = poly

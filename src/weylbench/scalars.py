@@ -137,6 +137,37 @@ def integer_kth_root(n, k):
     return lo
 
 
+def power(mul, one, x, n):
+    """x^n for n >= 0 in any monoid given by mul and one, by
+    square-and-multiply: the one such loop in the package."""
+    out = one
+    while n:
+        if n & 1:
+            out = mul(out, x)
+        n >>= 1
+        if n:
+            x = mul(x, x)
+    return out
+
+
+def multiplicative_order(mul, one, x, n):
+    """The least d >= 1 with x^d = 1, given a multiple n >= 1 of it; None
+    when x^n != 1.  For each p^e exactly dividing n, y = x^(n/p^e) has order
+    p^k with k <= e, found by raising y to the p-th power until it is one
+    (Cohen, GTM 138, section 1.4); the order is the product of the p^k.
+    With n = 1 there is no prime, so x itself must be one."""
+    d = 1
+    for p, e in prime_powers(n).items():
+        y = power(mul, one, x, n // p**e)
+        for _ in range(e + 1):
+            if y == one:
+                break
+            y, d = power(mul, one, y, p), d * p
+        else:
+            return None
+    return d if d > 1 or x == one else None
+
+
 # ---------------------------------------------------------------------------
 # dense polynomials over an ExactField: coefficient lists, low degree first
 
@@ -260,14 +291,7 @@ def power_table(F, f):
 
 
 def poly_pow_mod(F, base, n, modulus):
-    result = [F.one()]
-    base = poly_mod(F, base, modulus)
-    while n > 0:
-        if n & 1:
-            result = poly_mod(F, poly_mul(F, result, base), modulus)
-        base = poly_mod(F, poly_mul(F, base, base), modulus)
-        n >>= 1
-    return result
+    return power(lambda a, b: poly_mod(F, poly_mul(F, a, b), modulus), [F.one()], base, n)
 
 
 def repeated_factor(F, f):
@@ -372,15 +396,7 @@ class ExactField:
         return a == b
 
     def pow(self, a, n):
-        if n < 0:
-            a, n = self.inv(a), -n
-        result = self.one()
-        while n > 0:
-            if n & 1:
-                result = self.mul(result, a)
-            a = self.mul(a, a)
-            n >>= 1
-        return result
+        return power(self.mul, self.one(), self.inv(a) if n < 0 else a, abs(n))
 
     def is_finite(self):
         return self.cardinality() is not None
@@ -562,18 +578,14 @@ class ExtensionField(ExactField):
 
     def _find_generator(self, q):
         """First element of multiplicative order q - 1, by the polynomial
-        methods; None when there is none, i.e. the modulus is reducible."""
-        n, one = q - 1, self.one()
-        cofactors = [n // r for r in prime_powers(n)]
-        for x in self.elements():
-            if (not self.is_zero(x) and self.pow(x, n) == one
-                    and all(self.pow(x, e) != one for e in cofactors)):
-                return x
-        return None
+        mul; None when there is none, i.e. the modulus is reducible."""
+        one = self.one()
+        return next((x for x in self.elements()
+                     if multiplicative_order(self.mul, one, x, q - 1) == q - 1), None)
 
     def _tabulate(self, g, q):
         """Build exp/log for the generator g and a Zech table, then bind
-        table versions of mul, add, sub, neg, inv and pow, and an elements
+        table versions of mul, add, sub, neg and inv, and an elements
         that yields the table's own tuples, on the instance.
 
         With n = q - 1 and Z = 2n: log sends g^k to k < n and zero to Z; exp
@@ -629,17 +641,8 @@ class ExtensionField(ExactField):
                 raise DivisionByZeroError("division by zero in extension field")
             return exp[n - i]
 
-        def power(a, e):
-            i = log[a]
-            if i == Z:
-                if e < 0:
-                    raise DivisionByZeroError("division by zero in extension field")
-                return zero if e else one
-            return exp[i * e % n]
-
         self.mul, self.add, self.sub = mul, add, sub
-        self.neg, self.inv, self.pow = neg, inv, power
-        self.elements = elements
+        self.neg, self.inv, self.elements = neg, inv, elements
 
     def _vec(self, coeffs):
         d = self.degree
@@ -768,17 +771,9 @@ def unit_order(F, x):
         raise InfiniteFieldError("unit_order needs a finite field")
     if F.is_zero(x):
         raise DivisionByZeroError("unit_order of zero")
-    if getattr(F, "log", None) is not None:
-        n = F.cardinality() - 1
-        return n // math.gcd(F.log[x], n)
-    n, acc = 1, x
-    one = F.one()
-    q = F.cardinality()
-    while acc != one:
-        acc = F.mul(acc, x)
-        n += 1
-        if n > q:
-            raise MathIdentityError("no power of a unit of %r reaches 1" % F)
+    n = multiplicative_order(F.mul, F.one(), x, F.cardinality() - 1)
+    if n is None:
+        raise MathIdentityError("a unit x of %r has x^(q - 1) != 1" % F)
     return n
 
 

@@ -173,6 +173,17 @@ def test_unit_enumeration(F3, F7):
         assert R.pow_element(u, order) == R.one
 
 
+def test_a_unit_map_against_lagrange_is_refused(F3):
+    # a faulty is_unit that also admits eps makes 7 "units" of F3[eps]/eps^2;
+    # eps^7 = 0 != 1, so the orders cannot divide |R^x|
+    R = dual_numbers(F3, 2)
+    eps = (F3.zero(), F3.one())
+    scan = R.is_unit
+    R.is_unit = lambda x: x == eps or scan(x)
+    with pytest.raises(MathIdentityError, match="Lagrange"):
+        R.unit_group()
+
+
 @pytest.mark.parametrize("fname", ["F2", "F3", "F5"])
 def test_unit_map_oracle(fname, request):
     # keys: exactly the x with some y, x*y = 1, in sort-key order; values:
@@ -276,9 +287,9 @@ def test_group_algebra_ops(F3):
     GA = GroupAlgebra(R, G)
     g = GA.monomial(R.one, (1,))
     ginv = GA.monomial(R.one, (5,))
-    assert GA.mul(g, ginv) == GA.one()
+    assert GA.mul(g, ginv) == GA.scalar(R.one)
     u = (F3.one(), F3.one())
-    assert GA.mul(GA.monomial(u, (1,)), GA.monomial(R.inv(u), (5,))) == GA.one()
+    assert GA.mul(GA.monomial(u, (1,)), GA.monomial(R.inv(u), (5,))) == GA.scalar(R.one)
     # infinite group: sparse elements still multiply
     from weylbench.abgroups import FGAbelianGroup
     Z2 = FGAbelianGroup((), 2)

@@ -119,6 +119,28 @@ def test_unit_order_examples():
             assert unit_order(F, F.one()) == 1
 
 
+def test_multiplicative_order_is_the_least_power_that_is_one():
+    # residues mod m against stepping powers: n = 1, multiples of the order,
+    # other n and non-units (None) all occur
+    for m in range(2, 40):
+        def mul(a, b):
+            return a * b % m
+        for x in range(1, m):
+            steps = [pow(x, d, m) for d in range(1, m + 1)]
+            order = steps.index(1) + 1 if 1 in steps else None
+            for n in range(1, 2 * m):
+                expected = order if order and n % order == 0 else None
+                assert scalars.multiplicative_order(mul, 1, x, n) == expected, (m, x, n)
+                assert scalars.power(mul, 1, x, n) == pow(x, n, m)
+
+
+def test_unit_order_refuses_a_unit_whose_powers_miss_one():
+    F7 = wb.prime_field(7)
+    F7.mul = lambda a, b: 2     # a faulty mul: every power is 2, none is 1
+    with pytest.raises(MathIdentityError, match=r"x\^\(q - 1\) != 1"):
+        unit_order(F7, 3)
+
+
 def test_unit_order_divides_group_order():
     for F in all_fields():
         q = F.cardinality()
