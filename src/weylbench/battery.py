@@ -4,9 +4,9 @@ generic normalizer test against the intersection definition.  Any mismatch
 raises MathIdentityError from inside the membership functions themselves.
 
 Small point groups are enumerated exhaustively; large or infinite ones are
-sampled from constructed candidates (diagonal characters, monomial witnesses,
-blockwise combinations, random invertibles where every invertible works),
-each distinct one verified once.
+sampled from built candidates (diagonal characters, monomial witnesses,
+base-field points, blockwise mixes, random invertibles where all products in
+A vanish), each distinct one verified once, by _sampled_points.
 """
 
 from __future__ import annotations
@@ -94,14 +94,13 @@ def battery_points(gr, R, seed=0x5EED):
 
 
 def _sampled_points(gr, R, seed):
-    """Candidates from the sources below, closed under a few products; each
-    distinct point is verified once, here or, for a diagonal point of a small
-    ring, in diag_points."""
+    """Candidates from the sources below, closed under a few products; the
+    sources and products only build them, and each distinct one is verified
+    once, here."""
     rng = random.Random(seed)
     A = gr.algebra
-    diagonal, verified = _diagonal_sample(gr, R, rng)
-    sources = [pts.identity_point(A, R), *diagonal, *_monomial_sample(gr, R),
-               *_base_field_sample(gr, R)]
+    sources = [pts.identity_point(A, R), *_diagonal_sample(gr, R, rng),
+               *_monomial_sample(gr, R), *_base_field_sample(gr, R)]
     if _all_products_zero(A):
         sources += _random_invertibles(gr, R, rng)
     pool = _blockwise_combinations(gr, R, {p.entries for p in sources}, rng)
@@ -118,7 +117,7 @@ def _sampled_points(gr, R, seed):
             base.append(ent)
     out = [pts.PointMatrix(A, R, e) for e in sorted(seen)]
     for p in out:
-        if p.entries not in verified and not pts.automorphism_membership(p):
+        if not pts.automorphism_membership(p):
             raise MathIdentityError("sampled point is not an automorphism")
     return out
 
@@ -129,17 +128,16 @@ def _all_products_zero(A):
 
 
 def _diagonal_sample(gr, R, rng):
-    """(diagonal candidates, entries of the points diag_points verified)."""
+    """Unverified diagonal candidates: over a ring of at most DIAG_FULL_CAP
+    elements, DIAG_KEEP strided from sorted_characters, only those built."""
     count = R.element_count()
     if count is not None and count <= DIAG_FULL_CAP:
         try:
-            dp = pts.diag_points(gr, R, cross_check=False)
+            uni, chars = pts.sorted_characters(gr, R)
         except (NotEnumerableError, CapExceededError, FactorizationIncompleteError):
-            return [], set()
-        verified = {p.entries for p in dp}
-        if len(dp) > DIAG_KEEP:
-            dp = dp[::max(1, len(dp) // DIAG_KEEP)][:DIAG_KEEP]
-        return dp, verified
+            return []
+        kept = chars[::max(1, len(chars) // DIAG_KEEP)][:DIAG_KEEP]
+        return [pts.character_point(gr, R, uni.deg_u, assign) for assign in kept]
     # large or infinite ring: torsion units cover torsion generators of the
     # universal group; free generators get a few random units
     uni = galg.universal_group(gr)
@@ -157,7 +155,7 @@ def _diagonal_sample(gr, R, rng):
         assigns = [a + [v] for a in assigns for v in pool]
         if len(assigns) > 64:
             assigns = assigns[:64]
-    return [pts.character_point(gr, R, uni.deg_u, assign) for assign in assigns], set()
+    return [pts.character_point(gr, R, uni.deg_u, assign) for assign in assigns]
 
 
 def _torsion_units(R):

@@ -263,9 +263,8 @@ def tau_from_character(gr, R, values):
     return character_point(gr, R, {g: g for g in gr.support}, values)
 
 
-def character_point(gr, R, coords, values):
-    """Diagonal point scaling component A_g by prod_i values[i]^coords[g][i];
-    one scalar per support element."""
+def _diagonal(gr, R, coords, values):
+    """[chi(deg i) for each row i], chi(g) = prod_j values[j]^coords[g][j]."""
     chi = {}
     for g in gr.support:
         acc = R.one
@@ -274,37 +273,45 @@ def character_point(gr, R, coords, values):
                 acc = R.mul(acc, R.pow_element(v, c) if c > 0 else
                             R.pow_element(R.inv(v), -c))
         chi[g] = acc
+    return [chi[g] for g in gr.degrees]
+
+
+def character_point(gr, R, coords, values):
+    """Diagonal point scaling component A_g by prod_i values[i]^coords[g][i]."""
     n = gr.algebra.dim
     rows = [[R.zero()] * n for _ in range(n)]
-    for i in range(n):
-        rows[i][i] = chi[gr.degrees[i]]
+    for i, x in enumerate(_diagonal(gr, R, coords, values)):
+        rows[i][i] = x
     return point_matrix(gr.algebra, R, rows)
 
 
-def diag_points(gr, R, cap=10**6, cross_check=True):
-    """Diag(R) as explicit matrices via characters of the universal group.
-    A finite R with more than cap elements is refused before its units are
-    scanned; cap also bounds the brute-force cross-check."""
+def sorted_characters(gr, R, cap=10**6):
+    """(universal group, characters U -> R^x as value tuples) in the sort_key
+    order of their points, read off the diagonals (the rest is zero) without
+    building them.  A finite R over cap elements is refused before its units."""
     count = R.element_count()
     if count is not None and count > cap:
         raise CapExceededError("|R| = %d exceeds cap %d" % (count, cap))
     uni = galg.universal_group(gr)
-    U = uni.group
-    units = _unit_map_for(R, U)
-    chars = abgroups.enumerate_characters(U, units)
-    points = []
-    for assign in chars:
-        pt = character_point(gr, R, uni.deg_u, assign)
-        if not automorphism_membership(pt):
-            raise MathIdentityError("character point is not an automorphism")
-        points.append(pt)
-    points.sort(key=lambda p: p.sort_key())
-    if cross_check and R.element_count() is not None:
-        brute = _brute_diag_count(gr, R, cap)
-        if brute is not None and brute != len(points):
-            raise MathIdentityError(
-                "diagonal point count %d != brute-force count %d"
-                % (len(points), brute))
+    T, to, _ = _indexed(R)   # as in PointMatrix.sort_key
+    key = T.sort_key if T is R else T.rank().__getitem__
+    chars = abgroups.enumerate_characters(uni.group, _unit_map_for(R, uni.group))
+    return uni, sorted(chars, key=lambda a: tuple(
+        key(to(x)) for x in _diagonal(gr, R, uni.deg_u, a)))
+
+
+def diag_points(gr, R, cap=10**6, cross_check=True):
+    """Diag(R) as explicit matrices via characters of the universal group, in
+    sort_key order, each verified; cap as in sorted_characters and for the
+    brute-force cross-check."""
+    uni, chars = sorted_characters(gr, R, cap)
+    points = [character_point(gr, R, uni.deg_u, assign) for assign in chars]
+    if not all(map(automorphism_membership, points)):
+        raise MathIdentityError("character point is not an automorphism")
+    brute = _brute_diag_count(gr, R, cap) if cross_check else None
+    if brute is not None and brute != len(points):
+        raise MathIdentityError("diagonal point count %d != brute-force count %d"
+                                % (len(points), brute))
     return points
 
 

@@ -17,6 +17,7 @@ comrings.truncated_poly.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from fractions import Fraction
@@ -38,6 +39,8 @@ TABLE_MAX_ELEMENTS = 512
 
 
 TRIAL_DIVISION_BOUND = 1000
+# prime_powers(n) as pairs, kept: a unit map factors its one n = |R^x| once
+_factored = functools.lru_cache(maxsize=64)(lambda n: tuple(prime_powers(n).items()))
 
 
 def prime_powers(n):
@@ -152,12 +155,12 @@ def power(mul, one, x, n):
 
 def multiplicative_order(mul, one, x, n):
     """The least d >= 1 with x^d = 1, given a multiple n >= 1 of it; None
-    when x^n != 1.  For each p^e exactly dividing n, y = x^(n/p^e) has order
-    p^k with k <= e, found by raising y to the p-th power until it is one
-    (Cohen, GTM 138, section 1.4); the order is the product of the p^k.
-    With n = 1 there is no prime, so x itself must be one."""
+    when x^n != 1.  For each p^e exactly dividing n (factored once, kept),
+    y = x^(n/p^e) has order p^k with k <= e, found by raising y to the p-th
+    power until it is one (Cohen, GTM 138, section 1.4); the order is the
+    product of the p^k.  With n = 1 there is no prime, so x must be one."""
     d = 1
-    for p, e in prime_powers(n).items():
+    for p, e in _factored(n):
         y = power(mul, one, x, n // p**e)
         for _ in range(e + 1):
             if y == one:

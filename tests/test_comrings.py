@@ -218,6 +218,19 @@ def test_unit_map_is_the_only_unit_scan(F5):
     assert brute == 100 * 100
 
 
+def test_unit_map_factors_its_order_once(F5, monkeypatch):
+    # every unit's order is found against the same n = |R^x| = 100: the map
+    # factors n once, not once per unit
+    from weylbench import scalars
+    calls = []
+    factor = scalars.prime_powers
+    monkeypatch.setattr(scalars, "prime_powers", lambda n: calls.append(n) or factor(n))
+    scalars._factored.cache_clear()
+    units = enumerate_units(dual_numbers(F5, 3))
+    assert len(units) == 100 and calls == [100]
+    assert sorted(set(units.values())) == [1, 2, 4, 5, 10, 20]
+
+
 def _first_dependence(F, vectors):
     """Reference: smallest k with v_k in span(v_0..v_{k-1}), by incremental
     elimination, with v_k as a combination of the earlier vectors."""

@@ -201,9 +201,9 @@ def test_battery_verifies_each_point_once(monkeypatch, Q, F3):
         assert res.mode == mode
         assert res.cent_checked == res.norm_checked == res.distinct_points
         assert [name for name, _, _ in calls] == ["block_permutations"] * res.distinct_points
-    # sampled cells: each distinct point is verified exactly once, in
-    # diag_points or in the final loop of _sampled_points; over F3[eps]/eps^3
-    # diagonal points that the stride dropped come back as products
+    # sampled cells: each distinct point is verified exactly once, in the
+    # final loop of _sampled_points; over F3[eps]/eps^3 diagonal points that
+    # the stride dropped, and so never built, come back as products
     monkeypatch.setattr(battery, "battery_points", find)
     verify = pts.automorphism_membership
     keys = []
@@ -233,6 +233,48 @@ def test_sampled_large_ring_character_point_is_verified(monkeypatch, Q):
     monkeypatch.setattr(pts, "character_point", singular)
     with pytest.raises(MathIdentityError, match="sampled point is not an automorphism"):
         battery.theorem_battery(zero_mult_grading(Q), dual_numbers(Q, 2))
+
+
+def test_sampled_small_ring_character_point_is_verified(monkeypatch, F5):
+    # over F5[eps]/eps^3 the diagonal candidates are built from sorted
+    # characters, never verified in diag_points: a singular one must fail the
+    # final check too
+    def singular(gr, R, coords, values):
+        return pts.point_matrix(gr.algebra, R, [[R.zero()] * gr.algebra.dim] * gr.algebra.dim)
+    monkeypatch.setattr(pts, "character_point", singular)
+    with pytest.raises(MathIdentityError, match="sampled point is not an automorphism"):
+        battery.theorem_battery(zero_mult_grading(F5), dual_numbers(F5, 3))
+
+
+def _battery_cells(F3, F5, F7, F9):
+    fixtures = [zero_mult_grading(F3), zero_mult_grading(F5), para_hurwitz_grading(F3),
+                galg.extend_scalars(para_hurwitz_grading(F3), F9),
+                galg.grading_over(cubic_grading(wb.rationals()), F7), trivial_grading(F3)]
+    for gr in fixtures:
+        F = gr.algebra.field
+        base = base_field_ring(F)
+        for R in (base, dual_numbers(F, 2), dual_numbers(F, 3), product_ring(base, base),
+                  comrings.group_algebra_finite(F, cyclic_group(2)),
+                  comrings.group_algebra_finite(F, cyclic_group(3))):
+            yield gr, R
+
+
+def test_diagonal_sample_strides_the_sorted_diagonal_points(F3, F5, F7, F9):
+    # reference: every point of Diag(R), sorted by PointMatrix.sort_key, then
+    # strided as the battery does; the sample builds only the kept points
+    rng = random.Random(0)
+    cells = 0
+    for gr, R in _battery_cells(F3, F5, F7, F9):
+        if R.element_count() > battery.DIAG_FULL_CAP:
+            continue
+        dp = pts.diag_points(gr, R, cross_check=False)
+        ref = sorted(dp, key=pts.PointMatrix.sort_key)
+        assert [p.entries for p in dp] == [p.entries for p in ref]
+        ref = ref[::max(1, len(ref) // battery.DIAG_KEEP)][:battery.DIAG_KEEP]
+        got = battery._diagonal_sample(gr, R, rng)
+        assert [p.entries for p in got] == [p.entries for p in ref], (gr, R.label)
+        cells += 1
+    assert cells == 36
 
 
 def test_sampled_blockwise_mix_is_verified(monkeypatch, Q):
