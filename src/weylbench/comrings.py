@@ -206,7 +206,8 @@ class TestRing:
             ring, project, lift = _quotient_ring(
                 self, [self.mul(f, self._basis_vec(i)) for i in range(self.dim)],
                 "%s|block" % self.label)
-            self._blocks[e] = ring, project, lambda b: self.mul(e, lift(b))
+            mul = self._product   # not self: the ring would hold itself
+            self._blocks[e] = ring, project, lambda b: mul(e, lift(b))
         return self._blocks[e]
 
     def filtration(self):
@@ -257,10 +258,10 @@ class RingTable:
     (zero(), one, is_zero, add, mul, scal by a constant given as the index of
     R.from_field(c), neg, inv, is_unit), so the point layer of points.py runs
     on it.  Cells are filled on first use by the coordinate kernel (TestRing
-    mul, add, neg, the determinant test of is_unit); a row, the negatives,
-    the sort ranks and per algebra its constants as indices (terms, kept by
-    points) are made when first needed.  It holds its ring weakly: the two
-    form no reference cycle."""
+    mul, add, neg, inv, the determinant test of is_unit); a row, the
+    negatives, the inverses, the sort ranks and per algebra its constants as
+    indices with their nonempty cells (terms, data kept by points) are made
+    when first needed.  It holds its ring weakly: the two form no cycle."""
 
     MAX_ELEMENTS = TABLE_MAX_ELEMENTS
 
@@ -276,7 +277,7 @@ class RingTable:
         self._blank = array("H", [_EMPTY]) * count   # shared until written
         self._mul = [self._blank] * count
         self._add = [self._blank] * count
-        self._neg, self._rank, self.terms = self._blank, None, {}
+        self._neg, self._inv, self._rank, self.terms = self._blank, self._blank, None, {}
         self._unit = bytearray(count)    # 0 unknown, 1 not a unit, 2 unit
         self._zero = self.index[R.zero()]
         self.one = self.index[R.one]
@@ -322,11 +323,18 @@ class RingTable:
     scal = mul
 
     def neg(self, a):
-        if self._neg is self._blank:
-            self._neg = array("H", self._blank)
         c = self._neg[a]
-        if c == _EMPTY:
-            c = self._neg[a] = self.index[TestRing.neg(self._ring(), self.elems[a])]
+        return c if c != _EMPTY else self._keep("_neg", TestRing.neg, a)
+
+    def inv(self, a):   # a non-unit is not kept, so it raises InputError each time
+        c = self._inv[a]
+        return c if c != _EMPTY else self._keep("_inv", TestRing.inv, a)
+
+    def _keep(self, name, kernel, a):
+        """Fill entry a of the array named name from the kernel."""
+        if getattr(self, name) is self._blank:
+            setattr(self, name, array("H", self._blank))
+        c = getattr(self, name)[a] = self.index[kernel(self._ring(), self.elems[a])]
         return c
 
     def rank(self):
@@ -336,9 +344,6 @@ class RingTable:
             order = sorted(range(len(self.elems)), key=lambda a: key(self.elems[a]))
             self._rank = sorted(range(len(order)), key=order.__getitem__)
         return self._rank
-
-    def inv(self, a):
-        return self.index[TestRing.inv(self._ring(), self.elems[a])]
 
     def is_unit(self, a):
         if not self._unit[a]:
@@ -471,8 +476,8 @@ def _quotient_ring(R, ideal_basis, label):
                     out[j] = F.sub(out[j], F.mul(c, b))
         return tuple(out)
 
-    def lift_vec(qx):
-        x = [F.zero()] * R.dim
+    def lift_vec(qx):   # kept on R, so it must not hold R: R.dim = |pivots| + |free|
+        x = [F.zero()] * (len(pivots) + len(free))
         for c, coord in zip(free, qx):
             x[c] = coord
         return tuple(x)

@@ -1,6 +1,7 @@
 """Dense exact linear algebra over an ExactField (desk-scale matrices), and
 the two products that work over any ring: `mat_mul` and the
-structure-constant kernel `structure_mul`.
+structure-constant kernel `structure_mul`, which visits only the nonempty
+cells of a table (`nonempty_cells`).
 
 Over Q the products, `mat_vec` and `rref` (so `solve`, `inv`, `nullspace`
 and `rank`) run on Python ints scaled by common denominators, making one
@@ -53,8 +54,8 @@ def compile_product(F, table):
         p = F.p
         return terms, lambda x, y: tuple(v % p for v in _int_products(terms, x, y)), terms
     if F.kind != "rationals":
-        zero, is_zero, add, mul = F.zero(), F.is_zero, F.add, F.mul
-        return terms, lambda x, y: structure_mul(terms, x, y, zero, is_zero, add, mul, mul), None
+        cells, zero, is_zero, add, mul = nonempty_cells(terms), F.zero(), F.is_zero, F.add, F.mul
+        return terms, lambda x, y: structure_mul(cells, x, y, zero, is_zero, add, mul, mul), None
     # Over Q: the constants times their common denominator D, x and y times
     # the lcms dx, dy of theirs; one Fraction per coordinate.
     D = lcm(*(c.denominator for row in terms for cell in row for _, c in cell))
@@ -89,21 +90,21 @@ def _on_integers(v):
     return d, [a.numerator * (d // a.denominator) for a in v]
 
 
-def structure_mul(terms, x, y, zero, is_zero, add, mul, scal):
-    """The product sum_{i,j,k} x_i y_j c_ijk e_k from compiled terms.
+def nonempty_cells(terms):
+    """The cells (i, j, ((k, c), ...)) of compiled terms that hold a constant."""
+    return tuple((i, j, cell) for i, row in enumerate(terms) for j, cell in enumerate(row) if cell)
+
+
+def structure_mul(cells, x, y, zero, is_zero, add, mul, scal):
+    """The product sum_{i,j,k} x_i y_j c_ijk e_k over the nonempty cells.
 
     Coordinates live in any commutative ring given by zero/is_zero/add/mul,
     and scal(c, r) multiplies r by a structure constant c.  Zero coordinates
-    and empty cells are skipped, so each x_i y_j is formed only when needed."""
-    out = [zero] * len(terms)
-    for i, a in enumerate(x):
-        if is_zero(a):
-            continue
-        row = terms[i]
-        for j, b in enumerate(y):
-            cell = row[j]
-            if not cell or is_zero(b):
-                continue
+    are skipped, so each x_i y_j is formed only when needed."""
+    out = [zero] * len(x)
+    for i, j, cell in cells:
+        a, b = x[i], y[j]
+        if not (is_zero(a) or is_zero(b)):
             ab = mul(a, b)
             for k, c in cell:
                 out[k] = add(out[k], scal(c, ab))

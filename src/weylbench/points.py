@@ -27,7 +27,7 @@ from .errors import (
     NotEnumerableError,
     OrderViolationError,
 )
-from .linalg import structure_mul
+from .linalg import nonempty_cells, structure_mul
 
 
 @dataclass(frozen=True)
@@ -84,17 +84,19 @@ def _kernel(A, R):
     y) multiplies coordinate vectors of A tensor R, image(cols, i, j) is
     phi(e_i e_j) for phi given by its columns, and multiplicative(cols,
     pairs) tests phi(e_i e_j) = phi(e_i) phi(e_j) on each pair.  On a table
-    each structure constant c is the index of R.from_field(c), made once per
-    algebra and kept on the table."""
+    each structure constant c is the index of R.from_field(c); those terms
+    and their nonempty cells are made once per algebra and kept on the
+    table, as data only."""
     T, to, _ = _indexed(R)
     if T is not R and A not in T.terms:
-        T.terms[A] = tuple(tuple(tuple((k, to(R.from_field(c))) for k, c in cell)
-                                 for cell in row) for row in A.terms)
-    terms = A.terms if T is R else T.terms[A]
+        terms = tuple(tuple(tuple((k, to(R.from_field(c))) for k, c in cell)
+                            for cell in row) for row in A.terms)
+        T.terms[A] = terms, nonempty_cells(terms)
+    terms, cells = (A.terms, nonempty_cells(A.terms)) if T is R else T.terms[A]
     zero, is_zero, add, mul, scal = T.zero(), T.is_zero, T.add, T.mul, T.scal
 
     def product(x, y):
-        return structure_mul(terms, x, y, zero, is_zero, add, mul, scal)
+        return structure_mul(cells, x, y, zero, is_zero, add, mul, scal)
 
     def image(cols, i, j):
         out = [zero] * len(cols)
@@ -115,13 +117,18 @@ def _kernel(A, R):
 
 def _minors(R, M):
     """det of M on (rows, cols) tuples, by cofactor expansion along the
-    first row with memoized minors: no division, so it stays exact over
-    rings with zero divisors, where elimination cannot pivot; R is a
+    first row down to ad - bc, with the minors of 3x3 and up memoized (the
+    cofactors of ring_mat_inv share them): no division, so it stays exact
+    over rings with zero divisors, where elimination cannot pivot; R is a
     TestRing on elements or its RingTable on indices"""
     memo, one, zero = {}, R.one, R.zero()
     is_zero, add, mul, neg = R.is_zero, R.add, R.mul, R.neg
 
-    def minor(rows, cols):
+    def minor(rows, cols, minor):   # passed itself: a closure cell of its own is a cycle
+        if len(rows) == 2:   # ad - bc, with no memo entry and no product by a zero a or b
+            (r, s), (c, d) = rows, cols
+            ad = zero if is_zero(M[r][c]) else mul(M[r][c], M[s][d])
+            return add(ad, zero if is_zero(M[r][d]) else neg(mul(M[r][d], M[s][c])))
         if len(rows) < 2:
             return M[rows[0]][cols[0]] if rows else one
         key = (rows, cols)
@@ -130,12 +137,12 @@ def _minors(R, M):
             for pos, c in enumerate(cols):
                 entry = M[rows[0]][c]
                 if not is_zero(entry):
-                    term = mul(entry, minor(rows[1:], cols[:pos] + cols[pos + 1:]))
+                    term = mul(entry, minor(rows[1:], cols[:pos] + cols[pos + 1:], minor))
                     acc = add(acc, neg(term) if pos % 2 else term)
             memo[key] = acc
         return memo[key]
 
-    return minor
+    return lambda rows, cols: minor(rows, cols, minor)
 
 
 def ring_det(R, M):
@@ -694,7 +701,7 @@ def _points_by_shape(gr, R, which, cap):
                                   tuple(map(add, phi, times(rho, parts))))
         return children
 
-    def dfs(stage, cols):
+    def dfs(stage, cols, dfs):   # passed itself: a closure cell of its own is a cycle
         if stage == len(steps):
             rows = [[cols[j][k] for j in range(n)] for k in range(n)]
             if table.is_unit(ring_det(table, rows)):
@@ -706,7 +713,7 @@ def _points_by_shape(gr, R, which, cap):
             for cand in itertools.product(*cells[j]):
                 cols[j] = cand
                 if multiplicative(cols, checks[stage]):
-                    dfs(stage + 1, cols)
+                    dfs(stage + 1, cols, dfs)
             cols[j] = None
         else:
             _, k, i, jj, inv_c = step
@@ -714,7 +721,7 @@ def _points_by_shape(gr, R, which, cap):
             cols[k] = tuple(mul(ic, x) for x in product(cols[i], cols[jj]))
             if (all(cols[k][t] in s for t, s in bounds[k])
                     and multiplicative(cols, checks[stage])):
-                dfs(stage + 1, cols)
+                dfs(stage + 1, cols, dfs)
             cols[k] = None
 
     for shape, found in searches:
@@ -729,7 +736,7 @@ def _points_by_shape(gr, R, which, cap):
                       else full for k in range(n)] for j in range(n)]
             bounds = [[(t, s) for t, s in enumerate(col) if s is not full] for col in cells]
             survivors = []
-            dfs(0, [None] * n)
+            dfs(0, [None] * n, dfs)
             fibre_sizes.add(len(survivors))
         else:
             survivors = []

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 import weylbench as wb
 from weylbench import abgroups, comrings, galg, linalg, points, scalars
 from weylbench.errors import InputError, SingularMatrixError, WorkbenchError
-from conftest import battery_rings, cubic_grading, para_hurwitz_grading
+from conftest import battery_rings, cubic_grading, para_hurwitz_grading, zero_mult_grading
 
 KERNEL = settings(derandomize=True, max_examples=40, deadline=None, database=None)
 
@@ -161,25 +161,36 @@ def test_rational_mat_vec_matches_dense_loop_on_large_denominators(m, n, data):
 def test_products_over_a_ring_match_dense_loop(name, n, data):
     F = KERNEL_FIELDS[name]
     R = data.draw(st.sampled_from(RINGS[name]))
-    A = galg.Algebra(F, data.draw(tables(F, n)))
+    zero_table = [[(F.zero(),) * n] * n] * n   # no nonempty cell at all
     ring_vectors = st.tuples(*[st.one_of(st.just(R.zero()), vectors(F, R.dim))] * n)
-    x, y = data.draw(ring_vectors), data.draw(ring_vectors)
-    expected = dense_mul(F, A.table, x, y, R.zero(),
-                         lambda r: all(c == F.zero() for c in r),
-                         R.add, R.mul, R.from_field)
-    # the point layer's kernel, on R's table when it has one
-    T, to, product, image_of, _ = points._kernel(A, R)
     back = points._indexed(R)[2]
-    assert tuple(map(back, product(tuple(map(to, x)), tuple(map(to, y))))) == expected
-    # image_of scales the columns of phi by the same field constants
-    rows = [data.draw(ring_vectors) for _ in range(n)]
-    i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
-    image = [R.zero()] * n
-    for t, c in enumerate(A.table[i][j]):
-        for k in range(n):
-            image[k] = R.add(image[k], R.mul(rows[k][t], R.from_field(c)))
-    cols = [tuple(map(to, col)) for col in zip(*rows)]
-    assert tuple(map(back, image_of(cols, i, j))) == tuple(image)
+    # _kernel twice on one algebra (the second reads the kept cells), then
+    # once on a second algebra over the same ring
+    first = galg.Algebra(F, data.draw(st.one_of(st.just(zero_table), tables(F, n))))
+    for A in (first, first, galg.Algebra(F, data.draw(tables(F, n)))):
+        x, y = data.draw(ring_vectors), data.draw(ring_vectors)
+        expected = dense_mul(F, A.table, x, y, R.zero(),
+                             lambda r: all(c == F.zero() for c in r),
+                             R.add, R.mul, R.from_field)
+        # the point layer's kernel, on R's table when it has one
+        T, to, product, image_of, _ = points._kernel(A, R)
+        assert tuple(map(back, product(tuple(map(to, x)), tuple(map(to, y))))) == expected
+        # image_of scales the columns of phi by the same field constants
+        rows = [data.draw(ring_vectors) for _ in range(n)]
+        i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+        image = [R.zero()] * n
+        for t, c in enumerate(A.table[i][j]):
+            for k in range(n):
+                image[k] = R.add(image[k], R.mul(rows[k][t], R.from_field(c)))
+        cols = [tuple(map(to, col)) for col in zip(*rows)]
+        assert tuple(map(back, image_of(cols, i, j))) == tuple(image)
+    # what the table keeps per algebra is data only: index terms and cells
+    if T is not R:
+        assert set(T.terms) >= {first, A}
+        for terms, cells in T.terms.values():
+            assert cells == tuple((i, j, cell) for i, row in enumerate(terms)
+                                  for j, cell in enumerate(row) if cell)
+            assert all(type(c) is int for _, _, cell in cells for k, c in cell)
 
 
 @KERNEL
@@ -386,7 +397,7 @@ def leibniz_det(table, cols):
 
 
 @KERNEL
-@given(st.sampled_from(sorted(TABLE_RINGS)), st.integers(1, 3), st.data())
+@given(st.sampled_from(sorted(TABLE_RINGS)), st.integers(1, 4), st.data())
 def test_ring_det_over_table_matches_elements_and_leibniz(name, n, data):
     R = TABLE_RINGS[name]
     T = R.ring_table()
@@ -610,25 +621,62 @@ def test_q_and_large_rings_never_bind_table_ops():
 
 
 def test_tabulated_ring_is_freed_without_the_cycle_collector():
-    R = comrings.dual_numbers(F3, 2)
-    R.unit_group()
-    assert {"mul", "add", "is_unit"} <= set(vars(R))
-    ref = weakref.ref(R)
-    gc.disable()
-    try:
-        del R
-        assert ref() is None
-    finally:
-        gc.enable()
+    # each ring with its table, and the residue and block rings it made with
+    # theirs, goes as soon as it is dropped, and no call leaves cyclic garbage:
+    # none is held by a closure of its own
+    base = comrings.base_field_ring(F3)
+    gr, cubic = zero_mult_grading(F3), cubic_grading(F7)
+    cases = [(lambda: comrings.dual_numbers(F3, 2), lambda R: R.unit_group()),
+             (lambda: comrings.dual_numbers(F3, 2), lambda R: R.idempotents()),
+             (lambda: comrings.product_ring(base, base), lambda R: R.block(R.idempotents()[0])),
+             (lambda: comrings.dual_numbers(F3, 2),
+              lambda R: points.enumerate_points(gr, R, "aut")),
+             (lambda: comrings.product_ring(base, base),
+              lambda R: points.enumerate_points(gr, R, "aut")),
+             (lambda: comrings.base_field_ring(F7),   # 3x3 minors, memoized
+              lambda R: [points.norm_membership_generic(cubic, p)
+                         for p in points.enumerate_points(cubic, R, "stab")])]
+    for ring, use in cases:
+        gc.collect()
+        gc.disable()
+        try:
+            R = ring()
+            use(R)
+            assert {"mul", "add", "is_unit"} <= set(vars(R))
+            rings = [R] + [R._blocks[e][0] for e in R._blocks]
+            if R._nil_quotient:
+                rings.append(R._nil_quotient[0])
+            refs = [weakref.ref(x) for S in rings for x in (S, S.ring_table())]
+            del R, rings
+            assert [ref() for ref in refs] == [None] * len(refs)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 def test_table_kept_past_its_ring_raises_a_clear_error():
     T = comrings.dual_numbers(F3, 2).ring_table()
     gc.collect()
     for op in (lambda: T.mul(1, 2), lambda: T.add(1, 2), lambda: T.neg(1),
-               lambda: T.is_unit(1)):
+               lambda: T.is_unit(1), lambda: T.inv(T.one)):
         with pytest.raises(WorkbenchError, match="valid only while its ring is alive"):
             op()
+
+
+@pytest.mark.parametrize("name", ["dual3/F3", "FxF/F3", "FC2/F2"])
+def test_table_inv_is_kept_and_matches_element_inv(name):
+    R = TABLE_RINGS[name]
+    T, units = R.ring_table(), 0
+    for a, x in enumerate(T.elems):
+        if not comrings.TestRing.is_unit(R, x):
+            for _ in range(2):   # a non-unit is refused on every call
+                with pytest.raises(InputError, match="not a unit"):
+                    T.inv(a)
+            continue
+        assert T.elems[T.inv(a)] == comrings.TestRing.inv(R, x)
+        assert T.inv(a) == T.inv(a) == T._inv[a]   # kept after the first call
+        units += 1
+    assert units == len(R.unit_group())
 
 
 def test_unit_group_makes_one_determinant_test_per_element(monkeypatch):

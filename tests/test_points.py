@@ -277,6 +277,29 @@ def test_diagonal_sample_strides_the_sorted_diagonal_points(F3, F5, F7, F9):
     assert cells == 36
 
 
+class ReversedRing(comrings.TestRing):
+    """A test ring that lists its elements backwards, so the indices of its
+    RingTable are not in R.sort_key order and rank() is not the identity."""
+
+    def elements(self):
+        return reversed(list(super().elements()))
+
+
+def test_points_sort_by_element_keys_on_a_table_out_of_sort_order(F3):
+    ordered = dual_numbers(F3, 2)
+    R = ReversedRing(F3, ordered.table, ordered.one, label="reversed")
+    T = R.ring_table()
+    assert T.rank() == list(reversed(range(len(T.elems))))
+    gr = zero_mult_grading(F3)
+    got = pts.enumerate_points(gr, R, "aut")
+    assert len(got) == 3888
+    assert got == sorted(got, key=lambda p: tuple(map(R.sort_key, itertools.chain(*p.entries))))
+    assert [p.entries for p in got] == [p.entries for p in pts.enumerate_points(gr, ordered)]
+    uni, chars = pts.sorted_characters(gr, R)
+    keys = [tuple(map(R.sort_key, pts._diagonal(gr, R, uni.deg_u, a))) for a in chars]
+    assert len(keys) == 36 and keys == sorted(keys)
+
+
 def test_sampled_blockwise_mix_is_verified(monkeypatch, Q):
     # a "blockwise" mix over the first block twice misses the second block
     R = product_ring(base_field_ring(Q), base_field_ring(Q))
