@@ -8,8 +8,8 @@ the structure theory they are decided at the single generic algebra RG and
 cross-asserted against the direct block/permutation definitions on every
 call, so any gap between the two characterizations raises MathIdentityError.
 Over a ring with a RingTable, membership, det and inverse, block certificates,
-the RG tests and sort keys run on its indices (_kernel); points, certificates
-and shifts stay in ring elements.
+the RG tests and sort keys run on its indices, where A's constants are kept
+as data (_kernel); points, certificates and shifts stay in ring elements.
 """
 
 from __future__ import annotations
@@ -80,39 +80,38 @@ def _indexed(R):
 
 
 def _kernel(A, R):
-    """(ring, to, product, image, multiplicative) on _indexed(R): product(x,
-    y) multiplies coordinate vectors of A tensor R, image(cols, i, j) is
-    phi(e_i e_j) for phi given by its columns, and multiplicative(cols,
-    pairs) tests phi(e_i e_j) = phi(e_i) phi(e_j) on each pair.  On a table
-    each structure constant c is the index of R.from_field(c); those terms
-    and their nonempty cells are made once per algebra and kept on the
-    table, as data only."""
+    """(ring, to, terms, cells) on _indexed(R): A's constants terms[i][j] =
+    ((k, c), ...) and their nonempty cells.  On a table each c is the index of
+    R.from_field(c), made once per algebra and kept on the table, as data."""
     T, to, _ = _indexed(R)
-    if T is not R and A not in T.terms:
+    if T is R:
+        return T, to, A.terms, nonempty_cells(A.terms)
+    if A not in T.terms:
         terms = tuple(tuple(tuple((k, to(R.from_field(c))) for k, c in cell)
                             for cell in row) for row in A.terms)
         T.terms[A] = terms, nonempty_cells(terms)
-    terms, cells = (A.terms, nonempty_cells(A.terms)) if T is R else T.terms[A]
+    return (T, to) + T.terms[A]
+
+
+def _image(cell, cols, zero, is_zero, add, scal):
+    """phi(e_i e_j) from phi's columns and the cell ((k, c), ...) of e_i e_j."""
+    out = [zero] * len(cols)
+    for k, c in cell:
+        for t, x in enumerate(cols[k]):
+            if not is_zero(x):
+                out[t] = add(out[t], scal(c, x))
+    return tuple(out)
+
+
+def _multiplicative(T, terms, cells, cols, pairs):
+    """phi(e_i e_j) = phi(e_i) phi(e_j) on each pair (i, j), phi given by its
+    columns over T: the one multiplicativity test, T's ops bound once a call."""
     zero, is_zero, add, mul, scal = T.zero(), T.is_zero, T.add, T.mul, T.scal
-
-    def product(x, y):
-        return structure_mul(cells, x, y, zero, is_zero, add, mul, scal)
-
-    def image(cols, i, j):
-        out = [zero] * len(cols)
-        for k, c in terms[i][j]:
-            for t, x in enumerate(cols[k]):
-                if not is_zero(x):
-                    out[t] = add(out[t], scal(c, x))
-        return tuple(out)
-
-    def multiplicative(cols, pairs):
-        for i, j in pairs:
-            if image(cols, i, j) != product(cols[i], cols[j]):
-                return False
-        return True
-
-    return T, to, product, image, multiplicative
+    for i, j in pairs:
+        if (_image(terms[i][j], cols, zero, is_zero, add, scal)
+                != structure_mul(cells, cols[i], cols[j], zero, is_zero, add, mul, scal)):
+            return False
+    return True
 
 
 def _minors(R, M):
@@ -125,10 +124,9 @@ def _minors(R, M):
     is_zero, add, mul, neg = R.is_zero, R.add, R.mul, R.neg
 
     def minor(rows, cols, minor):   # passed itself: a closure cell of its own is a cycle
-        if len(rows) == 2:   # ad - bc, with no memo entry and no product by a zero a or b
+        if len(rows) == 2:   # no memo entry
             (r, s), (c, d) = rows, cols
-            ad = zero if is_zero(M[r][c]) else mul(M[r][c], M[s][d])
-            return add(ad, zero if is_zero(M[r][d]) else neg(mul(M[r][d], M[s][c])))
+            return _ad_bc(R, M[r][c], M[r][d], M[s][c], M[s][d])
         if len(rows) < 2:
             return M[rows[0]][cols[0]] if rows else one
         key = (rows, cols)
@@ -145,11 +143,20 @@ def _minors(R, M):
     return lambda rows, cols: minor(rows, cols, minor)
 
 
+def _ad_bc(R, a, b, c, d):
+    """ad - bc over R, with no product by a zero a or b."""
+    ad = R.zero() if R.is_zero(a) else R.mul(a, d)
+    return ad if R.is_zero(b) else R.add(ad, R.neg(R.mul(b, c)))
+
+
 def ring_det(R, M):
-    """det M for a matrix over R, expanded on R's table when it has one."""
+    """det M for a matrix over R, on R's table when it has one; a 2x2 is ad - bc."""
     T, to, back = _indexed(R)
+    M = M if T is R else [list(map(to, row)) for row in M]
+    if len(M) == 2:
+        return back(_ad_bc(T, *M[0], *M[1]))
     every = tuple(range(len(M)))
-    return back(_minors(T, M if T is R else [list(map(to, row)) for row in M])(every, every))
+    return back(_minors(T, M)(every, every))
 
 
 def ring_mat_inv(R, M):
@@ -170,12 +177,12 @@ def ring_mat_inv(R, M):
 
 def automorphism_membership(phi):
     """det(phi) a unit and phi multiplicative on all basis pairs."""
-    T, to, _, _, multiplicative = _kernel(phi.algebra, phi.ring)
+    T, to, terms, cells = _kernel(phi.algebra, phi.ring)
     rows = [list(map(to, row)) for row in phi.entries]
     if not T.is_unit(ring_det(T, rows)):
         return False
     every = range(phi.algebra.dim)
-    return multiplicative(list(zip(*rows)), itertools.product(every, every))
+    return _multiplicative(T, terms, cells, list(zip(*rows)), itertools.product(every, every))
 
 
 def _require_automorphism(phi):
@@ -633,10 +640,11 @@ def _points_by_shape(gr, R, which, cap):
     else:
         raise InputError("unknown point set %r" % which)
     table = R.ring_table()
-    _, _, product, image, multiplicative = _kernel(A, R)
+    _, _, terms, cells = _kernel(A, R)
     steps, checks = _enumeration_plan(A)
     n = A.dim
     zero, add, mul = table.zero(), table.add, table.mul
+    ops = zero, table.is_zero, add, mul   # structure_mul's and _image's, scal = mul
     full, zero_only, fibre_sizes = range(len(table.elems)), {zero}, set()
     split = len(R.idempotents()) > 1
     if split:
@@ -671,8 +679,8 @@ def _points_by_shape(gr, R, which, cap):
 
     def residual(cols, i, j):
         # phi(e_i) phi(e_j) - phi(e_i e_j)
-        return [add(x, mul(minus_one, y)) for x, y in zip(product(cols[i], cols[j]),
-                                                           image(cols, i, j))]
+        return [add(x, mul(minus_one, y)) for x, y in zip(
+            structure_mul(cells, cols[i], cols[j], *ops, mul), _image(terms[i][j], cols, *ops))]
 
     def times(rho, parts):
         # rho Delta, Delta the sum of the vec (x) u_t over (t, vec) in parts,
@@ -710,17 +718,17 @@ def _points_by_shape(gr, R, which, cap):
         step = steps[stage]
         if step[0] == "enum":
             j = step[1]
-            for cand in itertools.product(*cells[j]):
+            for cand in itertools.product(*allowed[j]):
                 cols[j] = cand
-                if multiplicative(cols, checks[stage]):
+                if _multiplicative(table, terms, cells, cols, checks[stage]):
                     dfs(stage + 1, cols, dfs)
             cols[j] = None
         else:
             _, k, i, jj, inv_c = step
             ic = table.index[R.from_field(inv_c)]
-            cols[k] = tuple(mul(ic, x) for x in product(cols[i], cols[jj]))
+            cols[k] = tuple(mul(ic, x) for x in structure_mul(cells, cols[i], cols[jj], *ops, mul))
             if (all(cols[k][t] in s for t, s in bounds[k])
-                    and multiplicative(cols, checks[stage])):
+                    and _multiplicative(table, terms, cells, cols, checks[stage])):
                 dfs(stage + 1, cols, dfs)
             cols[k] = None
 
@@ -732,9 +740,9 @@ def _points_by_shape(gr, R, which, cap):
                            for j in range(n)] for k in range(n)] for parts in found]
             fibre_sizes.add(len(survivors))
         elif found is None:
-            cells = [[zero_only if certs and certs[0][1][gr.degrees[j]] != gr.degrees[k]
-                      else full for k in range(n)] for j in range(n)]
-            bounds = [[(t, s) for t, s in enumerate(col) if s is not full] for col in cells]
+            allowed = [[zero_only if certs and certs[0][1][gr.degrees[j]] != gr.degrees[k]
+                        else full for k in range(n)] for j in range(n)]
+            bounds = [[(t, s) for t, s in enumerate(col) if s is not full] for col in allowed]
             survivors = []
             dfs(0, [None] * n, dfs)
             fibre_sizes.add(len(survivors))

@@ -141,15 +141,16 @@ def integer_kth_root(n, k):
 
 
 def power(mul, one, x, n):
-    """x^n for n >= 0 in any monoid given by mul and one, by
-    square-and-multiply: the one such loop in the package."""
-    out = one
-    while n:
-        if n & 1:
+    """x^n for n >= 0 in any monoid given by mul and one, by square-and-multiply
+    from the top bit of n down: the one such loop in the package.  It starts
+    from x, so no product is by one and n = 1 returns x itself."""
+    if not n:
+        return one
+    out = x
+    for bit in bin(n)[3:]:   # the bits below the top one
+        out = mul(out, out)
+        if bit == "1":
             out = mul(out, x)
-        n >>= 1
-        if n:
-            x = mul(x, x)
     return out
 
 
@@ -294,6 +295,7 @@ def power_table(F, f):
 
 
 def poly_pow_mod(F, base, n, modulus):
+    """base^n mod modulus; for n = 1 base itself, neither reduced nor copied."""
     return power(lambda a, b: poly_mod(F, poly_mul(F, a, b), modulus), [F.one()], base, n)
 
 

@@ -172,10 +172,13 @@ def test_products_over_a_ring_match_dense_loop(name, n, data):
         expected = dense_mul(F, A.table, x, y, R.zero(),
                              lambda r: all(c == F.zero() for c in r),
                              R.add, R.mul, R.from_field)
-        # the point layer's kernel, on R's table when it has one
-        T, to, product, image_of, _ = points._kernel(A, R)
-        assert tuple(map(back, product(tuple(map(to, x)), tuple(map(to, y))))) == expected
-        # image_of scales the columns of phi by the same field constants
+        # the point layer's kernel data, on R's table when it has one
+        T, to, terms, cells = points._kernel(A, R)
+        ops = T.zero(), T.is_zero, T.add
+        product = linalg.structure_mul(cells, tuple(map(to, x)), tuple(map(to, y)),
+                                       *ops, T.mul, T.scal)
+        assert tuple(map(back, product)) == expected
+        # _image scales the columns of phi by the same field constants
         rows = [data.draw(ring_vectors) for _ in range(n)]
         i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
         image = [R.zero()] * n
@@ -183,7 +186,13 @@ def test_products_over_a_ring_match_dense_loop(name, n, data):
             for k in range(n):
                 image[k] = R.add(image[k], R.mul(rows[k][t], R.from_field(c)))
         cols = [tuple(map(to, col)) for col in zip(*rows)]
-        assert tuple(map(back, image_of(cols, i, j))) == tuple(image)
+        assert tuple(map(back, points._image(terms[i][j], cols, *ops, T.scal))) == tuple(image)
+        # the multiplicativity test on (i, j) compares exactly these two
+        ei, ej = (tuple(map(back, col)) for col in (cols[i], cols[j]))
+        expected_pair = dense_mul(F, A.table, ei, ej, R.zero(),
+                                  lambda r: all(c == F.zero() for c in r),
+                                  R.add, R.mul, R.from_field) == tuple(image)
+        assert points._multiplicative(T, terms, cells, cols, [(i, j)]) == expected_pair
     # what the table keeps per algebra is data only: index terms and cells
     if T is not R:
         assert set(T.terms) >= {first, A}
@@ -409,6 +418,44 @@ def test_ring_det_over_table_matches_elements_and_leibniz(name, n, data):
     cols = [[rows[k][j] for k in range(n)] for j in range(n)]
     assert d == leibniz_det(T, cols)
     assert T.is_unit(d) == T.is_unit(leibniz_det(T, cols))
+    # 2x2 with a zero a or b, on the table and on rings with no table (Q,
+    # and F9[e]/e^3 with 729 elements): ad - bc, with no product by the zero
+    for ring, entry in ((T, indices(T)), *((S, vectors(S.field, S.dim))
+                                           for S in NO_TABLE_RINGS)):
+        assert points._indexed(ring)[0] is ring
+        a, b, c, d = (data.draw(entry) for _ in range(4))
+        for a, b in ((ring.zero(), b), (a, ring.zero())):
+            counted = CountingRing(ring)
+            assert points.ring_det(counted, [[a, b], [c, d]]) == ring.add(
+                ring.mul(a, d), ring.neg(ring.mul(b, c)))
+            assert counted.products == [(x, y) for x, y in ((a, d), (b, c))
+                                        if not ring.is_zero(x)]
+
+
+NO_TABLE_RINGS = (comrings.dual_numbers(Q, 2), comrings.dual_numbers(F9, 3))
+
+
+class CountingRing:
+    """The ring protocol of R, recording the factors of every product."""
+
+    def __init__(self, R):
+        self.R, self.one, self.products = R, R.one, []
+
+    def zero(self):
+        return self.R.zero()
+
+    def is_zero(self, x):
+        return self.R.is_zero(x)
+
+    def add(self, x, y):
+        return self.R.add(x, y)
+
+    def neg(self, x):
+        return self.R.neg(x)
+
+    def mul(self, x, y):
+        self.products.append((x, y))
+        return self.R.mul(x, y)
 
 
 def test_ring_table_is_built_once_per_ring(monkeypatch):

@@ -134,6 +134,25 @@ def test_multiplicative_order_is_the_least_power_that_is_one():
                 assert scalars.power(mul, 1, x, n) == pow(x, n, m)
 
 
+def test_power_makes_no_product_by_one():
+    # a counting monoid: bit_length(n) + popcount(n) - 2 products for n >= 1,
+    # none for n = 0, and the value of repeated multiplication mod m
+    for m in (2, 7, 12, 97):
+        products = []
+
+        def mul(a, b):
+            products.append((a, b))
+            return a * b % m
+        for x in range(m):
+            repeated = 1 % m
+            for n in range(130):
+                products.clear()
+                assert scalars.power(mul, 1 % m, x, n) == repeated, (m, x, n)
+                expected = n.bit_length() + bin(n).count("1") - 2 if n else 0
+                assert len(products) == expected, (m, x, n)
+                repeated = repeated * x % m
+
+
 def test_unit_order_refuses_a_unit_whose_powers_miss_one():
     F7 = wb.prime_field(7)
     F7.mul = lambda a, b: 2     # a faulty mul: every power is 2, none is 1
