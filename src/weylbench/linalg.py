@@ -3,23 +3,20 @@ the two products that work over any ring: `mat_mul` and the
 structure-constant kernel `structure_mul`, which visits only the nonempty
 cells of a table (`nonempty_cells`).
 
-Over Q the products, `mat_vec` and `rref` (so `solve`, `inv`, `nullspace`
-and `rank`) run on Python ints scaled by common denominators, making one
-Fraction per output entry; `det`, and every other field, use field operations.
+Over Q the products, `mat_vec`, `rref` (so `solve`, `inv`, `nullspace`
+and `rank`) and `det` run on Python ints scaled by common denominators,
+making one Fraction per output entry; every other field uses field operations.
 
 Matrices are lists of row lists; vectors are lists.  Everything is pure.
 """
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 from .errors import SingularMatrixError
-
-
-def identity(F, n):
-    return [[F.one() if i == j else F.zero() for j in range(n)] for i in range(n)]
 
 
 def mat_mul(R, A, B):
@@ -46,13 +43,14 @@ def compile_product(F, table):
     lists the (k, c) with table[i][j][k] = c nonzero, and product(x, y)
     multiplies F-coordinate tuples by the kernel chosen here, once per table.
     Over F_p and Q it adds up Python ints and makes one field element per
-    coordinate; ints are then the terms on ints (over Q, the constants times
-    their common denominator), else None."""
+    coordinate; ints are then (D, the terms on ints): over Q the constants
+    times their common denominator D, over F_p the terms with D = 1; else
+    None."""
     terms = tuple(tuple(tuple((k, c) for k, c in enumerate(cell) if not F.is_zero(c))
                         for cell in row) for row in table)
     if F.kind == "prime":   # reduced mod p once per coordinate
         p = F.p
-        return terms, lambda x, y: tuple(v % p for v in _int_products(terms, x, y)), terms
+        return terms, lambda x, y: tuple(v % p for v in _int_products(terms, x, y)), (1, terms)
     if F.kind != "rationals":
         cells, zero, is_zero, add, mul = nonempty_cells(terms), F.zero(), F.is_zero, F.add, F.mul
         return terms, lambda x, y: structure_mul(cells, x, y, zero, is_zero, add, mul, mul), None
@@ -68,7 +66,30 @@ def compile_product(F, table):
         d = dx * dy * D
         return tuple(Fraction(v, d) if v else zero for v in _int_products(iterms, xs, ys))
 
-    return terms, product, iterms
+    return terms, product, (D, iterms)
+
+
+def structure_matrix(F, terms, ints, x):
+    """Multiplication by x on the canonical basis (columns), read off the
+    constants: L[k][j] = sum_i x_i c_ijk.  With ints = (D, int terms) from
+    compile_product (F_p and Q) it adds up ints and makes one field element
+    per entry; otherwise it uses F's operations on terms."""
+    if ints is None:
+        zero, is_zero, add, mul, xs = F.zero(), F.is_zero, F.add, F.mul, x
+    else:
+        (D, terms), zero, is_zero, add, mul = ints, 0, operator.not_, operator.add, operator.mul
+        dx, xs = (1, x) if F.kind == "prime" else _on_integers(x)
+    L = [[zero] * len(x) for _ in x]
+    for a, row in zip(xs, terms):
+        if not is_zero(a):
+            for j, cell in enumerate(row):
+                for k, c in cell:
+                    L[k][j] = add(L[k][j], mul(a, c))
+    if ints is None:
+        return L
+    if F.kind == "prime":
+        return [[v % F.p for v in row] for row in L]
+    return [[Fraction(v, dx * D) for v in row] for row in L]
 
 
 def _int_products(terms, x, y):
@@ -137,11 +158,7 @@ def rref(F, A):
     pivots = []
     r = 0
     for c in range(cols):
-        pivot = None
-        for i in range(r, rows):
-            if not F.is_zero(R[i][c]):
-                pivot = i
-                break
+        pivot = next((i for i in range(r, rows) if not F.is_zero(R[i][c])), None)
         if pivot is None:
             continue
         R[r], R[pivot] = R[pivot], R[r]
@@ -193,35 +210,48 @@ def rank(F, A):
 
 
 def det(F, A):
-    # elimination, O(n^3): divides by pivots, so it needs a field
-    n = len(A)
-    M = [row[:] for row in A]
-    sign = False
-    d = F.one()
+    # elimination, O(n^3): over Q fraction-free, else dividing by pivots
+    if F.kind == "rationals":
+        return _det_on_integers(A)
+    M, n, d = [row[:] for row in A], len(A), F.one()
     for c in range(n):
-        pivot = None
-        for i in range(c, n):
-            if not F.is_zero(M[i][c]):
-                pivot = i
-                break
+        pivot = next((i for i in range(c, n) if not F.is_zero(M[i][c])), None)
         if pivot is None:
             return F.zero()
         if pivot != c:
-            M[c], M[pivot] = M[pivot], M[c]
-            sign = not sign
+            M[c], M[pivot], d = M[pivot], M[c], F.neg(d)
         d = F.mul(d, M[c][c])
         inv = F.inv(M[c][c])
         for i in range(c + 1, n):
-            if F.is_zero(M[i][c]):
-                continue
-            f = F.mul(M[i][c], inv)
-            M[i] = [F.sub(x, F.mul(f, y)) for x, y in zip(M[i], M[c])]
-    return F.neg(d) if sign else d
+            if not F.is_zero(M[i][c]):
+                f = F.mul(M[i][c], inv)
+                M[i] = [F.sub(x, F.mul(f, y)) for x, y in zip(M[i], M[c])]
+    return d
+
+
+def _det_on_integers(A):
+    """det over Q by Bareiss's fraction-free elimination (Math. Comp. 22,
+    1968) on the rows scaled to integers: each step divides exactly by the
+    last pivot, and the final pivot is the determinant; one Fraction."""
+    scaled = [_on_integers(row) for row in A]
+    M, n, sign, last = [ints for _, ints in scaled], len(A), 1, 1
+    for c in range(n):
+        pivot = next((i for i in range(c, n) if M[i][c]), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != c:
+            M[c], M[pivot], sign = M[pivot], M[c], -sign
+        top, a = M[c], M[c][c]
+        for i in range(c + 1, n):
+            b = M[i][c]
+            M[i] = [(a * x - b * y) // last for x, y in zip(M[i], top)]
+        last = a
+    return Fraction(sign * last, prod(d for d, _ in scaled))
 
 
 def inv(F, A):
     n = len(A)
-    M = [row[:] + IdRow for row, IdRow in zip(A, identity(F, n))]
+    M = [row[:] + [F.one() if i == j else F.zero() for j in range(n)] for i, row in enumerate(A)]
     R, pivots = rref(F, M)
     if pivots != list(range(n)):
         raise SingularMatrixError("matrix is singular")

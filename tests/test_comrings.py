@@ -48,6 +48,17 @@ def test_axiom_check_rejects_nonassociative(F3):
         TestRing(F3, [[y, z], [z, x]], x)
 
 
+@pytest.mark.parametrize("F", [wb.rationals(), wb.prime_field(3),
+                               wb.extension_field(wb.prime_field(3), [1, 0, 1])],
+                         ids=["Q", "F3", "F9"])
+def test_axiom_check_rejects_a_unit_that_does_not_act_as_one(F):
+    # F[eps]/eps^2 declared with unit eps: eps * 1 = eps.  TestRing.mul
+    # returns the other factor for the unit, so the check must not go through it
+    R = dual_numbers(F, 2)
+    with pytest.raises(RingAxiomError, match="claimed unit does not act as identity"):
+        TestRing(F, R.table, (F.zero(), F.one()))
+
+
 def test_unit_and_nilpotent_examples(F3):
     R = dual_numbers(F3, 2)
     one_eps = (F3.one(), F3.one())

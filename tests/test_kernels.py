@@ -12,7 +12,7 @@ import weakref
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import weylbench as wb
@@ -315,11 +315,55 @@ def table_rings():
 TABLE_RINGS = table_rings()
 
 
+def coordinate_mul_matrix(R, x):
+    """Multiplication by x as the coordinate products with the basis vectors
+    (columns): the definition TestRing.mul_matrix reads off the constants."""
+    cols = [R._product(x, R._basis_vec(j)) for j in range(R.dim)]
+    return [[col[k] for col in cols] for k in range(R.dim)]
+
+
 def coordinate_is_unit(R, x):
     """The determinant test on coordinates only."""
-    cols = [comrings.TestRing.mul(R, x, R._basis_vec(j)) for j in range(R.dim)]
-    M = [[col[k] for col in cols] for k in range(R.dim)]
-    return not R.field.is_zero(linalg.det(R.field, M))
+    return not R.field.is_zero(linalg.det(R.field, coordinate_mul_matrix(R, x)))
+
+
+def multiplication_rings():
+    """Rings over Q, F_p and F9: F[t]/(f) with constants that add up past p
+    (over Q, with large denominators), and the 729-element F9[C3], which has
+    no table."""
+    big = [Fraction(3, 10007), Fraction(-5, 2000006), Fraction(7, 998244353), Fraction(1)]
+    out = {"trunc/Q": comrings.truncated_poly(Q, big)}
+    for name, F in (("Q", Q), ("F2", F2), ("F5", F5), ("F9", F9)):
+        base = comrings.base_field_ring(F)
+        if name != "Q":
+            out["trunc/" + name] = comrings.truncated_poly(F, [F.from_int(c) for c in (4, 3, 2, 1)])
+        out["dual3/" + name] = comrings.dual_numbers(F, 3)
+        out["eps2xF/" + name] = comrings.product_ring(comrings.dual_numbers(F, 2), base)
+        out["FC3/" + name] = comrings.group_algebra_finite(F, abgroups.cyclic_group(3))
+    assert "mul" not in vars(out["FC3/F9"])
+    return out
+
+
+MULTIPLICATION_RINGS = multiplication_rings()
+
+
+@pytest.mark.parametrize("name", sorted(MULTIPLICATION_RINGS))
+@settings(KERNEL, max_examples=15)
+@given(st.data())
+def test_mul_matrix_matches_basis_products(name, data):
+    # mul_matrix reads L[k][j] = sum_i x_i c_ijk off the compiled constants
+    # (ints over Q and F_p, field ops over F9); the products by the unit, which
+    # TestRing.mul returns without the kernel, equal the kernel's
+    R = MULTIPLICATION_RINGS[name]
+    F, TR = R.field, comrings.TestRing
+    x = data.draw(large_vectors(R.dim) if F.kind == "rationals" else vectors(F, R.dim))
+    M = R.mul_matrix(x)
+    assert M == coordinate_mul_matrix(R, x)
+    if F.kind == "rationals":
+        for row in M:
+            assert_canonical(row)
+    assert TR.mul(R, R.one, x) == TR.mul(R, x, R.one) == R._product(R.one, x) == x
+    assert R.is_unit(x) == coordinate_is_unit(R, x)
 
 
 class Coordinates:
@@ -755,6 +799,21 @@ def rational_matrices(draw, square=False):
     if draw(st.booleans()):
         A[draw(st.integers(0, m - 1))] = [Fraction(0)] * n
     return A
+
+
+@KERNEL
+@given(rational_matrices(square=True))
+@example([[Fraction(0), Fraction(2, 3)], [Fraction(-5, 7), Fraction(1)]])   # a row swap
+def test_rational_det_matches_sympy(A):
+    # Bareiss over Q: singular draws, zero rows, 1 x 1 and large denominators
+    d = sympy_matrix(A).det()
+    assert linalg.det(Q, A) == Fraction(int(d.p), int(d.q))
+    assert_canonical([linalg.det(Q, A)])
+
+
+def test_empty_determinant_is_one():
+    for F in (Q, F5, F9):
+        assert linalg.det(F, []) == F.one()
 
 
 def sympy_matrix(A):
