@@ -397,7 +397,7 @@ def truncated_poly(F, modulus, label=None):
     modulus = poly_trim(F, list(modulus))
     if len(modulus) < 2:
         raise InputError("modulus must have degree >= 1")
-    if not F.eq(modulus[-1], F.one()):
+    if modulus[-1] != F.one():
         raise InputError("modulus must be monic")
     table = power_table(F, modulus)
     return TestRing(F, table, table[0][0], label=label or "trunc")   # t^0 is the unit

@@ -3,9 +3,11 @@ the two products that work over any ring: `mat_mul` and the
 structure-constant kernel `structure_mul`, which visits only the nonempty
 cells of a table (`nonempty_cells`).
 
-Over Q the products, `mat_vec`, `rref` (so `solve`, `inv`, `nullspace`
-and `rank`) and `det` run on Python ints scaled by common denominators,
-making one Fraction per output entry; every other field uses field operations.
+`rref` (so `solve`, `inv`, `nullspace` and `rank`) and `det` both read one
+Gauss-Jordan pass, `_eliminate`: `det` is the signed product of its pivots,
+over Q fraction-free its last pivot.  Over Q the products, `mat_vec` and
+that pass run on Python ints scaled by common denominators, making one
+Fraction per output entry; every other field uses field operations.
 
 Matrices are lists of row lists; vectors are lists.  Everything is pure.
 """
@@ -14,7 +16,7 @@ from __future__ import annotations
 
 import operator
 from fractions import Fraction
-from math import gcd, lcm, prod
+from math import lcm, prod
 
 from .errors import SingularMatrixError
 
@@ -148,61 +150,60 @@ def _dot(F, row, v):
     return acc
 
 
-def rref(F, A):
-    """Reduced row echelon form; returns (R, pivot column list)."""
-    if F.kind == "rationals":
-        return _rref_on_integers(A)
-    R = [row[:] for row in A]
+def _eliminate(F, A):
+    """One Gauss-Jordan pass over A: (rows, pivot columns, sign, scale), the
+    pivot rows not divided by their pivots.  Over a field every other row
+    loses b/a times the pivot row.  Over Q the rows are scaled to integers
+    and every other row becomes (a*row - b*top) // last, exact by Bareiss's
+    identity (Math. Comp. 22, 1968) in the Gauss-Jordan form of Montante, so
+    each pivot row holds the last pivot on its pivot column; scale is the
+    product of the row scales there, 1 over any other field."""
+    rational = F.kind == "rationals"
+    if rational:
+        scaled = [_on_integers(row) for row in A]
+        R, is_zero, scale = [ints for _, ints in scaled], operator.not_, prod(d for d, _ in scaled)
+    else:
+        R, is_zero, scale = [row[:] for row in A], F.is_zero, 1
     rows = len(R)
     cols = len(R[0]) if rows else 0
-    pivots = []
-    r = 0
-    for c in range(cols):
-        pivot = next((i for i in range(r, rows) if not F.is_zero(R[i][c])), None)
-        if pivot is None:
-            continue
-        R[r], R[pivot] = R[pivot], R[r]
-        inv = F.inv(R[r][c])
-        R[r] = [F.mul(inv, x) for x in R[r]]
-        for i in range(rows):
-            if i != r and not F.is_zero(R[i][c]):
-                f = R[i][c]
-                R[i] = [F.sub(x, F.mul(f, y)) for x, y in zip(R[i], R[r])]
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    return R, pivots
-
-
-def _rref_on_integers(A):
-    """rref over Q, fraction-free: rows scaled to integers, cleared by integer
-    combinations and divided by their gcd; one Fraction per entry at the end.
-    The form is unique, so it equals the one of field elimination."""
-    R = [_on_integers(row)[1] for row in A]
-    rows = len(R)
-    cols = len(R[0]) if rows else 0
-    pivots = []
+    pivots, sign, last = [], 1, 1
     for c in range(cols):
         r = len(pivots)
-        pivot = next((i for i in range(r, rows) if R[i][c]), None)
+        pivot = next((i for i in range(r, rows) if not is_zero(R[i][c])), None)
         if pivot is None:
             continue
-        R[r], R[pivot] = R[pivot], R[r]
+        if pivot != r:
+            R[r], R[pivot], sign = R[pivot], R[r], -sign
         top, a = R[r], R[r][c]
-        for i, row in enumerate(R):
-            b = row[c]
-            if b and i != r:
-                g = gcd(a, b)
-                row = [a // g * x - b // g * y for x, y in zip(row, top)]
-                g = gcd(*row) or 1
-                R[i] = [x // g for x in row]
+        if rational:
+            for i, row in enumerate(R):
+                if i != r:
+                    b = row[c]
+                    R[i] = [(a * x - b * y) // last for x, y in zip(row, top)]
+            last = a
+        else:
+            inv = F.inv(a)
+            for i, row in enumerate(R):
+                if i != r and not is_zero(row[c]):
+                    f = F.mul(row[c], inv)
+                    R[i] = [F.sub(x, F.mul(f, y)) for x, y in zip(row, top)]
         pivots.append(c)
         if r + 1 == rows:
             break
-    zero = Fraction(0)
-    return [[Fraction(x, d) if x else zero for x in row]
-            for row, d in zip(R, [R[i][c] for i, c in enumerate(pivots)] + [1] * rows)], pivots
+    return R, pivots, sign, scale
+
+
+def rref(F, A):
+    """Reduced row echelon form; returns (R, pivot column list): the rows of
+    _eliminate with each pivot row divided by its pivot."""
+    R, pivots, _, _ = _eliminate(F, A)
+    if F.kind == "rationals":   # one Fraction per entry
+        zero, ds = Fraction(0), [R[r][c] for r, c in enumerate(pivots)] + [1] * len(R)
+        return [[Fraction(x, d) if x else zero for x in row] for row, d in zip(R, ds)], pivots
+    for r, c in enumerate(pivots):
+        inv = F.inv(R[r][c])
+        R[r] = [F.mul(inv, x) for x in R[r]]
+    return R, pivots
 
 
 def rank(F, A):
@@ -210,43 +211,16 @@ def rank(F, A):
 
 
 def det(F, A):
-    # elimination, O(n^3): over Q fraction-free, else dividing by pivots
+    """Read off _eliminate: the signed product of the pivots, over Q the
+    signed last pivot divided by the row scales (one Fraction).  A singular
+    A leaves its last row zero, so both read 0."""
+    R, _, sign, scale = _eliminate(F, A)
     if F.kind == "rationals":
-        return _det_on_integers(A)
-    M, n, d = [row[:] for row in A], len(A), F.one()
-    for c in range(n):
-        pivot = next((i for i in range(c, n) if not F.is_zero(M[i][c])), None)
-        if pivot is None:
-            return F.zero()
-        if pivot != c:
-            M[c], M[pivot], d = M[pivot], M[c], F.neg(d)
-        d = F.mul(d, M[c][c])
-        inv = F.inv(M[c][c])
-        for i in range(c + 1, n):
-            if not F.is_zero(M[i][c]):
-                f = F.mul(M[i][c], inv)
-                M[i] = [F.sub(x, F.mul(f, y)) for x, y in zip(M[i], M[c])]
+        return Fraction(sign * R[-1][-1], scale) if A else Fraction(1)
+    d = F.one() if sign > 0 else F.neg(F.one())
+    for r, row in enumerate(R):
+        d = F.mul(d, row[r])
     return d
-
-
-def _det_on_integers(A):
-    """det over Q by Bareiss's fraction-free elimination (Math. Comp. 22,
-    1968) on the rows scaled to integers: each step divides exactly by the
-    last pivot, and the final pivot is the determinant; one Fraction."""
-    scaled = [_on_integers(row) for row in A]
-    M, n, sign, last = [ints for _, ints in scaled], len(A), 1, 1
-    for c in range(n):
-        pivot = next((i for i in range(c, n) if M[i][c]), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != c:
-            M[c], M[pivot], sign = M[pivot], M[c], -sign
-        top, a = M[c], M[c][c]
-        for i in range(c + 1, n):
-            b = M[i][c]
-            M[i] = [(a * x - b * y) // last for x, y in zip(M[i], top)]
-        last = a
-    return Fraction(sign * last, prod(d for d, _ in scaled))
 
 
 def inv(F, A):

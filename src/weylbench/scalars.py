@@ -397,9 +397,6 @@ class ExactField:
     def div(self, a, b):
         return self.mul(a, self.inv(b))
 
-    def eq(self, a, b):
-        return a == b
-
     def pow(self, a, n):
         return power(self.mul, self.one(), self.inv(a) if n < 0 else a, abs(n))
 
@@ -547,7 +544,7 @@ class ExtensionField(ExactField):
         modulus = poly_trim(base, list(modulus))
         if len(modulus) < 3:
             raise FieldConstructionError("extension modulus must have degree >= 2")
-        if not base.eq(modulus[-1], base.one()):
+        if modulus[-1] != base.one():
             raise FieldConstructionError("extension modulus must be monic")
         self.base = base
         self.modulus = tuple(modulus)
@@ -820,7 +817,7 @@ def _root_poly(F, c, d):
     f = [F.neg(c)] + [F.zero()] * (d - 1) + [F.one()]
     h = poly_gcd(F, f, poly_sub(F, poly_pow_mod(F, t, q, f), t))
     g = math.gcd(d, q - 1)
-    euler = g if F.eq(F.pow(c, (q - 1) // g), F.one()) else 0
+    euler = g if F.pow(c, (q - 1) // g) == F.one() else 0
     if poly_deg(h) != euler:
         raise MathIdentityError(
             "gcd(t^%d - %s, t^q - t) has degree %d over %r, Euler's criterion says %d"
@@ -849,12 +846,12 @@ def dth_root(F, c, d):
         h = _root_poly(F, c, d)
         if not poly_deg(h):
             return RootResult(RootResult.NO_SOLUTION, count=0)
-        x = F.one() if F.eq(c, F.one()) else min(
+        x = F.one() if c == F.one() else min(
             (F.neg(g[0]) for g in irreducible_factors(F, h)), key=F.sort_key)
-        if not F.eq(F.pow(x, d), c):
+        if F.pow(x, d) != c:
             raise MathIdentityError("a root of gcd(t^d - c, t^q - t) is not a d-th root of c")
         return RootResult(RootResult.WITNESS, x, poly_deg(h))
-    if d == 1 or F.eq(c, F.one()):
+    if d == 1 or c == F.one():
         return RootResult(RootResult.WITNESS, c)
     # char-0 extension: try constants from the base
     if isinstance(F, ExtensionField):

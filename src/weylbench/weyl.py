@@ -202,7 +202,7 @@ def thin_solve(system):
     is the product of the root counts times (q - 1) per free unknown."""
     F = system.field
     for d, c in system.reduced:
-        if d == 0 and not F.eq(c, F.one()):
+        if d == 0 and c != F.one():
             return SolveResult(system, False, "unsolvable", 0, obstruction=(d, c))
     s = len(system.support)
     mu = [F.one()] * s
@@ -223,7 +223,7 @@ def thin_solve(system):
         count = None if q is None else count * (q - 1) ** free
     lam = [_monomial(F, mu, V_row) for V_row in system.V]
     for row, c in zip(system.rows, system.consts):
-        if not F.eq(_monomial(F, lam, row), c):
+        if _monomial(F, lam, row) != c:
             raise MathIdentityError("thin witness does not satisfy the raw system")
     return SolveResult(system, True, "solvable", count, dict(zip(system.support, lam)))
 

@@ -4,6 +4,7 @@ against the points-layer loop it replaced, the O(1) zero tests against
 comparison with the field's zero, and the index view of a finite ring
 against its element operations."""
 
+import functools
 import gc
 import itertools
 import math
@@ -805,7 +806,8 @@ def rational_matrices(draw, square=False):
 @given(rational_matrices(square=True))
 @example([[Fraction(0), Fraction(2, 3)], [Fraction(-5, 7), Fraction(1)]])   # a row swap
 def test_rational_det_matches_sympy(A):
-    # Bareiss over Q: singular draws, zero rows, 1 x 1 and large denominators
+    # det over Q, the signed last pivot of the fraction-free Gauss-Jordan pass
+    # over the row scales: singular draws, zero rows, 1 x 1 and large denominators
     d = sympy_matrix(A).det()
     assert linalg.det(Q, A) == Fraction(int(d.p), int(d.q))
     assert_canonical([linalg.det(Q, A)])
@@ -814,6 +816,60 @@ def test_rational_det_matches_sympy(A):
 def test_empty_determinant_is_one():
     for F in (Q, F5, F9):
         assert linalg.det(F, []) == F.one()
+
+
+@st.composite
+def field_matrices(draw, F, square=False):
+    """m x n over F, tall, wide or square (n = m if square, 0 x 0 among them):
+    L B for L m x r and B r x n, so of rank r = min(m, n) or less; then maybe
+    one row set to zero."""
+    m = draw(st.integers(0 if square else 1, 5))
+    n = m if square else draw(st.integers(1, 5))
+    r = max(min(m, n) - draw(st.sampled_from([0, 0, 1, 2])), 0)
+    L = [draw(st.tuples(*[elements(F)] * r)) for _ in range(m)]
+    B = [draw(st.tuples(*[elements(F)] * n)) for _ in range(r)]
+    A = [[functools.reduce(F.add, (F.mul(a, b[j]) for a, b in zip(row, B)), F.zero())
+          for j in range(n)] for row in L]
+    if m and draw(st.booleans()):
+        A[draw(st.integers(0, m - 1))] = [F.zero()] * n
+    return A
+
+
+@st.composite
+def prime_field_matrices(draw):
+    """(F_p, A) for A over F_p, p = 2..7, square about half of the time."""
+    F = draw(st.sampled_from([F2, F3, F5, F7]))
+    return F, draw(field_matrices(F, square=draw(st.booleans())))
+
+
+@KERNEL
+@given(prime_field_matrices())
+@example((F5, [[0, 1], [1, 0]]))                    # a row swap: det -1
+@example((F3, [[0, 1, 2], [0, 2, 2], [1, 0, 1]]))   # the pivot of column 0 in the last row
+@example((F7, [[0, 2, 1], [0, 3, 5], [0, 1, 4]]))   # a zero first column: det 0, pivots 1, 2
+def test_prime_field_elimination_matches_sympy(case):
+    # rref and det over F_p against sympy's DomainMatrix over GF(p): tall,
+    # wide, rank-deficient, 1 x 1 and 0 x 0
+    matrices = pytest.importorskip("sympy.polys.matrices")
+    from sympy import GF
+    F, A = case
+    p, K = F.p, GF(F.p)
+    m, n = len(A), len(A[0]) if A else 0
+    M = matrices.DomainMatrix([[K(a) for a in row] for row in A], (m, n), K)
+    S, spivots = M.rref()
+    assert linalg.rref(F, A) == ([[K.to_int(s) % p for s in row] for row in S.to_list()],
+                                 list(spivots))
+    if m == n:
+        assert linalg.det(F, A) == K.to_int(M.det()) % p
+
+
+@KERNEL
+@given(field_matrices(F9, square=True))
+@example([[(0, 0), (1, 0)], [(0, 1), (2, 2)]])   # a row swap
+def test_extension_det_matches_cofactors(A):
+    # det over F9 against the cofactor expansion of points.ring_det in F9 as a ring
+    R = comrings.base_field_ring(F9)
+    assert (linalg.det(F9, A),) == points.ring_det(R, [[(a,) for a in row] for row in A])
 
 
 def sympy_matrix(A):
