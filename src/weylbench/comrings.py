@@ -253,15 +253,16 @@ _EMPTY = 0xFFFF   # an unfilled RingTable cell; indices stay below 512
 
 
 class RingTable:
-    """Index view of a finite TestRing: its elements, in R.elements() order,
-    are numbered 0..|R|-1, and it speaks the ring protocol on those indices
-    (zero(), one, is_zero, add, mul, scal by a constant given as the index of
-    R.from_field(c), neg, inv, is_unit), so the point layer of points.py runs
-    on it.  Cells are filled on first use by the coordinate kernel (TestRing
-    mul, add, neg, inv, the determinant test of is_unit); a row, the
-    negatives, the inverses, the sort ranks and per algebra its constants as
-    indices with their nonempty cells (terms, data kept by points) are made
-    when first needed.  It holds its ring weakly: the two form no cycle."""
+    """Index view of a finite TestRing: its elements, in R.sort_key order,
+    are numbered 0..|R|-1, so index tuples sort as element tuples, and the
+    point layer runs on the ring protocol it speaks on them (zero(), one,
+    is_zero, add, mul, scal by a constant given as the index of
+    R.from_field(c), neg, inv, is_unit).  Cells are filled on first use by
+    the coordinate kernel (TestRing mul, add, neg, inv, the determinant test
+    of is_unit); a row, the negatives, the inverses and per algebra its
+    constants as indices with their nonempty cells (terms, data kept by
+    points) are made when first needed.  It holds its ring weakly: the two
+    form no cycle."""
 
     MAX_ELEMENTS = TABLE_MAX_ELEMENTS
 
@@ -271,13 +272,13 @@ class RingTable:
             raise NotEnumerableError("ring over an infinite field")
         if count > self.MAX_ELEMENTS:
             raise CapExceededError("ring too large for table form (%d)" % count)
-        self.elems = list(R.elements())
+        self.elems = sorted(R.elements(), key=R.sort_key)
         self.index = {e: i for i, e in enumerate(self.elems)}
         self._ring_ref = weakref.ref(R)
         self._blank = array("H", [_EMPTY]) * count   # shared until written
         self._mul = [self._blank] * count
         self._add = [self._blank] * count
-        self._neg, self._inv, self._rank, self.terms = self._blank, self._blank, None, {}
+        self._neg, self._inv, self.terms = self._blank, self._blank, {}
         self._unit = bytearray(count)    # 0 unknown, 1 not a unit, 2 unit
         self._zero = self.index[R.zero()]
         self.one = self.index[R.one]
@@ -336,14 +337,6 @@ class RingTable:
             setattr(self, name, array("H", self._blank))
         c = getattr(self, name)[a] = self.index[kernel(self._ring(), self.elems[a])]
         return c
-
-    def rank(self):
-        """Each index's position in the R.sort_key order of the elements."""
-        if self._rank is None:   # the inverse of the sorting permutation
-            key = self._ring().sort_key
-            order = sorted(range(len(self.elems)), key=lambda a: key(self.elems[a]))
-            self._rank = sorted(range(len(order)), key=order.__getitem__)
-        return self._rank
 
     def is_unit(self, a):
         if not self._unit[a]:

@@ -8,8 +8,8 @@ the structure theory they are decided at the single generic algebra RG and
 cross-asserted against the direct block/permutation definitions on every
 call, so any gap between the two characterizations raises MathIdentityError.
 Over a ring with a RingTable, membership, det and inverse, block certificates,
-the RG tests and sort keys run on its indices, where A's constants are kept
-as data (_kernel); points, certificates and shifts stay in ring elements.
+the RG tests and the point search run on its indices, where A's constants are
+kept as data (_kernel); points, certificates and shifts stay in ring elements.
 """
 
 from __future__ import annotations
@@ -40,11 +40,6 @@ class PointMatrix:
         R = self.ring
         rows = ["[" + ",".join(R.to_str(x) for x in row) + "]" for row in self.entries]
         return "[" + ",".join(rows) + "]"
-
-    def sort_key(self):
-        T, to, _ = _indexed(self.ring)   # on a table: each entry's rank
-        key = T.sort_key if T is self.ring else T.rank().__getitem__
-        return tuple(key(to(x)) for row in self.entries for x in row)
 
 
 def point_matrix(A, R, rows):
@@ -178,10 +173,14 @@ def ring_mat_inv(R, M):
 def automorphism_membership(phi):
     """det(phi) a unit and phi multiplicative on all basis pairs."""
     T, to, terms, cells = _kernel(phi.algebra, phi.ring)
-    rows = [list(map(to, row)) for row in phi.entries]
+    return _is_automorphism(T, terms, cells, [list(map(to, row)) for row in phi.entries])
+
+
+def _is_automorphism(T, terms, cells, rows):
+    """automorphism_membership of the point with rows over T, _kernel's ring."""
     if not T.is_unit(ring_det(T, rows)):
         return False
-    every = range(phi.algebra.dim)
+    every = range(len(rows))
     return _multiplicative(T, terms, cells, list(zip(*rows)), itertools.product(every, every))
 
 
@@ -229,12 +228,16 @@ def block_permutations(gr, phi):
     """Per primitive idempotent of R, the component permutation realized by
     phi, or failure with a witness."""
     T, to, _ = _indexed(phi.ring)
-    rows = [list(map(to, row)) for row in phi.entries]
+    return _block_permutations(gr, phi.ring, T, to, [list(map(to, row)) for row in phi.entries])
+
+
+def _block_permutations(gr, R, T, to, rows):
+    """block_permutations of the point with rows over T, to and T from _indexed(R)."""
     if not T.is_unit(ring_det(T, rows)):
         raise InputError("matrix is not invertible over R")
     n = gr.algebra.dim
     certs = []
-    for e in phi.ring.idempotents():
+    for e in R.idempotents():
         sigma, ie = {}, to(e)
         for g in gr.support:
             targets = set()
@@ -307,11 +310,10 @@ def sorted_characters(gr, R, cap=10**6):
     if count is not None and count > cap:
         raise CapExceededError("|R| = %d exceeds cap %d" % (count, cap))
     uni = galg.universal_group(gr)
-    T, to, _ = _indexed(R)   # as in PointMatrix.sort_key
-    key = T.sort_key if T is R else T.rank().__getitem__
+    T, to, _ = _indexed(R)   # on a table an index sorts as its element
+    key = R.sort_key if T is R else to
     chars = abgroups.enumerate_characters(uni.group, _unit_map_for(R, uni.group))
-    return uni, sorted(chars, key=lambda a: tuple(
-        key(to(x)) for x in _diagonal(gr, R, uni.deg_u, a)))
+    return uni, sorted(chars, key=lambda a: tuple(map(key, _diagonal(gr, R, uni.deg_u, a))))
 
 
 def diag_points(gr, R, cap=10**6, cross_check=True):
@@ -340,20 +342,24 @@ def _unit_map_for(R, U):
 
 
 def _brute_diag_count(gr, R, cap):
-    """Independent oracle: iterate unit scalar assignments on the support and
-    test the multiplicativity equations directly on the structure constants."""
+    """Independent oracle: assign unit scalars to the support in order and
+    test the multiplicativity equations directly on the structure constants,
+    each s_g s_h = s_(g+h) as soon as its last scalar is assigned."""
     supp = list(gr.support)
     count = R.element_count()
     if count is None or count ** len(supp) > cap:
         return None
     units = list(R.unit_group())
-    A, d = gr.algebra, gr.degrees
-    # one scalar equation per nonzero structure cell
-    cells = sorted({(d[i], d[j], gr.group.add(d[i], d[j]))
+    A, d, at = gr.algebra, gr.degrees, supp.index
+    # one scalar equation per nonzero structure cell, as support positions
+    cells = sorted({(at(d[i]), at(d[j]), at(gr.group.add(d[i], d[j])))
                     for i in range(A.dim) for j in range(A.dim) if A.terms[i][j]})
-    return sum(all(R.mul(scal[g], scal[h]) == scal[gh] for (g, h, gh) in cells)
-               for scal in (dict(zip(supp, assign))
-                            for assign in itertools.product(units, repeat=len(supp))))
+    assigned = [()]
+    for t in range(len(supp)):   # one more scalar, then the equations it completes
+        due = [c for c in cells if max(c) == t]
+        assigned = [s for s in (a + (u,) for a in assigned for u in units)
+                    if all(R.mul(s[g], s[h]) == s[gh] for g, h, gh in due)]
+    return len(assigned)
 
 
 # ---------------------------------------------------------------------------
@@ -598,20 +604,23 @@ def enumerate_points(gr, R, which="aut", cap=10**8):
 
     which: 'aut' | 'stab' | 'autgamma'.  Each point set is searched in its own
     block shape (_points_by_shape), with constraint pruning and column
-    derivation, and every survivor is re-verified exactly."""
-    points = [p for _, found in _points_by_shape(gr, R, which, cap) for p in found]
-    points.sort(key=lambda p: p.sort_key())
-    return points
+    derivation, and every survivor is re-verified exactly, on index rows that
+    sort as the points do; each point is built once, here."""
+    found = sorted(rows for _, shaped in _points_by_shape(gr, R, which, cap) for rows in shaped)
+    elems = R.ring_table().elems
+    return [PointMatrix(gr.algebra, R, tuple(tuple(map(elems.__getitem__, row)) for row in rows))
+            for rows in found]
 
 
 def _points_by_shape(gr, R, which, cap):
-    """(shape, points) per searched shape.  A shape is one support
-    permutation per primitive idempotent e of R, as position tuples over
-    gr.support: 'aut' is the one unshaped search (the empty shape), 'stab'
-    the all-identity shape, and 'autgamma' every tuple of admissible
-    permutations: on each connected block eR a point of Aut Gamma induces
-    one, which preserves the product pattern and is additive on it.  Each
-    shaped point must carry block certificates equal to its shape.
+    """(shape, points) per searched shape, each point as its rows of indices
+    on R's table.  A shape is one support permutation per primitive
+    idempotent e of R, as position tuples over gr.support: 'aut' is the one
+    unshaped search (the empty shape), 'stab' the all-identity shape, and
+    'autgamma' every tuple of admissible permutations: on each connected
+    block eR a point of Aut Gamma induces one, which preserves the product
+    pattern and is additive on it.  Each shaped point must carry block
+    certificates equal to its shape.
 
     The schemes are affine, so a point over R = e1 R x ... x em R is a sum of
     block points, one per eR searched on its own, with their shapes
@@ -640,7 +649,7 @@ def _points_by_shape(gr, R, which, cap):
     else:
         raise InputError("unknown point set %r" % which)
     table = R.ring_table()
-    _, _, terms, cells = _kernel(A, R)
+    _, to, terms, cells = _kernel(A, R)
     steps, checks = _enumeration_plan(A)
     n = A.dim
     zero, add, mul = table.zero(), table.add, table.mul
@@ -649,8 +658,8 @@ def _points_by_shape(gr, R, which, cap):
     split = len(R.idempotents()) > 1
     if split:
         blocks = [(ring, inject) for ring, _, inject in map(R.block, R.idempotents())]
-        # each block element's index in R, as an element of eR
-        into = [{x: table.index[inject(x)] for x in ring.ring_table().elems}
+        # each block index's index in R, through its element of eR
+        into = [[table.index[inject(x)] for x in ring.ring_table().elems]
                 for ring, inject in blocks]
         searches = [(sum((shape for shape, _ in found), ()),
                      itertools.product(*(block_points for _, block_points in found)))
@@ -666,7 +675,7 @@ def _points_by_shape(gr, R, which, cap):
         if sizes != {size}:
             raise MathIdentityError("residue classes have sizes %s, not |R|/|R/nil| = %d"
                                     % (sorted(sizes), size))
-        searches = list(_points_by_shape(gr, ring, which, cap))
+        searches = _points_by_shape(gr, ring, which, cap)   # each shape lifted as it comes
         lifted = [table.index[section(x)] for x in bar.elems]
         F, (starts, basis, coords) = A.field, R.filtration()
         units = [table.index[u] for u in basis]
@@ -711,7 +720,7 @@ def _points_by_shape(gr, R, which, cap):
 
     def dfs(stage, cols, dfs):   # passed itself: a closure cell of its own is a cycle
         if stage == len(steps):
-            rows = [[cols[j][k] for j in range(n)] for k in range(n)]
+            rows = tuple(zip(*cols))
             if table.is_unit(ring_det(table, rows)):
                 survivors.append(rows)
             return
@@ -736,8 +745,8 @@ def _points_by_shape(gr, R, which, cap):
         certs = [(e, dict(zip(gr.support, (gr.support[i] for i in perm))))
                  for e, perm in zip(R.idempotents(), shape)]
         if split:   # one point per block, summed into R
-            survivors = [[[functools.reduce(add, (m[p.entries[k][j]] for m, p in zip(into, parts)))
-                           for j in range(n)] for k in range(n)] for parts in found]
+            survivors = [tuple(tuple(functools.reduce(add, (m[p[k][j]] for m, p in zip(into, parts)))
+                                     for j in range(n)) for k in range(n)) for parts in found]
             fibre_sizes.add(len(survivors))
         elif found is None:
             allowed = [[zero_only if certs and certs[0][1][gr.degrees[j]] != gr.degrees[k]
@@ -749,25 +758,20 @@ def _points_by_shape(gr, R, which, cap):
         else:
             survivors = []
             for rho in found:
-                rows = [[bar.index[x] for x in row] for row in rho.entries]
                 up, down = ([[lifted[x] for x in row] for row in M]
-                            for M in (rows, ring_mat_inv(bar, rows)))
+                            for M in (rho, ring_mat_inv(bar, rho)))
                 nodes = [tuple(up[k][j] for j in range(n) for k in range(n))]
                 for i in range(1, len(starts) - 1):
                     nodes = lift(nodes, i, up, down)
                 fibre_sizes.add(len(nodes))
-                survivors += [[[phi[j * n + k] for j in range(n)] for k in range(n)]
-                              for phi in nodes]
+                survivors += [tuple(phi[k::n] for k in range(n)) for phi in nodes]
         if len(fibre_sizes - {0}) > 1:
             raise MathIdentityError("point fibres have sizes %s, not one coset size"
                                     % sorted(fibre_sizes - {0}))
-        points = []
         for rows in survivors:
-            pt = PointMatrix(A, R, tuple(tuple(map(table.elems.__getitem__, row)) for row in rows))
-            if not automorphism_membership(pt):
+            if not _is_automorphism(table, terms, cells, rows):
                 raise MathIdentityError("fast enumeration produced a non-automorphism")
-            if certs and block_permutations(gr, pt).certificates != certs:
+            if certs and _block_permutations(gr, R, table, to, rows).certificates != certs:
                 raise MathIdentityError(
                     "shaped enumeration point certifies another block permutation")
-            points.append(pt)
-        yield shape, points
+        yield shape, survivors

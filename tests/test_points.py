@@ -177,19 +177,20 @@ def test_battery_verifies_each_point_once(monkeypatch, Q, F3):
         fn = getattr(pts, name)
         monkeypatch.setattr(pts, name, lambda *a, fn=fn, name=name:
                             calls.append((name, a[-1].ring, a[-1].entries)) or fn(*a))
+    check, checked = pts._is_automorphism, []
+    monkeypatch.setattr(pts, "_is_automorphism", lambda T, *a: checked.append(
+        (T, tuple(map(tuple, a[-1])))) or check(T, *a))
     gr, R = para_hurwitz_grading(F3), dual_numbers(F3, 2)
     residue = R.nil_quotient()[0]
     res = battery.theorem_battery(gr, R)   # enumerated: verified in enumerate_points
     assert res.mode == "enumerated"
     # each point over R once, and each point over R/nil once, in the residue
-    # search of the one enumerate_points call
-    verified = [(ring, entries) for name, ring, entries in calls
-                if name == "automorphism_membership"]
-    assert len(verified) == len(set(verified))
-    rings = [ring for ring, _ in verified]
-    assert len(rings) == rings.count(R) + rings.count(residue)
-    assert rings.count(R) == res.distinct_points
-    assert rings.count(residue) == len(pts.enumerate_points(gr, residue, "aut")) == 2
+    # search of the one enumerate_points call, as index rows on their tables
+    assert len(checked) == len(set(checked))
+    tables = [T for T, _ in checked]
+    assert len(tables) == tables.count(R.ring_table()) + tables.count(residue.ring_table())
+    assert tables.count(R.ring_table()) == res.distinct_points
+    assert tables.count(residue.ring_table()) == len(pts.enumerate_points(gr, residue, "aut")) == 2
     assert [name for name, _, _ in calls].count("block_permutations") == res.distinct_points
     # whatever battery_points did, the loop itself only reads block certificates
     find = battery.battery_points
@@ -260,7 +261,7 @@ def _battery_cells(F3, F5, F7, F9):
 
 
 def test_diagonal_sample_strides_the_sorted_diagonal_points(F3, F5, F7, F9):
-    # reference: every point of Diag(R), sorted by PointMatrix.sort_key, then
+    # reference: every point of Diag(R), sorted by element keys, then
     # strided as the battery does; the sample builds only the kept points
     rng = random.Random(0)
     cells = 0
@@ -268,7 +269,7 @@ def test_diagonal_sample_strides_the_sorted_diagonal_points(F3, F5, F7, F9):
         if R.element_count() > battery.DIAG_FULL_CAP:
             continue
         dp = pts.diag_points(gr, R, cross_check=False)
-        ref = sorted(dp, key=pts.PointMatrix.sort_key)
+        ref = sorted(dp, key=lambda p: tuple(map(R.sort_key, itertools.chain(*p.entries))))
         assert [p.entries for p in dp] == [p.entries for p in ref]
         ref = ref[::max(1, len(ref) // battery.DIAG_KEEP)][:battery.DIAG_KEEP]
         got = battery._diagonal_sample(gr, R, rng)
@@ -277,9 +278,37 @@ def test_diagonal_sample_strides_the_sorted_diagonal_points(F3, F5, F7, F9):
     assert cells == 36
 
 
+def _product_walk_count(gr, R):
+    """Reference count: every unit assignment on the support, each tested on
+    all equations s_g s_h = s_(g+h)."""
+    A, d, supp = gr.algebra, gr.degrees, list(gr.support)
+    cells = {(d[i], d[j], gr.group.add(d[i], d[j]))
+             for i in range(A.dim) for j in range(A.dim) if A.terms[i][j]}
+    return sum(all(R.mul(s[g], s[h]) == s[gh] for g, h, gh in cells)
+               for s in (dict(zip(supp, a))
+                         for a in itertools.product(R.unit_group(), repeat=len(supp))))
+
+
+def test_diagonal_oracle_tests_each_equation_when_its_scalars_are_set(F3, F5, F7, F9):
+    # ex34 over F7[C3]: 216^3 assignments, most cut at their second scalar
+    gr = galg.grading_over(cubic_grading(wb.rationals()), F7)
+    R = comrings.group_algebra_finite(F7, cyclic_group(3))
+    assert len(R.unit_group()) == 216
+    mul, products = R.mul, []
+    R.mul = lambda x, y: products.append(None) or mul(x, y)
+    assert pts._brute_diag_count(gr, R, 10**8) == 27
+    assert len(products) == 94257
+    cells = 0
+    for gr, R in _battery_cells(F3, F5, F7, F9):
+        if len(R.unit_group()) ** len(gr.support) <= 10**5:
+            assert pts._brute_diag_count(gr, R, 10**8) == _product_walk_count(gr, R), (gr, R.label)
+            cells += 1
+    assert cells == 32
+
+
 class ReversedRing(comrings.TestRing):
-    """A test ring that lists its elements backwards, so the indices of its
-    RingTable are not in R.sort_key order and rank() is not the identity."""
+    """A test ring that lists its elements backwards, out of R.sort_key
+    order, which its RingTable must not follow."""
 
     def elements(self):
         return reversed(list(super().elements()))
@@ -288,8 +317,7 @@ class ReversedRing(comrings.TestRing):
 def test_points_sort_by_element_keys_on_a_table_out_of_sort_order(F3):
     ordered = dual_numbers(F3, 2)
     R = ReversedRing(F3, ordered.table, ordered.one, label="reversed")
-    T = R.ring_table()
-    assert T.rank() == list(reversed(range(len(T.elems))))
+    assert R.ring_table().elems == sorted(R.elements(), key=R.sort_key)
     gr = zero_mult_grading(F3)
     got = pts.enumerate_points(gr, R, "aut")
     assert len(got) == 3888
@@ -556,37 +584,38 @@ def test_residue_search_serves_the_callers_point_set(monkeypatch, F3):
     # itself: 4 and 8 residue points verified, not all 48 of GL_2(F3)
     gr, R = zero_mult_grading(F3), dual_numbers(F3, 2)
     residue = R.nil_quotient()[0]
-    verify, rings = pts.automorphism_membership, []
-    monkeypatch.setattr(pts, "automorphism_membership",
-                        lambda phi: rings.append(phi.ring) or verify(phi))
+    check, tables = pts._is_automorphism, []
+    monkeypatch.setattr(pts, "_is_automorphism",
+                        lambda T, *a: tables.append(T) or check(T, *a))
     for which, residue_points, count in (("stab", 4, 36), ("autgamma", 8, 72)):
-        rings.clear()
+        tables.clear()
         assert len(pts.enumerate_points(gr, R, which)) == count
-        assert (rings.count(residue), rings.count(R)) == (residue_points, count)
-        assert len(rings) == residue_points + count
+        assert ((tables.count(residue.ring_table()), tables.count(R.ring_table()))
+                == (residue_points, count))
+        assert len(tables) == residue_points + count
 
 
 def test_shaped_search_refuses_a_wrong_certificate(monkeypatch, F3):
     gr = zero_mult_grading(F3)
     R = product_ring(dual_numbers(F3, 2), base_field_ring(F3))
     assert pts.enumerate_points(gr, R, "autgamma")
-    honest = pts.block_permutations
+    honest = pts._block_permutations
     swapped = {(2,): (3,), (3,): (2,)}
 
-    def lying(gr, p):
-        (e, sigma), *rest = honest(gr, p).certificates
+    def lying(gr, *point):
+        (e, sigma), *rest = honest(gr, *point).certificates
         other = swapped if sigma != swapped else {g: g for g in gr.support}
         return pts.BlockPermResult(True, [(e, other)] + rest)
 
-    monkeypatch.setattr(pts, "block_permutations", lying)
+    monkeypatch.setattr(pts, "_block_permutations", lying)
     for which in ("stab", "autgamma"):
         with pytest.raises(MathIdentityError):
             pts.enumerate_points(gr, R, which)
 
 
 def test_points_come_in_ring_sort_key_order(F3, F5, F9):
-    # the CLI goldens and the battery's stride sampling read this order; sort
-    # keys on a table ring are ranks of indices and must keep it
+    # the CLI goldens and the battery's stride sampling read this order; on a
+    # table ring points sort as their index rows and must keep it
     base = base_field_ring(F3)
     for gr, R in ((para_hurwitz_grading(F9), dual_numbers(F9, 2)),
                   (zero_mult_grading(F3), product_ring(base, base)),
