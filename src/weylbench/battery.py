@@ -15,6 +15,7 @@ import random
 from dataclasses import dataclass
 
 from . import galg, linalg, points as pts, weyl
+from .comrings import RingTable, base_field_ring
 from .errors import (
     CapExceededError,
     FactorizationIncompleteError,
@@ -22,9 +23,9 @@ from .errors import (
     NotEnumerableError,
 )
 
-# Enumerate a point group when its search visits at most ENUM_BUDGET nodes;
-# keep it whole up to POINT_CAP points, else stride-sample it.  Groups that
-# are not enumerated are sampled towards SAMPLE_TARGET points.
+# Enumerate a point group when _enumerable(gr, R, ENUM_BUDGET); keep it whole
+# up to POINT_CAP points, else stride-sample it.  Groups that are not
+# enumerated are sampled towards SAMPLE_TARGET points.
 ENUM_BUDGET = 200_000
 POINT_CAP = 384
 SAMPLE_TARGET = 110
@@ -74,16 +75,23 @@ def theorem_battery(gr, R, seed=0x5EED):
     return BatteryResult(mode, evaluations, len(points), checked, checked, warn)
 
 
+def _enumerable(gr, R, budget):
+    """The battery's rule for enumerating Aut(A)(R): R finite, small enough
+    for the table the search runs on, and |R|^(dim A * the enum steps of A's
+    enumeration plan) at most budget."""
+    count, (steps, _) = R.element_count(), pts._enumeration_plan(gr.algebra)
+    enums = sum(step[0] == "enum" for step in steps)
+    return (count is not None and count <= RingTable.MAX_ELEMENTS
+            and count ** (gr.algebra.dim * enums) <= budget)
+
+
 def battery_points(gr, R, seed=0x5EED):
     """(distinct automorphism points, mode, evaluation count).
 
-    Full enumeration when both the search and the resulting point group are
+    Full enumeration when _enumerable at ENUM_BUDGET and the point group is
     small; very large point groups are stride-sampled from the enumeration."""
-    try:
-        enumerated = pts.enumerate_points(gr, R, "aut", cap=ENUM_BUDGET)
-    except (CapExceededError, NotEnumerableError):
-        pass
-    else:
+    if _enumerable(gr, R, ENUM_BUDGET):
+        enumerated = pts.enumerate_points(gr, R, "aut")
         if len(enumerated) <= POINT_CAP:
             return enumerated, "enumerated", len(enumerated)
         stride = max(1, len(enumerated) // max(SAMPLE_TARGET, 128))
@@ -177,7 +185,7 @@ def _torsion_units(R):
             if z not in closed:
                 closed.add(z)
                 frontier.append(z)
-    return sorted(closed, key=R.sort_key)
+    return sorted(closed)
 
 
 def _random_units(R, rng):
@@ -203,15 +211,11 @@ def _monomial_sample(gr, R):
 
 def _base_field_sample(gr, R):
     """Automorphism points over the base field embedded into R."""
-    from .comrings import base_field_ring
-
-    try:
-        field_points = pts.enumerate_points(gr, base_field_ring(gr.algebra.field), "aut",
-                                            cap=BASE_FIELD_BUDGET)
-    except (CapExceededError, NotEnumerableError):
+    base = base_field_ring(gr.algebra.field)
+    if not _enumerable(gr, base, BASE_FIELD_BUDGET):
         return []
     out = []
-    for p in field_points[:64]:
+    for p in pts.enumerate_points(gr, base, "aut")[:64]:
         rows = [[R.from_field(x[0]) for x in row] for row in p.entries]
         out.append(pts.point_matrix(gr.algebra, R, rows))
     return out

@@ -124,9 +124,6 @@ class TestRing:
             raise NotEnumerableError("ring over an infinite field")
         return (tuple(v) for v in itertools.product(self.field.elements(), repeat=self.dim))
 
-    def sort_key(self, x):
-        return tuple(self.field.sort_key(c) for c in x)
-
     def to_str(self, x):
         if self.dim == 1:
             return self.field.to_str(x[0])
@@ -253,8 +250,8 @@ _EMPTY = 0xFFFF   # an unfilled RingTable cell; indices stay below 512
 
 
 class RingTable:
-    """Index view of a finite TestRing: its elements, in R.sort_key order,
-    are numbered 0..|R|-1, so index tuples sort as element tuples, and the
+    """Index view of a finite TestRing: its elements, in sorted order, are
+    numbered 0..|R|-1, so index tuples sort as element tuples, and the
     point layer runs on the ring protocol it speaks on them (zero(), one,
     is_zero, add, mul, scal by a constant given as the index of
     R.from_field(c), neg, inv, is_unit).  Cells are filled on first use by
@@ -272,7 +269,7 @@ class RingTable:
             raise NotEnumerableError("ring over an infinite field")
         if count > self.MAX_ELEMENTS:
             raise CapExceededError("ring too large for table form (%d)" % count)
-        self.elems = sorted(R.elements(), key=R.sort_key)
+        self.elems = sorted(R.elements())
         self.index = {e: i for i, e in enumerate(self.elems)}
         self._ring_ref = weakref.ref(R)
         self._blank = array("H", [_EMPTY]) * count   # shared until written
@@ -499,7 +496,7 @@ def decompose_ring(R):
     else:
         idems = [tuple(e) for e in _split_semisimple(R)]
     _verify_idempotent_family(R, idems)
-    return sorted(idems, key=R.sort_key)
+    return sorted(idems)
 
 
 def _newton_lift(R, e):
@@ -603,7 +600,7 @@ UNIT_ENUMERATION_CAP = 10**6
 
 def enumerate_units(R):
     """The unit map of a finite ring: {unit: multiplicative order}, keyed in
-    R.sort_key order.  One R.is_unit test per element; each order comes
+    sorted order.  One R.is_unit test per element; each order comes
     from scalars.multiplicative_order with the multiple n = |R^x|, which
     fails only against Lagrange's theorem."""
     count = R.element_count()
@@ -611,7 +608,7 @@ def enumerate_units(R):
         raise NotEnumerableError("unit enumeration needs a finite base field")
     if count > UNIT_ENUMERATION_CAP:
         raise CapExceededError("|R| = %d exceeds cap %d" % (count, UNIT_ENUMERATION_CAP))
-    units = sorted((v for v in R.elements() if R.is_unit(v)), key=R.sort_key)
+    units = sorted(v for v in R.elements() if R.is_unit(v))
     orders = {u: scalars.multiplicative_order(R.mul, R.one, u, len(units)) for u in units}
     if None in orders.values():
         raise MathIdentityError("a unit u of %s has u^|R^x| != 1, against Lagrange's "

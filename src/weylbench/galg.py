@@ -14,7 +14,7 @@ import itertools
 from dataclasses import dataclass, field
 
 from .abgroups import FGAbelianGroup, Presentation, group_from_presentation
-from .comrings import GroupAlgebra, base_field_ring
+from .comrings import GroupAlgebra
 from .errors import GradingAxiomError, InputError, MathIdentityError
 from .linalg import compile_product
 
@@ -114,22 +114,13 @@ def verify_grading_generic(A, G, labels):
     """Check the grading axiom through the generic character: the operator
     x_i -> x_i * deg(i) on A tensor FG is multiplicative iff labels grade A."""
     labels = [G.reduce(l) for l in labels]
-    R = base_field_ring(A.field)
-    GA = GroupAlgebra(R, G)
-    F = A.field
-    n = A.dim
-
-    def psi_of_vector(vec_ga):
-        return [GA.mul(vec_ga[k], GA.monomial(R.one, labels[k])) for k in range(n)]
-
+    GA, one, n = GroupAlgebra(A.field, G), A.field.one(), A.dim
     for i in range(n):
         for j in range(n):
-            prod = A.table[i][j]
-            prod_ga = [GA.scalar(R.from_field(prod[k])) for k in range(n)]
-            lhs = psi_of_vector(prod_ga)
-            shift = GA.monomial(R.one, G.add(labels[i], labels[j]))
-            rhs = [GA.mul(prod_ga[k], shift) for k in range(n)]
-            if lhs != rhs:
+            prod = [GA.scalar(c) for c in A.table[i][j]]
+            shift = GA.monomial(one, G.add(labels[i], labels[j]))
+            if ([GA.mul(x, GA.monomial(one, labels[k])) for k, x in enumerate(prod)]
+                    != [GA.mul(x, shift) for x in prod]):
                 return False
     return True
 

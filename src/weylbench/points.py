@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 
 from . import abgroups, galg, linalg
@@ -303,22 +304,21 @@ def character_point(gr, R, coords, values):
 
 
 def sorted_characters(gr, R, cap=10**6):
-    """(universal group, characters U -> R^x as value tuples) in the sort_key
+    """(universal group, characters U -> R^x as value tuples) in the sorted
     order of their points, read off the diagonals (the rest is zero) without
     building them.  A finite R over cap elements is refused before its units."""
     count = R.element_count()
     if count is not None and count > cap:
         raise CapExceededError("|R| = %d exceeds cap %d" % (count, cap))
     uni = galg.universal_group(gr)
-    T, to, _ = _indexed(R)   # on a table an index sorts as its element
-    key = R.sort_key if T is R else to
+    _, to, _ = _indexed(R)   # on a table an index sorts as its element
     chars = abgroups.enumerate_characters(uni.group, _unit_map_for(R, uni.group))
-    return uni, sorted(chars, key=lambda a: tuple(map(key, _diagonal(gr, R, uni.deg_u, a))))
+    return uni, sorted(chars, key=lambda a: tuple(map(to, _diagonal(gr, R, uni.deg_u, a))))
 
 
 def diag_points(gr, R, cap=10**6, cross_check=True):
     """Diag(R) as explicit matrices via characters of the universal group, in
-    sort_key order, each verified; cap as in sorted_characters and for the
+    sorted order, each verified; cap as in sorted_characters and for the
     brute-force cross-check."""
     uni, chars = sorted_characters(gr, R, cap)
     points = [character_point(gr, R, uni.deg_u, assign) for assign in chars]
@@ -585,18 +585,17 @@ def _span(table, scalars, directions, start):
     return out
 
 
-def _estimated_nodes(A, R):
-    steps, _ = _enumeration_plan(A)
-    count = R.element_count()
-    if count is None:
-        return None
-    nodes = 1
-    for step in steps:
-        if step[0] == "enum":
-            nodes *= count**A.dim
-            if nodes > 10**12:
-                return nodes
-    return nodes
+def node_budget(cap):
+    """spend(k): k more nodes of one point search, counted before they are
+    built; CapExceededError as soon as the count passes cap."""
+    spent = 0
+
+    def spend(k=1):
+        nonlocal spent
+        spent += k
+        if spent > cap:
+            raise CapExceededError("point search passed its cap of %d nodes" % cap)
+    return spend
 
 
 def enumerate_points(gr, R, which="aut", cap=10**8):
@@ -605,14 +604,16 @@ def enumerate_points(gr, R, which="aut", cap=10**8):
     which: 'aut' | 'stab' | 'autgamma'.  Each point set is searched in its own
     block shape (_points_by_shape), with constraint pruning and column
     derivation, and every survivor is re-verified exactly, on index rows that
-    sort as the points do; each point is built once, here."""
-    found = sorted(rows for _, shaped in _points_by_shape(gr, R, which, cap) for rows in shaped)
+    sort as the points do; each point is built once, here.  The search
+    visits at most cap nodes (node_budget)."""
+    found = sorted(rows for _, shaped in _points_by_shape(gr, R, which, node_budget(cap))
+                   for rows in shaped)
     elems = R.ring_table().elems
     return [PointMatrix(gr.algebra, R, tuple(tuple(map(elems.__getitem__, row)) for row in rows))
             for rows in found]
 
 
-def _points_by_shape(gr, R, which, cap):
+def _points_by_shape(gr, R, which, spend):
     """(shape, points) per searched shape, each point as its rows of indices
     on R's table.  A shape is one support permutation per primitive
     idempotent e of R, as position tuples over gr.support: 'aut' is the one
@@ -632,14 +633,14 @@ def _points_by_shape(gr, R, which, cap):
     are cosets of m, so each holds |R|/|R/m| elements, and the nonempty
     fibres, over rho in a block and over shapes in a product, are cosets of
     the kernel of reduction and shape, both homomorphisms, so they must all
-    have one size."""
+    have one size.
+
+    spend is the one node_budget of the search, shared by its blocks and
+    residue: each DFS node spends 1, and lift children and block products
+    are spent before they are built."""
     A = gr.algebra
-    nodes = _estimated_nodes(A, R)
-    if nodes is None:
+    if R.element_count() is None:
         raise NotEnumerableError("cannot enumerate points over an infinite ring")
-    if nodes > cap:
-        raise CapExceededError("estimated enumeration size %d exceeds cap %d"
-                               % (nodes, cap))
     if which == "aut":
         shapes = [()]
     elif which == "stab":
@@ -662,8 +663,8 @@ def _points_by_shape(gr, R, which, cap):
         into = [[table.index[inject(x)] for x in ring.ring_table().elems]
                 for ring, inject in blocks]
         searches = [(sum((shape for shape, _ in found), ()),
-                     itertools.product(*(block_points for _, block_points in found)))
-                    for found in itertools.product(*(list(_points_by_shape(gr, ring, which, cap))
+                     [block_points for _, block_points in found])
+                    for found in itertools.product(*(list(_points_by_shape(gr, ring, which, spend))
                                                      for ring, _ in blocks))]
     elif R.nil_quotient():
         ring, project, section = R.nil_quotient()
@@ -675,7 +676,7 @@ def _points_by_shape(gr, R, which, cap):
         if sizes != {size}:
             raise MathIdentityError("residue classes have sizes %s, not |R|/|R/nil| = %d"
                                     % (sorted(sizes), size))
-        searches = _points_by_shape(gr, ring, which, cap)   # each shape lifted as it comes
+        searches = _points_by_shape(gr, ring, which, spend)   # each shape lifted as it comes
         lifted = [table.index[section(x)] for x in bar.elems]
         F, (starts, basis, coords) = A.field, R.filtration()
         units = [table.index[u] for u in basis]
@@ -714,11 +715,13 @@ def _points_by_shape(gr, R, which, cap):
                 raise MathIdentityError("a node at layer %d has a residual outside m^%d" % (i, i))
             parts = [(t, _back_substitute(F, system, [coords[x][t] for x in E])) for t in layer]
             if all(x is not None for _, x in parts):
+                spend(len(scalars) ** len(directions))
                 children += _span(table, scalars.values(), directions,
                                   tuple(map(add, phi, times(rho, parts))))
         return children
 
     def dfs(stage, cols, dfs):   # passed itself: a closure cell of its own is a cycle
+        spend()
         if stage == len(steps):
             rows = tuple(zip(*cols))
             if table.is_unit(ring_det(table, rows)):
@@ -745,8 +748,10 @@ def _points_by_shape(gr, R, which, cap):
         certs = [(e, dict(zip(gr.support, (gr.support[i] for i in perm))))
                  for e, perm in zip(R.idempotents(), shape)]
         if split:   # one point per block, summed into R
+            spend(math.prod(map(len, found)))
             survivors = [tuple(tuple(functools.reduce(add, (m[p[k][j]] for m, p in zip(into, parts)))
-                                     for j in range(n)) for k in range(n)) for parts in found]
+                                     for j in range(n)) for k in range(n))
+                         for parts in itertools.product(*found)]
             fibre_sizes.add(len(survivors))
         elif found is None:
             allowed = [[zero_only if certs and certs[0][1][gr.degrees[j]] != gr.degrees[k]

@@ -313,10 +313,10 @@ def repeated_factor(F, f):
 
 def irreducible_factors(F, f):
     """The monic irreducible factors of a squarefree monic f over a finite
-    field F with q elements, sorted by (degree, F.sort_key of the
-    coefficients).  One distinct-degree pass: the part of f whose factors
-    have degree k is gcd(rest, t^(q^k) - t), and once deg rest < 2(k + 1)
-    the rest is irreducible; each part is split by equal-degree splitting.
+    field F with q elements, sorted by (degree, coefficients).  One
+    distinct-degree pass: the part of f whose factors have degree k is
+    gcd(rest, t^(q^k) - t), and once deg rest < 2(k + 1) the rest is
+    irreducible; each part is split by equal-degree splitting.
     Every piece must have a degree divisible by its k, and the factors must
     multiply back to f."""
     q, t = F.cardinality(), [F.zero(), F.one()]
@@ -343,7 +343,7 @@ def irreducible_factors(F, f):
         product = poly_mul(F, product, g)
     if product != poly_trim(F, f):
         raise MathIdentityError("the irreducible factors do not multiply back to f")
-    return sorted(factors, key=lambda g: (len(g), [F.sort_key(c) for c in g]))
+    return sorted(factors, key=lambda g: (len(g), g))
 
 
 def _equal_degree_factor(F, f, k):
@@ -386,8 +386,9 @@ def _split_by(F, f, k, q, a):
 class ExactField:
     """Common interface; subclasses fix the element representation.  Each
     field defines zero, one, from_int, add, neg, mul, inv, is_zero,
-    characteristic, cardinality (None if infinite), sort_key, to_str, parse
-    and random_element; the operations below are derived from those."""
+    characteristic, cardinality (None if infinite), to_str, parse and
+    random_element; the operations below are derived from those.  Elements
+    sort in their natural order: Fractions, residues, coefficient tuples."""
 
     kind = None
 
@@ -441,9 +442,6 @@ class RationalField(ExactField):
 
     def cardinality(self):
         return None
-
-    def sort_key(self, a):
-        return a
 
     def to_str(self, a):
         return str(a)
@@ -506,9 +504,6 @@ class PrimeField(ExactField):
 
     def elements(self):
         return iter(range(self.p))
-
-    def sort_key(self, a):
-        return a
 
     def to_str(self, a):
         return str(a)
@@ -696,9 +691,6 @@ class ExtensionField(ExactField):
     def elements(self):
         return (tuple(v) for v in itertools.product(self.base.elements(), repeat=self.degree))
 
-    def sort_key(self, a):
-        return tuple(self.base.sort_key(x) for x in a)
-
     def to_str(self, a):
         return "[" + ",".join(self.base.to_str(x) for x in a) + "]"
 
@@ -831,10 +823,9 @@ def dth_root(F, c, d):
 
     Complete over Q (perfect-power test; 1 root for odd d, 2 for even d)
     and over finite fields (the roots of h = gcd(t^d - c, t^q - t); the
-    witness is 1 when c = 1, else the least root in F.sort_key order, which
-    is F.elements() order; the count is deg h, cross-asserted against
-    Euler's criterion).  Over extensions of Q the answer may be Unknown, and
-    the count is None.
+    witness is 1 when c = 1, else the least root, in F.elements() order;
+    the count is deg h, cross-asserted against Euler's criterion).  Over
+    extensions of Q the answer may be Unknown, and the count is None.
     """
     if F.is_zero(c):
         raise DivisionByZeroError("dth_root of zero")
@@ -847,7 +838,7 @@ def dth_root(F, c, d):
         if not poly_deg(h):
             return RootResult(RootResult.NO_SOLUTION, count=0)
         x = F.one() if c == F.one() else min(
-            (F.neg(g[0]) for g in irreducible_factors(F, h)), key=F.sort_key)
+            F.neg(g[0]) for g in irreducible_factors(F, h))
         if F.pow(x, d) != c:
             raise MathIdentityError("a root of gcd(t^d - c, t^q - t) is not a d-th root of c")
         return RootResult(RootResult.WITNESS, x, poly_deg(h))

@@ -261,10 +261,10 @@ def _weyl_from_field_points(gr, cap):
     """({sigma: fibre size}, W(F)): the points of Aut Gamma over the base field
     counted per support permutation sigma by the shaped search (a field has
     one block), over the sigma with a nonempty fibre, and the group W(F) of
-    those sigma."""
+    those sigma; the search visits at most cap nodes."""
     R = base_field_ring(gr.algebra.field)
     fibres = {sigma: len(found) for (sigma,), found
-              in pts._points_by_shape(gr, R, "autgamma", cap) if found}
+              in pts._points_by_shape(gr, R, "autgamma", pts.node_budget(cap)) if found}
     return fibres, perm_group_from(set(fibres), gr.support)
 
 

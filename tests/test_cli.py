@@ -145,6 +145,18 @@ def test_verify_theorem_golden():
     assert rep.lines[4].startswith("WARN ")
 
 
+def test_verify_theorem_samples_over_rings_past_the_table_size():
+    # the point search runs on a table of at most 512 elements, so over F521
+    # and F521[eps]/eps^2 the battery samples, and its base-field source is empty
+    deck = ("field F521 = prime 521\ngroup T = 1\nalgebra A over F521 dim 1 basis e\n"
+            "mul e e = e\ngrading Gamma on A by T deg e=0\n"
+            "ring R = base F521\nring D = dual F521 2\n")
+    for ring in ("R", "D"):
+        rep = run(deck, ["verify-theorem", "Gamma", "over", ring])
+        assert rep.lines == ["points.mode=sampled", "points.count=1",
+                             "cent==stab: ok (1/1)", "norm==autGamma: ok (1/1)"]
+
+
 def test_reports_are_deterministic():
     for argv in (["weyl", "Gamma"], ["support", "Gamma"], ["universal", "Gamma"]):
         a = run(load("ex34.deck"), argv).text()
@@ -217,6 +229,47 @@ def test_cap_flag_limits_enumeration():
     with pytest.raises(CapExceededError):
         run(load("ex26.deck"), ["points", "Gamma", "over", "F3eps", "set=aut"],
             cap=2)
+
+
+def test_ex34_searches_run_under_the_default_cap(tmp_path, capsys):
+    # each visits at most a few hundred nodes, though |R|^dim per enum step
+    # of the plan is 1.38e10 over F7e and 1.63e15 over F7ex
+    deck = tmp_path / "ex34.deck"
+    deck.write_text(load("ex34.deck") + "ring F7e = dual F7 2\nring F7b = base F7\n"
+                    "ring F7ex = product F7e F7b\n")
+    for ring, which, count in (("F7e", "aut", 3), ("F7e", "autgamma", 3),
+                               ("F7ex", "stab", 9), ("F7ex", "aut", 9)):
+        assert main(["--deck", str(deck), "points", "Gamma", "over", ring,
+                     "set=" + which]) == 0
+        assert capsys.readouterr().out.startswith("points.count=%d\n" % count)
+
+
+def test_gl3_search_is_refused_at_the_cap_it_passes(tmp_path, capsys):
+    # all products zero in dimension 3 over F5: Aut is GL_3(F5), 1,488,000
+    # points from about 2e6 DFS nodes; refused after 100,000 of them (~1 s)
+    deck = tmp_path / "zero3.deck"
+    deck.write_text("field F5 = prime 5\ngroup T = 1\nalgebra A over F5 dim 3 basis a,b,c\n"
+                    "grading Gamma on A by T deg a=0 deg b=0 deg c=0\nring F5r = base F5\n")
+    start = time.perf_counter()
+    code = main(["--deck", str(deck), "--cap", "100000",
+                 "points", "Gamma", "over", "F5r", "set=aut"])
+    assert time.perf_counter() - start < 3.0
+    assert code == 2
+    assert capsys.readouterr().out == "error=input: point search passed its cap of 100000 nodes\n"
+
+
+def test_block_product_search_is_refused_quickly_at_the_default_cap(tmp_path, capsys):
+    # all products zero in dimension 3 over F3 x F3: GL_3(F3) has 11,232
+    # points per block, so 11,232^2 > 10^8 sums are spent before any is built
+    deck = tmp_path / "zero3x.deck"
+    deck.write_text("field F3 = prime 3\ngroup T = 1\nalgebra A over F3 dim 3 basis a,b,c\n"
+                    "grading Gamma on A by T deg a=0 deg b=0 deg c=0\nring F3r = base F3\n"
+                    "ring F3x = product F3r F3r\n")
+    start = time.perf_counter()
+    code = main(["--deck", str(deck), "points", "Gamma", "over", "F3x", "set=aut"])
+    assert time.perf_counter() - start < 3.0
+    assert code == 2
+    assert capsys.readouterr().out == "error=input: point search passed its cap of 100000000 nodes\n"
 
 
 def test_diag_points_over_a_ring_past_the_cap_exits_2(tmp_path, capsys):

@@ -524,7 +524,7 @@ def test_ring_table_is_built_once_per_ring(monkeypatch):
 
 def test_ring_tables_number_elements_in_sort_order():
     # a tuple of indices then sorts as its elements: the point search sorts
-    # its index rows into the points' R.sort_key order
+    # its index rows into the points' sorted order
     tables = 0
     for F in (F2, F3, F5, F9):
         trunc = comrings.truncated_poly(F, [F.one(), F.zero(), F.one()])   # t^2 + 1
@@ -533,7 +533,7 @@ def test_ring_tables_number_elements_in_sort_order():
             blocks = [R.block(e)[0] for e in R.idempotents()] if len(R.idempotents()) > 1 else []
             for S in [R] + blocks + ([quotient[0]] if quotient else []):
                 if S.element_count() <= comrings.RingTable.MAX_ELEMENTS:
-                    assert S.ring_table().elems == sorted(S.elements(), key=S.sort_key), S.label
+                    assert S.ring_table().elems == sorted(S.elements()), S.label
                     tables += 1
     assert tables == 60
 

@@ -11,7 +11,8 @@ import weylbench as wb
 from weylbench import battery, comrings, galg, linalg, points as pts
 from weylbench.abgroups import cyclic_group
 from weylbench.comrings import base_field_ring, dual_numbers, product_ring
-from weylbench.errors import InputError, MathIdentityError, OrderViolationError
+from weylbench.errors import (CapExceededError, InputError, MathIdentityError,
+                             OrderViolationError)
 
 from conftest import (cubic_grading, para_hurwitz_grading, trivial_grading,
                       truncated_power_grading, zero_mult_grading)
@@ -269,7 +270,7 @@ def test_diagonal_sample_strides_the_sorted_diagonal_points(F3, F5, F7, F9):
         if R.element_count() > battery.DIAG_FULL_CAP:
             continue
         dp = pts.diag_points(gr, R, cross_check=False)
-        ref = sorted(dp, key=lambda p: tuple(map(R.sort_key, itertools.chain(*p.entries))))
+        ref = sorted(dp, key=lambda p: tuple(itertools.chain(*p.entries)))
         assert [p.entries for p in dp] == [p.entries for p in ref]
         ref = ref[::max(1, len(ref) // battery.DIAG_KEEP)][:battery.DIAG_KEEP]
         got = battery._diagonal_sample(gr, R, rng)
@@ -307,8 +308,8 @@ def test_diagonal_oracle_tests_each_equation_when_its_scalars_are_set(F3, F5, F7
 
 
 class ReversedRing(comrings.TestRing):
-    """A test ring that lists its elements backwards, out of R.sort_key
-    order, which its RingTable must not follow."""
+    """A test ring that lists its elements backwards, out of sorted order,
+    which its RingTable must not follow."""
 
     def elements(self):
         return reversed(list(super().elements()))
@@ -317,14 +318,14 @@ class ReversedRing(comrings.TestRing):
 def test_points_sort_by_element_keys_on_a_table_out_of_sort_order(F3):
     ordered = dual_numbers(F3, 2)
     R = ReversedRing(F3, ordered.table, ordered.one, label="reversed")
-    assert R.ring_table().elems == sorted(R.elements(), key=R.sort_key)
+    assert R.ring_table().elems == sorted(R.elements())
     gr = zero_mult_grading(F3)
     got = pts.enumerate_points(gr, R, "aut")
     assert len(got) == 3888
-    assert got == sorted(got, key=lambda p: tuple(map(R.sort_key, itertools.chain(*p.entries))))
+    assert got == sorted(got, key=lambda p: tuple(itertools.chain(*p.entries)))
     assert [p.entries for p in got] == [p.entries for p in pts.enumerate_points(gr, ordered)]
     uni, chars = pts.sorted_characters(gr, R)
-    keys = [tuple(map(R.sort_key, pts._diagonal(gr, R, uni.deg_u, a))) for a in chars]
+    keys = [tuple(pts._diagonal(gr, R, uni.deg_u, a)) for a in chars]
     assert len(keys) == 36 and keys == sorted(keys)
 
 
@@ -351,7 +352,7 @@ def test_torsion_units_are_the_signed_group_elements(Q, ring, units):
         for i in range(R.dim):
             g = tuple(Q.one() if k == i else Q.zero() for k in range(R.dim))
             expected |= {g, R.neg(g)}
-    assert battery._torsion_units(R) == sorted(expected, key=R.sort_key)
+    assert battery._torsion_units(R) == sorted(expected)
 
 
 def test_diag_points_counts(Q, F3, F7):
@@ -579,6 +580,31 @@ def test_lifting_lists_points_the_fibre_walk_was_slow_on(F3, F5, F7):
                                     cap=10**30)) == 3888
 
 
+def test_point_search_is_refused_when_its_node_count_passes_the_cap(F7):
+    # over F7[eps]/eps^2: the DFS over the residue field F7 and the lift
+    # children of its 3 points are 354 nodes, all spent from one budget
+    gr, R = cubic_grading(F7), dual_numbers(F7, 2)
+    assert len(pts.enumerate_points(gr, R, "aut", cap=354)) == 3
+    with pytest.raises(CapExceededError, match="cap of 353 nodes"):
+        pts.enumerate_points(gr, R, "aut", cap=353)
+
+
+def test_block_products_are_spent_before_they_are_built(monkeypatch, F5):
+    # zero_mult/F5 over F5 x F5: 480 points per block, so 230,400 sums of
+    # block points, each verified on R's table once it is built; refused in
+    # about 0.01 s, where building the sums alone takes over a second
+    base = base_field_ring(F5)
+    gr, R = zero_mult_grading(F5), product_ring(base, base)
+    check, tables = pts._is_automorphism, []
+    monkeypatch.setattr(pts, "_is_automorphism",
+                        lambda T, *a: tables.append(T) or check(T, *a))
+    start = time.perf_counter()
+    with pytest.raises(CapExceededError, match="cap of 200000 nodes"):
+        pts.enumerate_points(gr, R, "aut", cap=200_000)
+    assert time.perf_counter() - start < 0.5
+    assert len(tables) == 2 * 480 and R.ring_table() not in tables
+
+
 def test_residue_search_serves_the_callers_point_set(monkeypatch, F3):
     # over F3[eps]/eps^2 the residue field is searched for stab or autgamma
     # itself: 4 and 8 residue points verified, not all 48 of GL_2(F3)
@@ -621,7 +647,7 @@ def test_points_come_in_ring_sort_key_order(F3, F5, F9):
                   (zero_mult_grading(F3), product_ring(base, base)),
                   (para_hurwitz_grading(F5), comrings.group_algebra_finite(F5, cyclic_group(3)))):
         def key(p):
-            return tuple(R.sort_key(x) for row in p.entries for x in row)
+            return tuple(x for row in p.entries for x in row)
 
         for found in (pts.enumerate_points(gr, R, "aut"), pts.enumerate_points(gr, R, "stab"),
                       pts.diag_points(gr, R)):
