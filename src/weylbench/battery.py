@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from . import galg, linalg, points as pts, weyl
 from .comrings import RingTable, base_field_ring
 from .errors import (
-    CapExceededError,
     FactorizationIncompleteError,
     MathIdentityError,
     NotEnumerableError,
@@ -142,7 +141,7 @@ def _diagonal_sample(gr, R, rng):
     if count is not None and count <= DIAG_FULL_CAP:
         try:
             uni, chars = pts.sorted_characters(gr, R)
-        except (NotEnumerableError, CapExceededError, FactorizationIncompleteError):
+        except (NotEnumerableError, FactorizationIncompleteError):
             return []
         kept = chars[::max(1, len(chars) // DIAG_KEEP)][:DIAG_KEEP]
         return [pts.character_point(gr, R, uni.deg_u, assign) for assign in kept]

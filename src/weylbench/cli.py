@@ -31,7 +31,7 @@ class Report:
         return "\n".join(self.lines) + ("\n" if self.lines else "")
 
 
-def run_command(deck, tokens, cap=10**8):
+def run_command(deck, tokens, cap=pts.DEFAULT_CAP):
     """Tokenize the command tokens once, match them against COMMANDS and run
     the handler on the resolved deck objects."""
     report = Report()
@@ -204,7 +204,7 @@ def _decode_deck(data):
 
 def main(argv=None):
     argv = list(sys.argv[1:] if argv is None else argv)
-    flags = {"cap": 10**8, "deck": None}
+    flags = {"cap": pts.DEFAULT_CAP, "deck": None}
     tokens = []
     i = 0
     while i < len(argv):
@@ -239,6 +239,9 @@ def main(argv=None):
     except MathIdentityError as exc:
         print("error=identity: %s" % exc)
         return 1
+    except MemoryError:
+        print("error=input: out of memory; lower --cap")
+        return 2
     except (WorkbenchError, OSError) as exc:
         print("error=input: %s" % exc)
         return 2

@@ -10,6 +10,7 @@ on demand and cached.
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 import weakref
@@ -52,7 +53,6 @@ class TestRing:
         self._ring_table = None
         self._blocks = {}           # idempotent -> block(e), built on demand
         self._filtration = None
-        self.residue_classes = None, None   # points: (projection, class sizes)
         self._check_axioms()
         count = self.element_count()
         if count is not None and count <= RingTable.MAX_ELEMENTS:
@@ -424,16 +424,24 @@ def _nilradical_basis(R):
 
 
 def _verify_nilradical(R, basis):
-    """Check that basis spans a nil ideal with a reduced quotient, and return
-    that quotient R/nil (None when R is reduced)."""
+    """Check that basis spans a nil ideal with a reduced quotient, whose
+    classes, cosets of nil, have |R|/|R/nil| elements each on a ring with a
+    table, and return that quotient R/nil (None when R is reduced)."""
     for v in basis:
         if not R.is_nilpotent(v):
             raise MathIdentityError("claimed nilradical vector is not nilpotent")
     if not basis:
         return None
-    quot = _quotient_ring(R, basis, "%s/nil" % R.label)
-    if _nilradical_basis(quot[0]):
+    quot = ring, project, _ = _quotient_ring(R, basis, "%s/nil" % R.label)
+    if _nilradical_basis(ring):
         raise MathIdentityError("quotient by nilradical is not reduced")
+    T = R._ring_table
+    if T is not None:
+        counts = collections.Counter(map(project, T.elems))
+        sizes, size = {counts[y] for y in ring.elements()}, len(T.elems) // ring.element_count()
+        if sizes != {size}:
+            raise MathIdentityError("residue classes have sizes %s, not |R|/|R/nil| = %d"
+                                    % (sorted(sizes), size))
     return quot
 
 

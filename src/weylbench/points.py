@@ -27,6 +27,7 @@ from .errors import (
     MathIdentityError,
     NotEnumerableError,
     OrderViolationError,
+    SingularMatrixError,
 )
 from .linalg import nonempty_cells, structure_mul
 
@@ -54,6 +55,22 @@ def identity_point(A, R):
     return point_matrix(
         A, R,
         [[R.one if i == j else R.zero() for j in range(A.dim)] for i in range(A.dim)])
+
+
+DEFAULT_CAP = 10**6   # nodes per listing: the largest search in the tests spends ~420,000
+
+
+def node_budget(cap):
+    """spend(k): k more nodes of one point listing, counted before they are
+    built; CapExceededError as soon as the count passes cap."""
+    spent = 0
+
+    def spend(k=1):
+        nonlocal spent
+        spent += k
+        if spent > cap:
+            raise CapExceededError("point search passed its cap of %d nodes" % cap)
+    return spend
 
 
 # ---------------------------------------------------------------------------
@@ -303,28 +320,29 @@ def character_point(gr, R, coords, values):
     return point_matrix(gr.algebra, R, rows)
 
 
-def sorted_characters(gr, R, cap=10**6):
+def sorted_characters(gr, R):
     """(universal group, characters U -> R^x as value tuples) in the sorted
     order of their points, read off the diagonals (the rest is zero) without
-    building them.  A finite R over cap elements is refused before its units."""
-    count = R.element_count()
-    if count is not None and count > cap:
-        raise CapExceededError("|R| = %d exceeds cap %d" % (count, cap))
+    building them."""
     uni = galg.universal_group(gr)
     _, to, _ = _indexed(R)   # on a table an index sorts as its element
     chars = abgroups.enumerate_characters(uni.group, _unit_map_for(R, uni.group))
     return uni, sorted(chars, key=lambda a: tuple(map(to, _diagonal(gr, R, uni.deg_u, a))))
 
 
-def diag_points(gr, R, cap=10**6, cross_check=True):
+def diag_points(gr, R, cap=DEFAULT_CAP):
     """Diag(R) as explicit matrices via characters of the universal group, in
-    sorted order, each verified; cap as in sorted_characters and for the
-    brute-force cross-check."""
-    uni, chars = sorted_characters(gr, R, cap)
+    sorted order, each verified, and counted again by the brute-force oracle
+    over a finite ring; one node_budget(cap) pays for |R|, the characters and
+    the oracle's candidates, each before they are built."""
+    spend = node_budget(cap)
+    spend(R.element_count() or 0)
+    uni, chars = sorted_characters(gr, R)
+    spend(len(chars))
     points = [character_point(gr, R, uni.deg_u, assign) for assign in chars]
     if not all(map(automorphism_membership, points)):
         raise MathIdentityError("character point is not an automorphism")
-    brute = _brute_diag_count(gr, R, cap) if cross_check else None
+    brute = _brute_diag_count(gr, R, spend)
     if brute is not None and brute != len(points):
         raise MathIdentityError("diagonal point count %d != brute-force count %d"
                                 % (len(points), brute))
@@ -341,13 +359,13 @@ def _unit_map_for(R, U):
     raise NotEnumerableError("unit group is not enumerable for this ring")
 
 
-def _brute_diag_count(gr, R, cap):
+def _brute_diag_count(gr, R, spend):
     """Independent oracle: assign unit scalars to the support in order and
     test the multiplicativity equations directly on the structure constants,
-    each s_g s_h = s_(g+h) as soon as its last scalar is assigned."""
+    each s_g s_h = s_(g+h) as soon as its last scalar is assigned, spending
+    each level's candidates first; None over an infinite ring."""
     supp = list(gr.support)
-    count = R.element_count()
-    if count is None or count ** len(supp) > cap:
+    if R.element_count() is None:
         return None
     units = list(R.unit_group())
     A, d, at = gr.algebra, gr.degrees, supp.index
@@ -357,6 +375,7 @@ def _brute_diag_count(gr, R, cap):
     assigned = [()]
     for t in range(len(supp)):   # one more scalar, then the equations it completes
         due = [c for c in cells if max(c) == t]
+        spend(len(assigned) * len(units))
         assigned = [s for s in (a + (u,) for a in assigned for u in units)
                     if all(R.mul(s[g], s[h]) == s[gh] for g, h, gh in due)]
     return len(assigned)
@@ -542,37 +561,26 @@ def _enumeration_plan(A):
 
 def _derivations(A, cols):
     """d(Delta)_ab = Delta(e_a e_b) - Delta(e_a) e_b - e_a Delta(e_b) on the
-    Delta with entries cols, (l, j) the e_l coefficient of Delta(e_j),
-    eliminated once per column set and kept on A.derivations: (cols, rows,
-    pivots, inverse, relations, kernel), where the rows of d that rows index
-    span its row space, relations give the others from them, inverse
-    inverts d on rows x pivots, and kernel spans ker d, the derivations."""
+    Delta with entries cols, (l, j) the e_l coefficient of Delta(e_j), built
+    once per column set and kept on A.derivations: (cols, d, kernel), kernel
+    spanning ker d, the derivations."""
     if cols not in A.derivations:
         F, n, c = A.field, A.dim, A.table
         d = [[F.sub(F.sub(c[a][b][j] if l == k else F.zero(),
                           c[l][b][k] if j == a else F.zero()),
                     c[a][l][k] if j == b else F.zero()) for l, j in cols]
              for a, b, k in itertools.product(range(n), repeat=3)]
-        dT = [list(col) for col in zip(*d)]
-        rows = linalg.rref(F, dT)[1]
-        relations = [[(p, v) for p, v in enumerate(y) if not F.is_zero(v)]
-                     for y in linalg.nullspace(F, dT)]
-        pivots = linalg.rref(F, [d[r] for r in rows])[1]
-        A.derivations[cols] = (cols, rows, pivots,
-                               linalg.inv(F, [[d[r][p] for p in pivots] for r in rows]),
-                               relations, linalg.nullspace(F, d))
+        A.derivations[cols] = cols, d, linalg.nullspace(F, d)
     return A.derivations[cols]
 
 
 def _back_substitute(F, system, b):
-    """The solution of d Delta = b over F, from _derivations, that is zero off
-    its pivots, or None when b breaks a relation, so that there is none."""
-    cols, rows, pivots, inverse, relations, _ = system
-    if any(not F.is_zero(functools.reduce(F.add, (F.mul(v, b[p]) for p, v in y)))
-           for y in relations):
+    """The solution of d Delta = b over F, from _derivations, that is zero on
+    the free columns of d, or None when there is none."""
+    try:
+        return linalg.solve(F, system[1], b)
+    except SingularMatrixError:
         return None
-    x = dict(zip(pivots, linalg.mat_vec(F, inverse, [b[r] for r in rows])))
-    return [x.get(c, F.zero()) for c in range(len(cols))]
 
 
 def _span(table, scalars, directions, start):
@@ -585,20 +593,7 @@ def _span(table, scalars, directions, start):
     return out
 
 
-def node_budget(cap):
-    """spend(k): k more nodes of one point search, counted before they are
-    built; CapExceededError as soon as the count passes cap."""
-    spent = 0
-
-    def spend(k=1):
-        nonlocal spent
-        spent += k
-        if spent > cap:
-            raise CapExceededError("point search passed its cap of %d nodes" % cap)
-    return spend
-
-
-def enumerate_points(gr, R, which="aut", cap=10**8):
+def enumerate_points(gr, R, which="aut", cap=DEFAULT_CAP):
     """Exhaustive, deterministic list of points over a finite ring.
 
     which: 'aut' | 'stab' | 'autgamma'.  Each point set is searched in its own
@@ -629,11 +624,9 @@ def _points_by_shape(gr, R, which, spend):
     to deg k, and a DFS searches the columns.  A connected R that is not
     reduced has a residue field R/m, m = nil: the same point set is searched
     there, and each residue point rho is lifted through the square-zero
-    layers m^i/m^(i+1) of the filtration (lift).  The residue classes
-    are cosets of m, so each holds |R|/|R/m| elements, and the nonempty
-    fibres, over rho in a block and over shapes in a product, are cosets of
-    the kernel of reduction and shape, both homomorphisms, so they must all
-    have one size.
+    layers m^i/m^(i+1) of the filtration (lift).  The nonempty fibres, over
+    rho in a block and over shapes in a product, are cosets of the kernel of
+    reduction and shape, both homomorphisms, so they must all have one size.
 
     spend is the one node_budget of the search, shared by its blocks and
     residue: each DFS node spends 1, and lift children and block products
@@ -667,15 +660,8 @@ def _points_by_shape(gr, R, which, spend):
                     for found in itertools.product(*(list(_points_by_shape(gr, ring, which, spend))
                                                      for ring, _ in blocks))]
     elif R.nil_quotient():
-        ring, project, section = R.nil_quotient()
+        ring, _, section = R.nil_quotient()
         bar = ring.ring_table()
-        if R.residue_classes[0] is not project:   # counted once per projection
-            classes = [bar.index[project(x)] for x in table.elems]
-            R.residue_classes = project, set(map(classes.count, range(len(bar.elems))))
-        size, sizes = len(full) // len(bar.elems), R.residue_classes[1]
-        if sizes != {size}:
-            raise MathIdentityError("residue classes have sizes %s, not |R|/|R/nil| = %d"
-                                    % (sorted(sizes), size))
         searches = _points_by_shape(gr, ring, which, spend)   # each shape lifted as it comes
         lifted = [table.index[section(x)] for x in bar.elems]
         F, (starts, basis, coords) = A.field, R.filtration()
@@ -706,7 +692,7 @@ def _points_by_shape(gr, R, which, spend):
         # over the residue point of rho, flat by column; E is rho^-1 times
         # their residual, over the triples (a, b, k)
         layer, children = range(starts[i], starts[i + 1]), []
-        directions = [times(rho, [(t, v)]) for t in layer for v in system[5]]
+        directions = [times(rho, [(t, v)]) for t in layer for v in system[2]]
         for phi in nodes:
             cols = [phi[j * n:(j + 1) * n] for j in range(n)]
             E = [functools.reduce(add, map(mul, row, e)) for a in range(n) for b in range(n)

@@ -241,7 +241,7 @@ def weyl_closure(gr):
     return perm_group_from({t.sigma for t in thin_systems(gr) if t.closure}, gr.support)
 
 
-def weyl_over_field(gr, cap=10**8):
+def weyl_over_field(gr, cap=pts.DEFAULT_CAP):
     """Image of the grading automorphisms over the base field in Sym(supp)."""
     if gr.is_thin():
         systems = thin_systems(gr)
@@ -292,7 +292,7 @@ class SesReport:
     verified_field_ok: bool = None
 
 
-def ses_check(gr, cap=10**8):
+def ses_check(gr, cap=pts.DEFAULT_CAP):
     """Kernel-image count |Aut| = |Stab| * |W| at base-field points, with
     exactness in the middle (every sigma in W(F) has exactly |Stab(F)|
     preimages), plus the containment of the rational Weyl group in the

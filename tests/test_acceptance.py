@@ -275,7 +275,7 @@ def test_criterion_10_diag_point_counts():
             supp = len(gr.support)
             count = R.element_count()
             if count is not None and count ** supp <= 300_000:
-                pts.diag_points(gr, R, cap=300_000, cross_check=True)
+                pts.diag_points(gr, R, cap=300_000)
                 checked += 1
             else:
                 skipped += 1

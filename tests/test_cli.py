@@ -260,7 +260,7 @@ def test_gl3_search_is_refused_at_the_cap_it_passes(tmp_path, capsys):
 
 def test_block_product_search_is_refused_quickly_at_the_default_cap(tmp_path, capsys):
     # all products zero in dimension 3 over F3 x F3: GL_3(F3) has 11,232
-    # points per block, so 11,232^2 > 10^8 sums are spent before any is built
+    # points per block, so 11,232^2 > 10^6 sums are spent before any is built
     deck = tmp_path / "zero3x.deck"
     deck.write_text("field F3 = prime 3\ngroup T = 1\nalgebra A over F3 dim 3 basis a,b,c\n"
                     "grading Gamma on A by T deg a=0 deg b=0 deg c=0\nring F3r = base F3\n"
@@ -269,7 +269,7 @@ def test_block_product_search_is_refused_quickly_at_the_default_cap(tmp_path, ca
     code = main(["--deck", str(deck), "points", "Gamma", "over", "F3x", "set=aut"])
     assert time.perf_counter() - start < 3.0
     assert code == 2
-    assert capsys.readouterr().out == "error=input: point search passed its cap of 100000000 nodes\n"
+    assert capsys.readouterr().out == "error=input: point search passed its cap of 1000000 nodes\n"
 
 
 def test_diag_points_over_a_ring_past_the_cap_exits_2(tmp_path, capsys):
@@ -281,7 +281,45 @@ def test_diag_points_over_a_ring_past_the_cap_exits_2(tmp_path, capsys):
                  "points", "Gamma", "over", "F3eps12", "set=diag"])
     assert time.perf_counter() - start < 1.0
     assert code == 2
-    assert capsys.readouterr().out == "error=input: |R| = 531441 exceeds cap 20000\n"
+    assert capsys.readouterr().out == "error=input: point search passed its cap of 20000 nodes\n"
+
+
+def test_diag_is_listed_at_its_spend_and_refused_one_node_short(tmp_path, capsys):
+    # ex34 over F7[C3]: |R| = 343 before the unit scan, 27 characters, then
+    # the oracle's candidates, 216, 216 * 216 and 1 * 216: 47,458 nodes
+    deck = tmp_path / "f7c3.deck"
+    deck.write_text(load("ex34.deck") + "ring F7C3 = groupalg F7 C3\n")
+    for cap, code, head in (
+            ("47458", 0, "points.count=27\n"),
+            ("47457", 2, "error=input: point search passed its cap of 47457 nodes\n")):
+        assert main(["--deck", str(deck), "--cap", cap,
+                     "points", "Gamma", "over", "F7C3", "set=diag"]) == code
+        assert capsys.readouterr().out.startswith(head)
+
+
+@pytest.mark.parametrize("cap, message", [
+    ([], "point search passed its cap of 1000000 nodes"),
+    (["--cap", "100000000"], "out of memory; lower --cap")], ids=["default-cap", "cap-1e8"])
+def test_lift_search_exits_2_within_400_mb(tmp_path, cap, message):
+    # all products zero in dimension 3 over F3[eps]/eps^2: each spent lift
+    # node is a built point, about 260 bytes.  Under a 400 MB address-space
+    # limit the default cap refuses the search (about 4 s and 270 MB), and a
+    # cap of 10^8 runs out of memory (about 6 s), which exits 2 as well
+    deck = tmp_path / "zero3e.deck"
+    deck.write_text("field F3 = prime 3\ngroup T = 1\nalgebra A over F3 dim 3 basis a,b,c\n"
+                    "grading Gamma on A by T deg a=0 deg b=0 deg c=0\nring F3e = dual F3 2\n")
+    limited = ("import resource, sys\n"
+               "resource.setrlimit(resource.RLIMIT_AS, (400 << 20, 400 << 20))\n"
+               "from weylbench.cli import main\n"
+               "sys.exit(main(sys.argv[1:]))\n")
+    env = dict(os.environ, PYTHONPATH=os.path.join(os.path.dirname(__file__), "..", "src"))
+    start = time.perf_counter()
+    out = subprocess.run(
+        [sys.executable, "-c", limited, "--deck", str(deck)] + cap +
+        ["points", "Gamma", "over", "F3e", "set=aut"],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert time.perf_counter() - start < 20.0
+    assert (out.returncode, out.stdout, out.stderr) == (2, "error=input: %s\n" % message, "")
 
 
 EX24_HEAD = ("field Q = rationals\ngroup C6 = Z/6\nalgebra A over Q dim 2 basis u,v\n"

@@ -223,7 +223,7 @@ def test_unit_map_is_the_only_unit_scan(F5):
     scan = R.is_unit
     R.is_unit = lambda x: calls.append(x) or scan(x)
     table = R.ring_table()
-    brute = points._brute_diag_count(zero_mult_grading(F5), R, 10**6)
+    brute = points._brute_diag_count(zero_mult_grading(F5), R, points.node_budget(10**6))
     assert calls == []
     assert sum(map(table.is_unit, range(len(table.elems)))) == len(R.unit_group()) == 100
     assert brute == 100 * 100

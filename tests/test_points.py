@@ -269,7 +269,8 @@ def test_diagonal_sample_strides_the_sorted_diagonal_points(F3, F5, F7, F9):
     for gr, R in _battery_cells(F3, F5, F7, F9):
         if R.element_count() > battery.DIAG_FULL_CAP:
             continue
-        dp = pts.diag_points(gr, R, cross_check=False)
+        uni, chars = pts.sorted_characters(gr, R)
+        dp = [pts.character_point(gr, R, uni.deg_u, assign) for assign in chars]
         ref = sorted(dp, key=lambda p: tuple(itertools.chain(*p.entries)))
         assert [p.entries for p in dp] == [p.entries for p in ref]
         ref = ref[::max(1, len(ref) // battery.DIAG_KEEP)][:battery.DIAG_KEEP]
@@ -297,14 +298,30 @@ def test_diagonal_oracle_tests_each_equation_when_its_scalars_are_set(F3, F5, F7
     assert len(R.unit_group()) == 216
     mul, products = R.mul, []
     R.mul = lambda x, y: products.append(None) or mul(x, y)
-    assert pts._brute_diag_count(gr, R, 10**8) == 27
+    assert pts._brute_diag_count(gr, R, pts.node_budget(10**8)) == 27
     assert len(products) == 94257
     cells = 0
     for gr, R in _battery_cells(F3, F5, F7, F9):
         if len(R.unit_group()) ** len(gr.support) <= 10**5:
-            assert pts._brute_diag_count(gr, R, 10**8) == _product_walk_count(gr, R), (gr, R.label)
+            assert pts._brute_diag_count(gr, R, pts.node_budget(10**8)) == _product_walk_count(gr, R), (gr, R.label)
             cells += 1
     assert cells == 32
+
+
+def test_a_disagreeing_diagonal_oracle_is_caught_past_the_old_estimate(monkeypatch, F7):
+    # ex34 over F7[C3], 343^3 > 10^6 assignments: the oracle runs at any
+    # finite ring size, so a listing one character short fails its count
+    gr = galg.grading_over(cubic_grading(wb.rationals()), F7)
+    R = comrings.group_algebra_finite(F7, cyclic_group(3))
+    listed = pts.sorted_characters
+
+    def dropping(gr, R):
+        uni, chars = listed(gr, R)
+        return uni, chars[1:]
+
+    monkeypatch.setattr(pts, "sorted_characters", dropping)
+    with pytest.raises(MathIdentityError, match="diagonal point count 26 != brute-force count 27"):
+        pts.diag_points(gr, R)
 
 
 class ReversedRing(comrings.TestRing):
@@ -460,21 +477,25 @@ def test_aut_enumeration_is_complete_by_brute_force(F2, F3):
 
 
 def test_fibre_sizes_over_the_residue_ring_are_cross_asserted(monkeypatch, F2, F3):
-    # residue classes must be cosets of nil, checked before any search.
-    # GL_2(F2[eps]/eps^2) has 16 points over each of the 6 points of GL_2(F2);
-    # a projection that sends eps to the class of 1 instead of 0 breaks that.
-    # Sending 1+eps of F3[eps]/eps^2 to the class of 0 would empty fibres
-    # alike (para-Hurwitz: 2 points instead of 6, if unchecked).
-    for gr, R, count, moved, to_one, sizes in (
-            (zero_mult_grading(F2), dual_numbers(F2, 2), 96, (0, 1), True, "[1, 3]"),
-            (para_hurwitz_grading(F3), dual_numbers(F3, 2), 6, (1, 1), False, "[2, 3, 4]")):
-        assert len(pts.enumerate_points(gr, R, "aut")) == count
-        residue, project, lift = R.nil_quotient()
-        target = residue.one if to_one else residue.zero()
-        misplaced = lambda x: target if x == moved else project(x)
-        monkeypatch.setattr(R, "nil_quotient", lambda: (residue, misplaced, lift))
+    # residue classes must be cosets of nil, checked with R/nil, before any
+    # search.  GL_2(F2[eps]/eps^2) has 16 points over each of the 6 points of
+    # GL_2(F2); a projection that sends eps to the class of 1 instead of 0
+    # breaks that.  Sending 1+eps of F3[eps]/eps^2 to the class of 0 would
+    # empty fibres alike (para-Hurwitz: 2 points instead of 6, if unchecked).
+    quotient = comrings._quotient_ring
+    for gr, F, count, moved, to_one, sizes in (
+            (zero_mult_grading(F2), F2, 96, (0, 1), True, "[1, 3]"),
+            (para_hurwitz_grading(F3), F3, 6, (1, 1), False, "[2, 3, 4]")):
+        assert len(pts.enumerate_points(gr, dual_numbers(F, 2), "aut")) == count
+
+        def misplacing(*args):
+            residue, project, lift = quotient(*args)
+            target = residue.one if to_one else residue.zero()
+            return residue, (lambda x: target if x == moved else project(x)), lift
+
+        monkeypatch.setattr(comrings, "_quotient_ring", misplacing)
         with pytest.raises(MathIdentityError, match=re.escape("classes have sizes " + sizes)):
-            pts.enumerate_points(gr, R, "aut")
+            pts.enumerate_points(gr, dual_numbers(F, 2), "aut")
         monkeypatch.undo()
     # a lifting that drops one lift over its first residue point: that fibre
     # comes up short.  Over F3[eps]/eps^2, para-Hurwitz has 2 residue points
