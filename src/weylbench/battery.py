@@ -75,9 +75,11 @@ def theorem_battery(gr, R, seed=0x5EED):
 
 
 def _enumerable(gr, R, budget):
-    """The battery's rule for enumerating Aut(A)(R): R finite, small enough
-    for the table the search runs on, and |R|^(dim A * the enum steps of A's
-    enumeration plan) at most budget."""
+    """The battery's rule for enumerating Aut(A)(R): R finite, within the
+    table size, and |R|^(dim A * the enum steps of A's enumeration plan) at
+    most budget.  The table size is the battery's own bound: the search runs
+    past it on a product or local ring, but the battery samples such rings,
+    which keeps every battery mode; a field past it cannot be searched."""
     count, (steps, _) = R.element_count(), pts._enumeration_plan(gr.algebra)
     enums = sum(step[0] == "enum" for step in steps)
     return (count is not None and count <= RingTable.MAX_ELEMENTS

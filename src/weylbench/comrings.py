@@ -210,9 +210,9 @@ class TestRing:
     def filtration(self):
         """(starts, basis, coords) for a finite connected ring with nilradical
         m != 0: an F-basis adapted to m > m^2 > ... > m^r = 0, whose vectors
-        from starts[i] on span m^i, and the coordinates coords[x] in it of
-        each RingTable element x, which lies in m^i when coords[x][:starts[i]]
-        vanish.  Built once and kept."""
+        from starts[i] on span m^i, and coords(x), the coordinates in it of
+        an element x, which lies in m^i when coords(x)[:starts[i]] vanish.
+        Built once and kept; coords is memoized by element and holds no R."""
         if self._filtration is None:
             F, m = self.field, self.nilradical()
             powers = [m]   # powers[i] spans m^(i+1)
@@ -224,7 +224,7 @@ class TestRing:
             stack += [self._basis_vec(i) for i in range(self.dim)]
             basis = [stack[p] for p in linalg.rref(F, [list(c) for c in zip(*stack)])[1]][::-1]
             inv = linalg.inv(F, [list(c) for c in zip(*basis)])
-            coords = [tuple(linalg.mat_vec(F, inv, list(x))) for x in self.ring_table().elems]
+            coords = functools.cache(lambda x: tuple(linalg.mat_vec(F, inv, list(x))))
             starts = [self.dim - len(span) for span in [basis] + powers]
             self._filtration = starts, basis, coords
         return self._filtration

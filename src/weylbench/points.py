@@ -583,13 +583,13 @@ def _back_substitute(F, system, b):
         return None
 
 
-def _span(table, scalars, directions, start):
+def _span(T, scalars, directions, start):
     """start plus every combination of directions with coefficients in
-    scalars; vectors of RingTable indices."""
+    scalars; vectors over T, a TestRing or its RingTable."""
     out = [start]
     for d in directions:
-        multiples = [tuple(table.mul(s, x) for x in d) for s in scalars]
-        out = [tuple(map(table.add, v, w)) for v in out for w in multiples]
+        multiples = [tuple(T.mul(s, x) for x in d) for s in scalars]
+        out = [tuple(map(T.add, v, w)) for v in out for w in multiples]
     return out
 
 
@@ -598,35 +598,36 @@ def enumerate_points(gr, R, which="aut", cap=DEFAULT_CAP):
 
     which: 'aut' | 'stab' | 'autgamma'.  Each point set is searched in its own
     block shape (_points_by_shape), with constraint pruning and column
-    derivation, and every survivor is re-verified exactly, on index rows that
-    sort as the points do; each point is built once, here.  The search
-    visits at most cap nodes (node_budget)."""
+    derivation, and every survivor is re-verified exactly, on rows over
+    _indexed(R) that sort as the points do; each point is built once, here.
+    The search visits at most cap nodes (node_budget)."""
     found = sorted(rows for _, shaped in _points_by_shape(gr, R, which, node_budget(cap))
                    for rows in shaped)
-    elems = R.ring_table().elems
-    return [PointMatrix(gr.algebra, R, tuple(tuple(map(elems.__getitem__, row)) for row in rows))
+    back = _indexed(R)[2]
+    return [PointMatrix(gr.algebra, R, tuple(tuple(map(back, row)) for row in rows))
             for rows in found]
 
 
 def _points_by_shape(gr, R, which, spend):
-    """(shape, points) per searched shape, each point as its rows of indices
-    on R's table.  A shape is one support permutation per primitive
-    idempotent e of R, as position tuples over gr.support: 'aut' is the one
-    unshaped search (the empty shape), 'stab' the all-identity shape, and
-    'autgamma' every tuple of admissible permutations: on each connected
-    block eR a point of Aut Gamma induces one, which preserves the product
-    pattern and is additive on it.  Each shaped point must carry block
-    certificates equal to its shape.
+    """(shape, points) per searched shape, each point as its rows over T,
+    _kernel's ring: R's table when it has one, else R itself.  A shape is one
+    support permutation per primitive idempotent e of R, as position tuples
+    over gr.support: 'aut' is the one unshaped search (the empty shape),
+    'stab' the all-identity shape, and 'autgamma' every tuple of admissible
+    permutations: on each connected block eR a point of Aut Gamma induces
+    one, which preserves the product pattern and is additive on it.  Each
+    shaped point must carry block certificates equal to its shape.
 
     The schemes are affine, so a point over R = e1 R x ... x em R is a sum of
     block points, one per eR searched on its own, with their shapes
     concatenated.  On a field, entry (k, j) is zero unless sigma sends deg j
-    to deg k, and a DFS searches the columns.  A connected R that is not
-    reduced has a residue field R/m, m = nil: the same point set is searched
-    there, and each residue point rho is lifted through the square-zero
-    layers m^i/m^(i+1) of the filtration (lift).  The nonempty fibres, over
-    rho in a block and over shapes in a product, are cosets of the kernel of
-    reduction and shape, both homomorphisms, so they must all have one size.
+    to deg k, and a DFS searches the columns on its table.  A connected R
+    that is not reduced has a residue field R/m, m = nil: the same point set
+    is searched there, and each residue point rho is lifted through the
+    square-zero layers m^i/m^(i+1) of the filtration (lift).  The nonempty
+    fibres, over rho in a block and over shapes in a product, are cosets of
+    the kernel of reduction and shape, both homomorphisms, so they must all
+    have one size.
 
     spend is the one node_budget of the search, shared by its blocks and
     residue: each DFS node spends 1, and lift children and block products
@@ -642,67 +643,71 @@ def _points_by_shape(gr, R, which, spend):
         shapes = [(perm,) for perm in galg.admissible_permutations(gr)]
     else:
         raise InputError("unknown point set %r" % which)
-    table = R.ring_table()
-    _, to, terms, cells = _kernel(A, R)
+    T, to, terms, cells = _kernel(A, R)
     steps, checks = _enumeration_plan(A)
     n = A.dim
-    zero, add, mul = table.zero(), table.add, table.mul
-    ops = zero, table.is_zero, add, mul   # structure_mul's and _image's, scal = mul
-    full, zero_only, fibre_sizes = range(len(table.elems)), {zero}, set()
+    zero, add, mul, scal = T.zero(), T.add, T.mul, T.scal
+    ops = zero, T.is_zero, add   # structure_mul's and _image's, then mul and scal
+    fibre_sizes = set()
     split = len(R.idempotents()) > 1
     if split:
-        blocks = [(ring, inject) for ring, _, inject in map(R.block, R.idempotents())]
-        # each block index's index in R, through its element of eR
-        into = [[table.index[inject(x)] for x in ring.ring_table().elems]
-                for ring, inject in blocks]
+        def on_T(ring, inject):   # a block's listing, each entry moved to eR on T
+            back = _indexed(ring)[2]
+            entry = functools.cache(lambda x: to(inject(back(x))))
+            return [(shape, [tuple(tuple(map(entry, row)) for row in rows) for rows in found])
+                    for shape, found in _points_by_shape(gr, ring, which, spend)]
         searches = [(sum((shape for shape, _ in found), ()),
                      [block_points for _, block_points in found])
-                    for found in itertools.product(*(list(_points_by_shape(gr, ring, which, spend))
-                                                     for ring, _ in blocks))]
+                    for found in itertools.product(*(on_T(ring, inject) for ring, _, inject
+                                                     in map(R.block, R.idempotents())))]
     elif R.nil_quotient():
         ring, _, section = R.nil_quotient()
-        bar = ring.ring_table()
+        bar, _, bar_back = _indexed(ring)
         searches = _points_by_shape(gr, ring, which, spend)   # each shape lifted as it comes
-        lifted = [table.index[section(x)] for x in bar.elems]
-        F, (starts, basis, coords) = A.field, R.filtration()
-        units = [table.index[u] for u in basis]
-        scalars = {c: table.index[R.from_field(c)] for c in F.elements()}
-        minus_one = table.index[R.neg(R.one)]
+        lifted = functools.cache(lambda x: to(section(bar_back(x))))
+        F, (starts, basis, coords), back = A.field, R.filtration(), _indexed(R)[2]
+        units = [to(u) for u in basis]
+        scalars = {c: to(R.from_field(c)) for c in F.elements()}
+        minus_one = to(R.neg(R.one))
         system = _derivations(A, tuple((l, j) for l in range(n) for j in range(n)
                                        if which == "aut" or gr.degrees[l] == gr.degrees[j]))
     else:
+        # the one table the search reads: a field past the table size is refused
+        full, zero_only = range(len(R.ring_table().elems)), {zero}
         searches = [(shape, None) for shape in shapes]
 
     def residual(cols, i, j):
         # phi(e_i) phi(e_j) - phi(e_i e_j)
         return [add(x, mul(minus_one, y)) for x, y in zip(
-            structure_mul(cells, cols[i], cols[j], *ops, mul), _image(terms[i][j], cols, *ops))]
+            structure_mul(cells, cols[i], cols[j], *ops, mul, scal),
+            _image(terms[i][j], cols, *ops, scal))]
 
     def times(rho, parts):
         # rho Delta, Delta the sum of the vec (x) u_t over (t, vec) in parts,
-        # vec over the columns of the system; indices, flat by column
+        # vec over the columns of the system; entries of T, flat by column
         delta = [[zero] * n for _ in range(n)]
         for t, vec in parts:
             for (l, j), v in zip(system[0], vec):
                 delta[l][j] = add(delta[l][j], mul(scalars[v], units[t]))
-        return tuple(x for col in zip(*linalg.mat_mul(table, rho, delta)) for x in col)
+        return tuple(x for col in zip(*linalg.mat_mul(T, rho, delta)) for x in col)
 
     def lift(nodes, i, rho, rho_inv):
         # the lifts modulo m^(i+1) of the nodes at layer i, points modulo m^i
-        # over the residue point of rho, flat by column; E is rho^-1 times
-        # their residual, over the triples (a, b, k)
+        # over the residue point of rho, flat by column; E is the coordinates
+        # of rho^-1 times their residual, over the triples (a, b, k)
         layer, children = range(starts[i], starts[i + 1]), []
         directions = [times(rho, [(t, v)]) for t in layer for v in system[2]]
         for phi in nodes:
             cols = [phi[j * n:(j + 1) * n] for j in range(n)]
-            E = [functools.reduce(add, map(mul, row, e)) for a in range(n) for b in range(n)
+            E = [coords(back(functools.reduce(add, map(mul, row, e))))
+                 for a in range(n) for b in range(n)
                  for e in [residual(cols, a, b)] for row in rho_inv]
-            if any(not F.is_zero(c) for x in E for c in coords[x][:starts[i]]):
+            if any(not F.is_zero(c) for x in E for c in x[:starts[i]]):
                 raise MathIdentityError("a node at layer %d has a residual outside m^%d" % (i, i))
-            parts = [(t, _back_substitute(F, system, [coords[x][t] for x in E])) for t in layer]
+            parts = [(t, _back_substitute(F, system, [x[t] for x in E])) for t in layer]
             if all(x is not None for _, x in parts):
                 spend(len(scalars) ** len(directions))
-                children += _span(table, scalars.values(), directions,
+                children += _span(T, scalars.values(), directions,
                                   tuple(map(add, phi, times(rho, parts))))
         return children
 
@@ -710,7 +715,7 @@ def _points_by_shape(gr, R, which, spend):
         spend()
         if stage == len(steps):
             rows = tuple(zip(*cols))
-            if table.is_unit(ring_det(table, rows)):
+            if T.is_unit(ring_det(T, rows)):
                 survivors.append(rows)
             return
         step = steps[stage]
@@ -718,15 +723,16 @@ def _points_by_shape(gr, R, which, spend):
             j = step[1]
             for cand in itertools.product(*allowed[j]):
                 cols[j] = cand
-                if _multiplicative(table, terms, cells, cols, checks[stage]):
+                if _multiplicative(T, terms, cells, cols, checks[stage]):
                     dfs(stage + 1, cols, dfs)
             cols[j] = None
         else:
             _, k, i, jj, inv_c = step
-            ic = table.index[R.from_field(inv_c)]
-            cols[k] = tuple(mul(ic, x) for x in structure_mul(cells, cols[i], cols[jj], *ops, mul))
+            ic = to(R.from_field(inv_c))
+            cols[k] = tuple(mul(ic, x)
+                            for x in structure_mul(cells, cols[i], cols[jj], *ops, mul, scal))
             if (all(cols[k][t] in s for t, s in bounds[k])
-                    and _multiplicative(table, terms, cells, cols, checks[stage])):
+                    and _multiplicative(T, terms, cells, cols, checks[stage])):
                 dfs(stage + 1, cols, dfs)
             cols[k] = None
 
@@ -735,7 +741,7 @@ def _points_by_shape(gr, R, which, spend):
                  for e, perm in zip(R.idempotents(), shape)]
         if split:   # one point per block, summed into R
             spend(math.prod(map(len, found)))
-            survivors = [tuple(tuple(functools.reduce(add, (m[p[k][j]] for m, p in zip(into, parts)))
+            survivors = [tuple(tuple(functools.reduce(add, (p[k][j] for p in parts))
                                      for j in range(n)) for k in range(n))
                          for parts in itertools.product(*found)]
             fibre_sizes.add(len(survivors))
@@ -749,7 +755,7 @@ def _points_by_shape(gr, R, which, spend):
         else:
             survivors = []
             for rho in found:
-                up, down = ([[lifted[x] for x in row] for row in M]
+                up, down = ([[lifted(x) for x in row] for row in M]
                             for M in (rho, ring_mat_inv(bar, rho)))
                 nodes = [tuple(up[k][j] for j in range(n) for k in range(n))]
                 for i in range(1, len(starts) - 1):
@@ -760,9 +766,9 @@ def _points_by_shape(gr, R, which, spend):
             raise MathIdentityError("point fibres have sizes %s, not one coset size"
                                     % sorted(fibre_sizes - {0}))
         for rows in survivors:
-            if not _is_automorphism(table, terms, cells, rows):
+            if not _is_automorphism(T, terms, cells, rows):
                 raise MathIdentityError("fast enumeration produced a non-automorphism")
-            if certs and _block_permutations(gr, R, table, to, rows).certificates != certs:
+            if certs and _block_permutations(gr, R, T, to, rows).certificates != certs:
                 raise MathIdentityError(
                     "shaped enumeration point certifies another block permutation")
         yield shape, survivors

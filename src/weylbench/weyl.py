@@ -143,7 +143,6 @@ class SolveResult:
     status: str                 # over the field: 'solvable' | 'unsolvable' | 'unknown'
     count: object = None        # solutions over the field; None when infinite or undecided
     witness: dict = None        # support label -> field scalar
-    obstruction: tuple = None   # (d, c) of the failing power equation
 
     @property
     def sigma(self):
@@ -203,7 +202,7 @@ def thin_solve(system):
     F = system.field
     for d, c in system.reduced:
         if d == 0 and c != F.one():
-            return SolveResult(system, False, "unsolvable", 0, obstruction=(d, c))
+            return SolveResult(system, False, "unsolvable", 0)
     s = len(system.support)
     mu = [F.one()] * s
     count, free = 1, s
@@ -212,9 +211,9 @@ def thin_solve(system):
             continue
         res = dth_root(F, c, d)
         if res.status == RootResult.NO_SOLUTION:
-            return SolveResult(system, True, "unsolvable", 0, obstruction=(d, c))
+            return SolveResult(system, True, "unsolvable", 0)
         if res.status == RootResult.UNKNOWN:
-            return SolveResult(system, True, "unknown", obstruction=(d, c))
+            return SolveResult(system, True, "unknown")
         mu[i] = res.witness
         count = None if count is None or res.count is None else count * res.count
         free -= 1
@@ -241,31 +240,29 @@ def weyl_closure(gr):
     return perm_group_from({t.sigma for t in thin_systems(gr) if t.closure}, gr.support)
 
 
-def weyl_over_field(gr, cap=pts.DEFAULT_CAP):
-    """Image of the grading automorphisms over the base field in Sym(supp)."""
+def field_fibres(gr, cap=pts.DEFAULT_CAP):
+    """{sigma: fibre size, or None where it is infinite}: the points of
+    Aut Gamma over the base field counted per support permutation sigma,
+    over the sigma with a nonempty fibre, which make up W(F).  A thin grading
+    reads them off its solved systems; any other is searched by shape over
+    the base field (a field has one block), at most cap nodes."""
     if gr.is_thin():
         systems = thin_systems(gr)
         if any(t.status == "unknown" for t in systems):
             raise UnknownSolvabilityError(
                 "cannot decide rational solvability for a permutation")
-        return perm_group_from({t.sigma for t in systems if t.status == "solvable"},
-                               gr.support)
+        return {t.sigma: t.count for t in systems if t.status == "solvable"}
     F = gr.algebra.field
     if not F.is_finite():
         raise NonThinError(
             "non-thin Weyl groups need a finite base field for enumeration")
-    return _weyl_from_field_points(gr, cap)[1]
+    return {sigma: len(found) for (sigma,), found in pts._points_by_shape(
+        gr, base_field_ring(F), "autgamma", pts.node_budget(cap)) if found}
 
 
-def _weyl_from_field_points(gr, cap):
-    """({sigma: fibre size}, W(F)): the points of Aut Gamma over the base field
-    counted per support permutation sigma by the shaped search (a field has
-    one block), over the sigma with a nonempty fibre, and the group W(F) of
-    those sigma; the search visits at most cap nodes."""
-    R = base_field_ring(gr.algebra.field)
-    fibres = {sigma: len(found) for (sigma,), found
-              in pts._points_by_shape(gr, R, "autgamma", pts.node_budget(cap)) if found}
-    return fibres, perm_group_from(set(fibres), gr.support)
+def weyl_over_field(gr, cap=pts.DEFAULT_CAP):
+    """Image of the grading automorphisms over the base field in Sym(supp)."""
+    return perm_group_from(set(field_fibres(gr, cap)), gr.support)
 
 
 def monomial_point(gr, system, witness, R):
@@ -289,7 +286,6 @@ class SesReport:
     weyl_order: int
     product_ok: bool
     weyl_in_closure: bool
-    verified_field_ok: bool = None
 
 
 def ses_check(gr, cap=pts.DEFAULT_CAP):
@@ -298,19 +294,12 @@ def ses_check(gr, cap=pts.DEFAULT_CAP):
     preimages), plus the containment of the rational Weyl group in the
     closure Weyl group.  |Stab(F)| is the fibre over sigma = id: a field has
     one idempotent, so the shaped `stab` search is that fibre's search."""
-    F = gr.algebra.field
-    if gr.is_thin():
-        w = weyl_over_field(gr)
-        systems = thin_systems(gr)
-        if any(t.count is None for t in systems):
-            raise CapExceededError("infinite point counts in the exact sequence")
-        fibres = {t.sigma: t.count for t in systems if t.count}
-    else:
-        if not F.is_finite():
-            raise CapExceededError("non-thin exact-sequence check needs a finite field")
-        fibres, w = _weyl_from_field_points(gr, cap)
+    fibres = field_fibres(gr, cap)
+    if None in fibres.values():
+        raise CapExceededError("infinite point counts in the exact sequence")
+    w = perm_group_from(set(fibres), gr.support)
     stab = fibres.get(perm_identity(len(gr.support)))
-    if set(fibres) != set(w.elements) or set(fibres.values()) != {stab}:
+    if set(fibres.values()) != {stab}:
         raise MathIdentityError("a Weyl group element has other than |Stab| preimages")
     aut = sum(fibres.values())
     in_closure = not gr.is_thin() or set(w.elements) <= set(weyl_closure(gr).elements)

@@ -146,8 +146,9 @@ def test_verify_theorem_golden():
 
 
 def test_verify_theorem_samples_over_rings_past_the_table_size():
-    # the point search runs on a table of at most 512 elements, so over F521
-    # and F521[eps]/eps^2 the battery samples, and its base-field source is empty
+    # the battery enumerates only rings within the table size (512 elements),
+    # so over F521 and F521[eps]/eps^2 it samples, and its base-field source,
+    # F521 itself, is empty
     deck = ("field F521 = prime 521\ngroup T = 1\nalgebra A over F521 dim 1 basis e\n"
             "mul e e = e\ngrading Gamma on A by T deg e=0\n"
             "ring R = base F521\nring D = dual F521 2\n")
@@ -242,6 +243,28 @@ def test_ex34_searches_run_under_the_default_cap(tmp_path, capsys):
         assert main(["--deck", str(deck), "points", "Gamma", "over", ring,
                      "set=" + which]) == 0
         assert capsys.readouterr().out.startswith("points.count=%d\n" % count)
+
+
+def test_ex34_points_over_a_product_past_the_table_size(tmp_path, capsys):
+    # F7 x F7[eps]/eps^3 has 2401 elements, past the table size: its blocks
+    # are searched on their own tables and the points summed on R itself
+    deck = tmp_path / "ex34.deck"
+    deck.write_text(load("ex34.deck") + "ring F7e3 = dual F7 3\nring F7x = product F7r F7e3\n")
+    for which in ("aut", "stab", "autgamma"):
+        start = time.perf_counter()
+        assert main(["--deck", str(deck), "points", "Gamma", "over", "F7x",
+                     "set=" + which]) == 0
+        assert time.perf_counter() - start < 1.0
+        assert capsys.readouterr().out.startswith("points.count=9\n")
+
+
+def test_points_over_a_field_past_the_table_size_exit_2(tmp_path, capsys):
+    # the DFS ranges over the field's table, so F521 is refused
+    deck = tmp_path / "f521.deck"
+    deck.write_text("field F521 = prime 521\ngroup T = 1\nalgebra A over F521 dim 1 basis e\n"
+                    "mul e e = e\ngrading Gamma on A by T deg e=0\nring R = base F521\n")
+    assert main(["--deck", str(deck), "points", "Gamma", "over", "R", "set=aut"]) == 2
+    assert capsys.readouterr().out == "error=input: ring too large for table form (521)\n"
 
 
 def test_gl3_search_is_refused_at_the_cap_it_passes(tmp_path, capsys):

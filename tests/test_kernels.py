@@ -762,6 +762,26 @@ def test_tabulated_ring_is_freed_without_the_cycle_collector():
             gc.enable()
 
 
+def test_a_search_past_the_table_size_frees_its_ring_without_the_cycle_collector():
+    # the filtration's coordinate memo and the block entry maps hold no ring:
+    # F9[eps]/eps^3 is lifted on its elements, F7 x F7[eps]/eps^3 summed on them
+    gr7, gr9 = para_hurwitz_grading(F7), para_hurwitz_grading(F9)
+    cases = [(lambda: comrings.dual_numbers(F9, 3), gr9),
+             (lambda: comrings.product_ring(comrings.base_field_ring(F7),
+                                            comrings.dual_numbers(F7, 3)), gr7)]
+    for ring, gr in cases:
+        gc.collect()
+        gc.disable()
+        try:
+            R = ring()
+            assert points.enumerate_points(gr, R, "stab") and R._ring_table is None
+            ref = weakref.ref(R)
+            del R
+            assert ref() is None and gc.collect() == 0
+        finally:
+            gc.enable()
+
+
 def test_table_kept_past_its_ring_raises_a_clear_error():
     T = comrings.dual_numbers(F3, 2).ring_table()
     gc.collect()

@@ -1,3 +1,4 @@
+import collections
 import functools
 import itertools
 import random
@@ -624,6 +625,36 @@ def test_block_products_are_spent_before_they_are_built(monkeypatch, F5):
         pts.enumerate_points(gr, R, "aut", cap=200_000)
     assert time.perf_counter() - start < 0.5
     assert len(tables) == 2 * 480 and R.ring_table() not in tables
+
+
+def test_a_product_past_the_table_size_lists_the_sums_of_its_block_points(F7):
+    # F7 x F7[eps]/eps^3 has 2401 elements and no table: each block is
+    # listed on its own, and a point over R is one block point per block
+    base, dual3 = base_field_ring(F7), dual_numbers(F7, 3)
+    gr, R = para_hurwitz_grading(F7), product_ring(base, dual3)
+    for which, count in (("aut", 36), ("stab", 9), ("autgamma", 36)):
+        sums = {tuple(tuple(x + y for x, y in zip(r, s)) for r, s in zip(p.entries, q.entries))
+                for p in pts.enumerate_points(gr, base, which)
+                for q in pts.enumerate_points(gr, dual3, which)}
+        assert {p.entries for p in pts.enumerate_points(gr, R, which)} == sums
+        assert len(sums) == count
+
+
+def test_a_local_ring_past_the_table_size_lifts_its_residue_points(F9):
+    # F9[eps]/eps^3 and F9[C3] have 729 elements and no table: the residue
+    # field F9 is searched on its table, and each point is lifted on R; mod
+    # eps^2 the points fall onto those over F9[eps]/eps^2, 9 over each
+    gr = para_hurwitz_grading(F9)
+    E2, E3 = dual_numbers(F9, 2), dual_numbers(F9, 3)
+    C3 = comrings.group_algebra_finite(F9, cyclic_group(3))
+    for which, count in (("aut", 162), ("stab", 81), ("autgamma", 162)):
+        start = time.perf_counter()
+        listed = pts.enumerate_points(gr, E3, which)
+        assert time.perf_counter() - start < 1.0
+        assert len(listed) == len(pts.enumerate_points(gr, C3, which)) == count
+        below = collections.Counter(tuple(tuple(x[:2] for x in row) for row in p.entries)
+                                    for p in listed)
+        assert below == dict.fromkeys((p.entries for p in pts.enumerate_points(gr, E2, which)), 9)
 
 
 def test_residue_search_serves_the_callers_point_set(monkeypatch, F3):
