@@ -16,11 +16,7 @@ from dataclasses import dataclass
 
 from . import galg, linalg, points as pts, weyl
 from .comrings import RingTable, base_field_ring
-from .errors import (
-    FactorizationIncompleteError,
-    MathIdentityError,
-    NotEnumerableError,
-)
+from .errors import MathIdentityError
 
 # Enumerate a point group when _enumerable(gr, R, ENUM_BUDGET); keep it whole
 # up to POINT_CAP points, else stride-sample it.  Groups that are not
@@ -141,10 +137,7 @@ def _diagonal_sample(gr, R, rng):
     elements, DIAG_KEEP strided from sorted_characters, only those built."""
     count = R.element_count()
     if count is not None and count <= DIAG_FULL_CAP:
-        try:
-            uni, chars = pts.sorted_characters(gr, R)
-        except (NotEnumerableError, FactorizationIncompleteError):
-            return []
+        uni, chars = pts.sorted_characters(gr, R)
         kept = chars[::max(1, len(chars) // DIAG_KEEP)][:DIAG_KEEP]
         return [pts.character_point(gr, R, uni.deg_u, assign) for assign in kept]
     # large or infinite ring: torsion units cover torsion generators of the

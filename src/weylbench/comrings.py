@@ -20,7 +20,6 @@ from . import linalg, scalars
 from .abgroups import FGAbelianGroup
 from .errors import (
     CapExceededError,
-    FactorizationIncompleteError,
     InputError,
     MathIdentityError,
     NotEnumerableError,
@@ -411,10 +410,7 @@ def _nilradical_basis(R):
              for row in R.terms]
         return linalg.nullspace(F, [[total(F.mul(c, t[l]) for l, c in cell) for cell in row]
                                     for row in R.terms])
-    q = F.cardinality()
-    if q is None:
-        raise FactorizationIncompleteError("positive characteristic needs a finite field")
-    qm = q
+    qm = q = F.cardinality()   # every field of characteristic p here is finite
     while qm < n:
         qm *= q
     # x -> x^(q^m) is F-linear; its kernel is exactly the nilradical
@@ -425,8 +421,9 @@ def _nilradical_basis(R):
 
 def _verify_nilradical(R, basis):
     """Check that basis spans a nil ideal with a reduced quotient, whose
-    classes, cosets of nil, have |R|/|R/nil| elements each on a ring with a
-    table, and return that quotient R/nil (None when R is reduced)."""
+    classes, cosets of nil, have |R|/|R/nil| elements each on a finite ring
+    of at most UNIT_ENUMERATION_CAP elements (its table's, or else its listed
+    elements), and return that quotient R/nil (None when R is reduced)."""
     for v in basis:
         if not R.is_nilpotent(v):
             raise MathIdentityError("claimed nilradical vector is not nilpotent")
@@ -435,10 +432,11 @@ def _verify_nilradical(R, basis):
     quot = ring, project, _ = _quotient_ring(R, basis, "%s/nil" % R.label)
     if _nilradical_basis(ring):
         raise MathIdentityError("quotient by nilradical is not reduced")
-    T = R._ring_table
-    if T is not None:
-        counts = collections.Counter(map(project, T.elems))
-        sizes, size = {counts[y] for y in ring.elements()}, len(T.elems) // ring.element_count()
+    count = R.element_count()
+    if count is not None and count <= UNIT_ENUMERATION_CAP:
+        T = R._ring_table
+        counts = collections.Counter(map(project, R.elements() if T is None else T.elems))
+        sizes, size = {counts[y] for y in ring.elements()}, count // ring.element_count()
         if sizes != {size}:
             raise MathIdentityError("residue classes have sizes %s, not |R|/|R/nil| = %d"
                                     % (sorted(sizes), size))
@@ -538,10 +536,16 @@ def _split_semisimple(R):
     factored minimal polynomial of x = e*c over eR.  Over F_q, c runs over a
     basis of the Frobenius-fixed subalgebra B = F_q^k, one coordinate per
     block (Berlekamp), so the factors are linear, a member no c splits is
-    primitive, and the family ends with dim B members.  In characteristic 0,
-    c runs over the basis of R, and a member is kept once some e*c generates
-    eR as a certified field."""
+    primitive, and the family ends with dim B members.  Over Q, c runs over
+    the basis b_i of R, then c_s = sum_i s^i b_i for s = 1, 2, ...: a member
+    is kept once some e*c generates eR, a field.  The d homomorphisms
+    eR -> Qbar differ pairwise on e*c_s by a nonzero polynomial in s of degree
+    < n = dim R, so all but (n - 1) d (d - 1) / 2 values of s generate.  Over
+    an extension of Q, R is split as an algebra over its base (_restrict)."""
     F = R.field
+    if isinstance(F, scalars.ExtensionField) and not F.is_finite():
+        S, reshape = _restrict(F, R.table, R.one)
+        return [reshape(e) for e in _split_semisimple(S)]
     finite = F.characteristic() > 0
     gens = [R._basis_vec(i) for i in range(R.dim)]
     if finite:   # B is the kernel of x -> x^q - x
@@ -551,31 +555,49 @@ def _split_semisimple(R):
     while todo:
         e = todo.pop()
         d = linalg.rank(F, R.mul_matrix(e))   # dim eR
-        for c in gens:
+        bound = (R.dim - 1) * d * (d - 1) // 2   # over Q, of the s past the basis
+        tries = gens if finite else itertools.chain(gens, (
+            tuple(F.from_int(s**i) for i in range(R.dim)) for s in range(1, bound + 2)))
+        for c in tries:
             x = R.mul(e, c)
             mu = _min_poly_of_element(R, x, e, d)
             factors = partial_factor(F, mu)
-            if finite and any(len(f.poly) != 2 for f in factors):
+            if finite and any(len(f) != 2 for f in factors):
                 raise MathIdentityError("fixed element minimal polynomial did not split")
             if len(factors) > 1:
-                for ep in crt_idempotent_polys(F, mu, [f.poly for f in factors]):
+                for ep in crt_idempotent_polys(F, mu, factors):
                     f = _eval_poly_at_element(R, ep, x, e)
                     if R.is_zero(f) or R.mul(f, f) != f:
                         raise MathIdentityError("split produced a non-idempotent")
                     todo.append(f)
                 break
-            if len(mu) - 1 == d and factors[0].certified:
+            if len(mu) - 1 == d:
                 family.append(e)   # e*c generates eR, a field
                 break
         else:
             if not finite:
-                raise FactorizationIncompleteError(
-                    "cannot certify connectedness of a %d-dimensional block over %r" % (d, F))
+                raise MathIdentityError(
+                    "no c_s with s <= %d generates a %d-dimensional block, against the "
+                    "primitive element theorem" % (bound + 1, d))
             family.append(e)   # no c in B splits e: it is primitive
     if finite and len(family) != len(gens):
         raise MathIdentityError("%d primitive idempotents for a %d-dimensional "
                                 "Frobenius-fixed subalgebra" % (len(family), len(gens)))
     return family
+
+
+def _restrict(K, table, one):
+    """(S, reshape): the K-algebra with structure constants table and unit
+    one, K = F[a]/(m) of degree k, as a TestRing S over F on the basis
+    a^l e_i, (a^l e_i)(a^m e_j) = a^(l+m) e_i e_j, in the order (i, l), so a
+    vector of S is the K-coordinates written out in F; reshape undoes that."""
+    k, n = K.degree, len(table)
+    powers = [K.pow(K.gen(), l) for l in range(2 * k - 1)]
+    restricted = [[tuple(b for c in table[i][j] for b in K.mul(powers[l + m], c))
+                   for j in range(n) for m in range(k)]
+                  for i in range(n) for l in range(k)]
+    S = TestRing(K.base, restricted, sum(one, ()), label="restriction to %r" % K.base)
+    return S, lambda v: tuple(tuple(v[i:i + k]) for i in range(0, len(v), k))
 
 
 def _min_poly_of_element(R, x, e, d):

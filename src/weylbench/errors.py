@@ -19,8 +19,7 @@ class DivisionByZeroError(WorkbenchError):
 
 
 class ReducibleModulusError(InputError):
-    """An extension modulus is reducible: refused at construction over a
-    finite base or Q, found during inversion over an extension of Q."""
+    """An extension modulus is reducible: refused at construction."""
 
     def __init__(self, factor):
         super().__init__("extension modulus is reducible, it has the factor %s" % factor)
@@ -41,10 +40,6 @@ class GradingAxiomError(InputError):
         self.witness = witness
 
 
-class FactorizationIncompleteError(WorkbenchError):
-    """The partial factorization toolkit could not certify a splitting."""
-
-
 class CapExceededError(InputError):
     pass
 
@@ -63,10 +58,6 @@ class OrderViolationError(InputError):
 
 class SingularMatrixError(WorkbenchError):
     pass
-
-
-class UnknownSolvabilityError(WorkbenchError):
-    """A root-existence question could not be decided over this field."""
 
 
 class DeckError(InputError):

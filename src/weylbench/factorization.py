@@ -8,9 +8,10 @@ monic integer polynomial g, g is split into irreducibles modulo the least odd
 prime p for which it stays squarefree, the split is Hensel-lifted to a power
 of p above twice the Mignotte bound on the coefficients of a factor of g, and
 subsets of the lifted factors are recombined in increasing size, each
-candidate accepted only when it divides g exactly over Z.  Over extensions
-of Q only degree <= 1 is certified; callers decide whether an uncertified
-factor blocks them.
+candidate accepted only when it divides g exactly over Z.  Over an extension
+K of Q, factoring p is splitting the ring K[t]/(p): comrings finds its
+primitive idempotents as those of a Q-algebra, and each gives one factor.
+Every factor returned, over every field, is certified irreducible.
 """
 
 from __future__ import annotations
@@ -27,19 +28,12 @@ from .scalars import (
     RationalField,
     poly_add,
     poly_divmod,
+    poly_gcd,
     poly_monic,
     poly_mul,
+    poly_sub,
     poly_trim,
 )
-
-
-class Factor:
-    def __init__(self, poly, certified):
-        self.poly = poly
-        self.certified = certified  # certified irreducible
-
-    def __repr__(self):
-        return "Factor(deg=%d, certified=%r)" % (len(self.poly) - 1, self.certified)
 
 
 def _to_integer_monic(p):
@@ -135,29 +129,34 @@ def _zassenhaus(g):
 
 
 def partial_factor(F, p):
-    """Pairwise-coprime monic factors of a squarefree monic polynomial; their
-    product is p.
+    """The monic irreducible factors of a squarefree monic polynomial over
+    any field of the package, sorted by (degree, coefficients); their product
+    is p, and a polynomial with a repeated factor raises MathIdentityError.
 
-    Over finite fields and Q these are the irreducible factors, all
-    certified, sorted by (degree, coefficients), and a polynomial with a
-    repeated factor raises MathIdentityError.  Over extensions of Q only
-    degree <= 1 is certified.
+    Over an extension K of Q they are the monic gcd(p, 1 - e) for the
+    primitive idempotents e of K[t]/(p), found as those of K[t]/(p) written
+    as an algebra over the base of K (comrings._restrict of its power
+    table); each is irreducible because each block eK[t]/(p) is a field.
     """
     p = poly_monic(F, p)
     if len(p) <= 1:
         return []
     if len(p) == 2:
-        return [Factor(p, True)]
-    if not (F.is_finite() or isinstance(F, RationalField)):
-        return [Factor(p, False)]
+        return [p]
     if scalars.repeated_factor(F, p) is not None:
         raise MathIdentityError("polynomial to factor has a repeated factor")
     if F.is_finite():
-        return [Factor(g, True) for g in scalars.irreducible_factors(F, p)]
-    g, lam = _to_integer_monic(p)
-    factors = [Factor([Fraction(c, lam ** (len(h) - 1 - i)) for i, c in enumerate(h)], True)
-               for h in _zassenhaus(g)]
-    return sorted(factors, key=lambda f: (len(f.poly), f.poly))
+        return scalars.irreducible_factors(F, p)
+    if isinstance(F, RationalField):
+        g, lam = _to_integer_monic(p)
+        factors = [[Fraction(c, lam ** (len(h) - 1 - i)) for i, c in enumerate(h)]
+                   for h in _zassenhaus(g)]
+    else:
+        from .comrings import _restrict  # it imports this module
+        table = scalars.power_table(F, p)
+        S, reshape = _restrict(F, table, table[0][0])
+        factors = [poly_gcd(F, p, poly_sub(F, [F.one()], reshape(e))) for e in S.idempotents()]
+    return sorted(factors, key=lambda f: (len(f), f))
 
 
 def crt_idempotent_polys(F, modulus, factors):

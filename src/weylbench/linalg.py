@@ -3,10 +3,10 @@ the two products that work over any ring: `mat_mul` and the
 structure-constant kernel `structure_mul`, which visits only the nonempty
 cells of a table (`nonempty_cells`).
 
-`rref` (so `solve`, `inv`, `nullspace` and `rank`) and `det` both read one
-Gauss-Jordan pass, `_eliminate`: `det` is the signed product of its pivots,
-over Q fraction-free its last pivot.  Over Q the products, `mat_vec` and
-that pass run on Python ints scaled by common denominators, making one
+`rref` (so `solve`, `inv`, `nullspace` and `rank`) reads one Gauss-Jordan
+pass, `_eliminate`, and `det` its forward half: the signed product of the
+pivots, over Q fraction-free the last pivot.  Over Q the products, `mat_vec`
+and that pass run on Python ints scaled by common denominators, making one
 Fraction per output entry; every other field uses field operations.
 
 Matrices are lists of row lists; vectors are lists.  Everything is pure.
@@ -150,14 +150,15 @@ def _dot(F, row, v):
     return acc
 
 
-def _eliminate(F, A):
+def _eliminate(F, A, above=True):
     """One Gauss-Jordan pass over A: (rows, pivot columns, sign, scale), the
     pivot rows not divided by their pivots.  Over a field every other row
-    loses b/a times the pivot row.  Over Q the rows are scaled to integers
-    and every other row becomes (a*row - b*top) // last, exact by Bareiss's
-    identity (Math. Comp. 22, 1968) in the Gauss-Jordan form of Montante, so
-    each pivot row holds the last pivot on its pivot column; scale is the
-    product of the row scales there, 1 over any other field."""
+    (with above=False, every row below) loses b/a times the pivot row.  Over
+    Q the rows are scaled to integers and such a row becomes
+    (a*row - b*top) // last, exact by Bareiss's identity (Math. Comp. 22,
+    1968); in the Gauss-Jordan form of Montante each pivot row holds the last
+    pivot on its pivot column.  scale is the product of the row scales there,
+    1 over any other field."""
     rational = F.kind == "rationals"
     if rational:
         scaled = [_on_integers(row) for row in A]
@@ -175,15 +176,16 @@ def _eliminate(F, A):
         if pivot != r:
             R[r], R[pivot], sign = R[pivot], R[r], -sign
         top, a = R[r], R[r][c]
+        start = 0 if above else r + 1
         if rational:
-            for i, row in enumerate(R):
+            for i, row in enumerate(R[start:], start):
                 if i != r:
                     b = row[c]
                     R[i] = [(a * x - b * y) // last for x, y in zip(row, top)]
             last = a
         else:
             inv = F.inv(a)
-            for i, row in enumerate(R):
+            for i, row in enumerate(R[start:], start):
                 if i != r and not is_zero(row[c]):
                     f = F.mul(row[c], inv)
                     R[i] = [F.sub(x, F.mul(f, y)) for x, y in zip(row, top)]
@@ -211,10 +213,10 @@ def rank(F, A):
 
 
 def det(F, A):
-    """Read off _eliminate: the signed product of the pivots, over Q the
-    signed last pivot divided by the row scales (one Fraction).  A singular
-    A leaves its last row zero, so both read 0."""
-    R, _, sign, scale = _eliminate(F, A)
+    """Read off _eliminate below the pivots: the signed product of the
+    pivots, over Q the signed last pivot over the row scales (one Fraction).
+    A singular A leaves its last row zero, so both read 0."""
+    R, _, sign, scale = _eliminate(F, A, above=False)
     if F.kind == "rationals":
         return Fraction(sign * R[-1][-1], scale) if A else Fraction(1)
     d = F.one() if sign > 0 else F.neg(F.one())

@@ -4,15 +4,14 @@ simple extensions F[t]/(f) of an already-built field.
 Field elements are plain immutable values (Fraction, int, or tuple of base
 elements); all operations live on the field object.  Over a finite field
 irreducible_factors is the one factorizer: a distinct-degree pass, then
-equal-degree splitting (Cantor-Zassenhaus).  An extension of a finite field
-or of Q is certified irreducible when it is built: a modulus with a repeated
-factor (repeated_factor) or a proper irreducible factor
-(factorization.partial_factor) is refused with that factor; over an
-extension of Q it is not certified.  Finite extensions with at most
-TABLE_MAX_ELEMENTS elements run on log/Zech tables built once; the rest, and
-all extensions of Q, multiply with linalg.compile_product over the table
-t^(i+j) mod f of power_table, the same table that builds the test ring
-comrings.truncated_poly.
+equal-degree splitting (Cantor-Zassenhaus); factorization.partial_factor
+covers Q and its extensions.  Every extension is certified irreducible when
+it is built (a modulus with a repeated or a proper irreducible factor is
+refused with that factor), and dth_root decides x^d = c over every field.
+Finite extensions with at most TABLE_MAX_ELEMENTS elements run on log/Zech
+tables built once; the rest, and all extensions of Q, multiply with
+linalg.compile_product over the table t^(i+j) mod f of power_table, the same
+table that builds the test ring comrings.truncated_poly.
 """
 
 from __future__ import annotations
@@ -29,7 +28,6 @@ from .errors import (
     InputError,
     MathIdentityError,
     ReducibleModulusError,
-    UnknownSolvabilityError,
 )
 from .linalg import compile_product
 
@@ -528,9 +526,9 @@ class ExtensionField(ExactField):
     """F[t]/(modulus) for monic modulus of degree >= 2 over a built field F.
 
     Elements are coefficient tuples of length deg(modulus), low degree first.
-    Over a finite F or Q the modulus is certified irreducible here; a field of
-    at most TABLE_MAX_ELEMENTS elements replaces the polynomial methods below
-    by table lookups on the instance (see _tabulate).
+    The modulus is certified irreducible here; a field of at most
+    TABLE_MAX_ELEMENTS elements replaces the polynomial methods below by table
+    lookups on the instance (see _tabulate).
     """
 
     kind = "extension"
@@ -547,17 +545,16 @@ class ExtensionField(ExactField):
         self.terms, self._product, _ = compile_product(base, power_table(base, modulus))
         self._zero = self._vec([])
         self.exp = self.log = None
-        if self.cardinality() is not None or isinstance(base, RationalField):
-            self._certify()
+        self._certify()
 
     def _certify(self):
         """Refuse a reducible modulus, naming its repeated part, else its
-        least irreducible factor (factorization.partial_factor, certified
-        over finite fields and Q).  On a tabulated field the generator
-        search is a second certificate and the two must agree."""
+        least irreducible factor (factorization.partial_factor).  On a
+        tabulated field the generator search is a second certificate and the
+        two must agree."""
         from .factorization import partial_factor  # it imports this module
         F, f, q = self.base, list(self.modulus), self.cardinality()
-        g = repeated_factor(F, f) or partial_factor(F, f)[0].poly
+        g = repeated_factor(F, f) or partial_factor(F, f)[0]
         irreducible = poly_deg(g) == self.degree
         if q is not None and q <= TABLE_MAX_ELEMENTS:
             gen = self._find_generator(q)
@@ -675,7 +672,7 @@ class ExtensionField(ExactField):
             raise DivisionByZeroError("division by zero in extension field")
         g, s, _ = poly_ext_gcd(self.base, list(a), list(self.modulus))
         if poly_deg(g) != 0:
-            raise ReducibleModulusError(self._poly_str(g))
+            raise MathIdentityError("%s divides the certified modulus" % self._poly_str(g))
         return self._vec(poly_scal(self.base, self.base.inv(g[0]), s))
 
     def is_zero(self, a):
@@ -774,12 +771,11 @@ def unit_order(F, x):
 class RootResult:
     WITNESS = "witness"
     NO_SOLUTION = "nosolution"
-    UNKNOWN = "unknown"
 
     def __init__(self, status, witness=None, count=None):
         self.status = status
         self.witness = witness
-        self.count = count    # number of d-th roots in the field; None if undecided
+        self.count = count    # number of d-th roots in the field
 
     def __repr__(self):
         if self.status == self.WITNESS:
@@ -821,11 +817,12 @@ def dth_root(F, c, d):
     """Decide solvability of x^d = c, produce a witness when possible, and
     count the roots in F.
 
-    Complete over Q (perfect-power test; 1 root for odd d, 2 for even d)
-    and over finite fields (the roots of h = gcd(t^d - c, t^q - t); the
-    witness is 1 when c = 1, else the least root, in F.elements() order;
-    the count is deg h, cross-asserted against Euler's criterion).  Over
-    extensions of Q the answer may be Unknown, and the count is None.
+    Over Q by a perfect-power test (1 root for odd d, 2 for even d).  Over
+    a finite field the roots are those of h = gcd(t^d - c, t^q - t), counted
+    by deg h, which is cross-asserted against Euler's criterion; over an
+    extension of Q they are the roots of the linear factors of t^d - c
+    (factorization.partial_factor).  The witness is 1 when c = 1, else the
+    least root; x^d = c is checked.
     """
     if F.is_zero(c):
         raise DivisionByZeroError("dth_root of zero")
@@ -833,24 +830,18 @@ def dth_root(F, c, d):
         raise ValueError("d must be >= 1")
     if isinstance(F, RationalField):
         return _rational_dth_root(c, d)
-    if F.is_finite():
+    if F.is_finite():   # h has linear factors only
         h = _root_poly(F, c, d)
-        if not poly_deg(h):
-            return RootResult(RootResult.NO_SOLUTION, count=0)
-        x = F.one() if c == F.one() else min(
-            F.neg(g[0]) for g in irreducible_factors(F, h))
-        if F.pow(x, d) != c:
-            raise MathIdentityError("a root of gcd(t^d - c, t^q - t) is not a d-th root of c")
-        return RootResult(RootResult.WITNESS, x, poly_deg(h))
-    if d == 1 or c == F.one():
-        return RootResult(RootResult.WITNESS, c)
-    # char-0 extension: try constants from the base
-    if isinstance(F, ExtensionField):
-        base = F.base
-        if all(base.is_zero(x) for x in c[1:]) and isinstance(base, RationalField):
-            res = _rational_dth_root(c[0], d)
-            if res.status == RootResult.WITNESS:
-                return RootResult(RootResult.WITNESS, F.from_base(res.witness))
-            # no rational root; a root may still exist in the extension
-        return RootResult(RootResult.UNKNOWN)
-    raise UnknownSolvabilityError("unsupported field for dth_root")
+        count = poly_deg(h)
+        linear = irreducible_factors(F, h) if count and c != F.one() else []
+    else:   # an extension of Q
+        from .factorization import partial_factor  # it imports this module
+        f = [F.neg(c)] + [F.zero()] * (d - 1) + [F.one()]
+        linear = [g for g in partial_factor(F, f) if len(g) == 2]
+        count = len(linear)
+    if not count:
+        return RootResult(RootResult.NO_SOLUTION, count=0)
+    x = F.one() if c == F.one() else min(F.neg(g[0]) for g in linear)
+    if F.pow(x, d) != c:
+        raise MathIdentityError("a root of t^d - c is not a d-th root of c")
+    return RootResult(RootResult.WITNESS, x, count)

@@ -20,7 +20,6 @@ from .errors import (
     CapExceededError,
     MathIdentityError,
     NonThinError,
-    UnknownSolvabilityError,
 )
 from .galg import admissible_permutations, universal_group
 from .scalars import RootResult, dth_root
@@ -140,8 +139,8 @@ class ThinSystem:
 class SolveResult:
     system: ThinSystem
     closure: bool               # solvable over an algebraic closure
-    status: str                 # over the field: 'solvable' | 'unsolvable' | 'unknown'
-    count: object = None        # solutions over the field; None when infinite or undecided
+    status: str                 # over the field: 'solvable' | 'unsolvable'
+    count: object = None        # solutions over the field; None when infinite
     witness: dict = None        # support label -> field scalar
 
     @property
@@ -212,12 +211,10 @@ def thin_solve(system):
         res = dth_root(F, c, d)
         if res.status == RootResult.NO_SOLUTION:
             return SolveResult(system, True, "unsolvable", 0)
-        if res.status == RootResult.UNKNOWN:
-            return SolveResult(system, True, "unknown")
         mu[i] = res.witness
-        count = None if count is None or res.count is None else count * res.count
+        count *= res.count
         free -= 1
-    if free and count is not None:
+    if free:
         q = F.cardinality()
         count = None if q is None else count * (q - 1) ** free
     lam = [_monomial(F, mu, V_row) for V_row in system.V]
@@ -247,11 +244,7 @@ def field_fibres(gr, cap=pts.DEFAULT_CAP):
     reads them off its solved systems; any other is searched by shape over
     the base field (a field has one block), at most cap nodes."""
     if gr.is_thin():
-        systems = thin_systems(gr)
-        if any(t.status == "unknown" for t in systems):
-            raise UnknownSolvabilityError(
-                "cannot decide rational solvability for a permutation")
-        return {t.sigma: t.count for t in systems if t.status == "solvable"}
+        return {t.sigma: t.count for t in thin_systems(gr) if t.status == "solvable"}
     F = gr.algebra.field
     if not F.is_finite():
         raise NonThinError(

@@ -87,6 +87,19 @@ def test_weyl_goldens():
     assert rep.text() == "weyl.mode=closure\nweyl.order=2\nweyl.generators=(2 3)\n"
 
 
+@pytest.mark.parametrize("modulus, out", [
+    ("[-2,0,0,1]", "weyl.order=2\nweyl.generators=(1 2)\n"),
+    ("[1,1,1]", "weyl.order=1\nweyl.generators=\n"),
+], ids=["Q(cbrt2)", "Q(zeta3)"])
+def test_ex34_weyl_over_number_fields(tmp_path, capsys, modulus, out):
+    # u -> c u^2 swaps the degrees 1 and 2 exactly when c^3 = 1/2, which has a
+    # root in Q(cbrt 2) and none in Q(zeta3)
+    deck = tmp_path / "ex34.deck"
+    deck.write_text(load("ex34.deck") + "field K = extend Q %s\n" % modulus)
+    assert main(["--deck", str(deck), "weyl", "Gamma", "over", "K"]) == 0
+    assert capsys.readouterr().out == "weyl.mode=rational\n" + out
+
+
 def test_support_golden():
     rep = run(load("ex24.deck"), ["support", "Gamma"])
     assert rep.text() == "support.size=2\nsupport=2;3\n"
@@ -511,16 +524,15 @@ ring DK = product D Kr
 
 @pytest.mark.parametrize("ring, code, out", [
     ("Kr", 0, "idempotents.count=1\nidempotent.0=[1,0]\n"),
-    ("KK", 2, "error=input: cannot certify connectedness of a 2-dimensional block "
-              "over Q[t]/(deg 2)\n"),
-    ("T", 2, "error=input: cannot certify connectedness of a 2-dimensional block "
-             "over Q[t]/(deg 2)\n"),
-    ("DK", 2, "error=input: cannot certify connectedness of a 2-dimensional block "
-              "over Q[t]/(deg 2)\n"),
+    ("KK", 0, "idempotents.count=2\nidempotent.0=[[0,0],[1,0]]\nidempotent.1=[[1,0],[0,0]]\n"),
+    ("T", 0, "idempotents.count=2\nidempotent.0=[[1/2,0],[-1/2,0]]\n"
+             "idempotent.1=[[1/2,0],[1/2,0]]\n"),
+    ("DK", 0, "idempotents.count=2\nidempotent.0=[[0,0],[0,0],[1,0]]\n"
+              "idempotent.1=[[1,0],[0,0],[0,0]]\n"),
 ])
 def test_idempotents_over_q_sqrt2(tmp_path, capsys, ring, code, out):
-    # over K = Q(sqrt 2) only degree <= 1 is certified, so a reduced ring with
-    # two blocks cannot be split; dim eR is a rank, never a trace read as an int
+    # a ring over K = Q(sqrt 2) is split as a Q-algebra, so a reduced ring
+    # with two blocks lists both; dim eR is a rank, never a trace read as an int
     deck = tmp_path / "k.deck"
     deck.write_text(SQRT2_DECK)
     assert main(["--deck", str(deck), "idempotents", ring]) == code
@@ -627,6 +639,20 @@ def test_reducible_modulus_over_q_exits_2_with_line(tmp_path, capsys, modulus, f
     assert capsys.readouterr().out == (
         "error=input: line 2: extension modulus is reducible, it has the factor %s\n"
         % factor)
+
+
+def test_tower_modulus_is_certified(tmp_path, capsys):
+    # t^2 - 2 splits over K = Q(sqrt 2), with the factor t - sqrt 2; t^2 - 3
+    # stays irreducible, giving Q(sqrt 2, sqrt 3)
+    deck = tmp_path / "tower.deck"
+    deck.write_text("field Q = rationals\nfield K = extend Q [-2,0,1]\n"
+                    "field L = extend K [-3,0,1]\n")
+    assert main(["--deck", str(deck), "check"]) == 0
+    deck.write_text(deck.read_text().replace("[-3,0,1]", "[-2,0,1]"))
+    capsys.readouterr()
+    assert main(["--deck", str(deck), "check"]) == 2
+    assert capsys.readouterr().out == (
+        "error=input: line 3: extension modulus is reducible, it has the factor [[0,-1],[1,0]]\n")
 
 
 def test_irreducible_modulus_over_q_is_accepted(tmp_path):

@@ -23,7 +23,6 @@ from weylbench.comrings import (
     truncated_poly,
 )
 from weylbench.errors import MathIdentityError, RingAxiomError
-from weylbench.factorization import Factor
 
 from conftest import battery_rings, zero_mult_grading
 
@@ -156,6 +155,22 @@ def test_two_cubic_blocks_under_basis_change(Q):
                 break
         R2, to_old = _basis_change(R, P, linalg.inv(Q, P))
         assert {to_old(e) for e in decompose_ring(R2)} == reference
+
+
+def test_biquadratic_field_and_its_square_over_q(Q):
+    # Q(sqrt 2, sqrt 3) on the basis a^i b^j (index i + 2j), a^2 = 2, b^2 = 3:
+    # no basis element generates it (each has degree <= 2) and none splits
+    # it, so it is certified a field by some c_s = sum_i s^i b_i
+    def product(i, j):
+        (a, b), (c, d) = divmod(i, 2)[::-1], divmod(j, 2)[::-1]
+        return tuple(Q.from_int(2 ** ((a + c) // 2) * 3 ** ((b + d) // 2)
+                                if k == (a + c) % 2 + 2 * ((b + d) % 2) else 0)
+                     for k in range(4))
+
+    K = TestRing(Q, [[product(i, j) for j in range(4)] for i in range(4)], product(0, 0))
+    assert K.nilradical() == () and K.idempotents() == (K.one,)
+    KK = product_ring(K, K)
+    assert KK.idempotents() == (K.zero() + K.one, K.one + K.zero())
 
 
 def test_nilradical_properties(F3, Q):
@@ -378,7 +393,7 @@ def test_frobenius_count_check_fires_when_a_member_is_left_unsplit(F5, F7, monke
     # against dim B = 2 on F5 x F5 and dim B = 6 on F7C6; the one factor is
     # linear, so the linear-split check passes
     monkeypatch.setattr(comrings, "partial_factor",
-                        lambda F, mu: [Factor([F.zero(), F.one()], True)])
+                        lambda F, mu: [[F.zero(), F.one()]])
     for R in (product_ring(base_field_ring(F5), base_field_ring(F5)),
               group_algebra_finite(F7, cyclic_group(6))):
         with pytest.raises(MathIdentityError, match="1 primitive idempotents for a"):

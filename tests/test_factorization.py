@@ -17,9 +17,7 @@ def test_quartic_with_power_of_two_denominators_splits_fast():
     start = time.perf_counter()
     factors = factorization.partial_factor(scalars.rationals(), p)
     assert time.perf_counter() - start < 1.0
-    assert [f.poly for f in factors] == [[Fr(5799, 64), Fr(27, 2), 1],
-                                         [Fr(25725, 64), Fr(135, 4), 1]]
-    assert all(f.certified for f in factors)
+    assert factors == [[Fr(5799, 64), Fr(27, 2), 1], [Fr(25725, 64), Fr(135, 4), 1]]
 
 
 def test_integer_scale_is_least():
@@ -73,11 +71,46 @@ def test_factors_match_sympy():
         if len(scalars.poly_gcd(Q, p, scalars.poly_deriv(Q, p))) != 1:
             continue
         factors = factorization.partial_factor(Q, p)
-        assert all(f.certified for f in factors)
         expected = sympy.Poly([sympy.Rational(c.numerator, c.denominator) for c in reversed(p)],
                               t, domain=sympy.QQ).factor_list()[1]
         expected = sorted([Fr(int(c.p), int(c.q)) for c in reversed(f.monic().all_coeffs())]
                           for f, mult in expected for _ in range(mult))
-        assert sorted(f.poly for f in factors) == expected
+        assert sorted(factors) == expected
         checked += 1
     assert checked >= 130
+
+
+@pytest.mark.parametrize("modulus, generator, extension", [
+    ([-2, 0, 1], "sqrt(2)", "sqrt(2)"),
+    ([1, 1, 1], "(-1 + sqrt(-3))/2", "sqrt(-3)"),
+], ids=["Q(sqrt2)", "Q(zeta3)"])
+def test_factors_over_number_fields_match_sympy(modulus, generator, extension):
+    # K[t]/(p) is split as a Q-algebra, one factor gcd(p, 1 - e) per primitive
+    # idempotent e: the factors multiply back to p, and their degrees are
+    # those of sympy's factorization over K
+    sympy = pytest.importorskip("sympy")
+    t, alpha = sympy.symbols("t"), sympy.sympify(generator)
+    Q = scalars.rationals()
+    K = scalars.extension_field(Q, [Fr(c) for c in modulus])
+    rng = random.Random(20261022)
+    checked = 0
+    for _ in range(16):
+        p, degree = [K.one()], rng.randint(2, 9)
+        while len(p) <= degree:
+            k = min(rng.randint(1, 3), degree + 1 - len(p))
+            p = scalars.poly_mul(K, p, [(Fr(rng.randint(-3, 3)), Fr(rng.randint(-3, 3)))
+                                        for _ in range(k)] + [K.one()])
+        if scalars.repeated_factor(K, p) is not None:
+            continue
+        factors = factorization.partial_factor(K, p)
+        product = [K.one()]
+        for f in factors:
+            assert f[-1] == K.one()
+            product = scalars.poly_mul(K, product, f)
+        assert product == p
+        expr = sum((a + b * alpha) * t**i for i, (a, b) in enumerate(p))
+        expected = sympy.factor_list(sympy.expand(expr), t, extension=sympy.sympify(extension))
+        assert sorted(len(f) - 1 for f in factors) == sorted(
+            sympy.degree(f, t) for f, mult in expected[1] for _ in range(mult))
+        checked += 1
+    assert checked >= 12

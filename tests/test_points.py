@@ -477,7 +477,7 @@ def test_aut_enumeration_is_complete_by_brute_force(F2, F3):
                 assert len(found) == len(set(found)) and set(found) == ref, (name, fix, which)
 
 
-def test_fibre_sizes_over_the_residue_ring_are_cross_asserted(monkeypatch, F2, F3):
+def test_fibre_sizes_over_the_residue_ring_are_cross_asserted(monkeypatch, F2, F3, F9):
     # residue classes must be cosets of nil, checked with R/nil, before any
     # search.  GL_2(F2[eps]/eps^2) has 16 points over each of the 6 points of
     # GL_2(F2); a projection that sends eps to the class of 1 instead of 0
@@ -498,6 +498,20 @@ def test_fibre_sizes_over_the_residue_ring_are_cross_asserted(monkeypatch, F2, F
         with pytest.raises(MathIdentityError, match=re.escape("classes have sizes " + sizes)):
             pts.enumerate_points(gr, dual_numbers(F, 2), "aut")
         monkeypatch.undo()
+    # F9[eps]/eps^3 has 729 elements and no table: its classes are counted
+    # over its listed elements, 81 in each; sending eps to the class of 1
+    # moves one
+    assert len(dual_numbers(F9, 3).nilradical()) == 2
+    eps = (F9.zero(), F9.one(), F9.zero())
+
+    def eps_to_one(*args):
+        residue, project, lift = quotient(*args)
+        return residue, (lambda x: residue.one if x == eps else project(x)), lift
+
+    monkeypatch.setattr(comrings, "_quotient_ring", eps_to_one)
+    with pytest.raises(MathIdentityError, match=re.escape("classes have sizes [80, 81, 82]")):
+        dual_numbers(F9, 3).nilradical()
+    monkeypatch.undo()
     # a lifting that drops one lift over its first residue point: that fibre
     # comes up short.  Over F3[eps]/eps^2, para-Hurwitz has 2 residue points
     # with 3 points over each, and zero_mult 4 with 9 in Stab and 8 with 9 in

@@ -219,13 +219,17 @@ def test_dth_root_rational_negative_and_even():
     assert dth_root(Q, Fraction(8), 3).count == 1
 
 
-def test_dth_root_unknown_only_over_char0_extensions():
+def test_dth_root_over_q_cbrt2_finds_the_root_outside_q():
     Q = wb.rationals()
     K = wb.extension_field(Q, [Q.from_int(-2), Q.zero(), Q.zero(), Q.one()])
-    # 1/2 embedded as a constant: no rational root, but t/... may be a root;
-    # the oracle is allowed to say unknown here and only here
-    res = dth_root(K, K.from_base(Fraction(1, 2)), 3)
-    assert res.status == RootResult.UNKNOWN
+    # 1/2 has no rational cube root, but a^2/2 = 1/cbrt(2) is one in K; the
+    # other two cube roots are not real, so K has no other
+    half = K.from_base(Fraction(1, 2))
+    res = dth_root(K, half, 3)
+    assert (res.status, res.count) == (RootResult.WITNESS, 1)
+    assert K.pow(res.witness, 3) == half and res.witness == (0, 0, Fraction(1, 2))
+    assert dth_root(K, K.one(), 3).witness == K.one()
+    assert dth_root(K, K.from_int(-1), 2).status == RootResult.NO_SOLUTION
 
 
 def test_is_prime_agrees_with_sympy():
