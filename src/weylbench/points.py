@@ -10,6 +10,9 @@ call, so any gap between the two characterizations raises MathIdentityError.
 Over a ring with a RingTable, membership, det and inverse, block certificates,
 the RG tests and the point search run on its indices, where A's constants are
 kept as data (_kernel); points, certificates and shifts stay in ring elements.
+Point enumeration is three searches, a DFS over a field's table, the blocks
+of a product and a residue field lifted layer by layer, under one checker
+(_points_by_shape) that re-verifies whatever they yield.
 """
 
 from __future__ import annotations
@@ -518,43 +521,27 @@ def _enumeration_plan(A):
     """Column ordering with derivations: returns (steps, checks) where steps
     are ('enum', j) or ('derive', j, i, jj, inv_coeff) and checks[s] lists the
     multiplicativity constraints first fully determined after step s.
-    Built once per algebra and kept on A.enumeration_plan."""
+    Built once per algebra, from the nonzero pattern of A.terms, and kept on
+    A.enumeration_plan."""
     if A.enumeration_plan is not None:
         return A.enumeration_plan
-    F = A.field
-    n = A.dim
-    supp = {}
-    for i in range(n):
-        for j in range(n):
-            supp[(i, j)] = tuple(k for k in range(n)
-                                 if not F.is_zero(A.table[i][j][k]))
-    steps = []
-    unknown = set(range(n))
-    derived_from = set()
+    cells = {(i, j): cell for i, row in enumerate(A.terms) for j, cell in enumerate(row)}
+    steps, unknown, derived_from = [], set(range(A.dim)), set()
     while unknown:
-        found = None
-        for (i, jj) in sorted(supp):
-            if i in unknown or jj in unknown or (i, jj) in derived_from:
-                continue
-            s = supp[(i, jj)]
-            if len(s) == 1 and s[0] in unknown:
-                k = s[0]
-                found = ("derive", k, i, jj, F.inv(A.table[i][jj][k]))
+        found = ("enum", min(unknown))
+        for (i, jj), cell in cells.items():
+            if (i not in unknown and jj not in unknown and (i, jj) not in derived_from
+                    and len(cell) == 1 and cell[0][0] in unknown):
+                found = ("derive", cell[0][0], i, jj, A.field.inv(cell[0][1]))
                 derived_from.add((i, jj))
                 break
-        if found is None:
-            j = min(unknown)
-            found = ("enum", j)
         steps.append(found)
         unknown.discard(found[1])
-    stage_of = {col: s for s, step in enumerate(steps) for col in [step[1]]}
+    stage_of = {step[1]: s for s, step in enumerate(steps)}
     checks = [[] for _ in steps]
-    for (i, j), s in supp.items():
-        if (i, j) in derived_from:
-            continue
-        need = {i, j} | set(s)
-        stage = max(stage_of[c] for c in need)
-        checks[stage].append((i, j))
+    for (i, j), cell in cells.items():
+        if (i, j) not in derived_from:
+            checks[max(stage_of[c] for c in {i, j}.union(k for k, _ in cell))].append((i, j))
     A.enumeration_plan = (steps, checks)
     return A.enumeration_plan
 
@@ -615,101 +602,69 @@ def _points_by_shape(gr, R, which, spend):
     over gr.support: 'aut' is the one unshaped search (the empty shape),
     'stab' the all-identity shape, and 'autgamma' every tuple of admissible
     permutations: on each connected block eR a point of Aut Gamma induces
-    one, which preserves the product pattern and is additive on it.  Each
-    shaped point must carry block certificates equal to its shape.
+    one, which preserves the product pattern and is additive on it.
 
     The schemes are affine, so a point over R = e1 R x ... x em R is a sum of
-    block points, one per eR searched on its own, with their shapes
-    concatenated.  On a field, entry (k, j) is zero unless sigma sends deg j
-    to deg k, and a DFS searches the columns on its table.  A connected R
-    that is not reduced has a residue field R/m, m = nil: the same point set
-    is searched there, and each residue point rho is lifted through the
-    square-zero layers m^i/m^(i+1) of the filtration (lift).  The nonempty
-    fibres, over rho in a block and over shapes in a product, are cosets of
-    the kernel of reduction and shape, both homomorphisms, so they must all
-    have one size.
-
-    spend is the one node_budget of the search, shared by its blocks and
-    residue: each DFS node spends 1, and lift children and block products
-    are spent before they are built."""
-    A = gr.algebra
+    block points (_block_points), and a point over a connected R that is not
+    reduced lifts from its residue field (_lifted_points); only a field is
+    searched directly (_field_points), so only there are shapes built.  Each
+    search yields (shape, fibres), one fibre per shape on a field, per
+    product of block shapes, and per residue point; the nonempty fibres are
+    cosets of the kernel of shape and of reduction, both homomorphisms, so
+    they must all have one size.  Whichever search found them, every point is
+    re-verified here and a shaped point must carry block certificates equal
+    to its shape.  spend is the one node_budget of the search, shared by its
+    blocks and residue."""
     if R.element_count() is None:
         raise NotEnumerableError("cannot enumerate points over an infinite ring")
-    if which == "aut":
-        shapes = [()]
-    elif which == "stab":
-        shapes = [(tuple(range(len(gr.support))),)]
-    elif which == "autgamma":
-        shapes = [(perm,) for perm in galg.admissible_permutations(gr)]
-    else:
+    if which not in ("aut", "stab", "autgamma"):
         raise InputError("unknown point set %r" % which)
+    if len(R.idempotents()) > 1:
+        searches = _block_points(gr, R, which, spend)
+    elif R.nil_quotient():
+        searches = _lifted_points(gr, R, which, spend)
+    else:
+        shapes = ([(perm,) for perm in galg.admissible_permutations(gr)] if which == "autgamma"
+                  else [(tuple(range(len(gr.support))),)] if which == "stab" else [()])
+        searches = ((shape, [_field_points(gr, R, shape, spend)]) for shape in shapes)
+    T, to, terms, cells = _kernel(gr.algebra, R)
+    fibre_sizes = set()
+    for shape, fibres in searches:
+        fibre_sizes.update(map(len, fibres))
+        if len(fibre_sizes - {0}) > 1:
+            raise MathIdentityError("point fibres have sizes %s, not one coset size"
+                                    % sorted(fibre_sizes - {0}))
+        certs = [(e, dict(zip(gr.support, (gr.support[i] for i in perm))))
+                 for e, perm in zip(R.idempotents(), shape)]
+        points = [rows for fibre in fibres for rows in fibre]
+        for rows in points:
+            if not _is_automorphism(T, terms, cells, rows):
+                raise MathIdentityError("fast enumeration produced a non-automorphism")
+            if certs and _block_permutations(gr, R, T, to, rows).certificates != certs:
+                raise MathIdentityError(
+                    "shaped enumeration point certifies another block permutation")
+        yield shape, points
+
+
+def _field_points(gr, R, shape, spend):
+    """The points of one shape over a field R, as rows over its table, by a
+    DFS over the columns in the order of _enumeration_plan: entry (k, j) is
+    zero unless the shape's permutation sends deg j to deg k, a derived
+    column must keep those zeros, and each node spends 1."""
+    A, n = gr.algebra, gr.algebra.dim
     T, to, terms, cells = _kernel(A, R)
     steps, checks = _enumeration_plan(A)
-    n = A.dim
-    zero, add, mul, scal = T.zero(), T.add, T.mul, T.scal
-    ops = zero, T.is_zero, add   # structure_mul's and _image's, then mul and scal
-    fibre_sizes = set()
-    split = len(R.idempotents()) > 1
-    if split:
-        def on_T(ring, inject):   # a block's listing, each entry moved to eR on T
-            back = _indexed(ring)[2]
-            entry = functools.cache(lambda x: to(inject(back(x))))
-            return [(shape, [tuple(tuple(map(entry, row)) for row in rows) for rows in found])
-                    for shape, found in _points_by_shape(gr, ring, which, spend)]
-        searches = [(sum((shape for shape, _ in found), ()),
-                     [block_points for _, block_points in found])
-                    for found in itertools.product(*(on_T(ring, inject) for ring, _, inject
-                                                     in map(R.block, R.idempotents())))]
-    elif R.nil_quotient():
-        ring, _, section = R.nil_quotient()
-        bar, _, bar_back = _indexed(ring)
-        searches = _points_by_shape(gr, ring, which, spend)   # each shape lifted as it comes
-        lifted = functools.cache(lambda x: to(section(bar_back(x))))
-        F, (starts, basis, coords), back = A.field, R.filtration(), _indexed(R)[2]
-        units = [to(u) for u in basis]
-        scalars = {c: to(R.from_field(c)) for c in F.elements()}
-        minus_one = to(R.neg(R.one))
-        system = _derivations(A, tuple((l, j) for l in range(n) for j in range(n)
-                                       if which == "aut" or gr.degrees[l] == gr.degrees[j]))
-    else:
-        # the one table the search reads: a field past the table size is refused
-        full, zero_only = range(len(R.ring_table().elems)), {zero}
-        searches = [(shape, None) for shape in shapes]
-
-    def residual(cols, i, j):
-        # phi(e_i) phi(e_j) - phi(e_i e_j)
-        return [add(x, mul(minus_one, y)) for x, y in zip(
-            structure_mul(cells, cols[i], cols[j], *ops, mul, scal),
-            _image(terms[i][j], cols, *ops, scal))]
-
-    def times(rho, parts):
-        # rho Delta, Delta the sum of the vec (x) u_t over (t, vec) in parts,
-        # vec over the columns of the system; entries of T, flat by column
-        delta = [[zero] * n for _ in range(n)]
-        for t, vec in parts:
-            for (l, j), v in zip(system[0], vec):
-                delta[l][j] = add(delta[l][j], mul(scalars[v], units[t]))
-        return tuple(x for col in zip(*linalg.mat_mul(T, rho, delta)) for x in col)
-
-    def lift(nodes, i, rho, rho_inv):
-        # the lifts modulo m^(i+1) of the nodes at layer i, points modulo m^i
-        # over the residue point of rho, flat by column; E is the coordinates
-        # of rho^-1 times their residual, over the triples (a, b, k)
-        layer, children = range(starts[i], starts[i + 1]), []
-        directions = [times(rho, [(t, v)]) for t in layer for v in system[2]]
-        for phi in nodes:
-            cols = [phi[j * n:(j + 1) * n] for j in range(n)]
-            E = [coords(back(functools.reduce(add, map(mul, row, e))))
-                 for a in range(n) for b in range(n)
-                 for e in [residual(cols, a, b)] for row in rho_inv]
-            if any(not F.is_zero(c) for x in E for c in x[:starts[i]]):
-                raise MathIdentityError("a node at layer %d has a residual outside m^%d" % (i, i))
-            parts = [(t, _back_substitute(F, system, [x[t] for x in E])) for t in layer]
-            if all(x is not None for _, x in parts):
-                spend(len(scalars) ** len(directions))
-                children += _span(T, scalars.values(), directions,
-                                  tuple(map(add, phi, times(rho, parts))))
-        return children
+    steps = [step[:4] + (to(R.from_field(step[4])),) if step[0] == "derive" else step
+             for step in steps]
+    zero, mul, scal = T.zero(), T.mul, T.scal
+    ops = zero, T.is_zero, T.add   # structure_mul's, then mul and scal
+    # the one table the search reads: a field past the table size is refused
+    full, zero_only = range(len(R.ring_table().elems)), {zero}
+    sigma = dict(zip(gr.support, (gr.support[i] for i in shape[0]))) if shape else None
+    allowed = [[zero_only if shape and sigma[gr.degrees[j]] != gr.degrees[k] else full
+                for k in range(n)] for j in range(n)]
+    bounds = [[(t, s) for t, s in enumerate(col) if s is not full] for col in allowed]
+    survivors = []
 
     def dfs(stage, cols, dfs):   # passed itself: a closure cell of its own is a cycle
         spend()
@@ -727,8 +682,7 @@ def _points_by_shape(gr, R, which, spend):
                     dfs(stage + 1, cols, dfs)
             cols[j] = None
         else:
-            _, k, i, jj, inv_c = step
-            ic = to(R.from_field(inv_c))
+            _, k, i, jj, ic = step
             cols[k] = tuple(mul(ic, x)
                             for x in structure_mul(cells, cols[i], cols[jj], *ops, mul, scal))
             if (all(cols[k][t] in s for t, s in bounds[k])
@@ -736,39 +690,90 @@ def _points_by_shape(gr, R, which, spend):
                 dfs(stage + 1, cols, dfs)
             cols[k] = None
 
-    for shape, found in searches:
-        certs = [(e, dict(zip(gr.support, (gr.support[i] for i in perm))))
-                 for e, perm in zip(R.idempotents(), shape)]
-        if split:   # one point per block, summed into R
-            spend(math.prod(map(len, found)))
-            survivors = [tuple(tuple(functools.reduce(add, (p[k][j] for p in parts))
-                                     for j in range(n)) for k in range(n))
-                         for parts in itertools.product(*found)]
-            fibre_sizes.add(len(survivors))
-        elif found is None:
-            allowed = [[zero_only if certs and certs[0][1][gr.degrees[j]] != gr.degrees[k]
-                        else full for k in range(n)] for j in range(n)]
-            bounds = [[(t, s) for t, s in enumerate(col) if s is not full] for col in allowed]
-            survivors = []
-            dfs(0, [None] * n, dfs)
-            fibre_sizes.add(len(survivors))
-        else:
-            survivors = []
-            for rho in found:
-                up, down = ([[lifted(x) for x in row] for row in M]
-                            for M in (rho, ring_mat_inv(bar, rho)))
-                nodes = [tuple(up[k][j] for j in range(n) for k in range(n))]
-                for i in range(1, len(starts) - 1):
-                    nodes = lift(nodes, i, up, down)
-                fibre_sizes.add(len(nodes))
-                survivors += [tuple(phi[k::n] for k in range(n)) for phi in nodes]
-        if len(fibre_sizes - {0}) > 1:
-            raise MathIdentityError("point fibres have sizes %s, not one coset size"
-                                    % sorted(fibre_sizes - {0}))
-        for rows in survivors:
-            if not _is_automorphism(T, terms, cells, rows):
-                raise MathIdentityError("fast enumeration produced a non-automorphism")
-            if certs and _block_permutations(gr, R, T, to, rows).certificates != certs:
-                raise MathIdentityError(
-                    "shaped enumeration point certifies another block permutation")
-        yield shape, survivors
+    dfs(0, [None] * n, dfs)
+    return survivors
+
+
+def _block_points(gr, R, which, spend):
+    """R = e1 R x ... x em R: each block eR searched on its own and its points
+    moved into eR on _indexed(R); then one fibre per product of block shapes,
+    the sums of one point per block, spent before they are built, with the
+    block shapes concatenated."""
+    T, to, _ = _indexed(R)
+    n = gr.algebra.dim
+
+    def on_T(ring, inject):   # a block's listing, each entry moved to eR on T
+        back = _indexed(ring)[2]
+        entry = functools.cache(lambda x: to(inject(back(x))))
+        return [(shape, [tuple(tuple(map(entry, row)) for row in rows) for rows in found])
+                for shape, found in _points_by_shape(gr, ring, which, spend)]
+
+    for found in itertools.product(*(on_T(ring, inject) for ring, _, inject
+                                     in map(R.block, R.idempotents()))):
+        blocks = [points for _, points in found]
+        spend(math.prod(map(len, blocks)))
+        yield sum((shape for shape, _ in found), ()), [[
+            tuple(tuple(functools.reduce(T.add, (p[k][j] for p in parts)) for j in range(n))
+                  for k in range(n)) for parts in itertools.product(*blocks)]]
+
+
+def _lifted_points(gr, R, which, spend):
+    """A connected R that is not reduced: the same point set searched over
+    its residue field R/m, m = nil, and each residue point rho lifted through
+    the square-zero layers m^i/m^(i+1) of R.filtration(), one fibre per rho;
+    the lifts of a node are spent before they are built."""
+    A, n = gr.algebra, gr.algebra.dim
+    T, to, terms, cells = _kernel(A, R)
+    ring, _, section = R.nil_quotient()
+    bar, _, bar_back = _indexed(ring)
+    lifted = functools.cache(lambda x: to(section(bar_back(x))))
+    F, (starts, basis, coords), back = A.field, R.filtration(), _indexed(R)[2]
+    units = [to(u) for u in basis]
+    scalars = {c: to(R.from_field(c)) for c in F.elements()}
+    minus_one = to(R.neg(R.one))
+    system = _derivations(A, tuple((l, j) for l in range(n) for j in range(n)
+                                   if which == "aut" or gr.degrees[l] == gr.degrees[j]))
+    zero, add, mul, scal = T.zero(), T.add, T.mul, T.scal
+    ops = zero, T.is_zero, add   # structure_mul's and _image's, then mul and scal
+
+    def times(rho, parts):
+        # rho Delta, Delta the sum of the vec (x) u_t over (t, vec) in parts,
+        # vec over the columns of the system; entries of T, flat by column
+        delta = [[zero] * n for _ in range(n)]
+        for t, vec in parts:
+            for (l, j), v in zip(system[0], vec):
+                delta[l][j] = add(delta[l][j], mul(scalars[v], units[t]))
+        return tuple(x for col in zip(*linalg.mat_mul(T, rho, delta)) for x in col)
+
+    def lift(nodes, i, rho, rho_inv):
+        # the lifts modulo m^(i+1) of the layer-i nodes, points modulo m^i over
+        # the residue point of rho, flat by column; E: the coordinates of rho^-1
+        # times their residual phi(e_a) phi(e_b) - phi(e_a e_b), per (a, b, k)
+        layer, children = range(starts[i], starts[i + 1]), []
+        directions = [times(rho, [(t, v)]) for t in layer for v in system[2]]
+        for phi in nodes:
+            cols = [phi[j * n:(j + 1) * n] for j in range(n)]
+            E = [coords(back(functools.reduce(add, map(mul, row, e))))
+                 for a in range(n) for b in range(n)
+                 for e in [[add(x, mul(minus_one, y)) for x, y in zip(
+                     structure_mul(cells, cols[a], cols[b], *ops, mul, scal),
+                     _image(terms[a][b], cols, *ops, scal))]] for row in rho_inv]
+            if any(not F.is_zero(c) for x in E for c in x[:starts[i]]):
+                raise MathIdentityError("a node at layer %d has a residual outside m^%d" % (i, i))
+            parts = [(t, _back_substitute(F, system, [x[t] for x in E])) for t in layer]
+            if all(x is not None for _, x in parts):
+                spend(len(scalars) ** len(directions))
+                children += _span(T, scalars.values(), directions,
+                                  tuple(map(add, phi, times(rho, parts))))
+        return children
+
+    for shape, found in _points_by_shape(gr, ring, which, spend):
+        fibres = []
+        for rho in found:
+            up, down = ([[lifted(x) for x in row] for row in M]
+                        for M in (rho, ring_mat_inv(bar, rho)))
+            nodes = [tuple(up[k][j] for j in range(n) for k in range(n))]
+            for i in range(1, len(starts) - 1):
+                nodes = lift(nodes, i, up, down)
+            fibres.append([tuple(phi[k::n] for k in range(n)) for phi in nodes])
+        yield shape, fibres

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from weylbench import galg
 from weylbench.cli import COMMANDS, main, run_command
 from weylbench.deck import parse_deck, tokenize
 from weylbench.errors import DeckError
@@ -269,6 +270,24 @@ def test_ex34_points_over_a_product_past_the_table_size(tmp_path, capsys):
                      "set=" + which]) == 0
         assert time.perf_counter() - start < 1.0
         assert capsys.readouterr().out.startswith("points.count=9\n")
+
+
+def test_ex26_shaped_points_over_a_field_times_a_local_ring(tmp_path, capsys, monkeypatch):
+    # F3 x F3[eps]/eps^3 runs all three searches: the blocks, the F3 block by
+    # its DFS, and F3[eps]/eps^3 lifted from its residue field F3 through two
+    # layers; admissible permutations are built only by the two field searches
+    deck = tmp_path / "ex26.deck"
+    deck.write_text(load("ex26.deck") + "ring F3e3 = dual F3 3\nring F3x = product F3r F3e3\n")
+    admissible, calls = galg.admissible_permutations, []
+    monkeypatch.setattr(galg, "admissible_permutations",
+                        lambda gr: calls.append(gr) or admissible(gr))
+    for which, count, built in (("autgamma", 36, 2), ("stab", 9, 0)):
+        calls.clear()
+        assert main(["--deck", str(deck), "points", "Gamma", "over", "F3x",
+                     "set=" + which]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("points.count=%d\n" % count)
+        assert len(out.splitlines()) == count + 1 and len(calls) == built
 
 
 def test_points_over_a_field_past_the_table_size_exit_2(tmp_path, capsys):

@@ -741,6 +741,10 @@ def test_tabulated_ring_is_freed_without_the_cycle_collector():
               lambda R: points.enumerate_points(gr, R, "aut")),
              (lambda: comrings.product_ring(base, base),
               lambda R: points.enumerate_points(gr, R, "aut")),
+             (lambda: comrings.base_field_ring(F3),   # the shaped DFS
+              lambda R: points.enumerate_points(gr, R, "autgamma")),
+             (lambda: comrings.dual_numbers(F3, 3),   # two lift layers
+              lambda R: points.enumerate_points(para_hurwitz_grading(F3), R, "aut")),
              (lambda: comrings.base_field_ring(F7),   # 3x3 minors, memoized
               lambda R: [points.norm_membership_generic(cubic, p)
                          for p in points.enumerate_points(cubic, R, "stab")])]

@@ -641,6 +641,41 @@ def test_block_products_are_spent_before_they_are_built(monkeypatch, F5):
     assert len(tables) == 2 * 480 and R.ring_table() not in tables
 
 
+def test_every_search_answers_to_the_one_checker(monkeypatch, F3):
+    # the fibre sizes, the re-verification and the block certificates are
+    # checked once, on whatever a search yields: over F3, zero_mult has 4
+    # points in each of its 2 shapes, the identity first and then the swap
+    gr, F3r = zero_mult_grading(F3), base_field_ring(F3)
+    ident, field_points = (tuple(range(len(gr.support))),), pts._field_points
+    assert len(pts.enumerate_points(gr, F3r, "autgamma")) == 8
+    # the identity shape's points listed under the swap too
+    monkeypatch.setattr(pts, "_field_points",
+                        lambda gr, R, shape, spend: field_points(gr, R, ident, spend))
+    with pytest.raises(MathIdentityError, match="certifies another block permutation"):
+        pts.enumerate_points(gr, F3r, "autgamma")
+
+    def short(gr, R, shape, spend):   # the swap shape one point short
+        found = field_points(gr, R, shape, spend)
+        return found if shape == ident else found[1:]
+
+    monkeypatch.setattr(pts, "_field_points", short)
+    with pytest.raises(MathIdentityError, match=r"point fibres have sizes \[3, 4\]"):
+        pts.enumerate_points(gr, F3r, "autgamma")
+    monkeypatch.undo()
+    # over F3 x F3, the zero matrix in place of the first sum of block points
+    R, block_points = product_ring(F3r, F3r), pts._block_points
+    zero = pts._indexed(R)[0].zero()
+
+    def zeroed(gr, R, which, spend):
+        for i, (shape, (sums,)) in enumerate(block_points(gr, R, which, spend)):
+            yield shape, [[((zero,) * 2,) * 2] + sums[1:] if i == 0 else sums]
+
+    assert len(pts.enumerate_points(gr, R, "autgamma")) == 64
+    monkeypatch.setattr(pts, "_block_points", zeroed)
+    with pytest.raises(MathIdentityError, match="non-automorphism"):
+        pts.enumerate_points(gr, R, "autgamma")
+
+
 def test_a_product_past_the_table_size_lists_the_sums_of_its_block_points(F7):
     # F7 x F7[eps]/eps^3 has 2401 elements and no table: each block is
     # listed on its own, and a point over R is one block point per block
