@@ -13,6 +13,7 @@ from __future__ import annotations
 import collections
 import functools
 import itertools
+import math
 import weakref
 from array import array
 
@@ -253,12 +254,12 @@ class RingTable:
     numbered 0..|R|-1, so index tuples sort as element tuples, and the
     point layer runs on the ring protocol it speaks on them (zero(), one,
     is_zero, add, mul, scal by a constant given as the index of
-    R.from_field(c), neg, inv, is_unit).  Cells are filled on first use by
-    the coordinate kernel (TestRing mul, add, neg, inv, the determinant test
-    of is_unit); a row, the negatives, the inverses and per algebra its
-    constants as indices with their nonempty cells (terms, data kept by
-    points) are made when first needed.  It holds its ring weakly: the two
-    form no cycle."""
+    R.from_field(c), neg, inv, is_unit, pow_element).  Cells are filled on
+    first use by the coordinate kernel (TestRing mul, add, neg, inv, the
+    determinant test of is_unit); a row, the negatives, the inverses and per
+    algebra its constants as indices with their nonempty cells (terms, data
+    kept by points) are made when first needed.  It holds its ring weakly:
+    the two form no cycle."""
 
     MAX_ELEMENTS = TABLE_MAX_ELEMENTS
 
@@ -318,6 +319,7 @@ class RingTable:
         return c if c != _EMPTY else self._fill(self._mul, TestRing.mul, a, b)
 
     scal = mul
+    pow_element = TestRing.pow_element
 
     def neg(self, a):
         c = self._neg[a]
@@ -630,19 +632,31 @@ UNIT_ENUMERATION_CAP = 10**6
 
 def enumerate_units(R):
     """The unit map of a finite ring: {unit: multiplicative order}, keyed in
-    sorted order.  One R.is_unit test per element; each order comes
-    from scalars.multiplicative_order with the multiple n = |R^x|, which
-    fails only against Lagrange's theorem."""
+    sorted order.  One R.is_unit test per element, then one sweep over cyclic
+    subgroups: each unit u not yet reached is stepped to one, d = ord(u)
+    products, and u^k gets the order d / gcd(k, d).  A walk past |R^x| steps
+    or a d not dividing |R^x| (Lagrange), or a power is_unit did not list,
+    is refused."""
     count = R.element_count()
     if count is None:
         raise NotEnumerableError("unit enumeration needs a finite base field")
     if count > UNIT_ENUMERATION_CAP:
         raise CapExceededError("|R| = %d exceeds cap %d" % (count, UNIT_ENUMERATION_CAP))
-    units = sorted(v for v in R.elements() if R.is_unit(v))
-    orders = {u: scalars.multiplicative_order(R.mul, R.one, u, len(units)) for u in units}
-    if None in orders.values():
-        raise MathIdentityError("a unit u of %s has u^|R^x| != 1, against Lagrange's "
-                                "theorem" % R.label)
+    orders = dict.fromkeys(sorted(v for v in R.elements() if R.is_unit(v)))
+    n = len(orders)
+    for u in list(orders):
+        if orders[u] is None:
+            powers = [u]
+            while powers[-1] != R.one and len(powers) <= n:
+                powers.append(R.mul(powers[-1], u))
+            d = len(powers)
+            if powers[-1] != R.one or n % d:
+                raise MathIdentityError("a unit u of %s has u^|R^x| != 1, against "
+                                        "Lagrange's theorem" % R.label)
+            for k, v in enumerate(powers, 1):
+                orders[v] = d // math.gcd(k, d)
+    if len(orders) != n:
+        raise MathIdentityError("a power of a unit of %s is not a unit" % R.label)
     return orders
 
 
@@ -658,6 +672,8 @@ class GroupAlgebra:
     def __init__(self, ring, group):
         self.ring = ring
         self.group = group
+        self._identity = group.identity()
+        self._sums = {}   # (g, h) -> g + h, formed by mul, kept per instance
 
     def zero(self):
         return {}
@@ -668,7 +684,7 @@ class GroupAlgebra:
         return {self.group.reduce(g): r}
 
     def scalar(self, r):
-        return self.monomial(r, self.group.identity())
+        return {} if self.ring.is_zero(r) else {self._identity: r}
 
     def add(self, x, y):
         out = dict(x)
@@ -684,10 +700,12 @@ class GroupAlgebra:
         return out
 
     def mul(self, x, y):
-        out = {}
+        out, sums = {}, self._sums
         for g, r in x.items():
             for h, s in y.items():
-                gh = self.group.add(g, h)
+                gh = sums.get((g, h))
+                if gh is None:
+                    gh = sums[g, h] = self.group.add(g, h)
                 rs = self.ring.mul(r, s)
                 if gh in out:
                     rs = self.ring.add(out[gh], rs)

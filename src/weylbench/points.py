@@ -328,9 +328,9 @@ def sorted_characters(gr, R):
     order of their points, read off the diagonals (the rest is zero) without
     building them."""
     uni = galg.universal_group(gr)
-    _, to, _ = _indexed(R)   # on a table an index sorts as its element
+    T, to, _ = _indexed(R)   # on a table an index sorts as its element
     chars = abgroups.enumerate_characters(uni.group, _unit_map_for(R, uni.group))
-    return uni, sorted(chars, key=lambda a: tuple(map(to, _diagonal(gr, R, uni.deg_u, a))))
+    return uni, sorted(chars, key=lambda a: tuple(_diagonal(gr, T, uni.deg_u, tuple(map(to, a)))))
 
 
 def diag_points(gr, R, cap=DEFAULT_CAP):

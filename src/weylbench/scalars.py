@@ -37,7 +37,7 @@ TABLE_MAX_ELEMENTS = 512
 
 
 TRIAL_DIVISION_BOUND = 1000
-# prime_powers(n) as pairs, kept: a unit map factors its one n = |R^x| once
+# prime_powers(n) as pairs, kept: a field's generator search factors q - 1 once
 _factored = functools.lru_cache(maxsize=64)(lambda n: tuple(prime_powers(n).items()))
 
 

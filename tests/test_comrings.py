@@ -244,17 +244,72 @@ def test_unit_map_is_the_only_unit_scan(F5):
     assert brute == 100 * 100
 
 
-def test_unit_map_factors_its_order_once(F5, monkeypatch):
-    # every unit's order is found against the same n = |R^x| = 100: the map
-    # factors n once, not once per unit
+def test_unit_map_sweeps_its_cyclic_subgroups(F5, F9):
+    # the powers of each unit not yet reached are stepped to one and all get
+    # their orders from that walk: at most 3 products per unit, on a ring
+    # with a table (100 units) and on one without (648 units)
+    for R, n in ((dual_numbers(F5, 3), 100), (group_algebra_finite(F9, cyclic_group(3)), 648)):
+        mul, products = R.mul, []
+        R.mul = lambda x, y: products.append(None) or mul(x, y)
+        units = enumerate_units(R)
+        assert len(units) == n and len(products) <= 3 * n, R.label
+    assert sorted(set(enumerate_units(dual_numbers(F5, 3)).values())) == [1, 2, 4, 5, 10, 20]
+
+
+@pytest.mark.parametrize("fname", ["F7", "F9"])
+def test_unit_map_against_the_factored_order_oracle(fname, request):
+    # the cyclic sweep against multiplicative_order with n = |R^x|, unit by
+    # unit and in the same key order, over F[eps]/eps^3 and F[C3]
     from weylbench import scalars
-    calls = []
-    factor = scalars.prime_powers
-    monkeypatch.setattr(scalars, "prime_powers", lambda n: calls.append(n) or factor(n))
-    scalars._factored.cache_clear()
-    units = enumerate_units(dual_numbers(F5, 3))
-    assert len(units) == 100 and calls == [100]
-    assert sorted(set(units.values())) == [1, 2, 4, 5, 10, 20]
+    F = request.getfixturevalue(fname)
+    for R in (dual_numbers(F, 3), group_algebra_finite(F, cyclic_group(3))):
+        got = enumerate_units(R)
+        expected = {u: scalars.multiplicative_order(R.mul, R.one, u, len(got))
+                    for u in sorted(v for v in R.elements() if R.is_unit(v))}
+        assert list(got.items()) == list(expected.items()), R.label
+
+
+def test_a_power_that_is_unit_does_not_list_is_refused(F5):
+    # a faulty is_unit on F5 x F5 that lists only 1, u, u^3 and an involution
+    # w off <u>: every walk has an order dividing 4, but u's reaches u^2
+    R = product_ring(base_field_ring(F5), base_field_ring(F5))
+    orders = enumerate_units(R)
+    u = next(v for v, d in orders.items() if d == 4)
+    uu = R.mul(u, u)
+    w = next(v for v, d in orders.items() if d == 2 and v != uu)
+    R.is_unit = {R.one, u, R.mul(uu, u), w}.__contains__
+    with pytest.raises(MathIdentityError, match="not a unit"):
+        enumerate_units(R)
+
+
+def _reference_group_product(GA, x, y):
+    """x y in RG with every group sum formed by group.add."""
+    R, out = GA.ring, {}
+    for g, r in x.items():
+        for h, s in y.items():
+            gh = GA.group.add(g, h)
+            out[gh] = R.add(out.get(gh, R.zero()), R.mul(r, s))
+    return {g: r for g, r in out.items() if not R.is_zero(r)}
+
+
+def test_group_algebra_mul_on_kept_sums_matches_group_add(F3):
+    # random elements over Z/6 and over Z^2, whose free coordinates are not
+    # reduced; one GroupAlgebra forms every product, so pairs recur
+    from weylbench.abgroups import FGAbelianGroup
+    R, rng = dual_numbers(F3, 2), random.Random(5)
+    elems = list(R.elements())
+    for G, coords in ((cyclic_group(6), lambda: (rng.randrange(-8, 9),)),
+                      (FGAbelianGroup((), 2), lambda: (rng.randrange(-3, 4), rng.randrange(-3, 4)))):
+        GA = GroupAlgebra(R, G)
+        pool = [GA.zero(), GA.scalar(R.one)]
+        for _ in range(12):
+            x = GA.zero()
+            for _ in range(rng.randrange(1, 6)):
+                x = GA.add(x, GA.monomial(rng.choice(elems), coords()))
+            pool.append(x)
+        for x in pool:
+            for y in pool:
+                assert GA.mul(x, y) == _reference_group_product(GA, x, y)
 
 
 def _first_dependence(F, vectors):

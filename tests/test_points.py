@@ -347,6 +347,20 @@ def test_points_sort_by_element_keys_on_a_table_out_of_sort_order(F3):
     assert len(keys) == 36 and keys == sorted(keys)
 
 
+def test_characters_sort_on_table_indices_as_on_elements(F5, F9):
+    # the index-keyed sort against a sort keyed by the diagonal elements
+    # themselves, on two tabled rings and on F9[C3], which has no table
+    from weylbench import abgroups
+    cases = [(zero_mult_grading(F5), dual_numbers(F5, 3), 10000),
+             (zero_mult_grading(F5), comrings.group_algebra_finite(F5, cyclic_group(3)), 9216),
+             (para_hurwitz_grading(F9), comrings.group_algebra_finite(F9, cyclic_group(3)), 81)]
+    for gr, R, count in cases:
+        uni, chars = pts.sorted_characters(gr, R)
+        listed = abgroups.enumerate_characters(uni.group, R.unit_group())
+        ref = sorted(listed, key=lambda a: tuple(pts._diagonal(gr, R, uni.deg_u, a)))
+        assert chars == ref and len(chars) == count, R.label
+
+
 def test_sampled_blockwise_mix_is_verified(monkeypatch, Q):
     # a "blockwise" mix over the first block twice misses the second block
     R = product_ring(base_field_ring(Q), base_field_ring(Q))
